@@ -165,9 +165,54 @@ def quotient_algebra(b: FiniteBooleanAlgebra, f: Filter) -> tuple:
 # posets and their regular-open completion
 
 
+def _reverse_inclusion(a, b) -> bool:
+    """The order of ``Poset.of_sets``.  ``Poset.__init__`` recognizes this
+    predicate and derives the order from membership bitsets rather than
+    calling it on every pair, so every poset is still built by ``__init__``."""
+    return b <= a
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    text = bin(mask)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
+
+
+def _inclusion_down_masks(sets: tuple) -> list:
+    """Down masks of sets ordered by reverse inclusion.
+
+    Each item gets the bitmask of the sets that contain it; the sets below
+    ``s`` (its supersets) are then the AND of its items' masks, and every
+    set lies below the empty one.
+    """
+    holders = {}
+    for i, s in enumerate(sets):
+        for x in s:
+            holders.setdefault(x, []).append(i)
+    masks = {x: sum(1 << i for i in positions) for x, positions in holders.items()}
+    full = (1 << len(sets)) - 1
+    down = []
+    for s in sets:
+        mask = full
+        for x in s:
+            mask &= masks[x]
+        down.append(mask)
+    return down
+
+
 class Poset:
     """A finite poset with hashable elements; order axioms are checked on
-    construction.  ``leq(s, t)`` reads "s is at least as strong as t"."""
+    construction.  ``leq(s, t)`` reads "s is at least as strong as t".
+
+    The order is given by ``leq_pairs`` or by a ``leq`` predicate (called on
+    all n² pairs); ``Poset.of_sets`` orders a family of sets by reverse
+    inclusion from bitsets instead.  It is stored as bitmasks over element
+    positions: bit i of ``down[j]`` means elements[i] <= elements[j], and
+    ``up`` is the transpose (bit j of ``up[i]``).
+    """
 
     def __init__(self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None):
         self.elements = tuple(elements)
@@ -175,19 +220,34 @@ class Poset:
             raise BoolkitError("poset elements must be distinct")
         self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        if leq is not None:
-            rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
+        self._all = (1 << n) - 1
+        if leq is _reverse_inclusion:
+            self._down = _inclusion_down_masks(self.elements)
         else:
-            rel = set(leq_pairs or ())
-        # down masks: bit i of down[j] means elements[i] <= elements[j]
-        self._down = [0] * n
-        for (a, b) in rel:
-            if a not in self._index or b not in self._index:
-                raise BoolkitError(f"order pair {(a, b)!r} mentions a non-element")
-            self._down[self._index[b]] |= 1 << self._index[a]
-        for i in range(n):
-            self._down[i] |= 1 << i
+            if leq is not None:
+                rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
+            else:
+                rel = set(leq_pairs or ())
+            self._down = [0] * n
+            for (a, b) in rel:
+                if a not in self._index or b not in self._index:
+                    raise BoolkitError(f"order pair {(a, b)!r} mentions a non-element")
+                self._down[self._index[b]] |= 1 << self._index[a]
+            for i in range(n):
+                self._down[i] |= 1 << i
         self._check_axioms()
+        self._up = [0] * n
+        for j, mask in enumerate(self._down):
+            bit = 1 << j
+            for i in _bits(mask):
+                self._up[i] |= bit
+
+    @classmethod
+    def of_sets(cls, sets: Iterable) -> "Poset":
+        """Distinct sets ordered by reverse inclusion: a larger set is the
+        stronger condition.  Costs one AND per item of each set instead of a
+        comparison per pair of sets."""
+        return cls(sets, leq=_reverse_inclusion)
 
     def _check_axioms(self):
         n = len(self.elements)
@@ -222,16 +282,20 @@ class Poset:
         return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
     def regularize_mask(self, u_mask: int) -> int:
-        # touched = conditions with an extension inside u
+        """Interior-of-closure of a set of positions, by the up masks.
+
+        The closure of u is the set of conditions with an extension in u,
+        the union of the up masks of u's members.  Its interior keeps the
+        conditions whose every extension is in the closure, that is, those
+        above no condition outside it.
+        """
         touched = 0
-        for j, dj in enumerate(self._down):
-            if dj & u_mask:
-                touched |= 1 << j
-        out = 0
-        for i, di in enumerate(self._down):
-            if di & ~touched == 0:
-                out |= 1 << i
-        return out
+        for i in _bits(u_mask):
+            touched |= self._up[i]
+        outside = 0
+        for k in _bits(self._all & ~touched):
+            outside |= self._up[k]
+        return self._all & ~outside
 
 
 def regularize(p: Poset, u: Iterable) -> frozenset:
@@ -285,22 +349,24 @@ def ro_completion(p: Poset) -> ROCompletion:
     Meet is intersection, join is the regularization of the union, and the
     complement of U consists of the conditions with no extension in U.  The
     algebra of regular opens is finite, hence a powerset algebra on its
-    minimal nonzero members; cones are dense, so every atom is a cone.
+    minimal nonzero members.  These atoms are the cones of the minimal
+    (strongest) elements, pairwise disjoint, sorted by mask: every cone
+    contains the cone of a minimal element below it, and two minimal
+    elements share no regular-open neighbourhood.  The cone of q is then the
+    join of the atoms of the minimal elements below q.
     """
     if not p.elements:
         raise BoolkitError("ro_completion needs a nonempty poset")
-    cone_masks = [p.regularize_mask(p.down_mask(q)) for q in p.elements]
-    atom_masks = []
-    for m in cone_masks:
-        keep = True
-        for other in cone_masks:
-            if other != m and other & ~m == 0:
-                keep = False
-                break
-        if keep and m not in atom_masks:
-            atom_masks.append(m)
-    atom_masks.sort()
+    minimal = [r for r, down in enumerate(p._down) if down == 1 << r]
+    atom_of = {p.regularize_mask(1 << r): r for r in minimal}
+    atom_masks = sorted(atom_of)
+    atom_bit = {atom_of[mask]: 1 << j for j, mask in enumerate(atom_masks)}
+    minimal_mask = sum(1 << r for r in minimal)
+    cone = {}
+    for q, down in zip(p.elements, p._down):
+        value = 0
+        for r in _bits(down & minimal_mask):
+            value |= atom_bit[r]
+        cone[q] = value
     algebra = FiniteBooleanAlgebra(len(atom_masks))
-    ro = ROCompletion(p, algebra, {}, tuple(atom_masks))
-    cone = {q: ro.element_of_mask(cone_masks[i]) for i, q in enumerate(p.elements)}
     return ROCompletion(p, algebra, cone, tuple(atom_masks))

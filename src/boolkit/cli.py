@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, balg, bvmodel, compact, consprop, forcing, proofs, syntax
-from .errors import BoolkitError, ConstructionFailure, ParseError, ResourceBudgetError
+from .errors import BoolkitError, ConstructionFailure, ParseError, ResourceBudgetError, SignatureError
 from .syntax import Signature, Theory
 
 EXIT_OK = 0
@@ -60,23 +60,16 @@ def _signature(args, payload: dict = None) -> Signature:
     raise UsageError("a signature is required (--sig or embedded in the payload)")
 
 
-def _theory(args, sig: Signature, key: str = "theory") -> Theory:
-    path = getattr(args, key, None)
-    if not path:
-        raise UsageError(f"--{key} is required")
-    payload = _load_json(path)
-    sentences = [syntax.parse(text, sig) for text in payload["sentences"]]
-    return Theory(sentences)
-
-
 def _theory_payload(args, key: str = "theory"):
     path = getattr(args, key, None)
     if not path:
         raise UsageError(f"--{key} is required")
     payload = _load_json(path)
+    sentences = payload.get("sentences") if isinstance(payload, dict) else None
+    if not isinstance(sentences, list):
+        raise UsageError(f"{path}: a \"sentences\" list is required")
     sig = _signature(args, payload)
-    sentences = [syntax.parse(text, sig) for text in payload["sentences"]]
-    return Theory(sentences), sig
+    return Theory([syntax.parse(text, sig) for text in sentences]), sig
 
 
 def _model(args) -> bvmodel.BValuedModel:
@@ -590,7 +583,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args, config)
-    except (UsageError, ParseError, ValueError) as exc:
+    except (UsageError, ParseError, SignatureError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_USAGE
     except ResourceBudgetError as exc:

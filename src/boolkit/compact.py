@@ -292,8 +292,13 @@ def consistency_oracle(
     sentences, _ = prepare_ground(theory, sig, require_qe=require_qe)
     cache_key = (frozenset(syntax.render(f) for f in sentences), _sig_key(sig))
     cached = _oracle_cache.get(cache_key)
-    if cached is not None and not (
-        cached.status == UNKNOWN and budget.oracle_nodes > cached.budget_used
+    # reuse a cached verdict only when a fresh search under this node cap
+    # would end the same way: a decided search stays within the cap, an
+    # exhausted one overran it
+    if cached is not None and (
+        budget.oracle_nodes < cached.budget_used
+        if cached.status == UNKNOWN
+        else cached.budget_used <= budget.oracle_nodes
     ):
         return cached
     constants = sorted(sig.constants)
@@ -304,7 +309,8 @@ def consistency_oracle(
         assignment, certificate = solver.search({})
     except _BudgetExhausted:
         verdict = OracleVerdict(UNKNOWN, budget_used=solver.nodes)
-        _oracle_cache[cache_key] = verdict
+        if cached is None or cached.status == UNKNOWN:
+            _oracle_cache[cache_key] = verdict
         return verdict
     if assignment is not None:
         witness = _witness_from_assignment(assignment, constants, sig)
@@ -671,8 +677,8 @@ def compactness_run(family, sig: Signature, budget: Budget = DEFAULT_BUDGET) -> 
     with a per-member conservativity certificate.
 
     The family is materialized into the compactness argument's consistency
-    property, verified clause by clause, and fed to the model-existence
-    construction; the resulting model gives the conjunction value 1.
+    property and fed to the model-existence construction, which verifies it
+    clause by clause; the resulting model gives the conjunction value 1.
     """
     from . import consprop
 
@@ -681,11 +687,6 @@ def compactness_run(family, sig: Signature, budget: Budget = DEFAULT_BUDGET) -> 
     if not fincons.ok:
         raise BoolkitError(f"family is not finitely conservative: {fincons.reason}")
     prop = materialize_compactness_property(members, sig, budget)
-    verdict = consprop.verify_consistency_property(prop)
-    if not verdict.ok:
-        raise ConstructionFailure(
-            f"materialized family fails clause {verdict.clause}", counterexample=verdict
-        )
     model, diagnostics = consprop.model_from_consprop(prop, budget=budget)
     psi = big_conjunction(members)
     value = bvmodel.eval_formula(model, psi, max_steps=budget.eval_steps)

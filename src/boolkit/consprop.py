@@ -281,12 +281,16 @@ def model_from_consprop(
 ) -> tuple:
     """Build a model realizing every member of a consistency property.
 
-    The members ordered by reverse inclusion form a poset; its regular-open
+    The members ordered by reverse inclusion form a poset, built from
+    per-sentence membership bitsets (``Poset.of_sets``); its regular-open
     completion is the algebra; the domain is the constant pool; atomic
     values are the regularizations of the sets of members compatible with
-    the atom.  The construction is then validated: the congruence conditions
-    must hold and every member's cone must sit below the value of each of
-    its sentences.  A validation failure raises with the counterexample.
+    the atom, those to which the atom can be added without leaving the
+    family.  The property is verified clause by clause first, and a failing
+    clause raises.  The construction is then validated: the congruence
+    conditions must hold and every member's cone must sit below the value of
+    each of its sentences.  A validation failure raises with the
+    counterexample.
     """
     verdict = verify_consistency_property(prop)
     if not verdict.ok:
@@ -301,19 +305,18 @@ def model_from_consprop(
         raise BoolkitError("model construction needs at least one constant")
 
     members = sorted(prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
-    poset = Poset(
-        members,
-        leq=lambda a, b: b <= a,  # stronger means larger as a set
-    )
+    poset = Poset.of_sets(members)  # stronger means larger as a set
     ro = ro_completion(poset)
     algebra = ro.algebra
 
     def value_of(sentence: Formula) -> int:
-        compatible = [
-            s for s in members if canon_set(set(s) | {sentence}) in prop.members
-        ]
-        mask = poset.regularize_mask(poset.mask_of(compatible))
-        return ro.element_of_mask(mask)
+        # a member is compatible when adding the atom stays in the family;
+        # atoms are canonical and never reflexive, so no canon_set is needed
+        mask = 0
+        for i, s in enumerate(members):
+            if sentence in s or s | {sentence} in prop.members:
+                mask |= 1 << i
+        return ro.element_of_mask(poset.regularize_mask(mask))
 
     domain = tuple(consts)
     eq = {}

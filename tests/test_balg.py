@@ -29,6 +29,26 @@ def chain_poset(k):
     return Poset(names, leq_pairs=pairs)
 
 
+@st.composite
+def random_posets(draw, max_size=8):
+    """A random order on q0..q(n-1): random pairs i < j, transitively closed."""
+    n = draw(st.integers(1, max_size))
+    names = [f"q{i}" for i in range(n)]
+    below = [{i} for i in range(n)]
+    for j in range(n):
+        for i in range(j):
+            if draw(st.booleans()):
+                below[j] |= below[i]
+    pairs = [(names[i], names[j]) for j in range(n) for i in below[j]]
+    return Poset(names, leq_pairs=pairs)
+
+
+def _minimal_cones(p):
+    """Atoms as the cones that contain no other cone (a quadratic scan)."""
+    cones = [p.regularize_mask(p.down_mask(q)) for q in p.elements]
+    return sorted({m for m in cones if not any(o != m and o & ~m == 0 for o in cones)})
+
+
 class TestAlgebraLaws:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_laws_exhaustive(self, k):
@@ -67,29 +87,14 @@ class TestRegularize:
         p = antichain_poset(2)
         assert regularize(p, {"p0"}) == frozenset({"p0"})
 
-    def test_matches_interior_of_closure(self):
-        rng = random.Random(4)
-        for trial in range(40):
-            n = rng.randint(1, 6)
-            names = [f"q{i}" for i in range(n)]
-            pairs = set()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.4:
-                        pairs.add((names[i], names[j]))
-            # transitive closure to make a valid order
-            changed = True
-            while changed:
-                changed = False
-                for (a, b), (c, d) in itertools.product(list(pairs), repeat=2):
-                    if b == c and (a, d) not in pairs and a != d:
-                        pairs.add((a, d))
-                        changed = True
-            if any((b, a) in pairs for a, b in pairs):
-                continue
-            p = Poset(names, leq_pairs=pairs)
-            subset = {x for x in names if rng.random() < 0.5}
-            assert regularize(p, subset) == interior_of_closure(p, subset)
+    @settings(max_examples=200, deadline=None)
+    @given(random_posets(), st.integers(0, 2**8 - 1))
+    def test_matches_interior_of_closure(self, p, bits):
+        names = p.elements
+        subset = {x for i, x in enumerate(names) if bits >> i & 1}
+        expected = interior_of_closure(p, subset)
+        assert regularize(p, subset) == expected
+        assert p.regularize_mask(p.mask_of(subset)) == p.mask_of(expected)
 
     def test_idempotent_monotone_inflationary(self):
         rng = random.Random(7)
@@ -130,6 +135,14 @@ class TestRoCompletion:
         p = Poset(["a", "b", "c"], leq_pairs=[("a", "c"), ("b", "c")])
         ro = ro_completion(p)
         assert ro.algebra.join_all([ro.cone["a"], ro.cone["b"]]) == ro.algebra.one
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_posets())
+    def test_atoms_and_cones_match_the_regularized_down_sets(self, p):
+        ro = ro_completion(p)
+        assert list(ro._atom_masks) == _minimal_cones(p)
+        for q in p.elements:
+            assert ro.cone[q] == ro.element_of_mask(p.regularize_mask(p.down_mask(q)))
 
     def test_elements_are_regular_opens(self):
         p = Poset(["a", "b", "c", "d"], leq_pairs=[("a", "c"), ("b", "c"), ("a", "d")])
@@ -220,6 +233,15 @@ class TestQuotient:
 
 
 class TestPoset:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=12, unique=True))
+    def test_of_sets_matches_reverse_inclusion(self, sets):
+        built = Poset.of_sets(sets)
+        reference = Poset(sets, leq=lambda a, b: b <= a)
+        assert [built.down_mask(s) for s in sets] == [reference.down_mask(s) for s in sets]
+        ro, ro_ref = ro_completion(built), ro_completion(reference)
+        assert ro._atom_masks == ro_ref._atom_masks and ro.cone == ro_ref.cone
+
     def test_rejects_intransitive(self):
         with pytest.raises(BoolkitError):
             Poset(["a", "b", "c"], leq_pairs=[("a", "b"), ("b", "c")])

@@ -230,3 +230,27 @@ class TestReplay:
         code, doc = run_json(["faicom", "--n", 2, "--seed", 3], workdir)
         assert doc["config"]["seed"] == 3
         assert doc["version"]
+
+
+class TestUsageBoundary:
+    def _usage_error(self, capsys, args):
+        code = cli.main([str(a) for a in args])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+    def test_illegal_constant_in_signature(self, workdir, capsys):
+        sig = {"relations": {}, "base_constants": ["?a"], "fresh_constants": []}
+        (workdir / "bad_sig.json").write_text(json.dumps(sig))
+        (workdir / "t.json").write_text(json.dumps({"sentences": []}))
+        self._usage_error(
+            capsys, ["oracle", "--sig", workdir / "bad_sig.json", "--theory", workdir / "t.json"]
+        )
+
+    @pytest.mark.parametrize("payload", [{}, {"sentences": "(R a)"}, ["(R a)"], 3])
+    def test_theory_without_a_sentence_list(self, workdir, capsys, payload):
+        (workdir / "t.json").write_text(json.dumps(payload))
+        self._usage_error(
+            capsys, ["oracle", "--sig", workdir / "sig.json", "--theory", workdir / "t.json"]
+        )

@@ -84,6 +84,22 @@ class TestOracle:
         v = consistency_oracle(sentences, sig, Budget(oracle_nodes=2))
         assert v.status == UNKNOWN
 
+    def test_cached_verdict_respects_the_callers_budget(self):
+        # equality pigeonhole PHP(4): five distinct pigeons, four holes
+        pigeons = [f"p{i}" for i in range(5)]
+        holes = [f"h{j}" for j in range(4)]
+        sig = Signature(relations={}, base_constants=set(pigeons + holes))
+        sentences = [Or(tuple(Eq(p, h) for h in holes)) for p in pigeons]
+        sentences += [Not(Eq(a, b)) for a, b in itertools.combinations(pigeons, 2)]
+        small = Budget(oracle_nodes=50)
+        assert consistency_oracle(sentences, sig, small).status == UNKNOWN
+        decided = consistency_oracle(sentences, sig)
+        assert decided.status == INCONSISTENT and decided.budget_used > 50
+        assert consistency_oracle(sentences, sig, small).status == UNKNOWN
+        assert consistency_oracle(sentences, sig) is decided
+        exact = Budget(oracle_nodes=decided.budget_used)
+        assert consistency_oracle(sentences, sig, exact) is decided
+
     def test_quantified_reduces_via_naming(self):
         sig = Signature(relations={"R": 1}, base_constants={"d"}, fresh_constants={"e"})
         # every element named: an R-witness must be nameable

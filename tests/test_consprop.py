@@ -145,6 +145,20 @@ class TestModelExistence:
             conj = And(tuple(sorted(s, key=syntax.render)))
             assert model.algebra.leq(cone, bvmodel.eval_formula(model, conj))
 
+    def test_inclusion_poset_matches_the_pairwise_order(self):
+        from boolkit.balg import Poset, ro_completion
+        from test_acceptance import _model_existence_instances
+
+        for sig, theory in _model_existence_instances():
+            prop = saturate_theory(theory, sig)
+            members = sorted(prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
+            built = Poset.of_sets(members)
+            reference = Poset(members, leq=lambda a, b: b <= a)
+            assert [built.down_mask(s) for s in members] == [reference.down_mask(s) for s in members]
+            ro, ro_ref = ro_completion(built), ro_completion(reference)
+            assert ro._atom_masks == ro_ref._atom_masks
+            assert ro.cone == ro_ref.cone
+
     def test_quantified_theory(self):
         t = Theory([Exists(("?x",), Atom("P", ("?x",)))])
         prop = saturate_theory(t, SIG_P)
