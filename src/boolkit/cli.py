@@ -72,6 +72,22 @@ def _theory_payload(args, key: str = "theory"):
     return Theory([syntax.parse(text, sig) for text in sentences]), sig
 
 
+def _consprop_payload(args) -> consprop.ConsistencyProperty:
+    payload = _load_json(args.consprop)
+    members = payload.get("members") if isinstance(payload, dict) else None
+    if not (
+        isinstance(members, list)
+        and all(
+            isinstance(member, list) and all(isinstance(text, str) for text in member)
+            for member in members
+        )
+    ):
+        raise UsageError(f"{args.consprop}: \"members\" must be a list of lists of sentences")
+    if "signature" not in payload:
+        raise UsageError(f"{args.consprop}: a \"signature\" is required")
+    return consprop.ConsistencyProperty.from_json(payload)
+
+
 def _model(args) -> bvmodel.BValuedModel:
     if not getattr(args, "model", None):
         raise UsageError("--model is required")
@@ -230,7 +246,7 @@ def _cmd_proof_check(args, config):
 
 
 def _cmd_consprop_verify(args, config):
-    prop = consprop.ConsistencyProperty.from_json(_load_json(args.consprop))
+    prop = _consprop_payload(args)
     verdict = consprop.verify_consistency_property(prop)
     body = {"ok": verdict.ok}
     if not verdict.ok:
@@ -241,7 +257,7 @@ def _cmd_consprop_verify(args, config):
 
 
 def _cmd_consprop_model(args, config):
-    prop = consprop.ConsistencyProperty.from_json(_load_json(args.consprop))
+    prop = _consprop_payload(args)
     if args.mixing:
         model, diagnostics = consprop.mixing_model_from_consprop(prop, config.budget)
     else:

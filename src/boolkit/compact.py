@@ -636,15 +636,16 @@ def materialize_compactness_property(family, sig: Signature, budget: Budget = DE
     # close the enumerated family under the clause obligations; every
     # extension added here is entailed by sentences already in the member,
     # so consistency is preserved (and re-checked all the same)
+    obligations = consprop.ClauseObligations(work_sig)
     queue = sorted(family_sets, key=lambda s: sorted(map(syntax.render, s)))
     while queue:
         s = queue.pop()
-        for need, options in consprop.clause_obligations(s, work_sig):
+        for _clause, need, options in obligations.of(s):
             fulfilled = False
             chosen = None
-            for candidate in options:
-                ext = consprop.canon_set(set(s) | {candidate})
-                if ext == s or ext in family_sets:
+            for option in options:
+                ext = obligations.extend(s, option)
+                if ext in family_sets:
                     fulfilled = True
                     break
                 if chosen is None and consistent(sorted(ext, key=syntax.render)):

@@ -17,15 +17,18 @@ from .errors import BoolkitError, ConstructionFailure
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Theory
 
 
+def _canonical_sentence(f: Formula) -> Optional[Formula]:
+    """A sentence as it enters a member: canonical, with ``None`` for a
+    reflexive equality, which changes nothing."""
+    f = syntax.canon(f)
+    if isinstance(f, Eq) and f.left == f.right:
+        return None
+    return f
+
+
 def canon_set(sentences: Iterable[Formula]) -> frozenset:
     """Canonical member set: canonical formulas, reflexive equalities dropped."""
-    out = set()
-    for f in sentences:
-        f = syntax.canon(f)
-        if isinstance(f, Eq) and f.left == f.right:
-            continue
-        out.add(f)
-    return frozenset(out)
+    return frozenset(f for f in map(_canonical_sentence, sentences) if f is not None)
 
 
 @dataclass(frozen=True)
@@ -64,59 +67,116 @@ class ConsistencyProperty:
 # clause obligations and verification
 
 
-def clause_obligations(s: frozenset, sig: Signature):
-    """Everything the closure clauses demand of a member set.
+def ordered_members(members) -> list:
+    """Members by size, then by their sorted renderings: the order in which
+    verification visits them and model existence indexes them."""
+    return sorted(members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
 
-    Yields (description, options) pairs: for universal clauses the options
-    are a single required sentence; for the choice clauses (big-or witness,
-    existential witness, fresh naming) any one option suffices.
+
+class ClauseObligations:
+    """Everything the closure clauses demand of the members of a family over
+    one signature, memoized per sentence for one verification or
+    materialization run.
+
+    ``of(s)`` yields ``(clause, need, options)`` triples: for universal
+    clauses the options are a single required sentence; for the choice
+    clauses (big-or witness, existential witness, fresh naming) any one
+    option suffices.  Options are stored canonical, ``None`` standing for an
+    option that leaves the member unchanged, so ``extend`` gives the
+    extended member without re-canonicalizing it.
     """
-    consts = sorted(sig.constants)
-    fresh = sorted(sig.fresh_constants)
-    for f in sorted(s, key=syntax.render):
+
+    def __init__(self, sig: Signature):
+        self._consts = sorted(sig.constants)
+        self._fresh = sorted(sig.fresh_constants)
+        self._fresh_set = sig.fresh_constants
+        self._own = {}  # sentence -> its obligations (Ind.1-Ind.5, Str.1)
+        self._constants = {}  # sentence -> constants_of(sentence)
+        self._replaced = {}  # (equality, sentence) -> its Str.2 obligation, if any
+        self._naming = {}  # constants mentioned -> Str.3 obligations
+
+    @staticmethod
+    def extend(s: frozenset, option: Optional[Formula]) -> frozenset:
+        """The member ``s`` with one canonical option added."""
+        return s if option is None or option in s else s | {option}
+
+    def of(self, s: frozenset):
+        """The obligations of member ``s``: each sentence's own, sentences in
+        render order; then substitution of equals, equalities in render
+        order; then fresh naming."""
+        ordered = sorted(s, key=syntax.render)
+        for f in ordered:
+            own = self._own.get(f)
+            if own is None:
+                own = self._own[f] = self._sentence_obligations(f)
+            yield from own
+        for e in ordered:
+            if not isinstance(e, Eq):
+                continue
+            for f in ordered:
+                if f is e:
+                    continue
+                replaced = self._replaced.get((e, f))
+                if replaced is None:
+                    replaced = self._replaced[(e, f)] = self._substitution(e, f)
+                yield from replaced
+        mentioned = frozenset().union(*map(self._constants_of, ordered))
+        naming = self._naming.get(mentioned)
+        if naming is None:
+            naming = self._naming[mentioned] = self._fresh_naming(mentioned)
+        yield from naming
+
+    def _constants_of(self, f: Formula) -> frozenset:
+        out = self._constants.get(f)
+        if out is None:
+            out = self._constants[f] = syntax.constants_of(f)
+        return out
+
+    def _sentence_obligations(self, f: Formula) -> tuple:
+        out = []
+
+        def need(clause, text, options):
+            out.append((clause, text, tuple(map(_canonical_sentence, options))))
+
         if isinstance(f, Not):
             if not isinstance(f.body, (Atom, Eq)):
-                yield (f"negation of {syntax.render(f.body)}", [syntax.nnf_step(f.body)])
+                need("Ind.1", f"negation of {syntax.render(f.body)}", [syntax.nnf_step(f.body)])
         elif isinstance(f, And):
             for child in f.children:
-                yield (f"conjunct {syntax.render(child)}", [child])
+                need("Ind.2", f"conjunct {syntax.render(child)}", [child])
         elif isinstance(f, Or):
-            yield (f"some disjunct of {syntax.render(f)}", list(f.children))
+            need("Ind.4", f"some disjunct of {syntax.render(f)}", f.children)
         elif isinstance(f, Forall):
-            for combo in itertools.product(consts, repeat=len(f.vars)):
+            for combo in itertools.product(self._consts, repeat=len(f.vars)):
                 inst = syntax.substitute(f.body, dict(zip(f.vars, combo)))
-                yield (f"instance {syntax.render(inst)}", [inst])
+                need("Ind.3", f"instance {syntax.render(inst)}", [inst])
         elif isinstance(f, Exists):
             options = [
                 syntax.substitute(f.body, dict(zip(f.vars, combo)))
-                for combo in itertools.product(fresh, repeat=len(f.vars))
+                for combo in itertools.product(self._fresh, repeat=len(f.vars))
             ]
-            yield (f"witness for {syntax.render(f)}", options)
+            need("Ind.5", f"witness for {syntax.render(f)}", options)
         if isinstance(f, Eq):
-            yield (f"symmetric {syntax.render(f)}", [Eq(f.right, f.left)])
-    # substitution of equals and fresh naming
-    eqs = [f for f in s if isinstance(f, Eq)]
-    for e in eqs:
-        for f in sorted(s, key=syntax.render):
-            if f is e:
-                continue
-            if e.right in syntax.constants_of(f):
-                yield (
-                    f"substitute {e.left} for {e.right} in {syntax.render(f)}",
-                    [syntax.replace_constant(f, e.right, e.left)],
-                )
-    mentioned = set()
-    for f in s:
-        mentioned |= syntax.constants_of(f)
-    for d in consts:
-        options = []
-        if d in sig.fresh_constants:
-            options.append(Eq(d, d))
-        preferred = [c for c in fresh if c != d]
-        preferred.sort(key=lambda c: (c in mentioned, c))
-        options.extend(Eq(c, d) for c in preferred)
-        # with an empty fresh pool the clause is unsatisfiable for any d
-        yield (f"fresh name for {d}", options)
+            need("Str.1", f"symmetric {syntax.render(f)}", [Eq(f.right, f.left)])
+        return tuple(out)
+
+    def _substitution(self, e: Eq, f: Formula) -> tuple:
+        if e.right not in self._constants_of(f):
+            return ()
+        replaced = syntax.replace_constants(f, {e.right: e.left})
+        need = f"substitute {e.left} for {e.right} in {syntax.render(f)}"
+        return (("Str.2", need, (_canonical_sentence(replaced),)),)
+
+    def _fresh_naming(self, mentioned: frozenset) -> tuple:
+        out = []
+        for d in self._consts:
+            options = [None] if d in self._fresh_set else []
+            preferred = [c for c in self._fresh if c != d]
+            preferred.sort(key=lambda c: (c in mentioned, c))
+            options.extend(Eq(c, d) for c in preferred)
+            # with an empty fresh pool the clause is unsatisfiable for any d
+            out.append(("Str.3", f"fresh name for {d}", tuple(options)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -132,42 +192,21 @@ class ClauseVerdict:
 
 def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     """Check the contradiction clause and all closure clauses on every member;
-    reports the first violation."""
+    reports the first violation, visiting members in ``ordered_members``
+    order and each member's sentences in render order."""
     members = prop.members
-    for s in members:
-        for f in s:
+    ordered = ordered_members(members)
+    for s in ordered:
+        for f in sorted(s, key=syntax.render):
             if isinstance(f, Not) and f.body in s:
                 return ClauseVerdict(False, "Con", s, syntax.render(f.body))
-    for s in members:
-        for need, options in clause_obligations(s, prop.sig):
-            satisfied = False
-            for candidate in options:
-                ext = canon_set(set(s) | {candidate})
-                if ext == s or ext in members:
-                    satisfied = True
-                    break
-            if not satisfied:
-                clause = _clause_name(need)
+    obligations = ClauseObligations(prop.sig)
+    extend = obligations.extend
+    for s in ordered:
+        for clause, need, options in obligations.of(s):
+            if not any(extend(s, option) in members for option in options):
                 return ClauseVerdict(False, clause, s, need)
     return ClauseVerdict(True)
-
-
-def _clause_name(need: str) -> str:
-    if need.startswith("negation"):
-        return "Ind.1"
-    if need.startswith("conjunct"):
-        return "Ind.2"
-    if need.startswith("instance"):
-        return "Ind.3"
-    if need.startswith("some disjunct"):
-        return "Ind.4"
-    if need.startswith("witness"):
-        return "Ind.5"
-    if need.startswith("symmetric"):
-        return "Str.1"
-    if need.startswith("substitute"):
-        return "Str.2"
-    return "Str.3"
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +272,7 @@ def closure_universe(theory, sig: Signature, bound: int = 64) -> list:
         occurring = syntax.constants_of(f)
         for c, d in itertools.permutations(consts, 2):
             if d in occurring:
-                push(syntax.replace_constant(f, d, c))
+                push(syntax.replace_constants(f, {d: c}))
     return sorted(universe, key=syntax.render)
 
 
@@ -304,7 +343,7 @@ def model_from_consprop(
     if not consts:
         raise BoolkitError("model construction needs at least one constant")
 
-    members = sorted(prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
+    members = ordered_members(prop.members)
     poset = Poset.of_sets(members)  # stronger means larger as a set
     ro = ro_completion(poset)
     algebra = ro.algebra

@@ -113,21 +113,6 @@ def _substitute_side(side, binding):
     return frozenset(_safe_substitute(f, binding) for f in side)
 
 
-def _replace_constants(f: Formula, mapping: Mapping) -> Formula:
-    """Simultaneous replacement of constants by constants."""
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(mapping.get(t, t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, Not):
-        return Not(_replace_constants(f.body, mapping))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(_replace_constants(c, mapping) for c in f.children))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, _replace_constants(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
     rule = node.rule
     seq = node.conclusion
@@ -201,7 +186,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         expected_left = frozenset(syntax.canon(Eq(u, t)) for u, t in pairs) | {
             syntax.canon(base)
         }
-        replaced = syntax.canon(_replace_constants(base, mapping))
+        replaced = syntax.canon(syntax.replace_constants(base, mapping))
         if seq.left != expected_left:
             return _fail(path, "eq-axiom-4 left side is {u_i=t_i} with phi(t_i)")
         if seq.right != frozenset({replaced}):

@@ -69,6 +69,8 @@ class Signature:
 
     @classmethod
     def from_json(cls, data: dict) -> "Signature":
+        if not isinstance(data, dict):
+            raise SignatureError("a signature is a JSON object")
         return cls(
             relations=data.get("relations", {}),
             base_constants=data.get("base_constants", ()),
@@ -454,20 +456,19 @@ def substitute(f: Formula, binding: Mapping[str, str]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def replace_constant(f: Formula, old: str, new: str) -> Formula:
-    """Replace every occurrence of the constant ``old`` by ``new``."""
+def replace_constants(f: Formula, mapping: Mapping[str, str]) -> Formula:
+    """Replace every occurrence of each constant in ``mapping`` by its image,
+    all at once."""
     if isinstance(f, Atom):
-        return Atom(f.rel, tuple(new if t == old else t for t in f.args))
+        return Atom(f.rel, tuple(mapping.get(t, t) for t in f.args))
     if isinstance(f, Eq):
-        return Eq(new if f.left == old else f.left, new if f.right == old else f.right)
+        return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
     if isinstance(f, Not):
-        return Not(replace_constant(f.body, old, new))
-    if isinstance(f, And):
-        return And(tuple(replace_constant(c, old, new) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(replace_constant(c, old, new) for c in f.children))
+        return Not(replace_constants(f.body, mapping))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(replace_constants(c, mapping) for c in f.children))
     if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, replace_constant(f.body, old, new))
+        return type(f)(f.vars, replace_constants(f.body, mapping))
     raise TypeError(f"not a formula: {f!r}")
 
 

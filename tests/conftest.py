@@ -171,3 +171,81 @@ def interior_of_closure(poset, u):
         q: {r for r in elements if poset.leq(r, q)} for q in elements
     }
     return frozenset(q for q in elements if down[q] <= closure)
+
+
+# ---------------------------------------------------------------------------
+# naive clause checker (reference for the memoized obligation engine)
+
+
+def _naive_clause_obligations(s, sig):
+    """Per-member clause obligations, rebuilt from scratch for every member:
+    (clause, need, options) with raw, uncanonicalized options."""
+    consts = sorted(sig.constants)
+    fresh = sorted(sig.fresh_constants)
+    ordered = sorted(s, key=syntax.render)
+    for f in ordered:
+        if isinstance(f, Not):
+            if not isinstance(f.body, (Atom, Eq)):
+                yield ("Ind.1", f"negation of {syntax.render(f.body)}", [syntax.nnf_step(f.body)])
+        elif isinstance(f, And):
+            for child in f.children:
+                yield ("Ind.2", f"conjunct {syntax.render(child)}", [child])
+        elif isinstance(f, Or):
+            yield ("Ind.4", f"some disjunct of {syntax.render(f)}", list(f.children))
+        elif isinstance(f, Forall):
+            for combo in itertools.product(consts, repeat=len(f.vars)):
+                inst = syntax.substitute(f.body, dict(zip(f.vars, combo)))
+                yield ("Ind.3", f"instance {syntax.render(inst)}", [inst])
+        elif isinstance(f, Exists):
+            options = [
+                syntax.substitute(f.body, dict(zip(f.vars, combo)))
+                for combo in itertools.product(fresh, repeat=len(f.vars))
+            ]
+            yield ("Ind.5", f"witness for {syntax.render(f)}", options)
+        if isinstance(f, Eq):
+            yield ("Str.1", f"symmetric {syntax.render(f)}", [Eq(f.right, f.left)])
+    for e in (f for f in ordered if isinstance(f, Eq)):
+        for f in ordered:
+            if f is e:
+                continue
+            if e.right in syntax.constants_of(f):
+                yield (
+                    "Str.2",
+                    f"substitute {e.left} for {e.right} in {syntax.render(f)}",
+                    [syntax.replace_constants(f, {e.right: e.left})],
+                )
+    mentioned = set()
+    for f in s:
+        mentioned |= syntax.constants_of(f)
+    for d in consts:
+        options = []
+        if d in sig.fresh_constants:
+            options.append(Eq(d, d))
+        preferred = sorted((c for c in fresh if c != d), key=lambda c: (c in mentioned, c))
+        options.extend(Eq(c, d) for c in preferred)
+        yield ("Str.3", f"fresh name for {d}", options)
+
+
+def naive_verify(prop):
+    """(ok, clause, member, detail) of the first violation, members in
+    (size, sorted renderings) order; every extension is re-canonicalized
+    as a whole."""
+
+    def canon_set(sentences):
+        out = {syntax.canon(f) for f in sentences}
+        return frozenset(f for f in out if not (isinstance(f, Eq) and f.left == f.right))
+
+    members = prop.members
+    ordered = sorted(members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
+    for s in ordered:
+        for f in sorted(s, key=syntax.render):
+            if isinstance(f, Not) and f.body in s:
+                return (False, "Con", s, syntax.render(f.body))
+    for s in ordered:
+        for clause, need, options in _naive_clause_obligations(s, prop.sig):
+            if not any(
+                (ext := canon_set(set(s) | {candidate})) == s or ext in members
+                for candidate in options
+            ):
+                return (False, clause, s, need)
+    return (True, "", None, "")

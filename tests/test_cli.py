@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,49 @@ class TestUsageBoundary:
         self._usage_error(
             capsys, ["oracle", "--sig", workdir / "sig.json", "--theory", workdir / "t.json"]
         )
+
+    @pytest.mark.parametrize("signature", [3, ["a"]])
+    def test_signature_that_is_not_an_object(self, workdir, capsys, signature):
+        (workdir / "t.json").write_text(json.dumps({"signature": signature, "sentences": []}))
+        self._usage_error(capsys, ["oracle", "--theory", workdir / "t.json"])
+        (workdir / "prop.json").write_text(json.dumps({"signature": signature, "members": []}))
+        self._usage_error(capsys, ["consprop-verify", "--consprop", workdir / "prop.json"])
+
+    @pytest.mark.parametrize("command", ["consprop-verify", "consprop-model"])
+    @pytest.mark.parametrize(
+        "members", [None, "x", [3], [["(P c)"], "y"]], ids=["missing", "string", "int", "mixed"]
+    )
+    def test_consprop_without_a_member_list(self, workdir, capsys, command, members):
+        payload = {"signature": {"relations": {"P": 1}, "fresh_constants": ["c", "d"]}}
+        if members is not None:
+            payload["members"] = members
+        (workdir / "prop.json").write_text(json.dumps(payload))
+        self._usage_error(capsys, [command, "--consprop", workdir / "prop.json"])
+
+
+class TestDeterminism:
+    def test_first_violation_does_not_depend_on_the_hash_seed(self, tmp_path):
+        payload = {
+            "signature": {"relations": {"P": 1}, "fresh_constants": ["c", "d"]},
+            "members": [
+                [],
+                ["(and (P c) (P d))"],
+                ["(or (P c) (P d))"],
+                ["(= c d)"],
+                ["(not (not (P c)))"],
+            ],
+        }
+        (tmp_path / "prop.json").write_text(json.dumps(payload))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "2", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "boolkit.cli", "consprop-verify",
+                 "--consprop", str(tmp_path / "prop.json")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == cli.EXIT_REFUTED, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["clause"] == "Str.1"

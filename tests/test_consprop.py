@@ -86,6 +86,20 @@ class TestVerify:
                 assert verdict.clause != "Con"
 
 
+    def test_matches_the_naive_checker_on_every_one_member_removal(self):
+        from conftest import naive_verify
+        from test_acceptance import _model_existence_instances
+
+        for sig, theory in _model_existence_instances():
+            prop = saturate_theory(theory, sig)
+            members = consprop.ordered_members(prop.members)
+            for i in range(len(members)):
+                smaller = ConsistencyProperty(sig, members[:i] + members[i + 1 :])
+                verdict = verify_consistency_property(smaller)
+                got = (verdict.ok, verdict.clause, verdict.member, verdict.detail)
+                assert got == naive_verify(smaller)
+
+
 class TestSaturate:
     def test_empty_theory_members(self):
         prop = saturate_theory(Theory([]), SIG_CD)
