@@ -72,26 +72,97 @@ def _theory_payload(args, key: str = "theory"):
     return Theory([syntax.parse(text, sig) for text in sentences]), sig
 
 
+def _require(ok: bool, path: str, what: str) -> None:
+    """Reject a malformed payload at load time."""
+    if not ok:
+        raise UsageError(f"{path}: {what}")
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(text, str) for text in value)
+
+
+def _string_lists(value) -> bool:
+    return isinstance(value, list) and all(_strings(item) for item in value)
+
+
 def _consprop_payload(args) -> consprop.ConsistencyProperty:
     payload = _load_json(args.consprop)
     members = payload.get("members") if isinstance(payload, dict) else None
-    if not (
-        isinstance(members, list)
-        and all(
-            isinstance(member, list) and all(isinstance(text, str) for text in member)
-            for member in members
-        )
-    ):
-        raise UsageError(f"{args.consprop}: \"members\" must be a list of lists of sentences")
-    if "signature" not in payload:
-        raise UsageError(f"{args.consprop}: a \"signature\" is required")
+    _require(
+        _string_lists(members), args.consprop, '"members" must be a list of lists of sentences'
+    )
+    _require("signature" in payload, args.consprop, 'a "signature" is required')
     return consprop.ConsistencyProperty.from_json(payload)
 
 
 def _model(args) -> bvmodel.BValuedModel:
     if not getattr(args, "model", None):
         raise UsageError("--model is required")
-    return bvmodel.model_from_json(_load_json(args.model))
+    doc = _load_json(args.model)
+    _require(isinstance(doc, dict), args.model, "a model is a JSON object")
+    algebra = doc.get("algebra")
+    _require(
+        isinstance(algebra, dict) and isinstance(algebra.get("atoms"), list),
+        args.model,
+        '"algebra" must be an object with an "atoms" list',
+    )
+    domain = doc.get("domain")
+    _require(_strings(domain), args.model, '"domain" must be a list of element names')
+    eq = doc.get("eq")
+    _require(
+        _string_lists(eq) and len(eq) == len(domain) and all(len(row) == len(domain) for row in eq),
+        args.model,
+        '"eq" must be a square matrix of bit strings over the domain',
+    )
+    rel = doc.get("rel", {})
+    _require(
+        isinstance(rel, dict)
+        and all(
+            isinstance(table, dict) and all(isinstance(bits, str) for bits in table.values())
+            for table in rel.values()
+        ),
+        args.model,
+        '"rel" must map relation names to tables of bit strings',
+    )
+    consts = doc.get("consts", {})
+    _require(
+        isinstance(consts, dict) and all(isinstance(elem, str) for elem in consts.values()),
+        args.model,
+        '"consts" must map constant names to elements',
+    )
+    return bvmodel.model_from_json(doc)
+
+
+def _check_proof_payload(doc, path: str) -> None:
+    _require(
+        isinstance(doc, dict) and isinstance(doc.get("rule"), str),
+        path,
+        'every proof node is an object with a "rule" name',
+    )
+    conclusion = doc.get("conclusion", {})
+    _require(
+        isinstance(conclusion, dict)
+        and _strings(conclusion.get("left", []))
+        and _strings(conclusion.get("right", [])),
+        path,
+        '"conclusion" must hold "left" and "right" lists of sentences',
+    )
+    data = doc.get("data", {})
+    _require(
+        isinstance(data, dict)
+        and isinstance(data.get("formula", ""), str)
+        and _string_lists(data.get("pairs", []))
+        and isinstance(data.get("mapping", {}), dict)
+        and _strings(data.get("terms", [])),
+        path,
+        '"data" must be an object: "formula" a sentence, "pairs" a list of lists of '
+        'terms, "mapping" an object, "terms" a list of terms',
+    )
+    premises = doc.get("premises", [])
+    _require(isinstance(premises, list), path, '"premises" must be a list of proof nodes')
+    for premise in premises:
+        _check_proof_payload(premise, path)
 
 
 def _report(args, config: RunConfig, body: dict, code: int) -> int:
@@ -232,7 +303,9 @@ def _cmd_qe(args, config):
 
 def _cmd_proof_check(args, config):
     sig = _signature(args)
-    tree = proofs.proof_from_json(_load_json(args.proof), sig)
+    doc = _load_json(args.proof)
+    _check_proof_payload(doc, args.proof)
+    tree = proofs.proof_from_json(doc, sig)
     verdict = proofs.check_proof(tree)
     body = {"ok": verdict.ok, "path": list(verdict.path), "reason": verdict.reason}
     if verdict.ok and args.probe_trials:
@@ -366,6 +439,15 @@ def _cmd_faicom(args, config):
 
 def _poset(args, config) -> forcing.SPhiPoset:
     doc = _load_json(args.poset)
+    _require(
+        isinstance(doc, dict) and "signature" in doc, args.poset, 'a "signature" is required'
+    )
+    _require(isinstance(doc.get("phi"), str), args.poset, '"phi" must be a sentence')
+    _require(
+        _string_lists(doc.get("conditions")),
+        args.poset,
+        '"conditions" must be a list of lists of sentences',
+    )
     sig = Signature.from_json(doc["signature"])
     phi = syntax.canon(syntax.parse(doc["phi"], sig))
     conditions = [
@@ -387,8 +469,14 @@ def _dense_sets(args, p: forcing.SPhiPoset) -> list:
     if not args.dense:
         return []
     doc = _load_json(args.dense)
+    dense_sets = doc.get("dense_sets") if isinstance(doc, dict) else None
+    _require(
+        isinstance(dense_sets, list) and all(_string_lists(entry) for entry in dense_sets),
+        args.dense,
+        '"dense_sets" must be a list of lists of conditions (lists of sentences)',
+    )
     out = []
-    for entry in doc["dense_sets"]:
+    for entry in dense_sets:
         out.append(
             [frozenset(syntax.parse(text, p.sig) for text in member) for member in entry]
         )

@@ -121,7 +121,11 @@ def _atom_key(f):
 
 
 class _Closure:
-    """Congruence closure of a partial atom assignment."""
+    """Congruence closure of a partial atom assignment, built from scratch.
+
+    The certificate replay and the witness read this; the search keeps its
+    own incremental closure (``_PathClosure``) with the same answers.
+    """
 
     def __init__(self, constants, assignment):
         self.uf = _UnionFind(constants)
@@ -144,7 +148,7 @@ class _Closure:
                 (self.rel_true if value else self.rel_false).add(canon)
         clash = self.rel_true & self.rel_false
         if clash:
-            self.conflict = ("rel-congruence", next(iter(clash)))
+            self.conflict = ("rel-congruence", min(clash))
 
     def eval_atom(self, f):
         if isinstance(f, Eq):
@@ -155,6 +159,103 @@ class _Closure:
                 return False
             return None
         canon = (f.rel, tuple(self.uf.find(a) for a in f.args))
+        if canon in self.rel_true:
+            return True
+        if canon in self.rel_false:
+            return False
+        return None
+
+
+class _PathClosure:
+    """Congruence closure of the current search path, extended by one
+    undecided atom at a time and undone on backtrack.
+
+    Every constant maps straight to its class representative, the class
+    minimum, as in ``_Closure``.  A disequality or relation literal is one
+    table entry.  A positive equality relabels the class with the larger
+    minimum and rebuilds the tables from the path, so conflicts are found
+    and named exactly as ``_Closure`` names them.  ``assignment`` is the
+    path itself, in insertion order.
+    """
+
+    def __init__(self, constants):
+        self.rep = {c: c for c in constants}
+        self.members = {c: [c] for c in constants}
+        self.assignment = {}
+        self.diseq = set()
+        self.rel_true = set()
+        self.rel_false = set()
+        self._undo = []
+
+    def _canon(self, key):
+        return (key[1], tuple(map(self.rep.__getitem__, key[2])))
+
+    def assign(self, key, value):
+        """Extend the path by an atom the closure leaves undecided; return
+        the conflict it causes, or None."""
+        self.assignment[key] = value
+        if key[0] == "rel":
+            table = self.rel_true if value else self.rel_false
+            entry = self._canon(key)
+        else:
+            a, b = self.rep[key[1]], self.rep[key[2]]
+            if b < a:
+                a, b = b, a
+            if not value:
+                table, entry = self.diseq, (a, b)
+            else:
+                moved = self.members.pop(b)
+                for c in moved:
+                    self.rep[c] = a
+                self.members[a].extend(moved)
+                self._undo.append((a, b, moved, self.diseq, self.rel_true, self.rel_false))
+                return self._rebuild()
+        # an undecided atom's entry is new, so it clashes with nothing
+        table.add(entry)
+        self._undo.append((table, entry))
+        return None
+
+    def _rebuild(self):
+        rep = self.rep
+        self.diseq = diseq = set()
+        self.rel_true = rel_true = set()
+        self.rel_false = rel_false = set()
+        for key, value in self.assignment.items():
+            if key[0] == "rel":
+                (rel_true if value else rel_false).add(self._canon(key))
+            elif not value:
+                a, b = rep[key[1]], rep[key[2]]
+                if a == b:
+                    return ("eq-closure", key)
+                diseq.add((a, b) if a < b else (b, a))
+        clash = rel_true & rel_false
+        if clash:
+            return ("rel-congruence", min(clash))
+        return None
+
+    def undo(self):
+        """Take the last assigned atom off the path."""
+        self.assignment.popitem()
+        entry = self._undo.pop()
+        if len(entry) == 2:  # a literal: (table, entry)
+            entry[0].discard(entry[1])
+            return
+        a, b, moved, self.diseq, self.rel_true, self.rel_false = entry
+        del self.members[a][-len(moved):]
+        self.members[b] = moved
+        for c in moved:
+            self.rep[c] = b
+
+    def eval_atom(self, f):
+        rep = self.rep
+        if isinstance(f, Eq):
+            a, b = rep[f.left], rep[f.right]
+            if a == b:
+                return True
+            if ((a, b) if a < b else (b, a)) in self.diseq:
+                return False
+            return None
+        canon = (f.rel, tuple(map(rep.__getitem__, f.args)))
         if canon in self.rel_true:
             return True
         if canon in self.rel_false:
@@ -214,33 +315,47 @@ class _BudgetExhausted(Exception):
 
 
 class _GroundSolver:
-    def __init__(self, sentences, constants, node_cap):
-        self.sentences = sentences
-        self.constants = constants
+    """Depth-first search over atom assignments on one path closure.
+
+    A node evaluates only the sentences its parent left undecided: a
+    strong-Kleene value, once decided, holds on every extension of the
+    path.  The first false sentence and the branch atom (first undecided
+    atom of the first undecided sentence) are therefore those a full
+    re-evaluation would pick, and so is the whole search tree.
+    """
+
+    def __init__(self, constants, node_cap):
+        self.closure = _PathClosure(constants)
         self.node_cap = node_cap
         self.nodes = 0
 
-    def search(self, assignment):
+    def search(self, pending, conflict=None):
+        """Search below the current path; ``pending`` lists the (index,
+        sentence) pairs undecided at the parent, ``conflict`` what the last
+        assignment caused."""
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise _BudgetExhausted
-        closure = _Closure(self.constants, assignment)
-        if closure.conflict is not None:
-            return None, {"conflict": {"kind": closure.conflict[0], "detail": repr(closure.conflict[1])}}
+        if conflict is not None:
+            return None, {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
+        closure = self.closure
+        undecided = []
         branch_atom = None
-        for i, f in enumerate(self.sentences):
+        for i, f in pending:
             v = _eval3(f, closure)
             if v is False:
                 return None, {"conflict": {"kind": "sentence", "index": i}}
-            if v is None and branch_atom is None:
-                branch_atom = _first_undecided_atom(f, closure)
+            if v is None:
+                undecided.append((i, f))
+                if branch_atom is None:
+                    branch_atom = _first_undecided_atom(f, closure)
         if branch_atom is None:
-            return dict(assignment), None
+            return dict(closure.assignment), None
         cert = {"atom": list(branch_atom)}
         for value in (True, False):
-            assignment[branch_atom] = value
-            model, sub = self.search(assignment)
-            del assignment[branch_atom]
+            conflict = closure.assign(branch_atom, value)
+            model, sub = self.search(undecided, conflict)
+            closure.undo()
             if model is not None:
                 return model, None
             cert["true" if value else "false"] = sub
@@ -292,21 +407,20 @@ def consistency_oracle(
     sentences, _ = prepare_ground(theory, sig, require_qe=require_qe)
     cache_key = (frozenset(syntax.render(f) for f in sentences), _sig_key(sig))
     cached = _oracle_cache.get(cache_key)
-    # reuse a cached verdict only when a fresh search under this node cap
-    # would end the same way: a decided search stays within the cap, an
-    # exhausted one overran it
-    if cached is not None and (
-        budget.oracle_nodes < cached.budget_used
-        if cached.status == UNKNOWN
-        else cached.budget_used <= budget.oracle_nodes
-    ):
-        return cached
+    # answer from the cache only what a fresh search under this node cap
+    # would return: a decided search stays within the cap; an exhausted one
+    # overran any cap below the node it stopped at, one node past that cap
+    if cached is not None:
+        if cached.status != UNKNOWN and cached.budget_used <= budget.oracle_nodes:
+            return cached
+        if cached.status == UNKNOWN and budget.oracle_nodes < cached.budget_used:
+            return OracleVerdict(UNKNOWN, budget_used=budget.oracle_nodes + 1)
     constants = sorted(sig.constants)
     if not constants:
         constants = ["_unit"]
-    solver = _GroundSolver(sentences, constants, budget.oracle_nodes)
+    solver = _GroundSolver(constants, budget.oracle_nodes)
     try:
-        assignment, certificate = solver.search({})
+        assignment, certificate = solver.search(list(enumerate(sentences)))
     except _BudgetExhausted:
         verdict = OracleVerdict(UNKNOWN, budget_used=solver.nodes)
         if cached is None or cached.status == UNKNOWN:

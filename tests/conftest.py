@@ -249,3 +249,121 @@ def naive_verify(prop):
             ):
                 return (False, clause, s, need)
     return (True, "", None, "")
+
+
+# ---------------------------------------------------------------------------
+# reference ground search (rebuilds the congruence closure at every node)
+
+
+class _ReferenceClosure:
+    """Congruence closure of a whole atom assignment, built from scratch."""
+
+    def __init__(self, constants, assignment):
+        parent = {c: c for c in constants}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for key, value in assignment.items():
+            if key[0] == "eq" and value:
+                a, b = sorted((find(key[1]), find(key[2])))
+                parent[b] = a
+        self.find = find
+        self.diseq = set()
+        self.rel_true = set()
+        self.rel_false = set()
+        self.conflict = None
+        for key, value in assignment.items():
+            if key[0] == "eq" and not value:
+                pair = frozenset((find(key[1]), find(key[2])))
+                if len(pair) == 1:
+                    self.conflict = ("eq-closure", key)
+                    return
+                self.diseq.add(pair)
+            elif key[0] == "rel":
+                canon = (key[1], tuple(find(a) for a in key[2]))
+                (self.rel_true if value else self.rel_false).add(canon)
+        clash = self.rel_true & self.rel_false
+        if clash:
+            self.conflict = ("rel-congruence", min(clash))
+
+    def value(self, f):
+        """Strong Kleene value of a ground formula: True, False or None."""
+        if isinstance(f, Eq):
+            a, b = self.find(f.left), self.find(f.right)
+            if a == b:
+                return True
+            return False if frozenset((a, b)) in self.diseq else None
+        if isinstance(f, Atom):
+            canon = (f.rel, tuple(self.find(a) for a in f.args))
+            if canon in self.rel_true:
+                return True
+            return False if canon in self.rel_false else None
+        if isinstance(f, Not):
+            v = self.value(f.body)
+            return None if v is None else not v
+        values = [self.value(c) for c in f.children]
+        decisive = isinstance(f, Or)
+        if decisive in values:
+            return decisive
+        return None if None in values else not decisive
+
+    def first_undecided_atom(self, f):
+        if isinstance(f, (Eq, Atom)):
+            if self.value(f) is not None:
+                return None
+            if isinstance(f, Eq):
+                return ("eq", *sorted((f.left, f.right)))
+            return ("rel", f.rel, f.args)
+        for child in (f.body,) if isinstance(f, Not) else f.children:
+            found = self.first_undecided_atom(child)
+            if found is not None:
+                return found
+        return None
+
+
+def reference_search(sentences, constants, node_cap):
+    """Depth-first search that re-evaluates every sentence on a fresh
+    closure at each node.  Returns (status, nodes, assignment or None,
+    certificate or None), with the oracle's certificate format."""
+    nodes = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def search(assignment):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise Exhausted
+        closure = _ReferenceClosure(constants, assignment)
+        if closure.conflict is not None:
+            kind, detail = closure.conflict
+            return None, {"conflict": {"kind": kind, "detail": repr(detail)}}
+        branch_atom = None
+        for i, f in enumerate(sentences):
+            v = closure.value(f)
+            if v is False:
+                return None, {"conflict": {"kind": "sentence", "index": i}}
+            if v is None and branch_atom is None:
+                branch_atom = closure.first_undecided_atom(f)
+        if branch_atom is None:
+            return dict(assignment), None
+        cert = {"atom": list(branch_atom)}
+        for value in (True, False):
+            assignment[branch_atom] = value
+            model, sub = search(assignment)
+            del assignment[branch_atom]
+            if model is not None:
+                return model, None
+            cert["true" if value else "false"] = sub
+        return None, cert
+
+    try:
+        assignment, certificate = search({})
+    except Exhausted:
+        return "Unknown", nodes, None, None
+    status = "Consistent" if assignment is not None else "Inconsistent"
+    return status, nodes, assignment, certificate

@@ -277,8 +277,106 @@ class TestUsageBoundary:
         (workdir / "prop.json").write_text(json.dumps(payload))
         self._usage_error(capsys, [command, "--consprop", workdir / "prop.json"])
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {},
+            [],
+            {"algebra": {}, "domain": ["a"], "eq": [["1"]]},
+            {"algebra": {"atoms": ["a0"]}, "eq": [["1"]]},
+            {"algebra": {"atoms": ["a0"]}, "domain": "a", "eq": [["1"]]},
+            {"algebra": {"atoms": ["a0"]}, "domain": ["a"]},
+            {"algebra": {"atoms": ["a0"]}, "domain": ["a", "b"], "eq": [["1", "0"]]},
+            {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]], "rel": {"R": 3}},
+            {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]], "consts": {"c": 0}},
+        ],
+    )
+    def test_malformed_model(self, workdir, capsys, model):
+        (workdir / "m.json").write_text(json.dumps(model))
+        self._usage_error(capsys, ["validate-model", "--model", workdir / "m.json"])
+
+    @pytest.mark.parametrize("command", ["dense", "generic", "model"])
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            {},
+            {"signature": {"base_constants": ["a"]}, "conditions": []},
+            {"signature": {"base_constants": ["a"]}, "phi": "(= a a)"},
+            {"signature": {"base_constants": ["a"]}, "phi": "(= a a)", "conditions": [3]},
+        ],
+        ids=["empty", "no-phi", "no-conditions", "bad-condition"],
+    )
+    def test_malformed_poset(self, workdir, capsys, command, poset):
+        (workdir / "poset.json").write_text(json.dumps(poset))
+        self._usage_error(capsys, ["forcing", command, "--poset", workdir / "poset.json"])
+
+    @pytest.mark.parametrize("dense", [{}, {"dense_sets": [["(= a a)"]]}])
+    def test_malformed_dense_sets(self, workdir, capsys, dense):
+        poset = {"signature": {"base_constants": ["a"]}, "phi": "(= a a)", "conditions": [[]]}
+        (workdir / "poset.json").write_text(json.dumps(poset))
+        (workdir / "dense.json").write_text(json.dumps(dense))
+        self._usage_error(
+            capsys,
+            ["forcing", "generic", "--poset", workdir / "poset.json", "--dense", workdir / "dense.json"],
+        )
+
+    @pytest.mark.parametrize(
+        "proof",
+        [
+            {},
+            {"rule": 3},
+            {"rule": "axiom", "conclusion": {"left": "(R a)"}},
+            {"rule": "cut", "data": {"formula": 3}},
+            {"rule": "cut", "data": {"pairs": [["a", 1]]}},
+            {"rule": "cut", "premises": {}},
+            {"rule": "cut", "premises": [{"rule": "axiom"}, {}]},
+        ],
+    )
+    def test_malformed_proof(self, workdir, capsys, proof):
+        (workdir / "proof.json").write_text(json.dumps(proof))
+        self._usage_error(
+            capsys, ["proof-check", "--proof", workdir / "proof.json", "--sig", workdir / "sig.json"]
+        )
+
+
+def _under_hash_seeds(args, seeds=("0", "2", "5")):
+    """Run the CLI once per PYTHONHASHSEED; return the completed processes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done.append(
+            subprocess.run(
+                [sys.executable, "-m", "boolkit.cli", *map(str, args)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        )
+    return done
+
 
 class TestDeterminism:
+    def test_relation_clash_detail_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # merging a and b clashes on all four relations; the least is named
+        payload = {
+            "signature": {"relations": dict.fromkeys("RPQS", 1), "base_constants": ["a", "b"]},
+            "sentences": [f"({r} a)" for r in "RPQS"]
+            + [f"(not ({r} b))" for r in "RPQS"]
+            + ["(= a b)"],
+        }
+        (tmp_path / "theory.json").write_text(json.dumps(payload))
+        runs = _under_hash_seeds(["oracle", "--theory", tmp_path / "theory.json"], "012345")
+        for done in runs:
+            assert done.returncode == cli.EXIT_REFUTED, done.stderr
+        assert len({done.stdout for done in runs}) == 1
+
+        def clashes(node):
+            if "conflict" in node:
+                conflict = node["conflict"]
+                return [conflict["detail"]] if conflict["kind"] == "rel-congruence" else []
+            return clashes(node["true"]) + clashes(node["false"])
+
+        assert clashes(json.loads(runs[0].stdout)["certificate"]) == ["('P', ('a',))"]
+
     def test_first_violation_does_not_depend_on_the_hash_seed(self, tmp_path):
         payload = {
             "signature": {"relations": {"P": 1}, "fresh_constants": ["c", "d"]},
@@ -291,16 +389,9 @@ class TestDeterminism:
             ],
         }
         (tmp_path / "prop.json").write_text(json.dumps(payload))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        outputs = []
-        for seed in ("0", "2", "5"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            done = subprocess.run(
-                [sys.executable, "-m", "boolkit.cli", "consprop-verify",
-                 "--consprop", str(tmp_path / "prop.json")],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+        runs = _under_hash_seeds(["consprop-verify", "--consprop", tmp_path / "prop.json"])
+        for done in runs:
             assert done.returncode == cli.EXIT_REFUTED, done.stderr
-            outputs.append(done.stdout)
+        outputs = [done.stdout for done in runs]
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["clause"] == "Str.1"

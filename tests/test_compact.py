@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boolkit import bvmodel, syntax
+from boolkit import bvmodel, compact, syntax
 from boolkit.compact import (
     Budget,
     CONSISTENT,
@@ -24,9 +26,45 @@ from boolkit.compact import (
 from boolkit.errors import BoolkitError
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
-from conftest import brute_force_satisfiable
+from conftest import brute_force_satisfiable, reference_search
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
+
+
+def pigeonhole(n):
+    """Equality pigeonhole PHP(n): n+1 pairwise distinct pigeons, n holes."""
+    pigeons = [f"p{i}" for i in range(n + 1)]
+    holes = [f"h{j}" for j in range(n)]
+    sig = Signature(relations={}, base_constants=set(pigeons + holes))
+    sentences = [Or(tuple(Eq(p, h) for h in holes)) for p in pigeons]
+    sentences += [Not(Eq(a, b)) for a, b in itertools.combinations(pigeons, 2)]
+    return sentences, sig
+
+
+@st.composite
+def ground_sets(draw):
+    """Ground sentences over 2-5 constants with two unary relations and a
+    binary one.  A prefix of relation literals is decided first, so a later
+    equality merge can clash on several relation atoms at once."""
+    consts = [f"k{i}" for i in range(draw(st.integers(2, 5)))]
+    sig = Signature(relations={"P": 1, "R": 1, "S": 2}, base_constants=consts)
+    c = st.sampled_from(consts)
+    relation_atoms = st.one_of(
+        st.builds(lambda r, x: Atom(r, (x,)), st.sampled_from(["P", "R"]), c),
+        st.builds(lambda x, y: Atom("S", (x, y)), c, c),
+    )
+    relation_literals = st.one_of(relation_atoms, st.builds(Not, relation_atoms))
+    formulas = st.recursive(
+        st.one_of(st.builds(Eq, c, c), relation_atoms),
+        lambda kids: st.one_of(
+            st.builds(Not, kids),
+            st.lists(kids, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+            st.lists(kids, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
+        ),
+        max_leaves=6,
+    )
+    prefix = draw(st.lists(relation_literals, max_size=8))
+    return prefix + draw(st.lists(formulas, min_size=1, max_size=6)), sig
 
 
 class TestOracle:
@@ -85,12 +123,7 @@ class TestOracle:
         assert v.status == UNKNOWN
 
     def test_cached_verdict_respects_the_callers_budget(self):
-        # equality pigeonhole PHP(4): five distinct pigeons, four holes
-        pigeons = [f"p{i}" for i in range(5)]
-        holes = [f"h{j}" for j in range(4)]
-        sig = Signature(relations={}, base_constants=set(pigeons + holes))
-        sentences = [Or(tuple(Eq(p, h) for h in holes)) for p in pigeons]
-        sentences += [Not(Eq(a, b)) for a, b in itertools.combinations(pigeons, 2)]
+        sentences, sig = pigeonhole(4)
         small = Budget(oracle_nodes=50)
         assert consistency_oracle(sentences, sig, small).status == UNKNOWN
         decided = consistency_oracle(sentences, sig)
@@ -99,6 +132,13 @@ class TestOracle:
         assert consistency_oracle(sentences, sig) is decided
         exact = Budget(oracle_nodes=decided.budget_used)
         assert consistency_oracle(sentences, sig, exact) is decided
+
+    def test_cached_unknown_reports_the_callers_cap(self):
+        sentences, sig = pigeonhole(4)
+        compact._oracle_cache.clear()
+        assert consistency_oracle(sentences, sig, Budget(oracle_nodes=30)).budget_used == 31
+        smaller = consistency_oracle(sentences, sig, Budget(oracle_nodes=10))
+        assert (smaller.status, smaller.budget_used) == (UNKNOWN, 11)
 
     def test_quantified_reduces_via_naming(self):
         sig = Signature(relations={"R": 1}, base_constants={"d"}, fresh_constants={"e"})
@@ -113,6 +153,53 @@ class TestOracle:
         sig = Signature(relations={"R": 1}, base_constants={"d"})
         with pytest.raises(BoolkitError):
             consistency_oracle([Exists(("?x",), Atom("R", ("?x",)))], sig)
+
+
+class TestSearchTree:
+    """The path-closure search must walk the tree the rebuild-per-node
+    reference walks: same node count, certificate and witness."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ground_sets(), st.one_of(st.none(), st.integers(1, 50)))
+    @example(  # merging a and b clashes on all four relations
+        (
+            [Atom(r, ("a",)) for r in "RPQS"]
+            + [Not(Atom(r, ("b",))) for r in "RPQS"]
+            + [Eq("a", "b")],
+            Signature(relations=dict.fromkeys("RPQS", 1), base_constants={"a", "b"}),
+        ),
+        None,
+    )
+    def test_matches_the_rebuild_per_node_search(self, case, cap):
+        sentences, sig = case
+        budget = Budget() if cap is None else Budget(oracle_nodes=cap)
+        # the cache is keyed by the sentence set, so it answers a permuted
+        # repeat with the first order's certificate; compare fresh searches
+        compact._oracle_cache.clear()
+        verdict = consistency_oracle(sentences, sig, budget)
+        ground, _ = compact.prepare_ground(sentences, sig)
+        constants = sorted(sig.constants)
+        status, nodes, assignment, certificate = reference_search(
+            ground, constants, budget.oracle_nodes
+        )
+        assert (verdict.status, verdict.budget_used) == (status, nodes)
+        assert verdict.certificate == certificate
+        if status == CONSISTENT:
+            expected = compact._witness_from_assignment(assignment, constants, sig)
+            assert bvmodel.model_to_json(verdict.witness) == bvmodel.model_to_json(expected)
+        if status == INCONSISTENT:
+            assert replay_certificate(verdict.certificate, sentences, sig)
+
+    @pytest.mark.parametrize("n, nodes", [(3, 97), (4, 521), (5, 3261), (6, 23485)])
+    def test_pigeonhole_ladder_node_counts(self, n, nodes):
+        sentences, sig = pigeonhole(n)
+        verdict = consistency_oracle(sentences, sig)
+        assert (verdict.status, verdict.budget_used) == (INCONSISTENT, nodes)
+
+    def test_capped_pigeonhole_stops_one_node_past_the_cap(self):
+        sentences, sig = pigeonhole(7)
+        verdict = consistency_oracle(sentences, sig, Budget(oracle_nodes=5000))
+        assert (verdict.status, verdict.budget_used) == (UNKNOWN, 5001)
 
 
 class TestConservative:
