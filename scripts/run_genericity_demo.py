@@ -38,8 +38,9 @@ def main():
     print(f"dense sets: {len(dense)} (sizes {[len(d) for d in dense]})")
 
     g = generic_filter(poset, dense)
+    met = sum(any(s in g.members for s in d) for d in dense)
     print(f"generic filter: {len(g.members)} members, maximal={g.maximal},"
-          f" met={list(g.met_dense_sets)}")
+          f" meets {met} of {len(dense)} dense sets")
     model = term_model(g)
     print(f"term model domain: {model.domain}")
     print("dense-set equivalence:", all(meets_equivalence(g, d) for d in dense))

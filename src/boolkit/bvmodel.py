@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Optional
 
 from . import syntax
@@ -23,7 +23,9 @@ class BValuedModel:
 
     ``eq`` maps ordered domain pairs to algebra elements, ``rel`` maps each
     relation name to a table over domain tuples, ``consts`` interprets
-    constant names.  Treated as immutable after construction.
+    constant names.  Treated as immutable after construction, which
+    validates it unless ``check`` is false (a candidate whose violations
+    are to be reported).
     """
 
     algebra: FiniteBooleanAlgebra
@@ -31,11 +33,14 @@ class BValuedModel:
     eq: dict
     rel: dict
     consts: dict
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
         self.domain = tuple(self.domain)
         if not self.domain:
             raise BoolkitError("domain must be nonempty")
+        if not check:
+            return
         report = validate_model(self)
         if not report.ok:
             raise BoolkitError(f"invalid B-valued model: {report.violations[0]}")
@@ -96,6 +101,49 @@ def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport
             if len(bad) >= max_violations:
                 return ValidationReport(False, tuple(bad))
     return ValidationReport(not bad, tuple(bad))
+
+
+def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValuedModel:
+    """The Tarski structure read off a set of ground literals: the constants
+    modulo the positive equalities, each class named by its minimum, and
+    each relation holding exactly on the classes of its positive atoms.
+
+    A negative literal that the classes make false raises; sentences other
+    than literals are ignored.
+    """
+    parent = {c: c for c in constants}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    literals = list(literals)
+    for f in literals:
+        if isinstance(f, Eq):
+            ra, rb = find(f.left), find(f.right)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    b = FiniteBooleanAlgebra(1)
+    domain = tuple(sorted({find(c) for c in constants}))
+    eq = {(x, y): (b.one if x == y else 0) for x in domain for y in domain}
+    rel = {
+        name: dict.fromkeys(itertools.product(domain, repeat=arity), 0)
+        for name, arity in relations.items()
+    }
+    for f in literals:
+        if isinstance(f, Atom):
+            rel[f.rel][tuple(map(find, f.args))] = b.one
+    for f in literals:
+        if not isinstance(f, Not):
+            continue
+        g = f.body
+        if isinstance(g, Atom) and rel[g.rel][tuple(map(find, g.args))] == b.one:
+            raise BoolkitError(f"relations ill-defined on classes: {syntax.render(f)}")
+        if isinstance(g, Eq) and find(g.left) == find(g.right):
+            raise BoolkitError(f"equality classes contradict {syntax.render(f)}")
+    return BValuedModel(b, domain, eq, rel, {c: find(c) for c in constants})
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +488,7 @@ def model_to_json(m: BValuedModel) -> dict:
     }
 
 
-def model_from_json(doc: dict) -> BValuedModel:
+def model_from_json(doc: dict, check: bool = True) -> BValuedModel:
     k = len(doc["algebra"]["atoms"])
     algebra = FiniteBooleanAlgebra(k)
     domain = tuple(doc["domain"])
@@ -456,7 +504,7 @@ def model_from_json(doc: dict) -> BValuedModel:
             table[combo] = bits_from_string(bits)
         rel[name] = table
     consts = dict(doc.get("consts", {}))
-    return BValuedModel(algebra, domain, eq, rel, consts)
+    return BValuedModel(algebra, domain, eq, rel, consts, check)
 
 
 def sentence_catalog(sig: Signature, depth: int = 3, limit: int = 60) -> list:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, syntax
-from .balg import FiniteBooleanAlgebra
 from .errors import BoolkitError, ConstructionFailure
-from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Theory
+from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ def _atom_key(f):
 class _Closure:
     """Congruence closure of a partial atom assignment, built from scratch.
 
-    The certificate replay and the witness read this; the search keeps its
-    own incremental closure (``_PathClosure``) with the same answers.
+    The certificate replay reads this; the search keeps its own incremental
+    closure (``_PathClosure``) with the same answers.
     """
 
     def __init__(self, constants, assignment):
@@ -362,20 +361,8 @@ class _GroundSolver:
         return None, cert
 
 
-def _witness_from_assignment(assignment, constants, sig) -> bvmodel.BValuedModel:
-    closure = _Closure(constants, assignment)
-    reps = sorted({closure.uf.find(c) for c in constants})
-    b = FiniteBooleanAlgebra(1)
-    domain = tuple(reps)
-    eq = {(a, c): (b.one if a == c else 0) for a in domain for c in domain}
-    rel = {}
-    for name, arity in sig.relations.items():
-        table = {}
-        for xs in itertools.product(domain, repeat=arity):
-            table[xs] = b.one if (name, xs) in closure.rel_true else 0
-        rel[name] = table
-    consts = {c: closure.uf.find(c) for c in constants}
-    return bvmodel.BValuedModel(b, domain, eq, rel, consts)
+def _atom(key) -> Formula:
+    return Eq(key[1], key[2]) if key[0] == "eq" else Atom(key[1], key[2])
 
 
 _oracle_cache: dict = {}
@@ -427,7 +414,11 @@ def consistency_oracle(
             _oracle_cache[cache_key] = verdict
         return verdict
     if assignment is not None:
-        witness = _witness_from_assignment(assignment, constants, sig)
+        # the model is read off the true atoms; the path has no conflict, so
+        # its false atoms are false there, and every sentence is checked below
+        witness = bvmodel.two_valued_model(
+            constants, sig.relations, [_atom(key) for key, value in assignment.items() if value]
+        )
         for f in sentences:
             if not bvmodel.holds(witness, f):
                 raise BoolkitError(f"oracle witness fails sentence {syntax.render(f)}")
@@ -652,52 +643,6 @@ def star_signature(sig: Signature) -> Signature:
     return Signature(relations=sig.relations, base_constants=(), fresh_constants=sig.constants)
 
 
-def _signed_universe(seed, sig: Signature, drop_keys, bound: int) -> list:
-    """Closure of a generator's subsentences under one-step negation moves,
-    children, and quantifier instances; conjunctions whose conjunct sets
-    match a derived family member are excluded (redundant given the member
-    that covers them).  Substitution and symmetry extensions are added later
-    member by member, where they are entailed and therefore harmless."""
-    consts = sorted(sig.constants)
-    fresh = sorted(sig.fresh_constants)
-    universe = set()
-    queue = []
-
-    def push(f):
-        f = syntax.canon(f)
-        if isinstance(f, Eq) and f.left == f.right:
-            return
-        if isinstance(f, Not) and isinstance(f.body, Eq) and f.body.left == f.body.right:
-            return
-        if f not in universe:
-            universe.add(f)
-            queue.append(f)
-            if len(universe) > bound:
-                raise ConstructionFailure(
-                    f"compactness universe exceeds the bound of {bound} sentences"
-                )
-
-    for f in seed:
-        push(f)
-    while queue:
-        f = queue.pop()
-        if isinstance(f, Not) and not isinstance(f.body, (Atom, Eq)):
-            push(syntax.nnf_step(f.body))
-        elif isinstance(f, (And, Or)):
-            for child in f.children:
-                push(child)
-        elif isinstance(f, Forall):
-            for combo in itertools.product(consts, repeat=len(f.vars)):
-                push(syntax.substitute(f.body, dict(zip(f.vars, combo))))
-        elif isinstance(f, Exists):
-            for combo in itertools.product(fresh, repeat=len(f.vars)):
-                push(syntax.substitute(f.body, dict(zip(f.vars, combo))))
-    return sorted(
-        (f for f in universe if syntax.conjunction_key(f) not in drop_keys),
-        key=syntax.render,
-    )
-
-
 def materialize_compactness_property(family, sig: Signature, budget: Budget = DEFAULT_BUDGET):
     """The consistency property of the compactness argument at finite scale.
 
@@ -727,10 +672,22 @@ def materialize_compactness_property(family, sig: Signature, budget: Budget = DE
             )
         return v.status == CONSISTENT
 
+    # each anchor's universe: its subsentences closed under the clause
+    # steps, less the conjunctions matching a derived family member (the
+    # member covers them); substitution and symmetry extensions are added
+    # below member by member, where they are entailed and therefore harmless
+    obligations = consprop.ClauseObligations(work_sig)
+    overflow = ConstructionFailure(
+        f"compactness universe exceeds the bound of {budget.max_members} sentences"
+    )
     family_sets = set()
     for anchor in members:
-        universe = _signed_universe(
-            syntax.subsentences(anchor, work_sig), work_sig, drop_keys, bound=budget.max_members
+        reachable = consprop.clause_closure(
+            syntax.subsentences(anchor, work_sig), obligations, budget.max_members, overflow
+        )
+        universe = sorted(
+            (f for f in reachable if syntax.conjunction_key(f) not in drop_keys),
+            key=syntax.render,
         )
         if not consistent([anchor]):
             continue
@@ -750,7 +707,6 @@ def materialize_compactness_property(family, sig: Signature, budget: Budget = DE
     # close the enumerated family under the clause obligations; every
     # extension added here is entailed by sentences already in the member,
     # so consistency is preserved (and re-checked all the same)
-    obligations = consprop.ClauseObligations(work_sig)
     queue = sorted(family_sets, key=lambda s: sorted(map(syntax.render, s)))
     while queue:
         s = queue.pop()

@@ -100,16 +100,21 @@ class ClauseObligations:
         """The member ``s`` with one canonical option added."""
         return s if option is None or option in s else s | {option}
 
+    def own(self, f: Formula) -> tuple:
+        """The obligations of one canonical sentence by itself: Ind.1-Ind.5
+        and Str.1."""
+        out = self._own.get(f)
+        if out is None:
+            out = self._own[f] = self._sentence_obligations(f)
+        return out
+
     def of(self, s: frozenset):
         """The obligations of member ``s``: each sentence's own, sentences in
         render order; then substitution of equals, equalities in render
         order; then fresh naming."""
         ordered = sorted(s, key=syntax.render)
         for f in ordered:
-            own = self._own.get(f)
-            if own is None:
-                own = self._own[f] = self._sentence_obligations(f)
-            yield from own
+            yield from self.own(f)
         for e in ordered:
             if not isinstance(e, Eq):
                 continue
@@ -213,19 +218,18 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
 # saturation of a theory into a consistency property
 
 
-def closure_universe(theory, sig: Signature, bound: int = 64) -> list:
-    """The sentence universe the clauses can reach from a theory: its
-    subsentences, one-step negation moves, quantifier instances, all
-    non-reflexive equalities over the constants, relation atoms over every
-    tuple for the relations that occur, and substitution recolorings.
-    """
-    sentences = list(theory.sentences if isinstance(theory, Theory) else theory)
-    consts = sorted(sig.constants)
-    fresh = sorted(sig.fresh_constants)
+def clause_closure(seeds, obligations: ClauseObligations, bound: int, overflow, moves=None) -> set:
+    """The canonical sentences reachable from the seeds by the one-step
+    moves of Ind.1-Ind.5, the options of each sentence's own obligations,
+    and by ``moves(f)`` when given.  Reflexive equalities and their
+    negations are left out; more than ``bound`` sentences raise
+    ``overflow``."""
     universe = set()
     queue = []
 
     def push(f):
+        if f is None:
+            return
         f = syntax.canon(f)
         if isinstance(f, Eq) and f.left == f.right:
             return
@@ -235,44 +239,47 @@ def closure_universe(theory, sig: Signature, bound: int = 64) -> list:
             universe.add(f)
             queue.append(f)
             if len(universe) > bound:
-                raise BoolkitError(
-                    f"closure universe exceeds the bound of {bound} sentences"
-                )
+                raise overflow
 
-    for phi in sentences:
-        for sub in syntax.subsentences(phi, sig):
-            push(sub)
-    for c, d in itertools.permutations(consts, 2):
-        push(Eq(c, d))
-        push(Not(Eq(c, d)))
-    rels = set()
-    for f in list(universe):
-        for g in syntax.subformulas(f):
-            if isinstance(g, Atom):
-                rels.add(g.rel)
-    for rel in sorted(rels):
-        for combo in itertools.product(consts, repeat=sig.relations[rel]):
-            push(Atom(rel, combo))
-            push(Not(Atom(rel, combo)))
-
+    for f in seeds:
+        push(f)
     while queue:
         f = queue.pop()
-        if isinstance(f, Not) and not isinstance(f.body, (Atom, Eq)):
-            push(syntax.nnf_step(f.body))
-        elif isinstance(f, (And, Or)):
-            for child in f.children:
-                push(child)
-        elif isinstance(f, Forall):
-            for combo in itertools.product(consts, repeat=len(f.vars)):
-                push(syntax.substitute(f.body, dict(zip(f.vars, combo))))
-        elif isinstance(f, Exists):
-            for combo in itertools.product(fresh, repeat=len(f.vars)):
-                push(syntax.substitute(f.body, dict(zip(f.vars, combo))))
-        # recolorings along every equality atom
+        for clause, _need, options in obligations.own(f):
+            if clause != "Str.1":
+                for option in options:
+                    push(option)
+        if moves is not None:
+            for g in moves(f):
+                push(g)
+    return universe
+
+
+def closure_universe(theory, sig: Signature, bound: int = 64) -> list:
+    """The sentence universe the clauses can reach from a theory: its
+    subsentences, all non-reflexive equalities over the constants and
+    relation atoms over every tuple for the relations that occur (each with
+    its negation), closed under the clause steps and under substitution
+    recolorings.
+    """
+    sentences = list(theory.sentences if isinstance(theory, Theory) else theory)
+    consts = sorted(sig.constants)
+    seeds = [sub for phi in sentences for sub in syntax.subsentences(phi, sig)]
+    for c, d in itertools.permutations(consts, 2):
+        seeds += [Eq(c, d), Not(Eq(c, d))]
+    rels = {g.rel for phi in sentences for g in syntax.subformulas(phi) if isinstance(g, Atom)}
+    for rel in sorted(rels):
+        for combo in itertools.product(consts, repeat=sig.relations[rel]):
+            seeds += [Atom(rel, combo), Not(Atom(rel, combo))]
+
+    def recolorings(f):
         occurring = syntax.constants_of(f)
         for c, d in itertools.permutations(consts, 2):
             if d in occurring:
-                push(syntax.replace_constants(f, {d: c}))
+                yield syntax.replace_constants(f, {d: c})
+
+    overflow = BoolkitError(f"closure universe exceeds the bound of {bound} sentences")
+    universe = clause_closure(seeds, ClauseObligations(sig), bound, overflow, recolorings)
     return sorted(universe, key=syntax.render)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, compact, syntax
-from .balg import FiniteBooleanAlgebra
 from .errors import BoolkitError
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature
 
@@ -124,7 +123,6 @@ def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> Dens
 class GenericFilter:
     poset: SPhiPoset
     members: frozenset
-    met_dense_sets: tuple
     maximal: bool
 
     def __contains__(self, s):
@@ -146,7 +144,6 @@ def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
         if not is_dense(d, p):
             raise BoolkitError(f"supplied set {i} is not dense")
     current = frozenset()
-    met = []
     for d in dense:
         candidates = sorted(
             (t for t in d if current <= t),
@@ -155,7 +152,6 @@ def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
         if not candidates:
             raise BoolkitError("density violated during chain construction")
         current = candidates[0]
-        met.append(True)
     # greedy saturation to a maximal condition
     grown = True
     while grown:
@@ -169,7 +165,7 @@ def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
                 break
     members = frozenset(s for s in p.conditions if s <= current)
     maximal = not any(current < t for t in p.conditions)
-    return GenericFilter(p, members, tuple(met), maximal)
+    return GenericFilter(p, members, maximal)
 
 
 def term_model(g: GenericFilter) -> bvmodel.BValuedModel:
@@ -182,63 +178,25 @@ def term_model(g: GenericFilter) -> bvmodel.BValuedModel:
     if not g.maximal:
         raise BoolkitError("term model needs a maximal filter")
     sig = g.poset.sig
-    sigma = g.sigma()
-    consts = sorted(sig.constants)
-    parent = {c: c for c in consts}
+    return bvmodel.two_valued_model(sorted(sig.constants), sig.relations, g.sigma())
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for f in sigma:
-        if isinstance(f, Eq):
-            ra, rb = find(f.left), find(f.right)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    reps = sorted({find(c) for c in consts})
-    b = FiniteBooleanAlgebra(1)
-    domain = tuple(reps)
-    eq = {(x, y): (b.one if x == y else 0) for x in domain for y in domain}
-    rel = {}
-    for name, arity in sig.relations.items():
-        table = {combo: 0 for combo in itertools.product(domain, repeat=arity)}
-        rel[name] = table
-    for f in sigma:
-        if isinstance(f, Atom):
-            rel[f.rel][tuple(find(a) for a in f.args)] = b.one
-    # well-definedness: no negated atom may collapse onto a positive one
-    for f in sigma:
-        if isinstance(f, Not) and isinstance(f.body, Atom):
-            atom = f.body
-            if rel[atom.rel][tuple(find(a) for a in atom.args)] == b.one:
-                raise BoolkitError(
-                    f"relations ill-defined on classes: {syntax.render(f)}"
-                )
-        if isinstance(f, Not) and isinstance(f.body, Eq):
-            if find(f.body.left) == find(f.body.right):
-                raise BoolkitError(
-                    f"equality classes contradict {syntax.render(f)}"
-                )
-    consts_map = {c: find(c) for c in consts}
-    return bvmodel.BValuedModel(b, domain, eq, rel, consts_map)
+def _meets(dset) -> Formula:
+    """The disjunction over the conditions of their conjunctions."""
+    return Or(
+        tuple(
+            And(tuple(sorted(s, key=syntax.render)))
+            for s in sorted(dset, key=lambda s: sorted(map(syntax.render, s)))
+        )
+    )
 
 
 def meets_equivalence(g: GenericFilter, d: Iterable[frozenset]) -> bool:
     """The dense-set membership test: the filter meets the set exactly when
     the term model satisfies the disjunction of its conditions' conjunctions."""
     dset = [frozenset(syntax.canon(f) for f in s) for s in d]
-    m = term_model(g)
-    sentence = Or(
-        tuple(
-            And(tuple(sorted(s, key=syntax.render))) for s in sorted(
-                dset, key=lambda s: sorted(map(syntax.render, s))
-            )
-        )
-    )
     meets = any(s in g.members for s in dset)
-    return meets == bvmodel.holds(m, sentence)
+    return meets == bvmodel.holds(term_model(g), _meets(dset))
 
 
 def genericity_sentence(
@@ -254,14 +212,7 @@ def genericity_sentence(
         dset = [frozenset(syntax.canon(f) for f in s) for s in d]
         if not is_dense(dset, p):
             raise BoolkitError(f"supplied set {i} is not dense")
-        blocks.append(
-            Or(
-                tuple(
-                    And(tuple(sorted(s, key=syntax.render)))
-                    for s in sorted(dset, key=lambda s: sorted(map(syntax.render, s)))
-                )
-            )
-        )
+        blocks.append(_meets(dset))
     if not blocks:
         return phi
     return syntax.canon(And(tuple([phi] + blocks)))

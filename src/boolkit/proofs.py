@@ -8,14 +8,13 @@ on each node; nothing is inferred by matching.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import bvmodel, syntax
 from .errors import BoolkitError
-from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature
+from .syntax import And, Atom, Eq, Exists, Forall, Formula, Or, Signature
 
 AXIOM_RULES = ("eq-axiom-1", "eq-axiom-2", "eq-axiom-3", "eq-axiom-4", "axiom")
 RULES = AXIOM_RULES + (
@@ -87,30 +86,8 @@ def _is_constant_term(t):
     return not syntax.is_var(t)
 
 
-def _safe_substitute(f: Formula, binding: Mapping) -> Formula:
-    """Substitution of terms for free variables, rejecting variable capture."""
-
-    def go(g, active):
-        if isinstance(g, (Atom, Eq)):
-            return syntax.substitute(g, active)
-        if isinstance(g, Not):
-            return Not(go(g.body, active))
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(go(c, active) for c in g.children))
-        if isinstance(g, (Forall, Exists)):
-            inner = {v: t for v, t in active.items() if v not in g.vars}
-            body_free = syntax.free_vars(g.body)
-            for v, t in inner.items():
-                if t in g.vars and v in body_free:
-                    raise BoolkitError(f"substitution captures variable {t}")
-            return type(g)(g.vars, go(g.body, inner))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return syntax.canon(go(f, dict(binding)))
-
-
 def _substitute_side(side, binding):
-    return frozenset(_safe_substitute(f, binding) for f in side)
+    return frozenset(syntax.canon(syntax.substitute(f, binding)) for f in side)
 
 
 def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
@@ -324,7 +301,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         if len(terms) != len(phi.vars):
             return _fail(path, f"{rule} needs one instantiating term per variable")
         try:
-            instance = _safe_substitute(phi.body, dict(zip(phi.vars, terms)))
+            instance = syntax.canon(syntax.substitute(phi.body, dict(zip(phi.vars, terms))))
         except BoolkitError as exc:
             return _fail(path, str(exc))
         p = prem[0].conclusion

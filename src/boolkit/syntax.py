@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import ParseError, SignatureError
+from .errors import BoolkitError, ParseError, SignatureError
 
 VAR_PREFIX = "?"
 _RESERVED = {"and", "or", "not", "forall", "exists", "="}
@@ -427,10 +427,11 @@ def parse(text: str, sig: Signature) -> Formula:
 
 
 def substitute(f: Formula, binding: Mapping[str, str]) -> Formula:
-    """Replace free occurrences of the bound variables by constants.
+    """Replace free occurrences of the bound variables by terms.
 
-    Occurrences captured by a quantifier are left untouched; binding a
-    variable that never occurs free is a no-op.
+    Occurrences bound by an inner quantifier are left untouched; binding a
+    variable that never occurs free is a no-op.  A variable term that an
+    inner quantifier would capture raises.
     """
     if not binding:
         return f
@@ -449,9 +450,12 @@ def substitute(f: Formula, binding: Mapping[str, str]) -> Formula:
     if isinstance(f, Or):
         return Or(tuple(substitute(c, binding) for c in f.children))
     if isinstance(f, (Forall, Exists)):
-        inner = {v: c for v, c in binding.items() if v not in f.vars}
+        inner = {v: t for v, t in binding.items() if v not in f.vars}
         if not inner:
             return f
+        for v, t in inner.items():
+            if t in f.vars and v in free_vars(f.body):
+                raise BoolkitError(f"substitution captures variable {t}")
         return type(f)(f.vars, substitute(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
 
@@ -555,13 +559,6 @@ def conjuncts(f: Formula) -> frozenset:
 def conjunction_key(f: Formula) -> frozenset:
     """Identity of a conjunction up to flattening, order, and repetition."""
     return frozenset(render(c) for c in conjuncts(f))
-
-
-def big_and(formulas) -> Formula:
-    fs = sorted({canon(f) for f in formulas}, key=render)
-    if len(fs) == 1:
-        return fs[0]
-    return And(tuple(fs))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import random
 import pytest
 
 from boolkit import syntax
+from boolkit.balg import FiniteBooleanAlgebra
+from boolkit.bvmodel import BValuedModel
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
 
@@ -322,6 +324,26 @@ class _ReferenceClosure:
             if found is not None:
                 return found
         return None
+
+
+def reference_witness(assignment, constants, sig):
+    """The two-valued model of a satisfying assignment, read off its
+    reference closure: one element per class (named by its minimum), a
+    relation true exactly on the classes of its true atoms."""
+    closure = _ReferenceClosure(constants, assignment)
+    b = FiniteBooleanAlgebra(1)
+    one = b.one
+    domain = tuple(sorted({closure.find(c) for c in constants}))
+    eq = {(a, b): one if a == b else 0 for a in domain for b in domain}
+    rel = {
+        name: {
+            xs: one if (name, xs) in closure.rel_true else 0
+            for xs in itertools.product(domain, repeat=arity)
+        }
+        for name, arity in sig.relations.items()
+    }
+    consts = {c: closure.find(c) for c in constants}
+    return BValuedModel(b, domain, eq, rel, consts)
 
 
 def reference_search(sentences, constants, node_cap):

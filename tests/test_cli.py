@@ -161,6 +161,20 @@ class TestModelCommands:
         code, doc = run_json(["validate-model", "--model", model_file], workdir)
         assert code == 0 and doc["ok"]
 
+    def test_validate_reports_violations(self, workdir):
+        model = {
+            "algebra": {"atoms": ["a0"]},
+            "domain": ["a"],
+            "eq": [["1"]],
+            "rel": {"R": {"z": "1"}},
+            "consts": {"a": "a"},
+        }
+        (workdir / "bad.json").write_text(json.dumps(model))
+        code, doc = run_json(["validate-model", "--model", workdir / "bad.json"], workdir)
+        assert code == cli.EXIT_REFUTED
+        assert doc["ok"] is False
+        assert doc["violations"] == [["rel-table", "R", "('a',)"]]
+
     def test_eval(self, workdir, model_file):
         code, doc = run_json(
             ["eval", "--model", model_file, "--formula", "(and)"], workdir
@@ -336,6 +350,30 @@ class TestUsageBoundary:
         (workdir / "proof.json").write_text(json.dumps(proof))
         self._usage_error(
             capsys, ["proof-check", "--proof", workdir / "proof.json", "--sig", workdir / "sig.json"]
+        )
+
+
+class TestProofCheck:
+    def test_capturing_substitution_is_rejected(self, tmp_path):
+        (tmp_path / "sig.json").write_text(json.dumps({"relations": {"R": 2}, "base_constants": ["a"]}))
+        forall = "(forall (?x) (exists (?y) (R ?x ?y)))"
+        captured = "(exists (?y) (R ?y ?y))"
+        proof = {
+            "rule": "left-forall",
+            "conclusion": {"left": [forall], "right": [captured]},
+            "data": {"formula": forall, "terms": ["?y"]},
+            "premises": [
+                {"rule": "axiom", "conclusion": {"left": [captured], "right": [captured]}}
+            ],
+        }
+        (tmp_path / "proof.json").write_text(json.dumps(proof))
+        code, doc = run_json(
+            ["proof-check", "--proof", tmp_path / "proof.json", "--sig", tmp_path / "sig.json"],
+            tmp_path,
+        )
+        assert code == cli.EXIT_REFUTED
+        assert (doc["ok"], doc["path"], doc["reason"]) == (
+            False, [], "substitution captures variable ?y"
         )
 
 

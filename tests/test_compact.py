@@ -20,13 +20,14 @@ from boolkit.compact import (
     is_finitely_conservative,
     compactness_run,
     lindenbaum_complete,
+    materialize_compactness_property,
     replay_certificate,
     star_theory,
 )
-from boolkit.errors import BoolkitError
+from boolkit.errors import BoolkitError, ConstructionFailure
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
-from conftest import brute_force_satisfiable, reference_search
+from conftest import brute_force_satisfiable, reference_search, reference_witness
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
 
@@ -185,7 +186,7 @@ class TestSearchTree:
         assert (verdict.status, verdict.budget_used) == (status, nodes)
         assert verdict.certificate == certificate
         if status == CONSISTENT:
-            expected = compact._witness_from_assignment(assignment, constants, sig)
+            expected = reference_witness(assignment, constants, sig)
             assert bvmodel.model_to_json(verdict.witness) == bvmodel.model_to_json(expected)
         if status == INCONSISTENT:
             assert replay_certificate(verdict.certificate, sentences, sig)
@@ -300,6 +301,12 @@ class TestCompactnessRun:
         family = conjunction_closure(faicom_family(2))
         with pytest.raises(BoolkitError):
             compactness_run(family, sig)
+
+    def test_universe_bound_is_a_construction_failure(self):
+        ra, rb = Atom("R", ("a",)), Atom("R", ("b",))
+        with pytest.raises(ConstructionFailure) as exc:
+            materialize_compactness_property([And((ra, rb)), ra, rb], SIG, Budget(max_members=2))
+        assert str(exc.value) == "compactness universe exceeds the bound of 2 sentences"
 
     def test_reports_reverify_independently(self):
         gens = [Atom("R", ("a",)), Atom("R", ("b",))]

@@ -127,8 +127,10 @@ class TestSaturate:
             assert v.status == compact.CONSISTENT
 
     def test_universe_bound_enforced(self):
-        with pytest.raises(BoolkitError):
+        with pytest.raises(BoolkitError) as exc:
             closure_universe(Theory([Atom("P", ("c0",))]), SIG_P, bound=2)
+        assert exc.type is BoolkitError
+        assert str(exc.value) == "closure universe exceeds the bound of 2 sentences"
 
 
 class TestModelExistence:

@@ -6,6 +6,8 @@ from boolkit import bvmodel, compact, syntax
 from boolkit.compact import consistency_oracle, is_conservative_strengthening
 from boolkit.errors import BoolkitError
 from boolkit.forcing import (
+    GenericFilter,
+    SPhiPoset,
     build_sphi,
     condition_universe,
     dense_commitment_set,
@@ -16,7 +18,7 @@ from boolkit.forcing import (
     meets_equivalence,
     term_model,
 )
-from boolkit.syntax import And, Eq, Not, Or, Signature
+from boolkit.syntax import And, Atom, Eq, Not, Or, Signature
 
 SIG = Signature(relations={}, base_constants={"cw", "c0", "c1"}, fresh_constants=set())
 PHI = Or((Eq("cw", "c0"), Eq("cw", "c1")))
@@ -106,7 +108,6 @@ class TestGenericFilter:
             dense_commitment_set(poset, PHI),
         ]
         g = generic_filter(poset, dense)
-        assert all(g.met_dense_sets)
         for d in dense:
             assert any(s in g.members for s in (frozenset(x) for x in d))
 
@@ -144,9 +145,28 @@ class TestTermModel:
         for d in dense:
             assert meets_equivalence(g, d)
 
+    @pytest.mark.parametrize(
+        "condition, message",
+        [
+            (
+                [Eq("a", "b"), Atom("P", ("a",)), Not(Atom("P", ("b",)))],
+                "relations ill-defined on classes: (not (P b))",
+            ),
+            ([Eq("a", "b"), Not(Eq("a", "b"))], "equality classes contradict (not (= a b))"),
+        ],
+    )
+    def test_ill_defined_classes(self, condition, message):
+        sig = Signature(relations={"P": 1}, base_constants={"a", "b"})
+        condition = frozenset(condition)
+        p = SPhiPoset(Eq("a", "a"), sig, frozenset({frozenset(), condition}))
+        g = GenericFilter(p, frozenset({frozenset(), condition}), maximal=True)
+        with pytest.raises(BoolkitError) as exc:
+            term_model(g)
+        assert str(exc.value) == message
+
     def test_needs_maximal_filter(self, poset):
         g = generic_filter(poset)
-        partial = type(g)(g.poset, frozenset({frozenset()}), (), False)
+        partial = type(g)(g.poset, frozenset({frozenset()}), False)
         with pytest.raises(BoolkitError):
             term_model(partial)
 

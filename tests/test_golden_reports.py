@@ -1,0 +1,124 @@
+"""Golden hashes of CLI reports.
+
+Each hash is the sha256 of the exit code and the exact bytes ``cli.main``
+writes with ``--out``: ``oracle`` on the criterion-10 theories and the
+equality pigeonhole PHP(3..5) (witnesses and certificates), ``forcing
+build``/``model`` on the criterion-12 instances, and ``proof-check`` on the
+proof corpus and its mutations (rejection reasons).  They pin the reports
+byte for byte, so a refactoring below the CLI must leave them unchanged.
+"""
+import hashlib
+import json
+
+from boolkit import cli, compact, forcing, proofs, syntax
+
+from test_acceptance import _genericity_dense_sets, _genericity_instances, _ground_theories
+from test_compact import pigeonhole
+from test_proofs import SIG as PROOF_SIG
+from test_proofs import mutations, proof_corpus
+
+ORACLE = [
+    "a96b9fb5decf44657c94cf7bc696971605f09c9ccbc6f6e36f744ec2f604596d",
+    "f88135ab9f9dc4a6dd96217c1cca598f533961be7e7062bfd2c3c0afae082e45",
+    "329492782c00ef7ad4a01f7d34b93b093af7ab81649d5b2afefd81f923aca46a",
+    "5c1a8cd8456c922dbc6a89201d9b2156b37862fb8501dedad96f402f7b6a14fc",
+    "359f3be44f134cb531616f56fbfcf1d6448f4197eeeff85a0a0f74721c9dc3ad",
+    "b82ad109a36ea070fb0a0f34ce77d02c6866374a0321660f081b2e44d9fd735a",
+    "0364b09f07956310cffb245cf61ad3f4ab9dd7d64b242a719c39b1f76ab3cc7c",
+    "58c8ba22df12f5a2702699627525b82b69378e458c1606cec1fab2d156684dce",
+    "2b684b957d8407ec8eac1499a29e7c46143b09494e47eed4385f6ef46e203a38",
+    "0364b09f07956310cffb245cf61ad3f4ab9dd7d64b242a719c39b1f76ab3cc7c",
+    "c82d8aac9e7669d34355fbc11d478dfb90d8e0d959032a3289016b342461c32b",
+    "92f31341dbb37f10857af2b52def3b9b19c1c903025d83dffed8231a293212d1",
+    "876b92ab1b02ee7b125811e20fa8892008ff7019bf12f3b8424322fcbeeb76a7",
+]
+
+FORCING = [
+    "09d3c951646d2e45bcc4d6c63492bb302301f82b9187e81897cde4e76c70e588",
+    "9aab9bc672dfb6c5bc205e8a9042a6d75f5345e1d5eb8dc36028a6b5f31cd8a8",
+    "9feeb6f3905ab028f2ca049def56adb187979cec7b99682c128d551ec8275081",
+    "92b52d02fdb917a40990505f786e54629a03cfc769ca1b9b12d19723fc999348",
+    "081880d726f80ef3d5e9df0fca9580c1db76bd66124d8a1023b629ad60e89bc0",
+    "ab5f47c8556342a57fc081703b5ddbb767e6e42d3a8f21d28aa42ae53f78e9ba",
+    "1232ca32f11009e282d4275470770cbb8a4cb8c7f883fb13c6d193899ab00e70",
+    "ebdd3d3eedcb69ebd790ded6f4cd3896a92d35f00f2577f2380b79a25eea694c",
+    "bd44db1029ef46ce34b3f19adf0ff994ccad579c51f1098432762da41a7f318a",
+    "7259839195f227fb832bd53ae0197fc64a21bd72ec57481996d1d09698f61596",
+]
+
+PROOF_CHECK = "d8c13c8064e6aaf06119e8b02bcbdbc501d131e0c9e1e949cf181a874b5b1714"
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _report(tmp_path, args):
+    """(exit code, report bytes) of one in-process CLI call.  The oracle
+    cache is cleared first: it is keyed by the sentence set, so an earlier
+    permuted call could otherwise answer with another certificate."""
+    compact._oracle_cache.clear()
+    out = tmp_path / "report.json"
+    code = cli.main([*map(str, args), "--out", str(out)])
+    return code, out.read_bytes()
+
+
+def _digest(code, text) -> str:
+    return hashlib.sha256(b"%d\n" % code + text).hexdigest()
+
+
+def _oracle_cases():
+    cases = [(sig, list(theory.sentences)) for sig, theory in _ground_theories()]
+    for n in (3, 4, 5):
+        sentences, sig = pigeonhole(n)
+        cases.append((sig, sentences))
+    return cases
+
+
+def test_oracle_reports_are_pinned(tmp_path):
+    digests = []
+    for sig, sentences in _oracle_cases():
+        theory = _write(
+            tmp_path / "theory.json",
+            {"signature": sig.to_json(), "sentences": [syntax.render(f) for f in sentences]},
+        )
+        digests.append(_digest(*_report(tmp_path, ["oracle", "--theory", theory])))
+    assert digests == ORACLE
+
+
+def test_forcing_reports_are_pinned(tmp_path):
+    digests = []
+    for sig, phi, bound in _genericity_instances():
+        sig_path = _write(tmp_path / "sig.json", sig.to_json())
+        code, text = _report(
+            tmp_path,
+            ["forcing", "build", "--sig", sig_path, "--formula", syntax.render(phi),
+             "--size-bound", bound],
+        )
+        digests.append(_digest(code, text))
+        poset = json.loads(text)["poset"]
+        poset_path = _write(tmp_path / "poset.json", poset)
+        conditions = frozenset(
+            frozenset(syntax.parse(f, sig) for f in s) for s in poset["conditions"]
+        )
+        p = forcing.SPhiPoset(syntax.canon(phi), sig, conditions)
+        dense = [
+            sorted(sorted(syntax.render(f) for f in s) for s in d) for d in _genericity_dense_sets(p)
+        ]
+        dense_path = _write(tmp_path / "dense.json", {"dense_sets": dense})
+        digests.append(
+            _digest(*_report(tmp_path, ["forcing", "model", "--poset", poset_path, "--dense", dense_path]))
+        )
+    assert digests == FORCING
+
+
+def test_proof_check_reports_are_pinned(tmp_path):
+    sig_path = _write(tmp_path / "sig.json", PROOF_SIG.to_json())
+    digest = hashlib.sha256()
+    for _name, tree in proof_corpus():
+        for candidate in [tree, *mutations(tree)]:
+            proof = _write(tmp_path / "proof.json", proofs.proof_to_json(candidate))
+            code, text = _report(tmp_path, ["proof-check", "--proof", proof, "--sig", sig_path])
+            digest.update(_digest(code, text).encode())
+    assert digest.hexdigest() == PROOF_CHECK

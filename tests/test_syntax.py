@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolkit import syntax
-from boolkit.errors import ParseError, SignatureError
+from boolkit.errors import BoolkitError, ParseError, SignatureError
 from boolkit.syntax import (
     And,
     Atom,
@@ -83,6 +83,17 @@ class TestSubstitute:
 
     def test_partial_binding(self):
         assert substitute(Atom("R", ("?x", "?y")), {"?x": "c0"}) == Atom("R", ("c0", "?y"))
+
+    def test_variable_term_captured_by_a_quantifier(self):
+        f = Exists(("?y",), Atom("R", ("?x", "?y")))
+        with pytest.raises(BoolkitError, match=r"^substitution captures variable \?y$"):
+            substitute(f, {"?x": "?y"})
+
+    def test_variable_term_outside_the_quantifier_scope(self):
+        f = And((Atom("R", ("?x", "?x")), Exists(("?y",), Eq("?y", "c0"))))
+        assert substitute(f, {"?x": "?y"}) == And(
+            (Atom("R", ("?y", "?y")), Exists(("?y",), Eq("?y", "c0")))
+        )
 
 
 class TestNnfStep:
