@@ -128,10 +128,6 @@ class Filter:
     def members(self) -> frozenset:
         return frozenset(x for x in self.algebra.elements() if self.generator & ~x == 0)
 
-    @property
-    def is_ultra(self) -> bool:
-        return self.algebra.is_atom(self.generator)
-
 
 def ultrafilters(b: FiniteBooleanAlgebra) -> list:
     """One ultrafilter per atom: the principal filter above it."""

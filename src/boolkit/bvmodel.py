@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import syntax
 from .balg import Filter, FiniteBooleanAlgebra, quotient_algebra
-from .errors import BoolkitError, ResourceBudgetError
+from .errors import BoolkitError, ParseError, ResourceBudgetError
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature
 
 DEFAULT_EVAL_CAP = 10**6
@@ -44,12 +44,6 @@ class BValuedModel:
         report = validate_model(self)
         if not report.ok:
             raise BoolkitError(f"invalid B-valued model: {report.violations[0]}")
-
-    def eq_value(self, a, b) -> int:
-        return self.eq[(a, b)]
-
-    def rel_value(self, name, args) -> int:
-        return self.rel[name][tuple(args)]
 
 
 @dataclass(frozen=True)
@@ -108,8 +102,8 @@ def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValu
     modulo the positive equalities, each class named by its minimum, and
     each relation holding exactly on the classes of its positive atoms.
 
-    A negative literal that the classes make false raises; sentences other
-    than literals are ignored.
+    A negative literal that the classes make false raises, naming the least
+    such literal by rendering; sentences other than literals are ignored.
     """
     parent = {c: c for c in constants}
 
@@ -135,14 +129,18 @@ def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValu
     for f in literals:
         if isinstance(f, Atom):
             rel[f.rel][tuple(map(find, f.args))] = b.one
-    for f in literals:
-        if not isinstance(f, Not):
-            continue
-        g = f.body
-        if isinstance(g, Atom) and rel[g.rel][tuple(map(find, g.args))] == b.one:
+
+    def made_true(g):
+        if isinstance(g, Atom):
+            return rel[g.rel][tuple(map(find, g.args))] == b.one
+        return isinstance(g, Eq) and find(g.left) == find(g.right)
+
+    false = [f for f in literals if isinstance(f, Not) and made_true(f.body)]
+    if false:
+        f = min(false, key=syntax.render)
+        if isinstance(f.body, Atom):
             raise BoolkitError(f"relations ill-defined on classes: {syntax.render(f)}")
-        if isinstance(g, Eq) and find(g.left) == find(g.right):
-            raise BoolkitError(f"equality classes contradict {syntax.render(f)}")
+        raise BoolkitError(f"equality classes contradict {syntax.render(f)}")
     return BValuedModel(b, domain, eq, rel, {c: find(c) for c in constants})
 
 
@@ -460,7 +458,7 @@ def bits_from_string(s: str) -> int:
         if ch == "1":
             out |= 1 << i
         elif ch != "0":
-            raise BoolkitError(f"malformed bitstring {s!r}")
+            raise ParseError(f"malformed bitstring {s!r}", i)
     return out
 
 

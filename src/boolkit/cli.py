@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__, balg, bvmodel, compact, consprop, forcing, proofs, syntax
 from .errors import BoolkitError, ConstructionFailure, ParseError, ResourceBudgetError, SignatureError
@@ -29,140 +29,97 @@ class RunConfig:
     out: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget": {
-                "oracle_nodes": self.budget.oracle_nodes,
-                "max_subset": self.budget.max_subset,
-                "max_members": self.budget.max_members,
-                "eval_steps": self.budget.eval_steps,
-            },
-        }
+        return {"seed": self.seed, "budget": asdict(self.budget)}
 
 
 class UsageError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+# ---------------------------------------------------------------------------
+# payload shapes
+
+# One shape per payload kind.  A shape is a JSON leaf type (``str``, ``int``);
+# a one-element list, for a JSON list of that shape; a dict of named keys, for
+# an object (a key ending in "?" is optional); ``{str: shape}``, for an object
+# whose every value has that shape; or the name of another kind.
+_SHAPES = {
+    "signature": {"relations?": {str: int}, "base_constants?": [str], "fresh_constants?": [str]},
+    "theory": {"signature?": "signature", "sentences": [str]},
+    "consprop": {"signature": "signature", "members": [[str]]},
+    "model": {
+        "algebra": {"atoms": [str]},
+        "domain": [str],
+        "eq": [[str]],
+        "rel?": {str: {str: str}},
+        "consts?": {str: str},
+    },
+    "proof": {
+        "rule": str,
+        "conclusion?": {"left?": [str], "right?": [str]},
+        "data?": {"formula?": str, "pairs?": [[str]], "mapping?": {str: str}, "terms?": [str]},
+        "premises?": ["proof"],
+    },
+    "poset": {"signature": "signature", "phi": str, "conditions": [[str]]},
+    "dense": {"dense_sets": [[[str]]]},
+}
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _check(doc, shape, where: str) -> None:
+    """Raise UsageError naming the JSON path of the first place where ``doc``
+    departs from ``shape``."""
+    if isinstance(shape, str):
+        shape = _SHAPES[shape]
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if type(doc) is not kind:  # exact: JSON true is a bool, not an integer
+        raise UsageError(f"{where} must be {_JSON_TYPES[kind]}")
+    if kind is list:
+        for i, item in enumerate(doc):
+            _check(item, shape[0], f"{where}[{i}]")
+    elif kind is dict and str in shape:
+        for key, item in doc.items():
+            _check(item, shape[str], f"{where}.{key}")
+    elif kind is dict:
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in doc:
+                _check(doc[name], sub, f"{where}.{name}")
+            elif name == key:
+                raise UsageError(f"{where}.{name} is required")
+
+
+def _load(path: str, kind: str):
+    """Read a JSON payload of one of the ``_SHAPES`` kinds."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    _check(doc, kind, f"{path}: $")
+    return doc
 
 
 def _signature(args, payload: dict = None) -> Signature:
     if getattr(args, "sig", None):
-        return Signature.from_json(_load_json(args.sig))
+        return Signature.from_json(_load(args.sig, "signature"))
     if payload and "signature" in payload:
         return Signature.from_json(payload["signature"])
     raise UsageError("a signature is required (--sig or embedded in the payload)")
 
 
-def _theory_payload(args, key: str = "theory"):
-    path = getattr(args, key, None)
-    if not path:
-        raise UsageError(f"--{key} is required")
-    payload = _load_json(path)
-    sentences = payload.get("sentences") if isinstance(payload, dict) else None
-    if not isinstance(sentences, list):
-        raise UsageError(f"{path}: a \"sentences\" list is required")
+def _theory(path: str, args):
+    payload = _load(path, "theory")
     sig = _signature(args, payload)
-    return Theory([syntax.parse(text, sig) for text in sentences]), sig
-
-
-def _require(ok: bool, path: str, what: str) -> None:
-    """Reject a malformed payload at load time."""
-    if not ok:
-        raise UsageError(f"{path}: {what}")
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(text, str) for text in value)
-
-
-def _string_lists(value) -> bool:
-    return isinstance(value, list) and all(_strings(item) for item in value)
-
-
-def _consprop_payload(args) -> consprop.ConsistencyProperty:
-    payload = _load_json(args.consprop)
-    members = payload.get("members") if isinstance(payload, dict) else None
-    _require(
-        _string_lists(members), args.consprop, '"members" must be a list of lists of sentences'
-    )
-    _require("signature" in payload, args.consprop, 'a "signature" is required')
-    return consprop.ConsistencyProperty.from_json(payload)
+    return Theory([syntax.parse(text, sig) for text in payload["sentences"]]), sig
 
 
 def _model(args, check: bool = True) -> bvmodel.BValuedModel:
-    if not getattr(args, "model", None):
-        raise UsageError("--model is required")
-    doc = _load_json(args.model)
-    _require(isinstance(doc, dict), args.model, "a model is a JSON object")
-    algebra = doc.get("algebra")
-    _require(
-        isinstance(algebra, dict) and isinstance(algebra.get("atoms"), list),
-        args.model,
-        '"algebra" must be an object with an "atoms" list',
-    )
-    domain = doc.get("domain")
-    _require(_strings(domain), args.model, '"domain" must be a list of element names')
-    eq = doc.get("eq")
-    _require(
-        _string_lists(eq) and len(eq) == len(domain) and all(len(row) == len(domain) for row in eq),
-        args.model,
-        '"eq" must be a square matrix of bit strings over the domain',
-    )
-    rel = doc.get("rel", {})
-    _require(
-        isinstance(rel, dict)
-        and all(
-            isinstance(table, dict) and all(isinstance(bits, str) for bits in table.values())
-            for table in rel.values()
-        ),
-        args.model,
-        '"rel" must map relation names to tables of bit strings',
-    )
-    consts = doc.get("consts", {})
-    _require(
-        isinstance(consts, dict) and all(isinstance(elem, str) for elem in consts.values()),
-        args.model,
-        '"consts" must map constant names to elements',
-    )
+    doc = _load(args.model, "model")
+    n = len(doc["domain"])
+    if not n or len(doc["eq"]) != n or any(len(row) != n for row in doc["eq"]):
+        raise UsageError(f'{args.model}: "eq" must be a square matrix over a nonempty domain')
     return bvmodel.model_from_json(doc, check)
-
-
-def _check_proof_payload(doc, path: str) -> None:
-    _require(
-        isinstance(doc, dict) and isinstance(doc.get("rule"), str),
-        path,
-        'every proof node is an object with a "rule" name',
-    )
-    conclusion = doc.get("conclusion", {})
-    _require(
-        isinstance(conclusion, dict)
-        and _strings(conclusion.get("left", []))
-        and _strings(conclusion.get("right", [])),
-        path,
-        '"conclusion" must hold "left" and "right" lists of sentences',
-    )
-    data = doc.get("data", {})
-    _require(
-        isinstance(data, dict)
-        and isinstance(data.get("formula", ""), str)
-        and _string_lists(data.get("pairs", []))
-        and isinstance(data.get("mapping", {}), dict)
-        and _strings(data.get("terms", [])),
-        path,
-        '"data" must be an object: "formula" a sentence, "pairs" a list of lists of '
-        'terms, "mapping" an object, "terms" a list of terms',
-    )
-    premises = doc.get("premises", [])
-    _require(isinstance(premises, list), path, '"premises" must be a list of proof nodes')
-    for premise in premises:
-        _check_proof_payload(premise, path)
 
 
 def _report(args, config: RunConfig, body: dict, code: int) -> int:
@@ -209,7 +166,10 @@ def _cmd_eval(args, config):
     m = _model(args)
     sig = _signature(args) if args.sig else _model_signature(m)
     f = syntax.parse(args.formula, sig)
-    assignment = json.loads(args.assignment) if args.assignment else None
+    assignment = json.loads(args.assignment) if args.assignment else {}
+    _check(assignment, {str: str}, "--assignment")
+    if not set(assignment.values()) <= set(m.domain):
+        raise UsageError("--assignment must map variables to domain elements")
     value = bvmodel.eval_formula(m, f, assignment, max_steps=config.budget.eval_steps)
     body = {
         "value": bvmodel.bits_to_string(value, m.algebra.atom_count),
@@ -235,10 +195,15 @@ def _cmd_validate_model(args, config):
 def _cmd_quotient(args, config):
     m = _model(args)
     if args.filter_generator:
-        gen = bvmodel.bits_from_string(args.filter_generator)
-        filt = balg.Filter(m.algebra, gen)
+        try:
+            filt = balg.Filter(m.algebra, bvmodel.bits_from_string(args.filter_generator))
+        except BoolkitError as exc:
+            raise UsageError(f"--filter-generator: {exc}") from exc
     else:
-        filt = balg.ultrafilters(m.algebra)[args.ultrafilter]
+        ultrafilters = balg.ultrafilters(m.algebra)
+        if not 0 <= args.ultrafilter < len(ultrafilters):
+            raise UsageError(f"--ultrafilter must lie in 0..{len(ultrafilters) - 1}")
+        filt = ultrafilters[args.ultrafilter]
     q = bvmodel.quotient_model(m, filt)
     body = {"model": bvmodel.model_to_json(q)}
     if args.dump_algebra:
@@ -303,9 +268,7 @@ def _cmd_qe(args, config):
 
 def _cmd_proof_check(args, config):
     sig = _signature(args)
-    doc = _load_json(args.proof)
-    _check_proof_payload(doc, args.proof)
-    tree = proofs.proof_from_json(doc, sig)
+    tree = proofs.proof_from_json(_load(args.proof, "proof"), sig)
     verdict = proofs.check_proof(tree)
     body = {"ok": verdict.ok, "path": list(verdict.path), "reason": verdict.reason}
     if verdict.ok and args.probe_trials:
@@ -319,7 +282,7 @@ def _cmd_proof_check(args, config):
 
 
 def _cmd_consprop_verify(args, config):
-    prop = _consprop_payload(args)
+    prop = consprop.ConsistencyProperty.from_json(_load(args.consprop, "consprop"))
     verdict = consprop.verify_consistency_property(prop)
     body = {"ok": verdict.ok}
     if not verdict.ok:
@@ -330,7 +293,7 @@ def _cmd_consprop_verify(args, config):
 
 
 def _cmd_consprop_model(args, config):
-    prop = _consprop_payload(args)
+    prop = consprop.ConsistencyProperty.from_json(_load(args.consprop, "consprop"))
     if args.mixing:
         model, diagnostics = consprop.mixing_model_from_consprop(prop, config.budget)
     else:
@@ -342,7 +305,7 @@ def _cmd_consprop_model(args, config):
 
 
 def _cmd_oracle(args, config):
-    theory, sig = _theory_payload(args)
+    theory, sig = _theory(args.theory, args)
     verdict = compact.consistency_oracle(theory, sig, config.budget, require_qe=args.require_qe)
     return _report(args, config, _oracle_body(verdict), _status_code(verdict.status))
 
@@ -366,7 +329,7 @@ def _cmd_conservative(args, config):
 
 
 def _cmd_fincons(args, config):
-    family, sig = _theory_payload(args, key="family")
+    family, sig = _theory(args.family, args)
     verdict = compact.is_finitely_conservative(list(family), sig, config.budget)
     body = {"ok": verdict.ok, "reason": verdict.reason, "bounded": verdict.bounded}
     if verdict.member is not None:
@@ -383,7 +346,7 @@ def _cmd_fincons(args, config):
 
 
 def _cmd_compact(args, config):
-    family, sig = _theory_payload(args, key="family")
+    family, sig = _theory(args.family, args)
     result = compact.compactness_run(list(family), sig, config.budget)
     body = {
         "model": bvmodel.model_to_json(result.model),
@@ -404,7 +367,7 @@ def _cmd_compact(args, config):
 
 
 def _cmd_star(args, config):
-    theory, sig = _theory_payload(args)
+    theory, sig = _theory(args.theory, args)
     m = _model(args)
     stars = compact.star_theory(m, list(theory), sig)
     family = compact.conjunction_closure(stars)
@@ -419,13 +382,15 @@ def _cmd_star(args, config):
 
 
 def _cmd_focompact(args, config):
-    theory, sig = _theory_payload(args)
+    theory, sig = _theory(args.theory, args)
     model = compact.first_order_compactness_demo(theory, sig, config.budget)
     body = {"model": bvmodel.model_to_json(model)}
     return _report(args, config, body, EXIT_OK)
 
 
 def _cmd_faicom(args, config):
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     theory = compact.faicom_family(args.n)
     sig = compact.faicom_signature(args.n, fresh=args.fresh)
     body = {
@@ -438,16 +403,7 @@ def _cmd_faicom(args, config):
 
 
 def _poset(args, config) -> forcing.SPhiPoset:
-    doc = _load_json(args.poset)
-    _require(
-        isinstance(doc, dict) and "signature" in doc, args.poset, 'a "signature" is required'
-    )
-    _require(isinstance(doc.get("phi"), str), args.poset, '"phi" must be a sentence')
-    _require(
-        _string_lists(doc.get("conditions")),
-        args.poset,
-        '"conditions" must be a list of lists of sentences',
-    )
+    doc = _load(args.poset, "poset")
     sig = Signature.from_json(doc["signature"])
     phi = syntax.canon(syntax.parse(doc["phi"], sig))
     conditions = [
@@ -468,19 +424,10 @@ def _poset(args, config) -> forcing.SPhiPoset:
 def _dense_sets(args, p: forcing.SPhiPoset) -> list:
     if not args.dense:
         return []
-    doc = _load_json(args.dense)
-    dense_sets = doc.get("dense_sets") if isinstance(doc, dict) else None
-    _require(
-        isinstance(dense_sets, list) and all(_string_lists(entry) for entry in dense_sets),
-        args.dense,
-        '"dense_sets" must be a list of lists of conditions (lists of sentences)',
-    )
-    out = []
-    for entry in dense_sets:
-        out.append(
-            [frozenset(syntax.parse(text, p.sig) for text in member) for member in entry]
-        )
-    return out
+    return [
+        [frozenset(syntax.parse(text, p.sig) for text in member) for member in entry]
+        for entry in _load(args.dense, "dense")["dense_sets"]
+    ]
 
 
 def _cmd_forcing(args, config):
@@ -534,10 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget-oracle-nodes", type=int, default=200_000)
-    common.add_argument("--budget-max-subset", type=int, default=None)
-    common.add_argument("--budget-max-members", type=int, default=20_000)
-    common.add_argument("--budget-eval-steps", type=int, default=10**6)
+    for field in fields(compact.Budget):
+        flag = "--budget-" + field.name.replace("_", "-")
+        common.add_argument(flag, type=int, default=field.default)
     common.add_argument("--out", default="")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -670,22 +616,23 @@ _HANDLERS = {
 }
 
 
+def _budget(args) -> compact.Budget:
+    values = {f.name: getattr(args, "budget_" + f.name) for f in fields(compact.Budget)}
+    try:
+        return compact.Budget(**values)
+    except BoolkitError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    budget = compact.Budget(
-        oracle_nodes=args.budget_oracle_nodes,
-        max_subset=args.budget_max_subset,
-        max_members=args.budget_max_members,
-        eval_steps=args.budget_eval_steps,
-    )
-    config = RunConfig(seed=args.seed, budget=budget, out=args.out)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args, config)
+        config = RunConfig(seed=args.seed, budget=_budget(args), out=args.out)
+        return _HANDLERS[args.command](args, config)
     except (UsageError, ParseError, SignatureError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_USAGE

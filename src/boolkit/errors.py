@@ -6,7 +6,7 @@ class BoolkitError(Exception):
 
 
 class ParseError(BoolkitError):
-    """Malformed S-expression input; carries a character position."""
+    """Malformed S-expression or bit-string input; carries a character position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

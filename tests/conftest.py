@@ -228,27 +228,43 @@ def _naive_clause_obligations(s, sig):
         yield ("Str.3", f"fresh name for {d}", options)
 
 
-def naive_verify(prop):
+def _naive_canon_set(sentences):
+    out = {syntax.canon(f) for f in sentences}
+    return frozenset(f for f in out if not (isinstance(f, Eq) and f.left == f.right))
+
+
+def _naive_member(s, sig):
+    """One member's sort key, its Con violation (the rendered atom, or None)
+    and its obligations as (clause, need, extensions), every extension
+    re-canonicalized as a whole.  None depends on the other members."""
+    con = next(
+        (syntax.render(f.body) for f in sorted(s, key=syntax.render)
+         if isinstance(f, Not) and f.body in s),
+        None,
+    )
+    obligations = [
+        (clause, need, [_naive_canon_set(set(s) | {candidate}) for candidate in options])
+        for clause, need, options in _naive_clause_obligations(s, sig)
+    ]
+    return (len(s), sorted(map(syntax.render, s))), con, obligations
+
+
+def naive_verify(prop, memo=None):
     """(ok, clause, member, detail) of the first violation, members in
-    (size, sorted renderings) order; every extension is re-canonicalized
-    as a whole."""
-
-    def canon_set(sentences):
-        out = {syntax.canon(f) for f in sentences}
-        return frozenset(f for f in out if not (isinstance(f, Eq) and f.left == f.right))
-
+    (size, sorted renderings) order.  ``memo``, a dict shared by calls over
+    one signature, keeps each member's Con check and obligations."""
+    memo = {} if memo is None else memo
     members = prop.members
-    ordered = sorted(members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
+    for s in members:
+        if s not in memo:
+            memo[s] = _naive_member(s, prop.sig)
+    ordered = sorted(members, key=lambda s: memo[s][0])
     for s in ordered:
-        for f in sorted(s, key=syntax.render):
-            if isinstance(f, Not) and f.body in s:
-                return (False, "Con", s, syntax.render(f.body))
+        if memo[s][1] is not None:
+            return (False, "Con", s, memo[s][1])
     for s in ordered:
-        for clause, need, options in _naive_clause_obligations(s, prop.sig):
-            if not any(
-                (ext := canon_set(set(s) | {candidate})) == s or ext in members
-                for candidate in options
-            ):
+        for clause, need, extensions in memo[s][2]:
+            if not any(ext == s or ext in members for ext in extensions):
                 return (False, clause, s, need)
     return (True, "", None, "")
 

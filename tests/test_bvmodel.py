@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -311,3 +315,29 @@ class TestInterchange:
         for a in m.domain:
             for b in m.domain:
                 assert m2.eq[(str(a), str(b))] == m.eq[(a, b)]
+
+
+class TestTwoValuedModel:
+    def test_names_the_least_ill_defined_literal_under_every_hash_seed(self):
+        # two negative literals are made false; frozenset order varies with
+        # the hash seed, the least rendering does not
+        script = (
+            "from boolkit import bvmodel, syntax\n"
+            "sig = syntax.Signature(relations={'P': 1, 'Q': 1}, base_constants={'a', 'b'})\n"
+            "texts = ['(= a b)', '(P a)', '(not (P b))', '(Q a)', '(not (Q b))']\n"
+            "literals = frozenset(syntax.parse(t, sig) for t in texts)\n"
+            "try:\n"
+            "    bvmodel.two_valued_model(sorted(sig.constants), sig.relations, literals)\n"
+            "except bvmodel.BoolkitError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(bvmodel.__file__).resolve().parents[1])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            )
+            for seed in "0123"
+        ]
+        outputs = {run.communicate(timeout=60)[0] for run in runs}
+        assert outputs == {"relations ill-defined on classes: (not (P b))\n"}

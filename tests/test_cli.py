@@ -273,6 +273,44 @@ class TestUsageBoundary:
             capsys, ["oracle", "--sig", workdir / "sig.json", "--theory", workdir / "t.json"]
         )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("relations", [1]),
+            ("relations", {"R": True}),
+            ("base_constants", [1, 2]),
+            ("base_constants", "abc"),
+            ("fresh_constants", 5),
+        ],
+    )
+    def test_malformed_signature(self, workdir, capsys, key, value):
+        sig = {"relations": {"R": 1}, "base_constants": ["a", "b"], key: value}
+        (workdir / "bad_sig.json").write_text(json.dumps(sig))
+        (workdir / "t.json").write_text(json.dumps({"signature": sig, "sentences": ["(R a)"]}))
+        self._usage_error(capsys, ["oracle", "--theory", workdir / "t.json"])
+        self._usage_error(capsys, ["parse", "--sig", workdir / "bad_sig.json", "--formula", "(R a)"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["faicom", "--n", 2, "--budget-oracle-nodes", 0],
+            ["faicom", "--n", 0],
+            ["quotient", "--ultrafilter", 99],
+            ["quotient", "--ultrafilter", -1],
+            ["quotient", "--filter-generator", 2],
+            ["quotient", "--filter-generator", 0],
+            ["eval", "--formula", "(= ?x a)", "--assignment", "[1]"],
+            ["eval", "--formula", "(= ?x a)", "--assignment", '{"?x": "zz"}'],
+        ],
+        ids=lambda args: " ".join(map(str, args)),
+    )
+    def test_malformed_arguments(self, workdir, capsys, args):
+        model = {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]], "consts": {"a": "a"}}
+        (workdir / "m.json").write_text(json.dumps(model))
+        if args[0] != "faicom":
+            args = args + ["--model", workdir / "m.json"]
+        self._usage_error(capsys, args)
+
     @pytest.mark.parametrize("signature", [3, ["a"]])
     def test_signature_that_is_not_an_object(self, workdir, capsys, signature):
         (workdir / "t.json").write_text(json.dumps({"signature": signature, "sentences": []}))
@@ -303,6 +341,8 @@ class TestUsageBoundary:
             {"algebra": {"atoms": ["a0"]}, "domain": ["a", "b"], "eq": [["1", "0"]]},
             {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]], "rel": {"R": 3}},
             {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]], "consts": {"c": 0}},
+            {"algebra": {"atoms": ["a0"]}, "domain": [], "eq": []},
+            {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["2"]]},
         ],
     )
     def test_malformed_model(self, workdir, capsys, model):
@@ -377,19 +417,20 @@ class TestProofCheck:
         )
 
 
+def _hash_seed_env(seed):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+
+
 def _under_hash_seeds(args, seeds=("0", "2", "5")):
     """Run the CLI once per PYTHONHASHSEED; return the completed processes."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = []
-    for seed in seeds:
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        done.append(
-            subprocess.run(
-                [sys.executable, "-m", "boolkit.cli", *map(str, args)],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+    return [
+        subprocess.run(
+            [sys.executable, "-m", "boolkit.cli", *map(str, args)],
+            capture_output=True, text=True, env=_hash_seed_env(seed), timeout=120,
         )
-    return done
+        for seed in seeds
+    ]
 
 
 class TestDeterminism:
@@ -433,3 +474,17 @@ class TestDeterminism:
         outputs = [done.stdout for done in runs]
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["clause"] == "Str.1"
+
+    def test_golden_reports_do_not_depend_on_the_hash_seed(self):
+        golden = Path(__file__).with_name("test_golden_reports.py")
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(golden)],
+                cwd=golden.parents[1], env=_hash_seed_env(seed),
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            for seed in ("0", "7")
+        ]
+        for run in runs:
+            output, _ = run.communicate(timeout=120)
+            assert run.returncode == 0, output

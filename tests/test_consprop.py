@@ -93,11 +93,12 @@ class TestVerify:
         for sig, theory in _model_existence_instances():
             prop = saturate_theory(theory, sig)
             members = consprop.ordered_members(prop.members)
+            memo = {}
             for i in range(len(members)):
                 smaller = ConsistencyProperty(sig, members[:i] + members[i + 1 :])
                 verdict = verify_consistency_property(smaller)
                 got = (verdict.ok, verdict.clause, verdict.member, verdict.detail)
-                assert got == naive_verify(smaller)
+                assert got == naive_verify(smaller, memo)
 
 
 class TestSaturate:
