@@ -119,7 +119,10 @@ def _model(args, check: bool = True) -> bvmodel.BValuedModel:
     n = len(doc["domain"])
     if not n or len(doc["eq"]) != n or any(len(row) != n for row in doc["eq"]):
         raise UsageError(f'{args.model}: "eq" must be a square matrix over a nonempty domain')
-    return bvmodel.model_from_json(doc, check)
+    try:
+        return bvmodel.model_from_json(doc, check)
+    except BoolkitError as exc:
+        raise UsageError(f"{args.model}: {exc}") from exc
 
 
 def _report(args, config: RunConfig, body: dict, code: int) -> int:
@@ -127,8 +130,11 @@ def _report(args, config: RunConfig, body: dict, code: int) -> int:
     doc.update(body)
     text = json.dumps(doc, indent=2, sort_keys=True)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {config.out}: {exc}") from exc
     else:
         print(text)
     return code
@@ -170,6 +176,12 @@ def _cmd_eval(args, config):
     _check(assignment, {str: str}, "--assignment")
     if not set(assignment.values()) <= set(m.domain):
         raise UsageError("--assignment must map variables to domain elements")
+    unbound = syntax.free_vars(f) - set(assignment)
+    if unbound:
+        raise UsageError(f"--assignment must bind the free variables {' '.join(sorted(unbound))}")
+    uninterpreted = syntax.constants_of(f) - set(m.consts)
+    if uninterpreted:
+        raise UsageError(f"the model interprets no constant {' '.join(sorted(uninterpreted))}")
     value = bvmodel.eval_formula(m, f, assignment, max_steps=config.budget.eval_steps)
     body = {
         "value": bvmodel.bits_to_string(value, m.algebra.atom_count),
@@ -224,6 +236,8 @@ def _cmd_mixing(args, config):
         completed = bvmodel.mixing_completion(m)
         body = {"model": bvmodel.model_to_json(completed)}
         return _report(args, config, body, EXIT_OK)
+    if args.lam is not None and args.lam < 1:
+        raise UsageError("--lam must be at least 1")
     lam = args.lam if args.lam else m.algebra.atom_count
     verdict = bvmodel.check_mixing(m, lam)
     body = {"ok": verdict.ok, "lam": lam}
@@ -391,6 +405,8 @@ def _cmd_focompact(args, config):
 def _cmd_faicom(args, config):
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if args.fresh < 0:
+        raise UsageError("--fresh must be at least 0")
     theory = compact.faicom_family(args.n)
     sig = compact.faicom_signature(args.n, fresh=args.fresh)
     body = {
@@ -411,9 +427,9 @@ def _poset(args, config) -> forcing.SPhiPoset:
         for member in doc["conditions"]
     ]
     # replay the consistency filter on load
+    session = compact.OracleSession(config.budget)
     for s in conditions:
-        verdict = compact.consistency_oracle(list(s) + [phi], sig, config.budget)
-        if verdict.status != compact.CONSISTENT:
+        if session.status(list(s) + [phi], sig) != compact.CONSISTENT:
             raise UsageError(
                 "loaded condition is not consistent with the target sentence: "
                 + ", ".join(sorted(syntax.render(f) for f in s))
@@ -432,6 +448,8 @@ def _dense_sets(args, p: forcing.SPhiPoset) -> list:
 
 def _cmd_forcing(args, config):
     if args.forcing_command == "build":
+        if args.size_bound < 0:
+            raise UsageError("--size-bound must be at least 0")
         sig = _signature(args)
         phi = syntax.parse(args.formula, sig)
         p = forcing.build_sphi(phi, sig, args.size_bound, config.budget)

@@ -61,33 +61,6 @@ def _sentences(theory) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ground reduction
-
-
-def prepare_ground(theory, sig: Signature, require_qe: bool = False) -> tuple:
-    """Reduce a theory to ground sentences.
-
-    Returns (sentences, qe_applied).  Quantified sentences are replaced by
-    their fresh-constant transforms; whenever any transform happens (or the
-    caller demands it) the naming constraints "every base constant equals
-    some fresh constant" are appended, which makes the reduction exact for
-    witnesses generated by the constants.
-    """
-    sentences = [syntax.canon(f) for f in _sentences(theory)]
-    quantified = any(not syntax.is_quantifier_free(f) for f in sentences)
-    if not quantified and not require_qe:
-        return sentences, False
-    if quantified and not sig.fresh_constants:
-        raise BoolkitError("quantified input needs a nonempty fresh-constant pool")
-    out = [syntax.canon(syntax.qe_transform(f, sig)) for f in sentences]
-    fresh = sorted(sig.fresh_constants)
-    if fresh:
-        for d in sorted(sig.base_constants):
-            out.append(syntax.canon(Or(tuple(Eq(c, d) for c in fresh))))
-    return out, True
-
-
-# ---------------------------------------------------------------------------
 # backtracking search with congruence closure
 
 
@@ -365,7 +338,8 @@ def _atom(key) -> Formula:
     return Eq(key[1], key[2]) if key[0] == "eq" else Atom(key[1], key[2])
 
 
-_oracle_cache: dict = {}
+# ---------------------------------------------------------------------------
+# ground reduction and the oracle session
 
 
 def _sig_key(sig: Signature):
@@ -374,6 +348,180 @@ def _sig_key(sig: Signature):
         tuple(sorted(sig.base_constants)),
         tuple(sorted(sig.fresh_constants)),
     )
+
+
+class _Ground:
+    """The oracle's view of one signature: the search's constants, each
+    sentence's prepared forms, and the session caches of sentence sets."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.constants = sorted(sig.constants) or ["_unit"]
+        # id(sentence) -> [sentence, canonical, quantifier free, ground or None];
+        # keyed by identity, as a run passes the same objects again and again
+        self.prepared = {}
+        self.naming = None
+        self.verdicts = {}  # ordered ground tuple -> OracleVerdict
+        self.statuses = {}  # ground set -> status
+        self.witnesses = {}  # ground set -> two-valued model of it
+
+    def prepare(self, theory, require_qe: bool) -> tuple:
+        """The theory's ground sentences as a tuple, and whether the
+        fresh-constant reduction applied (see ``prepare_ground``)."""
+        sig = self.sig
+        entries = []
+        for f in _sentences(theory):
+            entry = self.prepared.get(id(f))
+            if entry is None or entry[0] is not f:
+                c = syntax.canon(f)
+                entry = self.prepared[id(f)] = [f, c, syntax.is_quantifier_free(c), None]
+            entries.append(entry)
+        quantified = not all(entry[2] for entry in entries)
+        if not quantified and not require_qe:
+            return tuple(entry[1] for entry in entries), False
+        if quantified and not sig.fresh_constants:
+            raise BoolkitError("quantified input needs a nonempty fresh-constant pool")
+        for entry in entries:
+            if entry[3] is None:
+                entry[3] = syntax.canon(syntax.qe_transform(entry[1], sig))
+        if self.naming is None:
+            fresh = sorted(sig.fresh_constants)
+            self.naming = tuple(
+                syntax.canon(Or(tuple(Eq(c, d) for c in fresh)))
+                for d in (sorted(sig.base_constants) if fresh else ())
+            )
+        return tuple(entry[3] for entry in entries) + self.naming, True
+
+
+def prepare_ground(theory, sig: Signature, require_qe: bool = False) -> tuple:
+    """Reduce a theory to ground sentences.
+
+    Returns (sentences, qe_applied).  Quantified sentences are replaced by
+    their fresh-constant transforms; whenever any transform happens (or the
+    caller demands it) the naming constraints "every base constant equals
+    some fresh constant" are appended, which makes the reduction exact for
+    witnesses generated by the constants.
+    """
+    sentences, qe_applied = _Ground(sig).prepare(theory, require_qe)
+    return list(sentences), qe_applied
+
+
+class OracleSession:
+    """The oracle queries of one top-level run, under one budget.
+
+    A run asks about many overlapping sentence sets, mostly for their status
+    alone.  The session memoizes each sentence's prepared forms per
+    signature and answers two queries:
+
+    - ``verdict`` returns the search's full OracleVerdict, cached under the
+      ordered sentence tuple, so a certificate always indexes its own input;
+    - ``status`` returns the status alone, cached under the sentence set.
+      Before searching it looks for the witness of the same set with one
+      sentence removed; when that sentence holds there, the witness is a
+      Tarski model of the whole set (model rotation).
+
+    Every searched Consistent result is built into a two-valued witness,
+    validated, and checked against each sentence; it then serves later
+    status queries.  So a witness can decide a set that a search under the
+    session's node cap would leave Unknown.
+
+    Functions that take both a budget and a session query the oracle under
+    the session's budget.  The counters are plain integers: ``calls``,
+    ``status_hits``, ``verdict_hits``, ``hint_hits``, ``searches`` and the
+    ``nodes`` those searches visited.
+    """
+
+    def __init__(self, budget: Budget = DEFAULT_BUDGET):
+        self.budget = budget
+        self.calls = self.status_hits = self.verdict_hits = 0
+        self.hint_hits = self.searches = self.nodes = 0
+        self._grounds = {}  # _sig_key(sig) -> _Ground
+
+    def counters(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in ("calls", "status_hits", "verdict_hits", "hint_hits", "searches", "nodes")
+        }
+
+    def _ground(self, sig: Signature) -> _Ground:
+        key = _sig_key(sig)
+        ground = self._grounds.get(key)
+        if ground is None:
+            ground = self._grounds[key] = _Ground(sig)
+        return ground
+
+    def verdict(self, theory, sig: Signature, require_qe: bool = False) -> OracleVerdict:
+        """The full verdict of a search on the theory, sentences in order."""
+        self.calls += 1
+        ground = self._ground(sig)
+        sentences, _ = ground.prepare(theory, require_qe)
+        verdict = ground.verdicts.get(sentences)
+        if verdict is not None:
+            self.verdict_hits += 1
+            return verdict
+        verdict = ground.verdicts[sentences] = self._search(ground, sentences, keep=True)
+        return verdict
+
+    def status(self, theory, sig: Signature, require_qe: bool = False) -> str:
+        """The status of the theory's sentence set."""
+        self.calls += 1
+        ground = self._ground(sig)
+        sentences, _ = ground.prepare(theory, require_qe)
+        key = frozenset(sentences)
+        status = ground.statuses.get(key)
+        if status is not None:
+            self.status_hits += 1
+            return status
+        # callers extend a set at its end, so the newest sentences come last
+        for f in reversed(sentences):
+            witness = ground.witnesses.get(key - {f})
+            if witness is not None and bvmodel.holds(witness, f):
+                self.hint_hits += 1
+                ground.statuses[key] = CONSISTENT
+                ground.witnesses[key] = witness
+                return CONSISTENT
+        return self._search(ground, sentences, keep=True).status
+
+    def witness(self, theory, sig: Signature, require_qe: bool = False):
+        """The two-valued model that made the theory's set Consistent in
+        this session, or None."""
+        ground = self._ground(sig)
+        sentences, _ = ground.prepare(theory, require_qe)
+        return ground.witnesses.get(frozenset(sentences))
+
+    def _search(self, ground: _Ground, sentences: tuple, keep: bool = False) -> OracleVerdict:
+        """Search; with ``keep``, record the set's status and witness."""
+        self.searches += 1
+        solver = _GroundSolver(ground.constants, self.budget.oracle_nodes)
+        try:
+            assignment, certificate = solver.search(list(enumerate(sentences)))
+        except _BudgetExhausted:
+            verdict = OracleVerdict(UNKNOWN, budget_used=solver.nodes)
+        else:
+            if assignment is not None:
+                # the model is read off the true atoms; the path has no
+                # conflict, so its false atoms are false there, and every
+                # sentence is checked below
+                witness = bvmodel.two_valued_model(
+                    ground.constants,
+                    ground.sig.relations,
+                    [_atom(key) for key, value in assignment.items() if value],
+                )
+                for f in sentences:
+                    if not bvmodel.holds(witness, f):
+                        raise BoolkitError(f"oracle witness fails sentence {syntax.render(f)}")
+                verdict = OracleVerdict(CONSISTENT, witness=witness, budget_used=solver.nodes)
+            else:
+                verdict = OracleVerdict(
+                    INCONSISTENT, certificate=certificate, budget_used=solver.nodes
+                )
+        self.nodes += solver.nodes
+        if keep:
+            key = frozenset(sentences)
+            ground.statuses.setdefault(key, verdict.status)
+            if verdict.witness is not None:
+                ground.witnesses.setdefault(key, verdict.witness)
+        return verdict
 
 
 def consistency_oracle(
@@ -390,45 +538,13 @@ def consistency_oracle(
     on which every sentence evaluates to 1; an Inconsistent verdict carries
     a replayable refutation trace; Unknown arises only from budget
     exhaustion.
+
+    One search on a fresh session, with nothing kept; a run that asks many
+    questions shares one ``OracleSession`` instead.
     """
-    sentences, _ = prepare_ground(theory, sig, require_qe=require_qe)
-    cache_key = (frozenset(syntax.render(f) for f in sentences), _sig_key(sig))
-    cached = _oracle_cache.get(cache_key)
-    # answer from the cache only what a fresh search under this node cap
-    # would return: a decided search stays within the cap; an exhausted one
-    # overran any cap below the node it stopped at, one node past that cap
-    if cached is not None:
-        if cached.status != UNKNOWN and cached.budget_used <= budget.oracle_nodes:
-            return cached
-        if cached.status == UNKNOWN and budget.oracle_nodes < cached.budget_used:
-            return OracleVerdict(UNKNOWN, budget_used=budget.oracle_nodes + 1)
-    constants = sorted(sig.constants)
-    if not constants:
-        constants = ["_unit"]
-    solver = _GroundSolver(constants, budget.oracle_nodes)
-    try:
-        assignment, certificate = solver.search(list(enumerate(sentences)))
-    except _BudgetExhausted:
-        verdict = OracleVerdict(UNKNOWN, budget_used=solver.nodes)
-        if cached is None or cached.status == UNKNOWN:
-            _oracle_cache[cache_key] = verdict
-        return verdict
-    if assignment is not None:
-        # the model is read off the true atoms; the path has no conflict, so
-        # its false atoms are false there, and every sentence is checked below
-        witness = bvmodel.two_valued_model(
-            constants, sig.relations, [_atom(key) for key, value in assignment.items() if value]
-        )
-        for f in sentences:
-            if not bvmodel.holds(witness, f):
-                raise BoolkitError(f"oracle witness fails sentence {syntax.render(f)}")
-        verdict = OracleVerdict(CONSISTENT, witness=witness, budget_used=solver.nodes)
-    else:
-        verdict = OracleVerdict(INCONSISTENT, certificate=certificate, budget_used=solver.nodes)
-    if len(_oracle_cache) > 200_000:
-        _oracle_cache.clear()
-    _oracle_cache[cache_key] = verdict
-    return verdict
+    ground = _Ground(sig)
+    sentences, _ = ground.prepare(theory, require_qe)
+    return OracleSession(budget)._search(ground, sentences)
 
 
 def replay_certificate(certificate: dict, theory, sig: Signature, require_qe: bool = False) -> bool:
@@ -481,6 +597,7 @@ def is_conservative_strengthening(
     psi0: Formula,
     sig: Signature,
     budget: Budget = DEFAULT_BUDGET,
+    session: Optional[OracleSession] = None,
 ) -> ConservativityReport:
     """psi1 must entail psi0, and no finite set of psi0-subsentences may be
     consistent with one of the two but not the other.
@@ -490,10 +607,11 @@ def is_conservative_strengthening(
     """
     if syntax.canon(psi1) == syntax.canon(psi0):
         return ConservativityReport(True, True, 0)
-    entail = consistency_oracle([psi1, Not(psi0)], sig, budget)
-    if entail.status == UNKNOWN:
+    session = OracleSession(budget) if session is None else session
+    entail = session.status([psi1, Not(psi0)], sig)
+    if entail == UNKNOWN:
         return ConservativityReport(False, False, 0, unknown=True)
-    entailment_ok = entail.status == INCONSISTENT
+    entailment_ok = entail == INCONSISTENT
     if not entailment_ok:
         return ConservativityReport(False, False, 0)
     subs = sorted(syntax.subsentences(psi0, sig), key=syntax.render)
@@ -503,11 +621,11 @@ def is_conservative_strengthening(
     for size in range(0, max_size + 1):
         for combo in itertools.combinations(subs, size):
             checked += 1
-            v0 = consistency_oracle([psi0, *combo], sig, budget)
-            v1 = consistency_oracle([psi1, *combo], sig, budget)
-            if UNKNOWN in (v0.status, v1.status):
+            v0 = session.status([psi0, *combo], sig)
+            v1 = session.status([psi1, *combo], sig)
+            if UNKNOWN in (v0, v1):
                 return ConservativityReport(False, True, checked, unknown=True)
-            if v0.status != v1.status:
+            if v0 != v1:
                 return ConservativityReport(
                     False, True, checked, violating_subset=frozenset(combo), bounded=bounded
                 )
@@ -558,6 +676,7 @@ def is_finitely_conservative(
     family: Iterable[Formula],
     sig: Signature,
     budget: Budget = DEFAULT_BUDGET,
+    session: Optional[OracleSession] = None,
 ) -> FiniteConservativityVerdict:
     """Check the three requirements: a consistent member, closure under
     finite conjunctions (membership up to flattening and conjunct order),
@@ -566,13 +685,14 @@ def is_finitely_conservative(
     if not members:
         return FiniteConservativityVerdict(False, "empty family")
     keys = {syntax.conjunction_key(f): f for f in members}
+    session = OracleSession(budget) if session is None else session
 
     some_consistent = False
     for f in members:
-        v = consistency_oracle([f], sig, budget)
-        if v.status == UNKNOWN:
+        status = session.status([f], sig)
+        if status == UNKNOWN:
             return FiniteConservativityVerdict(False, "oracle unknown", member=f, unknown=True)
-        if v.status == CONSISTENT:
+        if status == CONSISTENT:
             some_consistent = True
             break
     if not some_consistent:
@@ -593,7 +713,7 @@ def is_finitely_conservative(
             if psi is g and len(members) > 1:
                 continue
             if syntax.conjunction_key(psi) <= gkey:
-                report = is_conservative_strengthening(g, psi, sig, budget)
+                report = is_conservative_strengthening(g, psi, sig, budget, session)
                 bounded = bounded or report.bounded
                 if report.unknown:
                     return FiniteConservativityVerdict(
@@ -643,7 +763,12 @@ def star_signature(sig: Signature) -> Signature:
     return Signature(relations=sig.relations, base_constants=(), fresh_constants=sig.constants)
 
 
-def materialize_compactness_property(family, sig: Signature, budget: Budget = DEFAULT_BUDGET):
+def materialize_compactness_property(
+    family,
+    sig: Signature,
+    budget: Budget = DEFAULT_BUDGET,
+    session: Optional[OracleSession] = None,
+):
     """The consistency property of the compactness argument at finite scale.
 
     Members are the sets {Psi} together with a finite t drawn from the
@@ -663,14 +788,15 @@ def materialize_compactness_property(family, sig: Signature, budget: Budget = DE
         syntax.conjunction_key(m) for m in members
     } - gen_keys
     work_sig = star_signature(sig)
+    session = OracleSession(budget) if session is None else session
 
     def consistent(sentences) -> bool:
-        v = consistency_oracle(sentences, work_sig, budget)
-        if v.status == UNKNOWN:
+        status = session.status(sentences, work_sig)
+        if status == UNKNOWN:
             raise ConstructionFailure(
                 "oracle unknown while materializing", counterexample=sentences
             )
-        return v.status == CONSISTENT
+        return status == CONSISTENT
 
     # each anchor's universe: its subsentences closed under the clause
     # steps, less the conjunctions matching a derived family member (the
@@ -743,7 +869,12 @@ class CompactnessResult:
     diagnostics: dict
 
 
-def compactness_run(family, sig: Signature, budget: Budget = DEFAULT_BUDGET) -> CompactnessResult:
+def compactness_run(
+    family,
+    sig: Signature,
+    budget: Budget = DEFAULT_BUDGET,
+    session: Optional[OracleSession] = None,
+) -> CompactnessResult:
     """Build a model of the whole family from a finitely conservative family,
     with a per-member conservativity certificate.
 
@@ -754,10 +885,11 @@ def compactness_run(family, sig: Signature, budget: Budget = DEFAULT_BUDGET) -> 
     from . import consprop
 
     members = [syntax.canon(f) for f in _sentences(family)]
-    fincons = is_finitely_conservative(members, sig, budget)
+    session = OracleSession(budget) if session is None else session
+    fincons = is_finitely_conservative(members, sig, budget, session)
     if not fincons.ok:
         raise BoolkitError(f"family is not finitely conservative: {fincons.reason}")
-    prop = materialize_compactness_property(members, sig, budget)
+    prop = materialize_compactness_property(members, sig, budget, session)
     model, diagnostics = consprop.model_from_consprop(prop, budget=budget)
     psi = big_conjunction(members)
     value = bvmodel.eval_formula(model, psi, max_steps=budget.eval_steps)
@@ -768,7 +900,7 @@ def compactness_run(family, sig: Signature, budget: Budget = DEFAULT_BUDGET) -> 
         )
     reports = {}
     for f in members:
-        reports[syntax.render(f)] = is_conservative_strengthening(psi, f, sig, budget)
+        reports[syntax.render(f)] = is_conservative_strengthening(psi, f, sig, budget, session)
     return CompactnessResult(model, reports, prop, psi, diagnostics)
 
 
@@ -809,13 +941,18 @@ def star_theory(
     return out
 
 
-def lindenbaum_complete(theory, sig: Signature, budget: Budget = DEFAULT_BUDGET) -> list:
+def lindenbaum_complete(
+    theory,
+    sig: Signature,
+    budget: Budget = DEFAULT_BUDGET,
+    session: Optional[OracleSession] = None,
+) -> list:
     """Greedy completion of a consistent ground theory over the finite atom
     space: each atom is added positively when consistent, negatively
     otherwise."""
     current = [syntax.canon(f) for f in _sentences(theory)]
-    v = consistency_oracle(current, sig, budget)
-    if v.status != CONSISTENT:
+    session = OracleSession(budget) if session is None else session
+    if session.status(current, sig) != CONSISTENT:
         raise BoolkitError("cannot complete an inconsistent theory")
     atoms = []
     consts = sorted(sig.constants)
@@ -825,7 +962,7 @@ def lindenbaum_complete(theory, sig: Signature, budget: Budget = DEFAULT_BUDGET)
         for combo in itertools.product(consts, repeat=arity):
             atoms.append(Atom(name, combo))
     for atom in atoms:
-        if consistency_oracle([*current, atom], sig, budget).status == CONSISTENT:
+        if session.status([*current, atom], sig) == CONSISTENT:
             current.append(syntax.canon(atom))
         else:
             current.append(syntax.canon(Not(atom)))
@@ -837,6 +974,7 @@ def first_order_compactness_demo(
     sig: Signature,
     budget: Budget = DEFAULT_BUDGET,
     completion_atom_cap: int = 3,
+    session: Optional[OracleSession] = None,
 ) -> bvmodel.BValuedModel:
     """Route a finitely consistent ground theory through the compactness
     pipeline and return a Tarski model of it.
@@ -849,20 +987,20 @@ def first_order_compactness_demo(
     original model embeds in its completion with the same atomic values.
     """
     sentences = [syntax.canon(f) for f in _sentences(theory)]
-    verdict = consistency_oracle(sentences, sig, budget)
-    if verdict.status != CONSISTENT:
-        subset = _minimal_inconsistent_subset(sentences, sig, budget)
+    session = OracleSession(budget) if session is None else session
+    if session.status(sentences, sig) != CONSISTENT:
+        subset = _minimal_inconsistent_subset(sentences, sig, session)
         raise BoolkitError(
             "theory has an inconsistent finite subset: "
             + "; ".join(syntax.render(f) for f in subset)
         )
-    completed = lindenbaum_complete(sentences, sig, budget)
-    witness = consistency_oracle(completed, sig, budget).witness
+    completed = lindenbaum_complete(sentences, sig, budget, session)
+    witness = session.verdict(completed, sig).witness
     # a theory and its single conjunction are interchangeable for Boolean
     # consistency; the singleton generator keeps the materialized family small
     stars = star_theory(witness, [big_conjunction(sentences)], sig)
     family = conjunction_closure(stars)
-    result = compactness_run(family, sig, budget)
+    result = compactness_run(family, sig, budget, session)
     model = result.model
     from .balg import ultrafilters
 
@@ -877,14 +1015,14 @@ def first_order_compactness_demo(
     return quotient
 
 
-def _minimal_inconsistent_subset(sentences, sig, budget):
+def _minimal_inconsistent_subset(sentences, sig, session: OracleSession):
     core = list(sentences)
     changed = True
     while changed:
         changed = False
         for i in range(len(core)):
             trial = core[:i] + core[i + 1 :]
-            if trial and consistency_oracle(trial, sig, budget).status == INCONSISTENT:
+            if trial and session.status(trial, sig) == INCONSISTENT:
                 core = trial
                 changed = True
                 break

@@ -288,6 +288,7 @@ def saturate_theory(
     sig: Signature,
     bound: int = 64,
     budget: compact.Budget = compact.DEFAULT_BUDGET,
+    session: Optional[compact.OracleSession] = None,
 ) -> ConsistencyProperty:
     """All finite subsets of the closure universe whose union with the
     theory's quantifier-free form (and its naming axiom) is consistent.
@@ -295,12 +296,13 @@ def saturate_theory(
     When the theory itself is inconsistent the result is the empty family.
     """
     base = list(theory.sentences if isinstance(theory, Theory) else theory)
+    session = compact.OracleSession(budget) if session is None else session
 
     def consistent(subset) -> bool:
-        v = compact.consistency_oracle(list(subset) + base, sig, budget, require_qe=True)
-        if v.status == compact.UNKNOWN:
+        status = session.status(list(subset) + base, sig, require_qe=True)
+        if status == compact.UNKNOWN:
             raise BoolkitError("fragment not decidable at this bound")
-        return v.status == compact.CONSISTENT
+        return status == compact.CONSISTENT
 
     members = []
     if consistent(()):

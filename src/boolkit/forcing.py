@@ -65,12 +65,13 @@ def build_sphi(
     sig: Signature,
     size_bound: int,
     budget: compact.Budget = compact.DEFAULT_BUDGET,
+    session: Optional[compact.OracleSession] = None,
 ) -> SPhiPoset:
     """Enumerate the conditions of the forcing poset up to the size bound,
     filtering by joint consistency with the target sentence."""
     phi = syntax.canon(phi)
-    base = consistency(phi, sig, budget)
-    if base.status != compact.CONSISTENT:
+    session = compact.OracleSession(budget) if session is None else session
+    if session.status([phi], sig) != compact.CONSISTENT:
         raise BoolkitError("target sentence must be Boolean consistent")
     universe = condition_universe(phi, sig)
     excluded = []
@@ -82,18 +83,14 @@ def build_sphi(
             continue
         for i in range(start, len(universe)):
             ext = subset + (universe[i],)
-            v = compact.consistency_oracle(list(ext) + [phi], sig, budget)
-            if v.status == compact.UNKNOWN:
+            status = session.status(list(ext) + [phi], sig)
+            if status == compact.UNKNOWN:
                 excluded.append(frozenset(ext))
                 continue
-            if v.status == compact.CONSISTENT:
+            if status == compact.CONSISTENT:
                 conditions.add(frozenset(ext))
                 frontier.append((ext, i + 1))
     return SPhiPoset(phi, sig, frozenset(conditions), tuple(excluded))
-
-
-def consistency(phi: Formula, sig: Signature, budget=compact.DEFAULT_BUDGET):
-    return compact.consistency_oracle([phi], sig, budget)
 
 
 @dataclass(frozen=True)

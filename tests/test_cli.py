@@ -301,13 +301,28 @@ class TestUsageBoundary:
             ["quotient", "--filter-generator", 0],
             ["eval", "--formula", "(= ?x a)", "--assignment", "[1]"],
             ["eval", "--formula", "(= ?x a)", "--assignment", '{"?x": "zz"}'],
+            ["eval", "--formula", "(= ?x a)"],
+            ["eval", "--formula", "(= a b)", "--sig", "sig.json"],
+            ["mixing", "--lam", 0],
+            ["forcing", "build", "--sig", "sig.json", "--formula", "(R a)", "--size-bound", -1],
+            ["faicom", "--n", 2, "--fresh", -1],
+            ["faicom", "--n", 2, "--out", "a-directory"],
+            ["eval", "--formula", "(= a a)", "--model", "invalid.json"],
+            ["quotient", "--model", "invalid.json"],
+            ["mixing", "--model", "invalid.json"],
+            ["fullness", "--model", "invalid.json"],
         ],
         ids=lambda args: " ".join(map(str, args)),
     )
     def test_malformed_arguments(self, workdir, capsys, args):
         model = {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]], "consts": {"a": "a"}}
         (workdir / "m.json").write_text(json.dumps(model))
-        if args[0] != "faicom":
+        # well shaped, but the R table misses the tuple (a)
+        (workdir / "invalid.json").write_text(json.dumps(dict(model, rel={"R": {"z": "1"}})))
+        (workdir / "a-directory").mkdir()
+        files = {"sig.json", "invalid.json", "a-directory"}
+        args = [workdir / a if a in files else a for a in args]
+        if args[0] not in ("faicom", "forcing") and "--model" not in args:
             args = args + ["--model", workdir / "m.json"]
         self._usage_error(capsys, args)
 

@@ -11,6 +11,7 @@ from boolkit.compact import (
     CONSISTENT,
     INCONSISTENT,
     UNKNOWN,
+    OracleSession,
     conjunction_closure,
     consistency_oracle,
     faicom_family,
@@ -124,21 +125,21 @@ class TestOracle:
         assert v.status == UNKNOWN
 
     def test_cached_verdict_respects_the_callers_budget(self):
+        # a session is bound to one budget, so no answer crosses caps
         sentences, sig = pigeonhole(4)
-        small = Budget(oracle_nodes=50)
-        assert consistency_oracle(sentences, sig, small).status == UNKNOWN
-        decided = consistency_oracle(sentences, sig)
+        small = OracleSession(Budget(oracle_nodes=50))
+        assert small.verdict(sentences, sig).status == UNKNOWN
+        decided = OracleSession().verdict(sentences, sig)
         assert decided.status == INCONSISTENT and decided.budget_used > 50
-        assert consistency_oracle(sentences, sig, small).status == UNKNOWN
-        assert consistency_oracle(sentences, sig) is decided
-        exact = Budget(oracle_nodes=decided.budget_used)
-        assert consistency_oracle(sentences, sig, exact) is decided
+        assert small.verdict(sentences, sig).status == UNKNOWN
+        assert small.status(sentences, sig) == UNKNOWN
+        exact = consistency_oracle(sentences, sig, Budget(oracle_nodes=decided.budget_used))
+        assert (exact.status, exact.budget_used) == (INCONSISTENT, decided.budget_used)
 
     def test_cached_unknown_reports_the_callers_cap(self):
         sentences, sig = pigeonhole(4)
-        compact._oracle_cache.clear()
-        assert consistency_oracle(sentences, sig, Budget(oracle_nodes=30)).budget_used == 31
-        smaller = consistency_oracle(sentences, sig, Budget(oracle_nodes=10))
+        assert OracleSession(Budget(oracle_nodes=30)).verdict(sentences, sig).budget_used == 31
+        smaller = OracleSession(Budget(oracle_nodes=10)).verdict(sentences, sig)
         assert (smaller.status, smaller.budget_used) == (UNKNOWN, 11)
 
     def test_quantified_reduces_via_naming(self):
@@ -174,9 +175,6 @@ class TestSearchTree:
     def test_matches_the_rebuild_per_node_search(self, case, cap):
         sentences, sig = case
         budget = Budget() if cap is None else Budget(oracle_nodes=cap)
-        # the cache is keyed by the sentence set, so it answers a permuted
-        # repeat with the first order's certificate; compare fresh searches
-        compact._oracle_cache.clear()
         verdict = consistency_oracle(sentences, sig, budget)
         ground, _ = compact.prepare_ground(sentences, sig)
         constants = sorted(sig.constants)
@@ -426,3 +424,83 @@ class TestFaicom:
     def test_rejects_zero(self):
         with pytest.raises(BoolkitError):
             faicom_family(0)
+
+
+K_SIG = Signature(relations={"S": 2}, base_constants={"k0", "k1", "k2"})
+
+
+class TestOracleSession:
+    def test_permuted_repeat_replays_its_own_certificate(self):
+        s00, s01 = Atom("S", ("k0", "k0")), Atom("S", ("k0", "k1"))
+        first = [s00, Not(s01), Not(s00)]
+        permuted = [s00, Not(s00), Not(s01)]
+        session = OracleSession()
+        assert replay_certificate(session.verdict(first, K_SIG).certificate, first, K_SIG)
+        verdict = session.verdict(permuted, K_SIG)
+        assert verdict.status == INCONSISTENT
+        assert replay_certificate(verdict.certificate, permuted, K_SIG)
+
+    def test_statuses_are_kept_per_set_and_verdicts_per_order(self):
+        sentences = [Atom("R", ("a",)), Not(Eq("a", "b"))]
+        session = OracleSession()
+        verdict = session.verdict(sentences, SIG)
+        assert session.verdict(sentences, SIG) is verdict
+        assert session.status(sentences[::-1], SIG) == CONSISTENT
+        assert session.counters() == {
+            "calls": 3,
+            "status_hits": 1,
+            "verdict_hits": 1,
+            "hint_hits": 0,
+            "searches": 1,
+            "nodes": verdict.budget_used,
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(ground_sets(), st.randoms(use_true_random=False))
+    def test_status_agrees_with_a_fresh_search(self, case, rng):
+        sentences, sig = case
+        universe = sentences[:6]
+        session = OracleSession()
+        # depth-first over subsets, as materialization asks: each query is a
+        # set already found consistent plus one later sentence, in any order
+        stack = [((), 0)]
+        queries = 0
+        while stack and queries < 40:
+            subset, start = stack.pop()
+            for j in range(start, len(universe)):
+                ext = [*subset, universe[j]]
+                rng.shuffle(ext)
+                hints = session.hint_hits
+                status = session.status(ext, sig)
+                queries += 1
+                assert status == consistency_oracle(ext, sig).status
+                if session.hint_hits > hints:
+                    witness = session.witness(ext, sig)
+                    assert all(bvmodel.holds(witness, f) for f in ext)
+                if status == CONSISTENT:
+                    stack.append((tuple(ext), j + 1))
+
+    def test_a_witness_decides_a_set_the_capped_search_leaves_unknown(self):
+        sig = Signature(relations={}, base_constants={"a", "b", "c"})
+        ab, bc = Not(Eq("a", "b")), Not(Eq("b", "c"))
+        capped = Budget(oracle_nodes=3)
+        assert consistency_oracle([ab, bc], sig, capped).status == UNKNOWN
+        session = OracleSession(capped)
+        assert session.status([ab], sig) == CONSISTENT
+        # the witness of {a != b} has b != c, so no search is made
+        assert session.status([ab, bc], sig) == CONSISTENT
+        assert (session.hint_hits, session.searches) == (1, 1)
+        # a verdict always carries its own search
+        assert session.verdict([ab, bc], sig).status == UNKNOWN
+
+    def test_counters_are_deterministic_and_witnesses_save_searches(self):
+        sig = Signature(relations={}, base_constants={"c0", "c1", "c2"}, fresh_constants={"w"})
+        theory = Theory([Not(Eq("c0", "c1")), Eq("c1", "c2")])
+        runs = []
+        for _ in range(2):
+            session = OracleSession()
+            first_order_compactness_demo(theory, sig, session=session)
+            runs.append(session.counters())
+        assert runs[0] == runs[1]
+        # answering only repeats of a sentence set takes 777 searches here
+        assert runs[0]["searches"] < 777

@@ -55,10 +55,7 @@ def _write(path, doc):
 
 
 def _report(tmp_path, args):
-    """(exit code, report bytes) of one in-process CLI call.  The oracle
-    cache is cleared first: it is keyed by the sentence set, so an earlier
-    permuted call could otherwise answer with another certificate."""
-    compact._oracle_cache.clear()
+    """(exit code, report bytes) of one in-process CLI call."""
     out = tmp_path / "report.json"
     code = cli.main([*map(str, args), "--out", str(out)])
     return code, out.read_bytes()
