@@ -361,7 +361,6 @@ class _Ground:
         # keyed by identity, as a run passes the same objects again and again
         self.prepared = {}
         self.naming = None
-        self.verdicts = {}  # ordered ground tuple -> OracleVerdict
         self.statuses = {}  # ground set -> status
         self.witnesses = {}  # ground set -> two-valued model of it
 
@@ -413,8 +412,8 @@ class OracleSession:
     alone.  The session memoizes each sentence's prepared forms per
     signature and answers two queries:
 
-    - ``verdict`` returns the search's full OracleVerdict, cached under the
-      ordered sentence tuple, so a certificate always indexes its own input;
+    - ``verdict`` always searches and returns the search's full
+      OracleVerdict, so a certificate indexes its own input;
     - ``status`` returns the status alone, cached under the sentence set.
       Before searching it looks for the witness of the same set with one
       sentence removed; when that sentence holds there, the witness is a
@@ -425,22 +424,19 @@ class OracleSession:
     status queries.  So a witness can decide a set that a search under the
     session's node cap would leave Unknown.
 
-    Functions that take both a budget and a session query the oracle under
-    the session's budget.  The counters are plain integers: ``calls``,
-    ``status_hits``, ``verdict_hits``, ``hint_hits``, ``searches`` and the
-    ``nodes`` those searches visited.
+    The counters are plain integers: ``calls``, ``status_hits``,
+    ``hint_hits``, ``searches`` and the ``nodes`` those searches visited.
     """
 
     def __init__(self, budget: Budget = DEFAULT_BUDGET):
         self.budget = budget
-        self.calls = self.status_hits = self.verdict_hits = 0
-        self.hint_hits = self.searches = self.nodes = 0
+        self.calls = self.status_hits = self.hint_hits = self.searches = self.nodes = 0
         self._grounds = {}  # _sig_key(sig) -> _Ground
 
     def counters(self) -> dict:
         return {
             name: getattr(self, name)
-            for name in ("calls", "status_hits", "verdict_hits", "hint_hits", "searches", "nodes")
+            for name in ("calls", "status_hits", "hint_hits", "searches", "nodes")
         }
 
     def _ground(self, sig: Signature) -> _Ground:
@@ -455,25 +451,23 @@ class OracleSession:
         self.calls += 1
         ground = self._ground(sig)
         sentences, _ = ground.prepare(theory, require_qe)
-        verdict = ground.verdicts.get(sentences)
-        if verdict is not None:
-            self.verdict_hits += 1
-            return verdict
-        verdict = ground.verdicts[sentences] = self._search(ground, sentences, keep=True)
-        return verdict
+        return self._search(ground, sentences, keep=True)
 
     def status(self, theory, sig: Signature, require_qe: bool = False) -> str:
         """The status of the theory's sentence set."""
         self.calls += 1
         ground = self._ground(sig)
-        sentences, _ = ground.prepare(theory, require_qe)
+        sentences, qe_applied = ground.prepare(theory, require_qe)
         key = frozenset(sentences)
         status = ground.statuses.get(key)
         if status is not None:
             self.status_hits += 1
             return status
-        # callers extend a set at its end, so the newest sentences come last
-        for f in reversed(sentences):
+        # every reduced set holds all the naming constraints, so the sentence
+        # a cached witness lacks is one of the theory's own; callers extend a
+        # theory at its end, so the newest sentences are tried first
+        own = sentences[: len(sentences) - len(ground.naming)] if qe_applied else sentences
+        for f in reversed(own):
             witness = ground.witnesses.get(key - {f})
             if witness is not None and bvmodel.holds(witness, f):
                 self.hint_hits += 1
@@ -481,13 +475,6 @@ class OracleSession:
                 ground.witnesses[key] = witness
                 return CONSISTENT
         return self._search(ground, sentences, keep=True).status
-
-    def witness(self, theory, sig: Signature, require_qe: bool = False):
-        """The two-valued model that made the theory's set Consistent in
-        this session, or None."""
-        ground = self._ground(sig)
-        sentences, _ = ground.prepare(theory, require_qe)
-        return ground.witnesses.get(frozenset(sentences))
 
     def _search(self, ground: _Ground, sentences: tuple, keep: bool = False) -> OracleVerdict:
         """Search; with ``keep``, record the set's status and witness."""
@@ -547,6 +534,16 @@ def consistency_oracle(
     return OracleSession(budget)._search(ground, sentences)
 
 
+def _session(budget: Optional[Budget], session: Optional[OracleSession]) -> OracleSession:
+    """The session a pipeline function works in: the caller's, whose budget
+    then governs the whole call, or a fresh one under ``budget``."""
+    if session is None:
+        return OracleSession(DEFAULT_BUDGET if budget is None else budget)
+    if budget is not None:
+        raise TypeError("pass a budget or a session, not both")
+    return session
+
+
 def replay_certificate(certificate: dict, theory, sig: Signature, require_qe: bool = False) -> bool:
     """Re-derive every conflict leaf of a refutation trace; True when the
     whole tree closes."""
@@ -596,7 +593,7 @@ def is_conservative_strengthening(
     psi1: Formula,
     psi0: Formula,
     sig: Signature,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Optional[Budget] = None,
     session: Optional[OracleSession] = None,
 ) -> ConservativityReport:
     """psi1 must entail psi0, and no finite set of psi0-subsentences may be
@@ -605,9 +602,10 @@ def is_conservative_strengthening(
     Subset enumeration is exhaustive by default; when ``budget.max_subset``
     caps the subset size the report is only bounded-conservative.
     """
+    session = _session(budget, session)
+    budget = session.budget
     if syntax.canon(psi1) == syntax.canon(psi0):
         return ConservativityReport(True, True, 0)
-    session = OracleSession(budget) if session is None else session
     entail = session.status([psi1, Not(psi0)], sig)
     if entail == UNKNOWN:
         return ConservativityReport(False, False, 0, unknown=True)
@@ -675,7 +673,7 @@ def conjunction_closure(generators: Iterable[Formula]) -> list:
 def is_finitely_conservative(
     family: Iterable[Formula],
     sig: Signature,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Optional[Budget] = None,
     session: Optional[OracleSession] = None,
 ) -> FiniteConservativityVerdict:
     """Check the three requirements: a consistent member, closure under
@@ -685,7 +683,7 @@ def is_finitely_conservative(
     if not members:
         return FiniteConservativityVerdict(False, "empty family")
     keys = {syntax.conjunction_key(f): f for f in members}
-    session = OracleSession(budget) if session is None else session
+    session = _session(budget, session)
 
     some_consistent = False
     for f in members:
@@ -713,7 +711,7 @@ def is_finitely_conservative(
             if psi is g and len(members) > 1:
                 continue
             if syntax.conjunction_key(psi) <= gkey:
-                report = is_conservative_strengthening(g, psi, sig, budget, session)
+                report = is_conservative_strengthening(g, psi, sig, session=session)
                 bounded = bounded or report.bounded
                 if report.unknown:
                     return FiniteConservativityVerdict(
@@ -766,7 +764,7 @@ def star_signature(sig: Signature) -> Signature:
 def materialize_compactness_property(
     family,
     sig: Signature,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Optional[Budget] = None,
     session: Optional[OracleSession] = None,
 ):
     """The consistency property of the compactness argument at finite scale.
@@ -788,7 +786,8 @@ def materialize_compactness_property(
         syntax.conjunction_key(m) for m in members
     } - gen_keys
     work_sig = star_signature(sig)
-    session = OracleSession(budget) if session is None else session
+    session = _session(budget, session)
+    budget = session.budget
 
     def consistent(sentences) -> bool:
         status = session.status(sentences, work_sig)
@@ -872,7 +871,7 @@ class CompactnessResult:
 def compactness_run(
     family,
     sig: Signature,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Optional[Budget] = None,
     session: Optional[OracleSession] = None,
 ) -> CompactnessResult:
     """Build a model of the whole family from a finitely conservative family,
@@ -885,11 +884,12 @@ def compactness_run(
     from . import consprop
 
     members = [syntax.canon(f) for f in _sentences(family)]
-    session = OracleSession(budget) if session is None else session
-    fincons = is_finitely_conservative(members, sig, budget, session)
+    session = _session(budget, session)
+    budget = session.budget
+    fincons = is_finitely_conservative(members, sig, session=session)
     if not fincons.ok:
         raise BoolkitError(f"family is not finitely conservative: {fincons.reason}")
-    prop = materialize_compactness_property(members, sig, budget, session)
+    prop = materialize_compactness_property(members, sig, session=session)
     model, diagnostics = consprop.model_from_consprop(prop, budget=budget)
     psi = big_conjunction(members)
     value = bvmodel.eval_formula(model, psi, max_steps=budget.eval_steps)
@@ -900,7 +900,7 @@ def compactness_run(
         )
     reports = {}
     for f in members:
-        reports[syntax.render(f)] = is_conservative_strengthening(psi, f, sig, budget, session)
+        reports[syntax.render(f)] = is_conservative_strengthening(psi, f, sig, session=session)
     return CompactnessResult(model, reports, prop, psi, diagnostics)
 
 
@@ -944,14 +944,14 @@ def star_theory(
 def lindenbaum_complete(
     theory,
     sig: Signature,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Optional[Budget] = None,
     session: Optional[OracleSession] = None,
 ) -> list:
     """Greedy completion of a consistent ground theory over the finite atom
     space: each atom is added positively when consistent, negatively
     otherwise."""
     current = [syntax.canon(f) for f in _sentences(theory)]
-    session = OracleSession(budget) if session is None else session
+    session = _session(budget, session)
     if session.status(current, sig) != CONSISTENT:
         raise BoolkitError("cannot complete an inconsistent theory")
     atoms = []
@@ -974,7 +974,6 @@ def first_order_compactness_demo(
     sig: Signature,
     budget: Budget = DEFAULT_BUDGET,
     completion_atom_cap: int = 3,
-    session: Optional[OracleSession] = None,
 ) -> bvmodel.BValuedModel:
     """Route a finitely consistent ground theory through the compactness
     pipeline and return a Tarski model of it.
@@ -987,20 +986,20 @@ def first_order_compactness_demo(
     original model embeds in its completion with the same atomic values.
     """
     sentences = [syntax.canon(f) for f in _sentences(theory)]
-    session = OracleSession(budget) if session is None else session
+    session = OracleSession(budget)
     if session.status(sentences, sig) != CONSISTENT:
         subset = _minimal_inconsistent_subset(sentences, sig, session)
         raise BoolkitError(
             "theory has an inconsistent finite subset: "
             + "; ".join(syntax.render(f) for f in subset)
         )
-    completed = lindenbaum_complete(sentences, sig, budget, session)
+    completed = lindenbaum_complete(sentences, sig, session=session)
     witness = session.verdict(completed, sig).witness
     # a theory and its single conjunction are interchangeable for Boolean
     # consistency; the singleton generator keeps the materialized family small
     stars = star_theory(witness, [big_conjunction(sentences)], sig)
     family = conjunction_closure(stars)
-    result = compactness_run(family, sig, budget, session)
+    result = compactness_run(family, sig, session=session)
     model = result.model
     from .balg import ultrafilters
 

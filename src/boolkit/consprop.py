@@ -288,7 +288,6 @@ def saturate_theory(
     sig: Signature,
     bound: int = 64,
     budget: compact.Budget = compact.DEFAULT_BUDGET,
-    session: Optional[compact.OracleSession] = None,
 ) -> ConsistencyProperty:
     """All finite subsets of the closure universe whose union with the
     theory's quantifier-free form (and its naming axiom) is consistent.
@@ -296,10 +295,12 @@ def saturate_theory(
     When the theory itself is inconsistent the result is the empty family.
     """
     base = list(theory.sentences if isinstance(theory, Theory) else theory)
-    session = compact.OracleSession(budget) if session is None else session
+    session = compact.OracleSession(budget)
 
     def consistent(subset) -> bool:
-        status = session.status(list(subset) + base, sig, require_qe=True)
+        # the new sentences go last, where the session looks first for the
+        # one a cached witness lacks
+        status = session.status(base + list(subset), sig, require_qe=True)
         if status == compact.UNKNOWN:
             raise BoolkitError("fragment not decidable at this bound")
         return status == compact.CONSISTENT

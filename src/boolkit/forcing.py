@@ -65,12 +65,11 @@ def build_sphi(
     sig: Signature,
     size_bound: int,
     budget: compact.Budget = compact.DEFAULT_BUDGET,
-    session: Optional[compact.OracleSession] = None,
 ) -> SPhiPoset:
     """Enumerate the conditions of the forcing poset up to the size bound,
     filtering by joint consistency with the target sentence."""
     phi = syntax.canon(phi)
-    session = compact.OracleSession(budget) if session is None else session
+    session = compact.OracleSession(budget)
     if session.status([phi], sig) != compact.CONSISTENT:
         raise BoolkitError("target sentence must be Boolean consistent")
     universe = condition_universe(phi, sig)

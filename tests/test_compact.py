@@ -440,25 +440,34 @@ class TestOracleSession:
         assert verdict.status == INCONSISTENT
         assert replay_certificate(verdict.certificate, permuted, K_SIG)
 
-    def test_statuses_are_kept_per_set_and_verdicts_per_order(self):
+    def test_statuses_are_kept_per_set_and_verdicts_always_search(self):
         sentences = [Atom("R", ("a",)), Not(Eq("a", "b"))]
         session = OracleSession()
         verdict = session.verdict(sentences, SIG)
-        assert session.verdict(sentences, SIG) is verdict
+        again = session.verdict(sentences, SIG)
+        assert again is not verdict and again.status == verdict.status == CONSISTENT
         assert session.status(sentences[::-1], SIG) == CONSISTENT
         assert session.counters() == {
             "calls": 3,
             "status_hits": 1,
-            "verdict_hits": 1,
             "hint_hits": 0,
-            "searches": 1,
-            "nodes": verdict.budget_used,
+            "searches": 2,
+            "nodes": verdict.budget_used + again.budget_used,
         }
 
+    def test_a_session_and_a_budget_are_not_both_given(self):
+        with pytest.raises(TypeError):
+            compactness_run([Atom("R", ("a",))], SIG, Budget(), session=OracleSession())
+
     @settings(max_examples=100, deadline=None)
-    @given(ground_sets(), st.randoms(use_true_random=False))
-    def test_status_agrees_with_a_fresh_search(self, case, rng):
+    @given(ground_sets(), st.booleans(), st.randoms(use_true_random=False))
+    def test_status_agrees_with_a_fresh_search(self, case, reduced, rng):
         sentences, sig = case
+        if reduced:
+            # the last two constants become the fresh pool, so every query
+            # also carries the naming constraints of the others
+            consts = sorted(sig.constants)
+            sig = Signature(sig.relations, consts[:-2], consts[-2:])
         universe = sentences[:6]
         session = OracleSession()
         # depth-first over subsets, as materialization asks: each query is a
@@ -471,12 +480,14 @@ class TestOracleSession:
                 ext = [*subset, universe[j]]
                 rng.shuffle(ext)
                 hints = session.hint_hits
-                status = session.status(ext, sig)
+                status = session.status(ext, sig, require_qe=reduced)
                 queries += 1
-                assert status == consistency_oracle(ext, sig).status
+                assert status == consistency_oracle(ext, sig, require_qe=reduced).status
                 if session.hint_hits > hints:
-                    witness = session.witness(ext, sig)
-                    assert all(bvmodel.holds(witness, f) for f in ext)
+                    ground = session._ground(sig)
+                    prepared, _ = ground.prepare(ext, reduced)
+                    witness = ground.witnesses[frozenset(prepared)]
+                    assert all(bvmodel.holds(witness, f) for f in prepared)
                 if status == CONSISTENT:
                     stack.append((tuple(ext), j + 1))
 
@@ -493,14 +504,24 @@ class TestOracleSession:
         # a verdict always carries its own search
         assert session.verdict([ab, bc], sig).status == UNKNOWN
 
-    def test_counters_are_deterministic_and_witnesses_save_searches(self):
+    def test_counters_are_deterministic_and_witnesses_save_searches(self, monkeypatch):
+        sessions = []
+
+        class Recorded(OracleSession):
+            def __init__(self, budget=compact.DEFAULT_BUDGET):
+                super().__init__(budget)
+                sessions.append(self)
+
+        monkeypatch.setattr(compact, "OracleSession", Recorded)
         sig = Signature(relations={}, base_constants={"c0", "c1", "c2"}, fresh_constants={"w"})
         theory = Theory([Not(Eq("c0", "c1")), Eq("c1", "c2")])
         runs = []
         for _ in range(2):
-            session = OracleSession()
-            first_order_compactness_demo(theory, sig, session=session)
-            runs.append(session.counters())
+            sessions.clear()
+            first_order_compactness_demo(theory, sig)
+            # the demo threads one session through the whole pipeline
+            assert len(sessions) == 1
+            runs.append(sessions[0].counters())
         assert runs[0] == runs[1]
         # answering only repeats of a sentence set takes 777 searches here
         assert runs[0]["searches"] < 777
