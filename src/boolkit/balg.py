@@ -59,9 +59,6 @@ class FiniteBooleanAlgebra:
     def is_element(self, x) -> bool:
         return isinstance(x, int) and 0 <= x <= self.one
 
-    def is_atom(self, x: int) -> bool:
-        return x != 0 and x & (x - 1) == 0
-
     def atoms(self) -> list:
         return [1 << i for i in range(self.atom_count)]
 
@@ -200,14 +197,16 @@ def _inclusion_down_masks(sets: tuple) -> list:
 
 
 class Poset:
-    """A finite poset with hashable elements; order axioms are checked on
-    construction.  ``leq(s, t)`` reads "s is at least as strong as t".
+    """A finite poset with hashable elements.  ``leq(s, t)`` reads "s is at
+    least as strong as t".
 
     The order is given by ``leq_pairs`` or by a ``leq`` predicate (called on
-    all n² pairs); ``Poset.of_sets`` orders a family of sets by reverse
-    inclusion from bitsets instead.  It is stored as bitmasks over element
-    positions: bit i of ``down[j]`` means elements[i] <= elements[j], and
-    ``up`` is the transpose (bit j of ``up[i]``).
+    all n² pairs), and its axioms are checked on construction;
+    ``Poset.of_sets`` orders a family of distinct sets by reverse inclusion
+    from bitsets instead, a partial order by construction, so it skips the
+    check.  It is stored as bitmasks over element positions: bit i of
+    ``down[j]`` means elements[i] <= elements[j], and ``up`` is the
+    transpose (bit j of ``up[i]``).
     """
 
     def __init__(self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None):
@@ -231,7 +230,7 @@ class Poset:
                 self._down[self._index[b]] |= 1 << self._index[a]
             for i in range(n):
                 self._down[i] |= 1 << i
-        self._check_axioms()
+            self._check_axioms()
         self._up = [0] * n
         for j, mask in enumerate(self._down):
             bit = 1 << j

@@ -64,90 +64,16 @@ def _sentences(theory) -> list:
 # backtracking search with congruence closure
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _atom_key(f):
-    if isinstance(f, Eq):
-        a, b = sorted((f.left, f.right))
-        return ("eq", a, b)
-    if isinstance(f, Atom):
-        return ("rel", f.rel, f.args)
-    raise TypeError(f"not an atomic sentence: {f!r}")
-
-
-class _Closure:
-    """Congruence closure of a partial atom assignment, built from scratch.
-
-    The certificate replay reads this; the search keeps its own incremental
-    closure (``_PathClosure``) with the same answers.
-    """
-
-    def __init__(self, constants, assignment):
-        self.uf = _UnionFind(constants)
-        for key, value in assignment.items():
-            if key[0] == "eq" and value:
-                self.uf.union(key[1], key[2])
-        self.diseq = set()
-        self.rel_true = set()
-        self.rel_false = set()
-        self.conflict = None
-        for key, value in assignment.items():
-            if key[0] == "eq" and not value:
-                pair = frozenset((self.uf.find(key[1]), self.uf.find(key[2])))
-                if len(pair) == 1:
-                    self.conflict = ("eq-closure", key)
-                    return
-                self.diseq.add(pair)
-            elif key[0] == "rel":
-                canon = (key[1], tuple(self.uf.find(a) for a in key[2]))
-                (self.rel_true if value else self.rel_false).add(canon)
-        clash = self.rel_true & self.rel_false
-        if clash:
-            self.conflict = ("rel-congruence", min(clash))
-
-    def eval_atom(self, f):
-        if isinstance(f, Eq):
-            a, b = self.uf.find(f.left), self.uf.find(f.right)
-            if a == b:
-                return True
-            if frozenset((a, b)) in self.diseq:
-                return False
-            return None
-        canon = (f.rel, tuple(self.uf.find(a) for a in f.args))
-        if canon in self.rel_true:
-            return True
-        if canon in self.rel_false:
-            return False
-        return None
-
-
 class _PathClosure:
     """Congruence closure of the current search path, extended by one
     undecided atom at a time and undone on backtrack.
 
     Every constant maps straight to its class representative, the class
-    minimum, as in ``_Closure``.  A disequality or relation literal is one
-    table entry.  A positive equality relabels the class with the larger
-    minimum and rebuilds the tables from the path, so conflicts are found
-    and named exactly as ``_Closure`` names them.  ``assignment`` is the
-    path itself, in insertion order.
+    minimum.  A disequality or relation literal is one table entry.  A
+    positive equality relabels the class with the larger minimum and
+    rebuilds the tables from the path, so a conflict is named by the first
+    disequality inside one class, else by the least relation clash.
+    ``assignment`` is the path itself, in insertion order.
     """
 
     def __init__(self, constants):
@@ -264,13 +190,11 @@ def _eval3(f, closure):
 
 
 def _first_undecided_atom(f, closure):
-    if isinstance(f, (Eq, Atom)):
-        if closure.eval_atom(f) is None:
-            key = _atom_key(f)
-            if key[0] == "eq" and key[1] == key[2]:
-                return None
-            return key
-        return None
+    """The path key of the first atom of ``f`` the closure leaves undecided."""
+    if isinstance(f, Eq):
+        return ("eq", *sorted((f.left, f.right))) if closure.eval_atom(f) is None else None
+    if isinstance(f, Atom):
+        return ("rel", f.rel, f.args) if closure.eval_atom(f) is None else None
     if isinstance(f, Not):
         return _first_undecided_atom(f.body, closure)
     if isinstance(f, (And, Or)):
@@ -544,32 +468,108 @@ def _session(budget: Optional[Budget], session: Optional[OracleSession]) -> Orac
     return session
 
 
-def replay_certificate(certificate: dict, theory, sig: Signature, require_qe: bool = False) -> bool:
-    """Re-derive every conflict leaf of a refutation trace; True when the
-    whole tree closes."""
+def replay_certificate(certificate, theory, sig: Signature, require_qe: bool = False) -> bool:
+    """Check a refutation trace on its own; True when every leaf closes.
+
+    A node ``{"atom": key, "true": node, "false": node}`` splits on an atom
+    not yet on the path.  A leaf ``{"conflict": {"kind": ...}}`` closes when
+    the path clashes under congruence (``eq-closure``: a disequality inside
+    one class; ``rel-congruence``: a relation atom both true and false on
+    one tuple of classes), or, for kind ``sentence``, when the ground
+    sentence at ``index`` is strong-Kleene false on the path, hence in every
+    completion.  The checker has its own union-find, evaluator and atom
+    parse, and returns False for anything malformed.
+    """
     sentences, _ = prepare_ground(theory, sig, require_qe=require_qe)
-    constants = sorted(sig.constants) or ["_unit"]
+    constants = sig.constants
 
-    def walk(node, assignment):
-        if node is None:
+    def declared(names):
+        return all(isinstance(c, str) and c in constants for c in names)
+
+    def parse(atom):
+        """The path key of a certificate atom, or None when malformed."""
+        if not isinstance(atom, (list, tuple)) or len(atom) != 3:
+            return None
+        kind, x, y = atom
+        if kind == "eq" and declared((x, y)):
+            return ("eq", *sorted((x, y)))
+        if kind == "rel" and isinstance(y, (list, tuple)) and declared(y):
+            if isinstance(x, str) and sig.relations.get(x) == len(y):
+                return ("rel", x, tuple(y))
+        return None
+
+    def closes(conflict, path):
+        if not isinstance(conflict, dict):
             return False
-        conflict = node.get("conflict")
-        closure = _Closure(constants, assignment)
-        if conflict is not None:
-            if conflict["kind"] == "sentence":
-                return _eval3(sentences[conflict["index"]], closure) is False
-            return closure.conflict is not None
-        atom = tuple(node["atom"])
-        key = (atom[0], atom[1], tuple(atom[2])) if atom[0] == "rel" else tuple(atom)
-        for value, branch in ((True, "true"), (False, "false")):
-            assignment[key] = value
-            if not walk(node.get(branch), assignment):
-                del assignment[key]
-                return False
-            del assignment[key]
-        return True
+        parent = {}
 
-    return walk(certificate, {})
+        def find(c):
+            while c in parent:
+                c = parent[c]
+            return c
+
+        for key, truth in path.items():
+            if key[0] == "eq" and truth and find(key[1]) != find(key[2]):
+                parent[find(key[2])] = find(key[1])
+        diseq, rel_true, rel_false, clashes = set(), set(), set(), []
+        for key, truth in path.items():
+            if key[0] == "rel":
+                (rel_true if truth else rel_false).add((key[1], tuple(map(find, key[2]))))
+            elif not truth:
+                pair = frozenset((find(key[1]), find(key[2])))
+                if len(pair) == 1:
+                    clashes.append("eq-closure")
+                diseq.add(pair)
+        if rel_true & rel_false:
+            clashes.append("rel-congruence")
+
+        def kleene(f):
+            """Strong Kleene value on the path: True, False or None."""
+            if isinstance(f, Eq):
+                pair = frozenset((find(f.left), find(f.right)))
+                return True if len(pair) == 1 else (False if pair in diseq else None)
+            if isinstance(f, Atom):
+                canon = (f.rel, tuple(map(find, f.args)))
+                return True if canon in rel_true else (False if canon in rel_false else None)
+            if isinstance(f, Not):
+                v = kleene(f.body)
+                return None if v is None else not v
+            if isinstance(f, (And, Or)):
+                values = [kleene(child) for child in f.children]
+                decisive = isinstance(f, Or)
+                if decisive in values:
+                    return decisive
+                return None if None in values else not decisive
+            return None
+
+        if conflict.get("kind") == "sentence":
+            index = conflict.get("index")
+            in_range = type(index) is int and 0 <= index < len(sentences)
+            return in_range and kleene(sentences[index]) is False
+        return conflict.get("kind") in clashes
+
+    # depth first; each entry carries the path length above it, and every
+    # split puts a new atom on the path, so the walk ends
+    path = {}
+    stack = [(certificate, 0, None, None)]
+    while stack:
+        node, depth, key, truth = stack.pop()
+        while len(path) > depth:
+            path.popitem()
+        if key is not None:
+            path[key] = truth
+        if not isinstance(node, dict):
+            return False
+        if "conflict" in node:
+            if not closes(node["conflict"], path):
+                return False
+            continue
+        key = parse(node.get("atom"))
+        if key is None or key in path:
+            return False
+        stack.append((node.get("false"), len(path), key, False))
+        stack.append((node.get("true"), len(path), key, True))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ class ClauseObligations:
     def _substitution(self, e: Eq, f: Formula) -> tuple:
         if e.right not in self._constants_of(f):
             return ()
-        replaced = syntax.replace_constants(f, {e.right: e.left})
+        replaced = syntax.substitute(f, {e.right: e.left})
         need = f"substitute {e.left} for {e.right} in {syntax.render(f)}"
         return (("Str.2", need, (_canonical_sentence(replaced),)),)
 
@@ -276,7 +276,7 @@ def closure_universe(theory, sig: Signature, bound: int = 64) -> list:
         occurring = syntax.constants_of(f)
         for c, d in itertools.permutations(consts, 2):
             if d in occurring:
-                yield syntax.replace_constants(f, {d: c})
+                yield syntax.substitute(f, {d: c})
 
     overflow = BoolkitError(f"closure universe exceeds the bound of {bound} sentences")
     universe = clause_closure(seeds, ClauseObligations(sig), bound, overflow, recolorings)

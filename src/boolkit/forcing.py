@@ -46,10 +46,6 @@ class SPhiPoset:
     def __contains__(self, s):
         return frozenset(syntax.canon(f) for f in s) in self.conditions
 
-    def extends(self, s, t) -> bool:
-        # s <= t: s is the stronger condition
-        return t <= s
-
     def to_json(self) -> dict:
         return {
             "phi": syntax.render(self.phi),

@@ -163,7 +163,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         expected_left = frozenset(syntax.canon(Eq(u, t)) for u, t in pairs) | {
             syntax.canon(base)
         }
-        replaced = syntax.canon(syntax.replace_constants(base, mapping))
+        replaced = syntax.canon(syntax.substitute(base, mapping))
         if seq.left != expected_left:
             return _fail(path, "eq-axiom-4 left side is {u_i=t_i} with phi(t_i)")
         if seq.right != frozenset({replaced}):

@@ -427,11 +427,13 @@ def parse(text: str, sig: Signature) -> Formula:
 
 
 def substitute(f: Formula, binding: Mapping[str, str]) -> Formula:
-    """Replace free occurrences of the bound variables by terms.
+    """Replace free occurrences of the bound variables, or every occurrence
+    of the bound constants, by terms, all at once.
 
     Occurrences bound by an inner quantifier are left untouched; binding a
     variable that never occurs free is a no-op.  A variable term that an
-    inner quantifier would capture raises.
+    inner quantifier would capture raises; a constant is never bound, so
+    replacing constants by constants never does.
     """
     if not binding:
         return f
@@ -457,22 +459,6 @@ def substitute(f: Formula, binding: Mapping[str, str]) -> Formula:
             if t in f.vars and v in free_vars(f.body):
                 raise BoolkitError(f"substitution captures variable {t}")
         return type(f)(f.vars, substitute(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def replace_constants(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Replace every occurrence of each constant in ``mapping`` by its image,
-    all at once."""
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(mapping.get(t, t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, Not):
-        return Not(replace_constants(f.body, mapping))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(replace_constants(c, mapping) for c in f.children))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, replace_constants(f.body, mapping))
     raise TypeError(f"not a formula: {f!r}")
 
 

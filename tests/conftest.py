@@ -10,10 +10,32 @@ import random
 
 import pytest
 
-from boolkit import syntax
+from boolkit import compact, syntax
 from boolkit.balg import FiniteBooleanAlgebra
 from boolkit.bvmodel import BValuedModel
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
+
+
+@pytest.fixture(scope="session", autouse=True)
+def replayed_refutations():
+    """Replay the certificate of every Inconsistent oracle search the suite
+    makes, against the ground sentences that search was given; yields the
+    count of replays so far."""
+    count = {"replayed": 0}
+    search = compact.OracleSession._search
+
+    def checked(self, ground, sentences, keep=False):
+        verdict = search(self, ground, sentences, keep)
+        if verdict.status == compact.INCONSISTENT:
+            assert compact.replay_certificate(verdict.certificate, sentences, ground.sig), (
+                [syntax.render(f) for f in sentences]
+            )
+            count["replayed"] += 1
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compact.OracleSession, "_search", checked)
+        yield count
 
 
 @pytest.fixture
@@ -123,21 +145,29 @@ def _partitions(items):
         yield [[first]] + part
 
 
+def _relation_atoms(f):
+    if isinstance(f, Atom):
+        yield f
+    elif isinstance(f, Not):
+        yield from _relation_atoms(f.body)
+    elif isinstance(f, (And, Or)):
+        for c in f.children:
+            yield from _relation_atoms(c)
+
+
 def brute_force_satisfiable(sentences, sig):
     """Enumerate all structures generated by the constants and evaluate
-    classically.  Ground sentences only."""
+    classically.  Ground sentences only.  Relation atoms the sentences do
+    not mention are left false, since no sentence reads them."""
     consts = sorted(sig.constants)
+    mentioned = {(a.rel, a.args) for f in sentences for a in _relation_atoms(f)}
     for part in _partitions(consts):
         rep = {}
         for block in part:
             r = min(block)
             for c in block:
                 rep[c] = r
-        blocks = sorted({rep[c] for c in consts})
-        rel_atoms = []
-        for name, arity in sorted(sig.relations.items()):
-            for combo in itertools.product(blocks, repeat=arity):
-                rel_atoms.append((name, combo))
+        rel_atoms = sorted({(name, tuple(rep[x] for x in args)) for name, args in mentioned})
         for bits in range(1 << len(rel_atoms)):
             true_atoms = {rel_atoms[i] for i in range(len(rel_atoms)) if bits >> i & 1}
 
@@ -214,7 +244,7 @@ def _naive_clause_obligations(s, sig):
                 yield (
                     "Str.2",
                     f"substitute {e.left} for {e.right} in {syntax.render(f)}",
-                    [syntax.replace_constants(f, {e.right: e.left})],
+                    [syntax.substitute(f, {e.right: e.left})],
                 )
     mentioned = set()
     for f in s:

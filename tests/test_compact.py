@@ -1,5 +1,7 @@
+import copy
 import itertools
-import random
+import json
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +30,12 @@ from boolkit.compact import (
 from boolkit.errors import BoolkitError, ConstructionFailure
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
-from conftest import brute_force_satisfiable, reference_search, reference_witness
+from conftest import (
+    _ReferenceClosure,
+    brute_force_satisfiable,
+    reference_search,
+    reference_witness,
+)
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
 
@@ -44,11 +51,13 @@ def pigeonhole(n):
 
 
 @st.composite
-def ground_sets(draw):
-    """Ground sentences over 2-5 constants with two unary relations and a
-    binary one.  A prefix of relation literals is decided first, so a later
-    equality merge can clash on several relation atoms at once."""
-    consts = [f"k{i}" for i in range(draw(st.integers(2, 5)))]
+def ground_sets(draw, constants=5, literals=8, formulas=6, leaves=6):
+    """Ground sentences over 2 to ``constants`` constants with two unary
+    relations and a binary one.  A prefix of up to ``literals`` relation
+    literals is decided first, so a later equality merge can clash on several
+    relation atoms at once; then 1 to ``formulas`` formulas of up to
+    ``leaves`` atoms each."""
+    consts = [f"k{i}" for i in range(draw(st.integers(2, constants)))]
     sig = Signature(relations={"P": 1, "R": 1, "S": 2}, base_constants=consts)
     c = st.sampled_from(consts)
     relation_atoms = st.one_of(
@@ -56,17 +65,17 @@ def ground_sets(draw):
         st.builds(lambda x, y: Atom("S", (x, y)), c, c),
     )
     relation_literals = st.one_of(relation_atoms, st.builds(Not, relation_atoms))
-    formulas = st.recursive(
+    formula = st.recursive(
         st.one_of(st.builds(Eq, c, c), relation_atoms),
         lambda kids: st.one_of(
             st.builds(Not, kids),
             st.lists(kids, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
             st.lists(kids, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
         ),
-        max_leaves=6,
+        max_leaves=leaves,
     )
-    prefix = draw(st.lists(relation_literals, max_size=8))
-    return prefix + draw(st.lists(formulas, min_size=1, max_size=6)), sig
+    prefix = draw(st.lists(relation_literals, max_size=literals))
+    return prefix + draw(st.lists(formula, min_size=1, max_size=formulas)), sig
 
 
 class TestOracle:
@@ -95,25 +104,22 @@ class TestOracle:
         assert v.status == CONSISTENT
         assert bvmodel.holds(v.witness, fam[-1])
 
-    def test_agrees_with_brute_force(self):
-        rng = random.Random(20)
-        sig = Signature(relations={"R": 1}, base_constants={"a", "b", "c"})
-        atoms = [Eq("a", "b"), Eq("b", "c"), Atom("R", ("a",)), Atom("R", ("b",))]
-        for _ in range(120):
-            sentences = []
-            for _ in range(rng.randint(1, 4)):
-                f = rng.choice(atoms)
-                if rng.random() < 0.5:
-                    f = Not(f)
-                if rng.random() < 0.3:
-                    g = rng.choice(atoms)
-                    f = Or((f, g)) if rng.random() < 0.5 else And((f, g))
-                sentences.append(f)
-            expected = brute_force_satisfiable(sentences, sig)
-            verdict = consistency_oracle(sentences, sig)
-            assert verdict.status == (CONSISTENT if expected else INCONSISTENT), sentences
-            if verdict.status == INCONSISTENT:
-                assert replay_certificate(verdict.certificate, sentences, sig)
+    @settings(max_examples=120, deadline=None)
+    @given(ground_sets(constants=4, literals=3, formulas=4, leaves=4))
+    @example(  # inconsistent only through transitivity and congruence
+        (
+            [Eq("k0", "k1"), Eq("k1", "k2"), Or((Not(Eq("k0", "k2")), Atom("R", ("k0",))))]
+            + [Not(Atom("R", ("k2",)))],
+            Signature(relations={"R": 1}, base_constants={"k0", "k1", "k2"}),
+        )
+    )
+    def test_agrees_with_brute_force(self, case):
+        sentences, sig = case
+        expected = CONSISTENT if brute_force_satisfiable(sentences, sig) else INCONSISTENT
+        verdict = consistency_oracle(sentences, sig)
+        assert verdict.status == expected
+        if verdict.status == INCONSISTENT:
+            assert replay_certificate(verdict.certificate, sentences, sig)
 
     def test_unknown_on_tiny_budget(self):
         sig = Signature(relations={"R": 2}, base_constants={"a", "b", "c", "d"})
@@ -199,6 +205,169 @@ class TestSearchTree:
         sentences, sig = pigeonhole(7)
         verdict = consistency_oracle(sentences, sig, Budget(oracle_nodes=5000))
         assert (verdict.status, verdict.budget_used) == (UNKNOWN, 5001)
+
+
+def _nodes(node, address=(), path=None):
+    """Every node of a certificate with its address (the branch names that
+    lead to it) and the atom assignment of its path."""
+    path = {} if path is None else path
+    yield node, address, path
+    if "atom" in node:
+        kind, x, y = node["atom"]
+        key = ("rel", x, tuple(y)) if kind == "rel" else (kind, x, y)
+        for truth, branch in ((True, "true"), (False, "false")):
+            yield from _nodes(node[branch], address + (branch,), {**path, key: truth})
+
+
+def _mutant(certificate, address, replacement):
+    """A copy of the certificate with the node at ``address`` replaced."""
+    if not address:
+        return replacement
+    mutant = copy.deepcopy(certificate)
+    parent = mutant
+    for branch in address[:-1]:
+        parent = parent[branch]
+    parent[address[-1]] = replacement
+    return mutant
+
+
+def _sentence_leaf(index):
+    return {"conflict": {"kind": "sentence", "index": index}}
+
+
+R_A = Atom("R", ("a",))
+# the refutation of [R(a), not R(a)]
+SPLIT_R_A = {"atom": ["rel", "R", ["a"]], "true": _sentence_leaf(1), "false": _sentence_leaf(0)}
+
+
+def _split(atom):
+    """A split on ``atom`` above the refutation of [R(a), not R(a)] in both
+    branches: it closes, so only the atom itself can be at fault."""
+    return {"atom": atom, "true": SPLIT_R_A, "false": SPLIT_R_A}
+
+
+MALFORMED = {
+    "list": [],
+    "no-keys": {"nope": 1},
+    "index-5": _sentence_leaf(5),
+    "index-negative": _sentence_leaf(-1),
+    "index-bool": _sentence_leaf(True),
+    "index-str": {"conflict": {"kind": "sentence", "index": "0"}},
+    "conflict-none": {"conflict": None},
+    "unknown-kind": {**SPLIT_R_A, "true": {"conflict": {"kind": "clash"}}},
+    "undeclared-constant": _split(["rel", "R", ["zz"]]),
+    "wrong-arity": _split(["rel", "R", ["a", "b"]]),
+    "undeclared-relation": _split(["rel", "Q", ["a"]]),
+    "undeclared-eq-constant": _split(["eq", "a", "zz"]),
+    "unhashable-constant": _split(["eq", ["a"], "b"]),
+    "unhashable-relation": _split(["rel", ["R"], ["a"]]),
+    "unknown-atom-kind": _split(["lt", "a", "b"]),
+    "atom-string": _split("R(a)"),
+    "nested-resplit": {**SPLIT_R_A, "true": SPLIT_R_A},
+    "missing-branch": {"atom": ["rel", "R", ["a"]], "true": _sentence_leaf(1)},
+}
+
+
+class TestReplay:
+    """The certificate checker accepts the oracle's refutations and rejects,
+    without raising, every malformed or mutated certificate."""
+
+    def test_accepts_a_refutation_and_its_json_round_trip(self):
+        theory = [R_A, Not(R_A)]
+        certificate = consistency_oracle(theory, SIG).certificate
+        assert replay_certificate(certificate, theory, SIG)
+        assert replay_certificate(json.loads(json.dumps(certificate)), theory, SIG)
+
+    @pytest.mark.parametrize(
+        "certificate",
+        list(MALFORMED.values()),
+        ids=list(MALFORMED),
+    )
+    def test_rejects_a_malformed_certificate(self, certificate):
+        assert replay_certificate(certificate, [R_A, Not(R_A)], SIG) is False
+
+    def test_a_clash_leaf_closes_only_under_its_own_kind(self):
+        # a = e0 and e0 = b below a != b: the search never splits on an atom
+        # the path decides, so this equality clash is built by hand
+        eq_theory = [Not(Eq("a", "b")), Eq("a", "e0"), Eq("e0", "b")]
+        eq_clash = {
+            "atom": ["eq", "a", "b"],
+            "true": _sentence_leaf(0),
+            "false": {
+                "atom": ["eq", "a", "e0"],
+                "true": {
+                    "atom": ["eq", "b", "e0"],
+                    "true": {"conflict": {"kind": "eq-closure"}},
+                    "false": _sentence_leaf(2),
+                },
+                "false": _sentence_leaf(1),
+            },
+        }
+        cases = [
+            (eq_theory, eq_clash, "eq-closure"),
+            ([R_A, Not(Atom("R", ("b",))), Eq("a", "b")], None, "rel-congruence"),
+        ]
+        for theory, certificate, kind in cases:
+            certificate = certificate or consistency_oracle(theory, SIG).certificate
+            assert replay_certificate(certificate, theory, SIG)
+            other = {"eq-closure": "rel-congruence", "rel-congruence": "eq-closure"}[kind]
+            clashes = [
+                address
+                for node, address, _ in _nodes(certificate)
+                if node.get("conflict", {}).get("kind") == kind
+            ]
+            assert clashes
+            for address in clashes:
+                mutant = _mutant(certificate, address, {"conflict": {"kind": other}})
+                assert replay_certificate(mutant, theory, SIG) is False
+
+    @pytest.mark.parametrize(
+        "theory, sig", [pigeonhole(3), (list(faicom_family(3)), faicom_signature(3))],
+        ids=["php3", "faicom3"],
+    )
+    def test_rejects_every_mutant_of_a_refutation(self, theory, sig):
+        certificate = consistency_oracle(theory, sig).certificate
+        assert replay_certificate(certificate, theory, sig)
+        ground, _ = compact.prepare_ground(theory, sig)
+        constants = sorted(sig.constants)
+        mutants = {"moved index": [], "missing branch": [], "changed kind": []}
+        for node, address, path in _nodes(certificate):
+            mutants["missing branch"].append(_mutant(certificate, address, None))
+            if node.get("conflict", {}).get("kind") != "sentence":
+                continue
+            closure = _ReferenceClosure(constants, path)
+            assert closure.conflict is None
+            for index, f in enumerate(ground):
+                if closure.value(f) is not False:
+                    mutants["moved index"].append(
+                        _mutant(certificate, address, _sentence_leaf(index))
+                    )
+            for kind in ("eq-closure", "rel-congruence"):
+                leaf = {"conflict": {"kind": kind, "detail": "mutant"}}
+                mutants["changed kind"].append(_mutant(certificate, address, leaf))
+        for kind, cases in mutants.items():
+            assert cases, kind
+            for mutant in cases:
+                assert replay_certificate(mutant, theory, sig) is False, kind
+
+    def test_shares_no_code_with_the_solver(self):
+        def names(code):
+            out = set(code.co_names) | set(code.co_freevars)
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    out |= names(const)
+            return out
+
+        solver = {"_eval3", "_first_undecided_atom", "_atom_key", "_PathClosure", "_GroundSolver"}
+        assert "find" in names(replay_certificate.__code__)  # nested code is read
+        assert not names(replay_certificate.__code__) & solver
+        assert not hasattr(compact, "_Closure") and not hasattr(compact, "_UnionFind")
+
+    def test_the_suite_replays_every_refutation(self, replayed_refutations):
+        before = replayed_refutations["replayed"]
+        assert consistency_oracle(faicom_family(3), faicom_signature(3)).status == INCONSISTENT
+        assert consistency_oracle(list(faicom_family(3))[1:], faicom_signature(3))
+        assert replayed_refutations["replayed"] == before + 1
 
 
 class TestConservative:
