@@ -174,26 +174,39 @@ def _bits(mask: int) -> Iterator[int]:
         i = text.find("1", i + 1)
 
 
-def _inclusion_down_masks(sets: tuple) -> list:
-    """Down masks of sets ordered by reverse inclusion.
+def _inclusion_masks(sets: tuple) -> tuple:
+    """Down and up masks of sets ordered by reverse inclusion.
 
-    Each item gets the bitmask of the sets that contain it; the sets below
-    ``s`` (its supersets) are then the AND of its items' masks, and every
-    set lies below the empty one.
+    Each item gets the bitmask of the sets that hold it.  The sets below
+    ``s`` (its supersets) are the AND of its items' masks, and every set lies
+    below the empty one; the sets above ``s`` (its subsets) are those that
+    hold no item outside ``s``.
     """
-    holders = {}
+    position = {}  # item -> its position in holders
+    holders = []
+    contents = []  # each set's items, as a mask over item positions
     for i, s in enumerate(sets):
+        bit = 1 << i
+        inside = 0
         for x in s:
-            holders.setdefault(x, []).append(i)
-    masks = {x: sum(1 << i for i in positions) for x, positions in holders.items()}
+            k = position.setdefault(x, len(holders))
+            if k == len(holders):
+                holders.append(0)
+            holders[k] |= bit
+            inside |= 1 << k
+        contents.append(inside)
     full = (1 << len(sets)) - 1
-    down = []
-    for s in sets:
-        mask = full
-        for x in s:
-            mask &= masks[x]
-        down.append(mask)
-    return down
+    down, up = [], []
+    for inside in contents:
+        below, outside = full, 0
+        for k, held in enumerate(holders):
+            if inside >> k & 1:
+                below &= held
+            else:
+                outside |= held
+        down.append(below)
+        up.append(full & ~outside)
+    return down, up
 
 
 class Poset:
@@ -206,7 +219,7 @@ class Poset:
     from bitsets instead, a partial order by construction, so it skips the
     check.  It is stored as bitmasks over element positions: bit i of
     ``down[j]`` means elements[i] <= elements[j], and ``up`` is the
-    transpose (bit j of ``up[i]``).
+    transpose (bit j of ``up[i]``), which ``of_sets`` builds directly.
     """
 
     def __init__(self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None):
@@ -217,20 +230,20 @@ class Poset:
         n = len(self.elements)
         self._all = (1 << n) - 1
         if leq is _reverse_inclusion:
-            self._down = _inclusion_down_masks(self.elements)
+            self._down, self._up = _inclusion_masks(self.elements)
+            return
+        if leq is not None:
+            rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
         else:
-            if leq is not None:
-                rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
-            else:
-                rel = set(leq_pairs or ())
-            self._down = [0] * n
-            for (a, b) in rel:
-                if a not in self._index or b not in self._index:
-                    raise BoolkitError(f"order pair {(a, b)!r} mentions a non-element")
-                self._down[self._index[b]] |= 1 << self._index[a]
-            for i in range(n):
-                self._down[i] |= 1 << i
-            self._check_axioms()
+            rel = set(leq_pairs or ())
+        self._down = [0] * n
+        for (a, b) in rel:
+            if a not in self._index or b not in self._index:
+                raise BoolkitError(f"order pair {(a, b)!r} mentions a non-element")
+            self._down[self._index[b]] |= 1 << self._index[a]
+        for i in range(n):
+            self._down[i] |= 1 << i
+        self._check_axioms()
         self._up = [0] * n
         for j, mask in enumerate(self._down):
             bit = 1 << j
@@ -240,8 +253,8 @@ class Poset:
     @classmethod
     def of_sets(cls, sets: Iterable) -> "Poset":
         """Distinct sets ordered by reverse inclusion: a larger set is the
-        stronger condition.  Costs one AND per item of each set instead of a
-        comparison per pair of sets."""
+        stronger condition.  Costs one AND per item of each set and one OR
+        per item outside it instead of a comparison per pair of sets."""
         return cls(sets, leq=_reverse_inclusion)
 
     def _check_axioms(self):

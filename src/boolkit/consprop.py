@@ -7,6 +7,7 @@ logically void and only inflate the family).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -46,6 +47,12 @@ class ConsistencyProperty:
     def __contains__(self, s):
         return canon_set(s) in self.members
 
+    @functools.cached_property
+    def index(self) -> "MemberIndex":
+        """The members as bitmasks, built once per property and shared by
+        clause verification and model existence."""
+        return MemberIndex(self.members)
+
     def to_json(self) -> dict:
         return {
             "signature": self.sig.to_json(),
@@ -67,10 +74,47 @@ class ConsistencyProperty:
 # clause obligations and verification
 
 
+class MemberIndex:
+    """A family's members as bitmasks over its distinct sentences.
+
+    Each distinct sentence gets one bit, in render order, so a member's
+    sorted positions compare as its sorted renderings do.  ``members`` lists
+    the members by size, then by those positions; ``ids`` and ``masks`` give
+    each one's sorted positions and bitmask, and ``mask_set`` holds the
+    masks for membership tests.
+    """
+
+    def __init__(self, members):
+        members = list(members)
+        seen = {}  # sentence -> its position in first-seen order
+        first_seen = [[seen.setdefault(f, len(seen)) for f in s] for s in members]
+        self.sentences = sorted(seen, key=syntax.render)
+        self.position = {f: i for i, f in enumerate(self.sentences)}
+        rank = [self.position[f] for f in seen]
+        rows = [
+            (len(s), sorted([rank[k] for k in ks]), s) for ks, s in zip(first_seen, members)
+        ]
+        rows.sort(key=lambda row: row[:2])
+        self.members = [s for _, _, s in rows]
+        self.ids = [tuple(ids) for _, ids, _ in rows]
+        self.masks = [sum(1 << i for i in ids) for ids in self.ids]
+        self.mask_set = set(self.masks)
+
+    def bits(self, options) -> tuple:
+        """Canonical options as bits, 0 for ``None`` (the member itself); an
+        option outside the index is in no member and is dropped."""
+        position = self.position
+        return tuple(
+            0 if option is None else 1 << position[option]
+            for option in options
+            if option is None or option in position
+        )
+
+
 def ordered_members(members) -> list:
     """Members by size, then by their sorted renderings: the order in which
     verification visits them and model existence indexes them."""
-    return sorted(members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
+    return MemberIndex(members).members
 
 
 class ClauseObligations:
@@ -116,22 +160,28 @@ class ClauseObligations:
         for f in ordered:
             yield from self.own(f)
         for e in ordered:
-            if not isinstance(e, Eq):
-                continue
-            for f in ordered:
-                if f is e:
-                    continue
-                replaced = self._replaced.get((e, f))
-                if replaced is None:
-                    replaced = self._replaced[(e, f)] = self._substitution(e, f)
-                yield from replaced
-        mentioned = frozenset().union(*map(self._constants_of, ordered))
-        naming = self._naming.get(mentioned)
-        if naming is None:
-            naming = self._naming[mentioned] = self._fresh_naming(mentioned)
-        yield from naming
+            if isinstance(e, Eq):
+                for f in ordered:
+                    if f is not e:
+                        yield from self.replaced(e, f)
+        yield from self.naming(frozenset().union(*map(self.constants_of, ordered)))
 
-    def _constants_of(self, f: Formula) -> frozenset:
+    def replaced(self, e: Eq, f: Formula) -> tuple:
+        """Str.2 for the equality ``e`` and another sentence ``f`` of a
+        member: empty when ``f`` does not mention ``e.right``."""
+        out = self._replaced.get((e, f))
+        if out is None:
+            out = self._replaced[(e, f)] = self._substitution(e, f)
+        return out
+
+    def naming(self, mentioned: frozenset) -> tuple:
+        """Str.3 for a member mentioning the constants ``mentioned``."""
+        out = self._naming.get(mentioned)
+        if out is None:
+            out = self._naming[mentioned] = self._fresh_naming(mentioned)
+        return out
+
+    def constants_of(self, f: Formula) -> frozenset:
         out = self._constants.get(f)
         if out is None:
             out = self._constants[f] = syntax.constants_of(f)
@@ -166,7 +216,7 @@ class ClauseObligations:
         return tuple(out)
 
     def _substitution(self, e: Eq, f: Formula) -> tuple:
-        if e.right not in self._constants_of(f):
+        if e.right not in self.constants_of(f):
             return ()
         replaced = syntax.substitute(f, {e.right: e.left})
         need = f"substitute {e.left} for {e.right} in {syntax.render(f)}"
@@ -198,18 +248,62 @@ class ClauseVerdict:
 def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     """Check the contradiction clause and all closure clauses on every member;
     reports the first violation, visiting members in ``ordered_members``
-    order and each member's sentences in render order."""
-    members = prop.members
-    ordered = ordered_members(members)
-    for s in ordered:
-        for f in sorted(s, key=syntax.render):
-            if isinstance(f, Not) and f.body in s:
-                return ClauseVerdict(False, "Con", s, syntax.render(f.body))
+    order and each member's obligations in ``ClauseObligations.of`` order.
+
+    The checks run on the property's ``MemberIndex``: each obligation's
+    options are compiled to bits once per sentence (per equality and
+    sentence for Str.2, per mentioned-constant set for Str.3), and an option
+    is met when the member's mask with its bit is a member's mask.
+    """
+    index = prop.index
+    sentences, masks, mask_set = index.sentences, index.masks, index.mask_set
+    rows = list(zip(index.members, index.ids, masks))
+    negated = [
+        index.position.get(f.body) if isinstance(f, Not) else None for f in sentences
+    ]
+    for s, ids, mask in rows:
+        for i in ids:
+            j = negated[i]
+            if j is not None and mask >> j & 1:
+                return ClauseVerdict(False, "Con", s, syntax.render(sentences[j]))
+
     obligations = ClauseObligations(prop.sig)
-    extend = obligations.extend
-    for s in ordered:
-        for clause, need, options in obligations.of(s):
-            if not any(extend(s, option) in members for option in options):
+    constants = [obligations.constants_of(f) for f in sentences]
+    own, replaced, naming = {}, {}, {}
+
+    def compiled(raw) -> tuple:
+        return tuple((clause, need, index.bits(options)) for clause, need, options in raw)
+
+    def of(ids):
+        # the order of ClauseObligations.of, on sentence positions
+        for i in ids:
+            out = own.get(i)
+            if out is None:
+                out = own[i] = compiled(obligations.own(sentences[i]))
+            yield from out
+        for e in ids:
+            if isinstance(sentences[e], Eq):
+                for i in ids:
+                    if i == e:
+                        continue
+                    out = replaced.get((e, i))
+                    if out is None:
+                        out = replaced[(e, i)] = compiled(
+                            obligations.replaced(sentences[e], sentences[i])
+                        )
+                    yield from out
+        mentioned = frozenset().union(*[constants[i] for i in ids])
+        out = naming.get(mentioned)
+        if out is None:
+            out = naming[mentioned] = compiled(obligations.naming(mentioned))
+        yield from out
+
+    for s, ids, mask in rows:
+        for clause, need, options in of(ids):
+            for bit in options:
+                if mask | bit in mask_set:
+                    break
+            else:
                 return ClauseVerdict(False, clause, s, need)
     return ClauseVerdict(True)
 
@@ -335,11 +429,12 @@ def model_from_consprop(
     completion is the algebra; the domain is the constant pool; atomic
     values are the regularizations of the sets of members compatible with
     the atom, those to which the atom can be added without leaving the
-    family.  The property is verified clause by clause first, and a failing
-    clause raises.  The construction is then validated: the congruence
-    conditions must hold and every member's cone must sit below the value of
-    each of its sentences.  A validation failure raises with the
-    counterexample.
+    family, read off the property's ``MemberIndex`` masks.  The property is
+    verified clause by clause first, and a failing clause raises.  The
+    construction is then validated: the congruence conditions must hold and
+    every member's cone must sit below the value of each of its sentences,
+    each distinct sentence evaluated once.  A validation failure raises with
+    the counterexample.
     """
     verdict = verify_consistency_property(prop)
     if not verdict.ok:
@@ -353,18 +448,23 @@ def model_from_consprop(
     if not consts:
         raise BoolkitError("model construction needs at least one constant")
 
-    members = ordered_members(prop.members)
+    index = prop.index
+    members, masks, mask_set = index.members, index.masks, index.mask_set
     poset = Poset.of_sets(members)  # stronger means larger as a set
     ro = ro_completion(poset)
     algebra = ro.algebra
 
     def value_of(sentence: Formula) -> int:
         # a member is compatible when adding the atom stays in the family;
-        # atoms are canonical and never reflexive, so no canon_set is needed
+        # atoms are canonical and never reflexive, so no canon_set is needed,
+        # and an atom in no member is compatible with none
         mask = 0
-        for i, s in enumerate(members):
-            if sentence in s or s | {sentence} in prop.members:
-                mask |= 1 << i
+        i = index.position.get(sentence)
+        if i is not None:
+            bit = 1 << i
+            for j, m in enumerate(masks):
+                if m & bit or m | bit in mask_set:
+                    mask |= 1 << j
         return ro.element_of_mask(poset.regularize_mask(mask))
 
     domain = tuple(consts)
@@ -389,11 +489,17 @@ def model_from_consprop(
     except BoolkitError as exc:
         raise ConstructionFailure(f"congruence validation failed: {exc}") from exc
 
+    # each distinct sentence is evaluated once, when a member first needs it
+    values = {}
     diagnostics = {"members": len(members), "atoms": algebra.atom_count, "checked": 0}
     for s in members:
         cone = ro.cone[s]
         for phi in s:
-            value = bvmodel.eval_formula(model, phi, max_steps=budget.eval_steps)
+            value = values.get(phi)
+            if value is None:
+                value = values[phi] = bvmodel.eval_formula(
+                    model, phi, max_steps=budget.eval_steps
+                )
             diagnostics["checked"] += 1
             if not algebra.leq(cone, value):
                 raise ConstructionFailure(

@@ -97,18 +97,28 @@ class DensityVerdict:
         return self.ok
 
 
+def _condition_order(s: frozenset) -> tuple:
+    """Conditions by size, then by their sorted renderings."""
+    return len(s), sorted(map(syntax.render, s))
+
+
 def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> DensityVerdict:
     """Dense means: every condition has a superset in the set, which under
     the reverse-inclusion order says every condition has an extension there.
-    The strict flag demands a proper superset."""
+    The strict flag demands a proper superset.  A set that is not dense is
+    witnessed by its least uncovered condition in ``_condition_order``."""
     dset = [frozenset(syntax.canon(f) for f in s) for s in d]
     for s in dset:
         if s not in p.conditions:
             raise BoolkitError("dense-set entry is not a condition")
-    for s in p.conditions:
-        if not any((s < t) if strict else (s <= t) for t in dset):
-            return DensityVerdict(False, witness=s)
-    return DensityVerdict(True)
+
+    def uncovered(s):
+        return not any((s < t) if strict else (s <= t) for t in dset)
+
+    if not any(map(uncovered, p.conditions)):
+        return DensityVerdict(True)
+    ordered = sorted(p.conditions, key=_condition_order)
+    return DensityVerdict(False, witness=next(filter(uncovered, ordered)))
 
 
 @dataclass(frozen=True)
@@ -137,10 +147,7 @@ def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
             raise BoolkitError(f"supplied set {i} is not dense")
     current = frozenset()
     for d in dense:
-        candidates = sorted(
-            (t for t in d if current <= t),
-            key=lambda t: (len(t), sorted(map(syntax.render, t))),
-        )
+        candidates = sorted((t for t in d if current <= t), key=_condition_order)
         if not candidates:
             raise BoolkitError("density violated during chain construction")
         current = candidates[0]
@@ -148,9 +155,7 @@ def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
     grown = True
     while grown:
         grown = False
-        for t in sorted(
-            p.conditions, key=lambda t: (len(t), sorted(map(syntax.render, t)))
-        ):
+        for t in sorted(p.conditions, key=_condition_order):
             if current < t:
                 current = t
                 grown = True

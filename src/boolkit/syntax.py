@@ -244,7 +244,16 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, (Forall, Exists)) for g in subformulas(f))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Forall, Exists)):
+            return False
+        if isinstance(g, Not):
+            stack.append(g.body)
+        elif isinstance(g, (And, Or)):
+            stack.extend(g.children)
+    return True
 
 
 def validate(f: Formula, sig: Signature) -> None:

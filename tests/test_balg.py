@@ -234,12 +234,20 @@ class TestQuotient:
 
 class TestPoset:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=12, unique=True))
-    def test_of_sets_matches_reverse_inclusion(self, sets):
+    @given(
+        st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=12, unique=True),
+        st.lists(st.integers(0, (1 << 12) - 1), max_size=4),
+    )
+    def test_of_sets_matches_reverse_inclusion(self, sets, subsets):
         built = Poset.of_sets(sets)
         built._check_axioms()  # of_sets skips the check; its order passes it
         reference = Poset(sets, leq=lambda a, b: b <= a)
         assert [built.down_mask(s) for s in sets] == [reference.down_mask(s) for s in sets]
+        # of_sets builds its up masks directly, not by transposing the down masks
+        assert built._up == reference._up
+        for mask in subsets:
+            mask &= built._all
+            assert built.regularize_mask(mask) == reference.regularize_mask(mask)
         ro, ro_ref = ro_completion(built), ro_completion(reference)
         assert ro._atom_masks == ro_ref._atom_masks and ro.cone == ro_ref.cone
 

@@ -12,7 +12,7 @@ from boolkit.consprop import (
     saturate_theory,
     verify_consistency_property,
 )
-from boolkit.errors import BoolkitError
+from boolkit.errors import BoolkitError, ConstructionFailure
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
 SIG_CD = Signature(relations={}, base_constants=set(), fresh_constants={"c", "d"})
@@ -100,6 +100,33 @@ class TestVerify:
                 got = (verdict.ok, verdict.clause, verdict.member, verdict.detail)
                 assert got == naive_verify(smaller, memo)
 
+    @pytest.mark.parametrize(
+        "sig, members, clause",
+        [
+            # Str.2 asks for (P c0), which is in no member
+            (SIG_P, [[], [Eq("c0", "c1")], [Eq("c0", "c1"), Eq("c1", "c0")], [Atom("P", ("c1",))],
+                     [Eq("c0", "c1"), Eq("c1", "c0"), Atom("P", ("c1",))]], "Str.2"),
+            # Ind.5 asks for (P c0) or (P c1), neither in any member
+            (SIG_P, [[], [Exists(("?x",), Atom("P", ("?x",)))]], "Ind.5"),
+            # the negated atom's body is in no member: no Con violation
+            (SIG_CD, [[], [Not(Eq("c", "d"))]], ""),
+            (SIG_P, [[Not(Atom("P", ("c0",))), Not(Atom("P", ("c1",)))]], ""),
+            # a lone empty member, with and without a fresh pool to name from
+            (SIG_CD, [[]], ""),
+            (Signature(relations={}, base_constants={"a"}), [[]], "Str.3"),
+        ],
+    )
+    def test_edge_cases_match_the_naive_checker(self, sig, members, clause):
+        from conftest import naive_verify
+
+        prop = ConsistencyProperty(sig, members)
+        verdict = verify_consistency_property(prop)
+        got = (verdict.ok, verdict.clause, verdict.member, verdict.detail)
+        assert got == naive_verify(prop)
+        assert verdict.clause == clause
+        if clause in ("Str.2", "Ind.5"):
+            assert syntax.canon(Atom("P", ("c0",))) not in prop.index.position
+
 
 class TestSaturate:
     def test_empty_theory_members(self):
@@ -175,6 +202,35 @@ class TestModelExistence:
             ro, ro_ref = ro_completion(built), ro_completion(reference)
             assert ro._atom_masks == ro_ref._atom_masks
             assert ro.cone == ro_ref.cone
+
+    def test_cone_check_names_the_first_member_holding_a_failed_sentence(self, monkeypatch):
+        prop = saturate_theory(Theory([Atom("P", ("c0",)), Not(Eq("c0", "c1"))]), SIG_P)
+        chosen = syntax.canon(Not(Eq("c0", "c1")))
+        real = bvmodel.eval_formula
+
+        def eval_formula(model, phi, **kwargs):
+            return 0 if phi == chosen else real(model, phi, **kwargs)
+
+        monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
+        with pytest.raises(ConstructionFailure) as exc:
+            model_from_consprop(prop)
+        first = next(s for s in consprop.ordered_members(prop.members) if chosen in s)
+        assert exc.value.counterexample["member"] == sorted(map(syntax.render, first))
+        assert exc.value.counterexample["sentence"] == syntax.render(chosen)
+
+    def test_each_distinct_sentence_is_evaluated_once(self, monkeypatch):
+        prop = saturate_theory(Theory([Atom("P", ("c0",))]), SIG_P)
+        real = bvmodel.eval_formula
+        calls = []
+
+        def eval_formula(model, phi, **kwargs):
+            calls.append(syntax.render(phi))
+            return real(model, phi, **kwargs)
+
+        monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
+        _, diagnostics = model_from_consprop(prop)
+        assert sorted(calls) == sorted({syntax.render(f) for s in prop.members for f in s})
+        assert diagnostics["checked"] == sum(map(len, prop.members))
 
     def test_quantified_theory(self):
         t = Theory([Exists(("?x",), Atom("P", ("?x",)))])

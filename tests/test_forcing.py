@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,34 @@ class TestDense:
         # the full poset is dense but not strictly dense (maximal elements
         # have no proper extension)
         assert not is_dense(list(poset.conditions), poset, strict=True).ok
+
+    def test_witness_is_the_least_uncovered_condition_under_every_hash_seed(self):
+        # frozenset order varies with the hash seed; the least uncovered
+        # condition by size, then sorted renderings, does not
+        script = (
+            "from boolkit import forcing, syntax\n"
+            "sig = syntax.Signature(relations={'P': 1}, base_constants={'a', 'b', 'c'})\n"
+            "p = forcing.build_sphi(syntax.parse('(or (P a) (not (= b c)))', sig), sig, 3)\n"
+            "verdict = forcing.is_dense([s for s in p.conditions if len(s) == 2], p)\n"
+            "print(verdict.ok, sorted(map(syntax.render, verdict.witness)))\n"
+        )
+        src = str(Path(syntax.__file__).resolve().parents[1])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            )
+            for seed in "01"
+        ]
+        outputs = {run.communicate(timeout=60)[0] for run in runs}
+        # only the size-3 conditions are uncovered; the witness is the least of them
+        sig = Signature(relations={"P": 1}, base_constants={"a", "b", "c"})
+        p = build_sphi(syntax.parse("(or (P a) (not (= b c)))", sig), sig, 3)
+        two = [s for s in p.conditions if len(s) == 2]
+        uncovered = [s for s in p.conditions if not any(s <= t for t in two)]
+        assert uncovered and all(len(s) == 3 for s in uncovered)
+        least = min(sorted(map(syntax.render, s)) for s in uncovered)
+        assert outputs == {f"False {least}\n"}
 
     def test_non_condition_rejected(self, poset):
         with pytest.raises(BoolkitError):
