@@ -71,9 +71,9 @@ class _PathClosure:
     Every constant maps straight to its class representative, the class
     minimum.  A disequality or relation literal is one table entry.  A
     positive equality relabels the class with the larger minimum and
-    rebuilds the tables from the path, so a conflict is named by the first
-    disequality inside one class, else by the least relation clash.
-    ``assignment`` is the path itself, in insertion order.
+    rebuilds the tables from the path; the only conflict a merge can cause
+    is a relation clash, named by the least one.  ``assignment`` is the
+    path itself, in insertion order.
     """
 
     def __init__(self, constants):
@@ -114,6 +114,9 @@ class _PathClosure:
         return None
 
     def _rebuild(self):
+        # a positive equality is assigned only while it is undecided, so no
+        # disequality separates the two classes it merges: no disequality
+        # ever falls inside one class
         rep = self.rep
         self.diseq = diseq = set()
         self.rel_true = rel_true = set()
@@ -123,8 +126,6 @@ class _PathClosure:
                 (rel_true if value else rel_false).add(self._canon(key))
             elif not value:
                 a, b = rep[key[1]], rep[key[2]]
-                if a == b:
-                    return ("eq-closure", key)
                 diseq.add((a, b) if a < b else (b, a))
         clash = rel_true & rel_false
         if clash:
@@ -339,28 +340,33 @@ class OracleSession:
     - ``verdict`` always searches and returns the search's full
       OracleVerdict, so a certificate indexes its own input;
     - ``status`` returns the status alone, cached under the sentence set.
-      Before searching it looks for the witness of the same set with one
-      sentence removed; when that sentence holds there, the witness is a
-      Tarski model of the whole set (model rotation).
+      Before searching it looks at each subset with one sentence removed.
+      When that subset was refuted, so is the whole set (a refuted-subset
+      hit).  When that subset has a witness and the removed sentence holds
+      there, the witness is a Tarski model of the whole set (model
+      rotation).
 
     Every searched Consistent result is built into a two-valued witness,
     validated, and checked against each sentence; it then serves later
-    status queries.  So a witness can decide a set that a search under the
-    session's node cap would leave Unknown.
+    status queries.  Every Inconsistent status goes back to a certified
+    search on a subset.  So a witness or a refuted subset can decide a set
+    that a search under the session's node cap would leave Unknown.
 
     The counters are plain integers: ``calls``, ``status_hits``,
-    ``hint_hits``, ``searches`` and the ``nodes`` those searches visited.
+    ``refuted_hits``, ``hint_hits`` (witnesses), ``searches`` and the
+    ``nodes`` those searches visited.
     """
 
     def __init__(self, budget: Budget = DEFAULT_BUDGET):
         self.budget = budget
-        self.calls = self.status_hits = self.hint_hits = self.searches = self.nodes = 0
+        self.calls = self.status_hits = self.refuted_hits = self.hint_hits = 0
+        self.searches = self.nodes = 0
         self._grounds = {}  # _sig_key(sig) -> _Ground
 
     def counters(self) -> dict:
         return {
             name: getattr(self, name)
-            for name in ("calls", "status_hits", "hint_hits", "searches", "nodes")
+            for name in ("calls", "status_hits", "refuted_hits", "hint_hits", "searches", "nodes")
         }
 
     def _ground(self, sig: Signature) -> _Ground:
@@ -392,7 +398,12 @@ class OracleSession:
         # theory at its end, so the newest sentences are tried first
         own = sentences[: len(sentences) - len(ground.naming)] if qe_applied else sentences
         for f in reversed(own):
-            witness = ground.witnesses.get(key - {f})
+            subset = key - {f}
+            if ground.statuses.get(subset) == INCONSISTENT:
+                self.refuted_hits += 1
+                ground.statuses[key] = INCONSISTENT
+                return INCONSISTENT
+            witness = ground.witnesses.get(subset)
             if witness is not None and bvmodel.holds(witness, f):
                 self.hint_hits += 1
                 ground.statuses[key] = CONSISTENT
@@ -612,6 +623,10 @@ def is_conservative_strengthening(
     entailment_ok = entail == INCONSISTENT
     if not entailment_ok:
         return ConservativityReport(False, False, 0)
+    # psi1 entails psi0, so a refutation of {psi0} + C refutes {psi1} + C;
+    # not when only psi0 is quantified: {psi1} + C may then be searched
+    # without the naming constraints the other two queries carry
+    implied = syntax.is_quantifier_free(psi0) or not syntax.is_quantifier_free(psi1)
     subs = sorted(syntax.subsentences(psi0, sig), key=syntax.render)
     max_size = len(subs) if budget.max_subset is None else min(budget.max_subset, len(subs))
     bounded = max_size < len(subs)
@@ -620,7 +635,10 @@ def is_conservative_strengthening(
         for combo in itertools.combinations(subs, size):
             checked += 1
             v0 = session.status([psi0, *combo], sig)
-            v1 = session.status([psi1, *combo], sig)
+            if v0 == INCONSISTENT and implied:
+                v1 = INCONSISTENT
+            else:
+                v1 = session.status([psi1, *combo], sig)
             if UNKNOWN in (v0, v1):
                 return ConservativityReport(False, True, checked, unknown=True)
             if v0 != v1:

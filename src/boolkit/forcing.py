@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import bvmodel, compact, syntax
@@ -45,6 +46,22 @@ class SPhiPoset:
 
     def __contains__(self, s):
         return frozenset(syntax.canon(f) for f in s) in self.conditions
+
+    @cached_property
+    def maximal(self) -> frozenset:
+        """The conditions with no proper extension in the poset."""
+        # a condition with a proper extension lies below a maximal one, which
+        # is larger and so already found
+        found = []
+        for s in sorted(self.conditions, key=len, reverse=True):
+            if not any(s < t for t in found):
+                found.append(s)
+        return frozenset(found)
+
+    @cached_property
+    def ordered(self) -> tuple:
+        """The conditions in ``_condition_order``."""
+        return tuple(sorted(self.conditions, key=_condition_order))
 
     def to_json(self) -> dict:
         return {
@@ -106,19 +123,23 @@ def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> Dens
     """Dense means: every condition has a superset in the set, which under
     the reverse-inclusion order says every condition has an extension there.
     The strict flag demands a proper superset.  A set that is not dense is
-    witnessed by its least uncovered condition in ``_condition_order``."""
+    witnessed by its least uncovered condition in ``_condition_order``.
+
+    Every condition lies below a maximal one, and a maximal condition is
+    covered only by itself, never strictly.  So a set is dense exactly when
+    it holds every maximal condition, and strictly dense only in an empty
+    poset."""
     dset = [frozenset(syntax.canon(f) for f in s) for s in d]
     for s in dset:
         if s not in p.conditions:
             raise BoolkitError("dense-set entry is not a condition")
+    if (not p.conditions) if strict else p.maximal <= set(dset):
+        return DensityVerdict(True)
 
     def uncovered(s):
         return not any((s < t) if strict else (s <= t) for t in dset)
 
-    if not any(map(uncovered, p.conditions)):
-        return DensityVerdict(True)
-    ordered = sorted(p.conditions, key=_condition_order)
-    return DensityVerdict(False, witness=next(filter(uncovered, ordered)))
+    return DensityVerdict(False, witness=next(filter(uncovered, p.ordered)))
 
 
 @dataclass(frozen=True)
@@ -147,19 +168,15 @@ def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
             raise BoolkitError(f"supplied set {i} is not dense")
     current = frozenset()
     for d in dense:
-        candidates = sorted((t for t in d if current <= t), key=_condition_order)
+        candidates = [t for t in d if current <= t]
         if not candidates:
             raise BoolkitError("density violated during chain construction")
-        current = candidates[0]
-    # greedy saturation to a maximal condition
-    grown = True
-    while grown:
-        grown = False
-        for t in sorted(p.conditions, key=_condition_order):
-            if current < t:
-                current = t
-                grown = True
-                break
+        current = min(candidates, key=_condition_order)
+    # greedy saturation to a maximal condition: a condition that does not
+    # extend the chain when it is passed does not extend its end either
+    for t in p.ordered:
+        if current < t:
+            current = t
     members = frozenset(s for s in p.conditions if s <= current)
     maximal = not any(current < t for t in p.conditions)
     return GenericFilter(p, members, maximal)

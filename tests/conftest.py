@@ -435,3 +435,69 @@ def reference_search(sentences, constants, node_cap):
         return "Unknown", nodes, None, None
     status = "Consistent" if assignment is not None else "Inconsistent"
     return status, nodes, assignment, certificate
+
+
+def _condition_order(s):
+    return len(s), sorted(map(syntax.render, s))
+
+
+def reference_is_dense(d, p, strict=False):
+    """Density by comparing every condition with every member of the set;
+    returns (ok, least uncovered condition or None)."""
+    dset = [frozenset(syntax.canon(f) for f in s) for s in d]
+
+    def uncovered(s):
+        return not any((s < t) if strict else (s <= t) for t in dset)
+
+    missed = sorted(filter(uncovered, p.conditions), key=_condition_order)
+    return (False, missed[0]) if missed else (True, None)
+
+
+def reference_generic_filter(p, dense=()):
+    """The chain through the dense sets, then saturation that restarts from
+    the least condition after every step; returns (members, maximal), or
+    raises ValueError where a set is not dense or the chain breaks."""
+    dense = [[frozenset(syntax.canon(f) for f in s) for s in d] for d in dense]
+    if not all(reference_is_dense(d, p)[0] for d in dense):
+        raise ValueError("not dense")
+    current = frozenset()
+    for d in dense:
+        candidates = sorted((t for t in d if current <= t), key=_condition_order)
+        if not candidates:
+            raise ValueError("chain broken")
+        current = candidates[0]
+    grown = True
+    while grown:
+        grown = False
+        for t in sorted(p.conditions, key=_condition_order):
+            if current < t:
+                current, grown = t, True
+                break
+    members = frozenset(s for s in p.conditions if s <= current)
+    return members, not any(current < t for t in p.conditions)
+
+
+def reference_conservativity(psi1, psi0, sig, budget=compact.DEFAULT_BUDGET):
+    """The conservativity walk with a fresh search for both sentences of
+    every subset; returns the report's fields as a tuple."""
+    def status(theory):
+        return compact.consistency_oracle(theory, sig, budget).status
+
+    if syntax.canon(psi1) == syntax.canon(psi0):
+        return (True, True, 0, None, False, False)
+    entail = status([psi1, Not(psi0)])
+    if entail != compact.INCONSISTENT:
+        return (False, False, 0, None, False, entail == compact.UNKNOWN)
+    subs = sorted(syntax.subsentences(psi0, sig), key=syntax.render)
+    max_size = len(subs) if budget.max_subset is None else min(budget.max_subset, len(subs))
+    bounded = max_size < len(subs)
+    checked = 0
+    for size in range(max_size + 1):
+        for combo in itertools.combinations(subs, size):
+            checked += 1
+            v0, v1 = status([psi0, *combo]), status([psi1, *combo])
+            if compact.UNKNOWN in (v0, v1):
+                return (False, True, checked, None, False, True)
+            if v0 != v1:
+                return (False, True, checked, frozenset(combo), bounded, False)
+    return (True, True, checked, None, bounded, False)

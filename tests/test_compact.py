@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import types
@@ -28,11 +29,12 @@ from boolkit.compact import (
     star_theory,
 )
 from boolkit.errors import BoolkitError, ConstructionFailure
-from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
+from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Theory
 
 from conftest import (
     _ReferenceClosure,
     brute_force_satisfiable,
+    reference_conservativity,
     reference_search,
     reference_witness,
 )
@@ -403,6 +405,18 @@ class TestConservative:
         assert not report.entailment_ok
         assert not report.conservative
 
+    def test_a_quantified_target_over_a_ground_strengthening_searches_both(self):
+        # only psi0 is quantified, so {psi0} + C carries the naming
+        # constraints and {psi1} + C may not: refuting the first does not
+        # refute the second
+        sig = Signature(relations={}, base_constants={"a", "b", "c"}, fresh_constants={"e1", "e2"})
+        distinct = (Not(Eq("a", "b")), Not(Eq("b", "c")), Not(Eq("a", "c")))
+        psi0 = And((Forall(("?x",), Eq("?x", "?x")),) + distinct)
+        psi1 = And(distinct)
+        report = is_conservative_strengthening(psi1, psi0, sig)
+        assert dataclasses.astuple(report) == reference_conservativity(psi1, psi0, sig)
+        assert report.violating_subset == frozenset()
+
     def test_bounded_run_labelled(self):
         psi0 = Or((Eq("a", "b"), Atom("R", ("a",))))
         psi1 = And((psi0, Or((psi0,))))
@@ -619,6 +633,7 @@ class TestOracleSession:
         assert session.counters() == {
             "calls": 3,
             "status_hits": 1,
+            "refuted_hits": 0,
             "hint_hits": 0,
             "searches": 2,
             "nodes": verdict.budget_used + again.budget_used,
@@ -648,15 +663,19 @@ class TestOracleSession:
             for j in range(start, len(universe)):
                 ext = [*subset, universe[j]]
                 rng.shuffle(ext)
-                hints = session.hint_hits
+                hints, refuted = session.hint_hits, session.refuted_hits
                 status = session.status(ext, sig, require_qe=reduced)
                 queries += 1
                 assert status == consistency_oracle(ext, sig, require_qe=reduced).status
+                ground = session._ground(sig)
+                prepared = frozenset(ground.prepare(ext, reduced)[0])
                 if session.hint_hits > hints:
-                    ground = session._ground(sig)
-                    prepared, _ = ground.prepare(ext, reduced)
-                    witness = ground.witnesses[frozenset(prepared)]
+                    witness = ground.witnesses[prepared]
                     assert all(bvmodel.holds(witness, f) for f in prepared)
+                if session.refuted_hits > refuted:
+                    assert any(
+                        ground.statuses.get(prepared - {f}) == INCONSISTENT for f in prepared
+                    )
                 if status == CONSISTENT:
                     stack.append((tuple(ext), j + 1))
 
@@ -672,6 +691,20 @@ class TestOracleSession:
         assert (session.hint_hits, session.searches) == (1, 1)
         # a verdict always carries its own search
         assert session.verdict([ab, bc], sig).status == UNKNOWN
+
+    def test_a_refuted_subset_decides_a_set_the_capped_search_leaves_unknown(self):
+        sig = Signature(relations={}, base_constants={"a", "b", "c", "d", "e"})
+        ab, not_ab = Eq("a", "b"), Not(Eq("a", "b"))
+        cd_or_ce = Or((Eq("c", "d"), Eq("c", "e")))
+        capped = Budget(oracle_nodes=3)
+        # branching on c = d first leaves the clash on a = b past the cap
+        assert consistency_oracle([cd_or_ce, ab, not_ab], sig, capped).status == UNKNOWN
+        session = OracleSession(capped)
+        assert session.status([ab, not_ab], sig) == INCONSISTENT
+        assert session.status([cd_or_ce, ab, not_ab], sig) == INCONSISTENT
+        assert (session.refuted_hits, session.searches) == (1, 1)
+        # a verdict always carries its own search
+        assert session.verdict([cd_or_ce, ab, not_ab], sig).status == UNKNOWN
 
     def test_counters_are_deterministic_and_witnesses_save_searches(self, monkeypatch):
         sessions = []

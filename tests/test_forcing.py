@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolkit import bvmodel, compact, syntax
 from boolkit.compact import consistency_oracle, is_conservative_strengthening
@@ -24,8 +27,77 @@ from boolkit.forcing import (
 )
 from boolkit.syntax import And, Atom, Eq, Not, Or, Signature
 
+from conftest import reference_conservativity, reference_generic_filter, reference_is_dense
+
 SIG = Signature(relations={}, base_constants={"cw", "c0", "c1"}, fresh_constants=set())
 PHI = Or((Eq("cw", "c0"), Eq("cw", "c1")))
+
+# (target, relations, constants, fresh constants): the forcing benchmark's targets
+TARGETS = [
+    ("(or (= cw c0) (= cw c1) (= cw c2))", {}, "cw c0 c1 c2", ""),
+    ("(or (P a) (not (= b c)))", {"P": 1}, "a b c", ""),
+    ("(and (P b) (not (P a)))", {"P": 1}, "a b c", ""),
+    ("(or (= cw c0) (= cw c1))", {}, "cw c0 c1", ""),
+    ("(= cw c0)", {}, "cw c0 c1", ""),
+    ("(or (P a) (P b))", {"P": 1}, "a b", ""),
+    ("(and (P a) (not (= a b)))", {"P": 1}, "a b", ""),
+    ("(not (= a b))", {}, "a b", "e"),
+]
+
+
+def _target(text, relations, constants, fresh):
+    sig = Signature(relations, set(constants.split()), set(fresh.split()))
+    return syntax.canon(syntax.parse(text, sig)), sig
+
+
+def _full_poset(phi, sig):
+    return build_sphi(phi, sig, size_bound=len(condition_universe(phi, sig)))
+
+
+def _dense_sets(p):
+    """The decision set of every atom and, for a disjunction, the commitment
+    set, kept when dense."""
+    consts = sorted(p.sig.constants)
+    atoms = [Eq(x, y) for x, y in itertools.combinations(consts, 2)]
+    for name, arity in sorted(p.sig.relations.items()):
+        atoms += [Atom(name, combo) for combo in itertools.product(consts, repeat=arity)]
+    candidates = [dense_decision_set(p, atom) for atom in atoms]
+    if isinstance(p.phi, Or):
+        candidates.append(dense_commitment_set(p, p.phi))
+    return [d for d in candidates if is_dense(d, p).ok]
+
+
+# a small universe for posets that need not be downward closed, as a loaded
+# poset may be
+UNIVERSE = [
+    syntax.canon(f)
+    for f in (
+        Atom("P", ("a",)), Not(Atom("P", ("a",))), Atom("P", ("b",)),
+        Not(Atom("P", ("b",))), Eq("a", "b"), Not(Eq("a", "b")),
+    )
+]
+SMALL_SIG = Signature(relations={"P": 1}, base_constants={"a", "b"})
+
+
+@st.composite
+def families(draw):
+    """A poset of up to 16 condition sets over ``UNIVERSE``, downward closed
+    or not, its maximal conditions, and up to three lists of its conditions:
+    each a random choice, with every maximal condition added half the time
+    so that many lists are dense."""
+    masks = draw(st.sets(st.integers(0, 2 ** len(UNIVERSE) - 1), max_size=16))
+    conditions = {frozenset(f for i, f in enumerate(UNIVERSE) if m >> i & 1) for m in masks}
+    if draw(st.booleans()):
+        conditions = {frozenset(c) for s in conditions for n in range(len(s) + 1)
+                      for c in itertools.combinations(s, n)}
+    p = SPhiPoset(Eq("a", "a"), SMALL_SIG, frozenset(conditions))
+    ordered = sorted(conditions, key=lambda s: sorted(map(syntax.render, s)))
+    maximal = [s for s in ordered if not any(s < t for t in ordered)]
+    lists = []
+    for _ in range(draw(st.integers(0, 3))):
+        chosen = [s for s in ordered if draw(st.booleans())]
+        lists.append(chosen + maximal if draw(st.booleans()) else chosen)
+    return p, maximal, lists
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +131,27 @@ class TestBuild:
                 if consistency_oracle(list(combo) + [phi], sig).status == compact.CONSISTENT:
                     expected += 1
         assert len(p.conditions) == expected
+
+    def test_refuted_subsets_save_searches(self, monkeypatch):
+        # a search-count pin: 3918 searches without the refuted-subset hint
+        sessions = []
+
+        class Recorded(compact.OracleSession):
+            def __init__(self, budget=compact.DEFAULT_BUDGET):
+                super().__init__(budget)
+                sessions.append(self)
+
+        monkeypatch.setattr(compact, "OracleSession", Recorded)
+        p = _full_poset(*_target(*TARGETS[0]))
+        assert len(p.conditions) == 1542
+        assert [s.counters() for s in sessions] == [{
+            "calls": 5390,
+            "status_hits": 0,
+            "refuted_hits": 3772,
+            "hint_hits": 1472,
+            "searches": 146,
+            "nodes": 696,
+        }]
 
     def test_inconsistent_target_rejected(self):
         sig = Signature(relations={}, base_constants={"a"}, fresh_constants=set())
@@ -126,6 +219,16 @@ class TestDense:
         with pytest.raises(BoolkitError):
             is_dense([frozenset({Eq("c0", "c0")})], poset)
 
+    @settings(max_examples=300, deadline=None)
+    @given(families())
+    def test_matches_the_pairwise_check(self, family):
+        p, maximal, lists = family
+        assert p.maximal == frozenset(maximal)
+        for d in lists:
+            for strict in (False, True):
+                verdict = is_dense(d, p, strict=strict)
+                assert (verdict.ok, verdict.witness) == reference_is_dense(d, p, strict)
+
 
 class TestGenericFilter:
     def test_no_dense_sets(self, poset):
@@ -151,6 +254,19 @@ class TestGenericFilter:
                     assert t in g.members
         for s, t in itertools.combinations(list(g.members)[:12], 2):
             assert any(u >= s | t for u in g.members)
+
+    @settings(max_examples=300, deadline=None)
+    @given(families())
+    def test_matches_the_restarting_saturation(self, family):
+        p, _, dense = family
+        try:
+            expected = reference_generic_filter(p, dense)
+        except ValueError:
+            with pytest.raises(BoolkitError):
+                generic_filter(p, dense)
+            return
+        g = generic_filter(p, dense)
+        assert (g.members, g.maximal) == expected
 
 
 class TestTermModel:
@@ -227,3 +343,29 @@ class TestGenericitySentence:
     def test_non_dense_rejected(self, poset):
         with pytest.raises(BoolkitError):
             genericity_sentence(PHI, [[frozenset()]], poset)
+
+
+class TestGenericityConservativity:
+    @pytest.mark.parametrize("target", TARGETS, ids=[t[0] for t in TARGETS])
+    def test_reports_match_a_search_for_every_subset(self, target, monkeypatch):
+        phi, sig = _target(*target)
+        p = _full_poset(phi, sig)
+        sentence = genericity_sentence(phi, _dense_sets(p), p)
+        queries = []
+        status = compact.OracleSession.status
+
+        def recorded(self, theory, sig, require_qe=False):
+            result = status(self, theory, sig, require_qe)
+            queries.append((theory[0], frozenset(theory[1:]), result))
+            return result
+
+        monkeypatch.setattr(compact.OracleSession, "status", recorded)
+        report = is_conservative_strengthening(sentence, phi, sig)
+        monkeypatch.undo()
+        assert dataclasses.astuple(report) == reference_conservativity(sentence, phi, sig)
+        # psi1 entails psi0, so no subset refuted with psi0 is asked with psi1
+        refuted = {c for f, c, result in queries if f is phi and result == compact.INCONSISTENT}
+        asked = {c for f, c, _ in queries if f is sentence}
+        assert not refuted & asked
+        if target[0] == "(or (P a) (not (= b c)))":
+            assert frozenset({Eq("b", "c"), Not(Eq("b", "c"))}) in refuted
