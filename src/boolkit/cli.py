@@ -418,14 +418,16 @@ def _cmd_faicom(args, config):
     return _report(args, config, body, EXIT_OK)
 
 
+def _condition(member, sig: Signature) -> frozenset:
+    """A payload's condition set, canonical, as the forcing poset keeps it."""
+    return frozenset(syntax.canon(syntax.parse(text, sig)) for text in member)
+
+
 def _poset(args, config) -> forcing.SPhiPoset:
     doc = _load(args.poset, "poset")
     sig = Signature.from_json(doc["signature"])
     phi = syntax.canon(syntax.parse(doc["phi"], sig))
-    conditions = [
-        frozenset(syntax.parse(text, sig) for text in member)
-        for member in doc["conditions"]
-    ]
+    conditions = [_condition(member, sig) for member in doc["conditions"]]
     # replay the consistency filter on load
     session = compact.OracleSession(config.budget)
     for s in conditions:
@@ -441,7 +443,7 @@ def _dense_sets(args, p: forcing.SPhiPoset) -> list:
     if not args.dense:
         return []
     return [
-        [frozenset(syntax.parse(text, p.sig) for text in member) for member in entry]
+        [_condition(member, p.sig) for member in entry]
         for entry in _load(args.dense, "dense")["dense_sets"]
     ]
 

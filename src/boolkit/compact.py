@@ -60,6 +60,23 @@ def _sentences(theory) -> list:
     return list(theory)
 
 
+def kept_subsets(universe, keep, max_size: Optional[int] = None):
+    """The downward-closed walk: yield the empty tuple, and depth first each
+    kept subset, as a tuple in universe order.  After yielding a subset of
+    fewer than ``max_size`` elements, ``keep`` is asked about its extensions
+    by each later element in universe order."""
+    stack = [((), 0)]
+    while stack:
+        subset, start = stack.pop()
+        yield subset
+        if max_size is not None and len(subset) >= max_size:
+            continue
+        for i in range(start, len(universe)):
+            ext = subset + (universe[i],)
+            if keep(ext):
+                stack.append((ext, i + 1))
+
+
 # ---------------------------------------------------------------------------
 # backtracking search with congruence closure
 
@@ -311,7 +328,7 @@ class _Ground:
         if self.naming is None:
             fresh = sorted(sig.fresh_constants)
             self.naming = tuple(
-                syntax.canon(Or(tuple(Eq(c, d) for c in fresh)))
+                syntax.canonical(Or, (Eq(c, d) for c in fresh))
                 for d in (sorted(sig.base_constants) if fresh else ())
             )
         return tuple(entry[3] for entry in entries) + self.naming, True
@@ -350,7 +367,9 @@ class OracleSession:
     validated, and checked against each sentence; it then serves later
     status queries.  Every Inconsistent status goes back to a certified
     search on a subset.  So a witness or a refuted subset can decide a set
-    that a search under the session's node cap would leave Unknown.
+    that a search under the session's node cap would leave Unknown: a
+    ``verdict`` is a function of (theory, signature, budget), but a
+    ``status`` also depends on what the session was asked before.
 
     The counters are plain integers: ``calls``, ``status_hits``,
     ``refuted_hits``, ``hint_hits`` (witnesses), ``searches`` and the
@@ -680,11 +699,11 @@ def conjunction_closure(generators: Iterable[Formula]) -> list:
     members = list(gens)
     for size in range(2, len(gens) + 1):
         for combo in itertools.combinations(gens, size):
-            rep = And(tuple(sorted(combo, key=syntax.render)))
+            rep = syntax.canonical(And, combo)
             key = syntax.conjunction_key(rep)
             if key not in seen:
                 seen.add(key)
-                members.append(syntax.canon(rep))
+                members.append(rep)
     return members
 
 
@@ -751,8 +770,7 @@ def is_finitely_conservative(
 
 
 def big_conjunction(family: Iterable[Formula]) -> Formula:
-    members = sorted({syntax.canon(f) for f in _sentences(family)}, key=syntax.render)
-    return And(tuple(members))
+    return syntax.canonical(And, {syntax.canon(f) for f in _sentences(family)})
 
 
 def base_generators(family) -> list:
@@ -798,7 +816,7 @@ def materialize_compactness_property(
 
     members = [syntax.canon(f) for f in _sentences(family)]
     gens = base_generators(members)
-    psi = And(tuple(sorted(gens, key=syntax.render)))
+    psi = syntax.canonical(And, gens)
     gen_keys = {syntax.conjunction_key(g) for g in gens}
     drop_keys = {
         syntax.conjunction_key(m) for m in members
@@ -834,16 +852,11 @@ def materialize_compactness_property(
         )
         if not consistent([anchor]):
             continue
-        stack = [((), 0)]
-        while stack:
-            subset, start = stack.pop()
-            family_sets.add(consprop.canon_set(subset + (psi,)))
+        # the universe is canonical and free of reflexive equalities
+        for subset in kept_subsets(universe, lambda ext: consistent([*ext, anchor])):
+            family_sets.add(frozenset(subset + (psi,)))
             if len(family_sets) > budget.max_members:
                 raise ConstructionFailure("member budget exceeded during materialization")
-            for j in range(start, len(universe)):
-                ext = subset + (universe[j],)
-                if consistent(list(ext) + [anchor]):
-                    stack.append((ext, j + 1))
     if not family_sets:
         raise ConstructionFailure("no consistent covering member; family has no model")
 
@@ -941,21 +954,11 @@ def star_theory(
         phi = syntax.canon(phi)
         if not bvmodel.holds(m, phi):
             raise BoolkitError(f"generator is false in the model: {syntax.render(phi)}")
-        signed = []
-        for theta in sorted(syntax.subsentences(phi, sig), key=syntax.render):
-            if bvmodel.holds(m, theta):
-                signed.append(theta)
-            else:
-                signed.append(Not(theta))
-        conjuncts = []
-        seen = set()
-        for f in [phi, *signed]:
-            key = syntax.render(f)
-            if key not in seen:
-                seen.add(key)
-                conjuncts.append(f)
-        star = conjuncts[0] if len(conjuncts) == 1 else And(tuple(conjuncts))
-        out.append(syntax.canon(star))
+        # the builder sorts the conjuncts, so a set of them will do
+        conjuncts = {phi}
+        for theta in syntax.subsentences(phi, sig):
+            conjuncts.add(theta if bvmodel.holds(m, theta) else Not(theta))
+        out.append(phi if len(conjuncts) == 1 else syntax.canonical(And, conjuncts))
     return out
 
 
@@ -981,9 +984,9 @@ def lindenbaum_complete(
             atoms.append(Atom(name, combo))
     for atom in atoms:
         if session.status([*current, atom], sig) == CONSISTENT:
-            current.append(syntax.canon(atom))
+            current.append(atom)
         else:
-            current.append(syntax.canon(Not(atom)))
+            current.append(Not(atom))
     return current
 
 

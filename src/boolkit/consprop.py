@@ -401,16 +401,7 @@ def saturate_theory(
 
     members = []
     if consistent(()):
-        universe = closure_universe(theory, sig, bound)
-        frontier = [((), 0)]
-        members.append(frozenset())
-        while frontier:
-            subset, start = frontier.pop()
-            for i in range(start, len(universe)):
-                ext = subset + (universe[i],)
-                if consistent(ext):
-                    members.append(frozenset(ext))
-                    frontier.append((ext, i + 1))
+        members = compact.kept_subsets(closure_universe(theory, sig, bound), consistent)
     return ConsistencyProperty(sig, members)
 
 
@@ -426,15 +417,16 @@ def model_from_consprop(
 
     The members ordered by reverse inclusion form a poset, built from
     per-sentence membership bitsets (``Poset.of_sets``); its regular-open
-    completion is the algebra; the domain is the constant pool; atomic
-    values are the regularizations of the sets of members compatible with
-    the atom, those to which the atom can be added without leaving the
-    family, read off the property's ``MemberIndex`` masks.  The property is
-    verified clause by clause first, and a failing clause raises.  The
-    construction is then validated: the congruence conditions must hold and
-    every member's cone must sit below the value of each of its sentences,
-    each distinct sentence evaluated once.  A validation failure raises with
-    the counterexample.
+    completion is the algebra; the domain is the constant pool; an atomic
+    value is the regularization of the set of members holding the atom,
+    read off the property's ``MemberIndex`` masks.  (A member to which the
+    atom can be added without leaving the family has that extension below
+    it, so the members compatible with the atom regularize to the same
+    value.)  The property is verified clause by clause first, and a failing
+    clause raises.  The construction is then validated: the congruence
+    conditions must hold and every member's cone must sit below the value of
+    each of its sentences, each distinct sentence evaluated once.  A
+    validation failure raises with the counterexample.
     """
     verdict = verify_consistency_property(prop)
     if not verdict.ok:
@@ -449,22 +441,15 @@ def model_from_consprop(
         raise BoolkitError("model construction needs at least one constant")
 
     index = prop.index
-    members, masks, mask_set = index.members, index.masks, index.mask_set
+    members, masks = index.members, index.masks
     poset = Poset.of_sets(members)  # stronger means larger as a set
     ro = ro_completion(poset)
     algebra = ro.algebra
 
-    def value_of(sentence: Formula) -> int:
-        # a member is compatible when adding the atom stays in the family;
-        # atoms are canonical and never reflexive, so no canon_set is needed,
-        # and an atom in no member is compatible with none
-        mask = 0
-        i = index.position.get(sentence)
-        if i is not None:
-            bit = 1 << i
-            for j, m in enumerate(masks):
-                if m & bit or m | bit in mask_set:
-                    mask |= 1 << j
+    def value_of(atom: Formula) -> int:
+        i = index.position.get(atom)  # an atom in no member holds in none
+        bit = 0 if i is None else 1 << i
+        mask = sum(1 << j for j, m in enumerate(masks) if m & bit)
         return ro.element_of_mask(poset.regularize_mask(mask))
 
     domain = tuple(consts)
@@ -524,7 +509,7 @@ def mixing_model_from_consprop(
     completed = bvmodel.mixing_completion(model)
     for s in prop.members:
         value = bvmodel.eval_formula(
-            completed, And(tuple(sorted(s, key=syntax.render))), max_steps=budget.eval_steps
+            completed, syntax.canonical(And, s), max_steps=budget.eval_steps
         )
         if value == 0 and s:
             raise ConstructionFailure(

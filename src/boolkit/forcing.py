@@ -27,14 +27,17 @@ def condition_universe(phi: Formula, sig: Signature) -> list:
         if f != phi:
             out.add(f)
     consts = sorted(sig.constants)
-    for a, b in itertools.combinations(consts, 2):
-        out.add(syntax.canon(Eq(a, b)))
-        out.add(syntax.canon(Not(Eq(a, b))))
+    atoms = [Eq(a, b) for a, b in itertools.combinations(consts, 2)]
     for name, arity in sorted(sig.relations.items()):
-        for combo in itertools.product(consts, repeat=arity):
-            out.add(Atom(name, combo))
-            out.add(syntax.canon(Not(Atom(name, combo))))
+        atoms += [Atom(name, combo) for combo in itertools.product(consts, repeat=arity)]
+    out.update(atoms)
+    out.update(map(Not, atoms))
     return sorted(out, key=syntax.render)
+
+
+def _condition(s) -> frozenset:
+    """A caller's condition set, canonical."""
+    return frozenset(syntax.canon(f) for f in s)
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class SPhiPoset:
     excluded_unknown: tuple = ()
 
     def __contains__(self, s):
-        return frozenset(syntax.canon(f) for f in s) in self.conditions
+        return _condition(s) in self.conditions
 
     @cached_property
     def maximal(self) -> frozenset:
@@ -85,24 +88,16 @@ def build_sphi(
     session = compact.OracleSession(budget)
     if session.status([phi], sig) != compact.CONSISTENT:
         raise BoolkitError("target sentence must be Boolean consistent")
-    universe = condition_universe(phi, sig)
     excluded = []
-    conditions = {frozenset()}
-    frontier = [((), 0)]
-    while frontier:
-        subset, start = frontier.pop()
-        if len(subset) >= size_bound:
-            continue
-        for i in range(start, len(universe)):
-            ext = subset + (universe[i],)
-            status = session.status(list(ext) + [phi], sig)
-            if status == compact.UNKNOWN:
-                excluded.append(frozenset(ext))
-                continue
-            if status == compact.CONSISTENT:
-                conditions.add(frozenset(ext))
-                frontier.append((ext, i + 1))
-    return SPhiPoset(phi, sig, frozenset(conditions), tuple(excluded))
+
+    def consistent(ext) -> bool:
+        status = session.status(list(ext) + [phi], sig)
+        if status == compact.UNKNOWN:
+            excluded.append(frozenset(ext))
+        return status == compact.CONSISTENT
+
+    walk = compact.kept_subsets(condition_universe(phi, sig), consistent, size_bound)
+    return SPhiPoset(phi, sig, frozenset(map(frozenset, walk)), tuple(excluded))
 
 
 @dataclass(frozen=True)
@@ -123,13 +118,14 @@ def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> Dens
     """Dense means: every condition has a superset in the set, which under
     the reverse-inclusion order says every condition has an extension there.
     The strict flag demands a proper superset.  A set that is not dense is
-    witnessed by its least uncovered condition in ``_condition_order``.
+    witnessed by its least uncovered condition in ``_condition_order``."""
+    return _density(list(map(_condition, d)), p, strict)
 
-    Every condition lies below a maximal one, and a maximal condition is
-    covered only by itself, never strictly.  So a set is dense exactly when
-    it holds every maximal condition, and strictly dense only in an empty
-    poset."""
-    dset = [frozenset(syntax.canon(f) for f in s) for s in d]
+
+def _density(dset: list, p: SPhiPoset, strict: bool = False) -> DensityVerdict:
+    # every condition lies below a maximal one, and a maximal condition is
+    # covered only by itself, never strictly: a set is dense exactly when it
+    # holds every maximal condition, and strictly dense only in an empty poset
     for s in dset:
         if s not in p.conditions:
             raise BoolkitError("dense-set entry is not a condition")
@@ -149,7 +145,7 @@ class GenericFilter:
     maximal: bool
 
     def __contains__(self, s):
-        return frozenset(syntax.canon(f) for f in s) in self.members
+        return _condition(s) in self.members
 
     def sigma(self) -> frozenset:
         """The union of the filter: a finite sentence set."""
@@ -162,9 +158,9 @@ class GenericFilter:
 def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
     """Build a descending chain entering each supplied dense set in turn,
     upward close it, and extend to a maximal filter by greedy saturation."""
-    dense = [tuple(frozenset(syntax.canon(f) for f in s) for s in d) for d in dense]
+    dense = [list(map(_condition, d)) for d in dense]
     for i, d in enumerate(dense):
-        if not is_dense(d, p):
+        if not _density(d, p):
             raise BoolkitError(f"supplied set {i} is not dense")
     current = frozenset()
     for d in dense:
@@ -196,19 +192,14 @@ def term_model(g: GenericFilter) -> bvmodel.BValuedModel:
 
 
 def _meets(dset) -> Formula:
-    """The disjunction over the conditions of their conjunctions."""
-    return Or(
-        tuple(
-            And(tuple(sorted(s, key=syntax.render)))
-            for s in sorted(dset, key=lambda s: sorted(map(syntax.render, s)))
-        )
-    )
+    """The disjunction over the canonical conditions of their conjunctions."""
+    return syntax.canonical(Or, (syntax.canonical(And, s) for s in dset))
 
 
 def meets_equivalence(g: GenericFilter, d: Iterable[frozenset]) -> bool:
     """The dense-set membership test: the filter meets the set exactly when
     the term model satisfies the disjunction of its conditions' conjunctions."""
-    dset = [frozenset(syntax.canon(f) for f in s) for s in d]
+    dset = list(map(_condition, d))
     meets = any(s in g.members for s in dset)
     return meets == bvmodel.holds(term_model(g), _meets(dset))
 
@@ -223,13 +214,13 @@ def genericity_sentence(
     phi = syntax.canon(phi)
     blocks = []
     for i, d in enumerate(dense):
-        dset = [frozenset(syntax.canon(f) for f in s) for s in d]
-        if not is_dense(dset, p):
+        dset = list(map(_condition, d))
+        if not _density(dset, p):
             raise BoolkitError(f"supplied set {i} is not dense")
         blocks.append(_meets(dset))
     if not blocks:
         return phi
-    return syntax.canon(And(tuple([phi] + blocks)))
+    return syntax.canonical(And, [phi] + blocks)
 
 
 # canonical dense families
@@ -238,7 +229,7 @@ def genericity_sentence(
 def dense_decision_set(p: SPhiPoset, atom: Formula) -> list:
     """Conditions that decide the given atomic sentence."""
     atom = syntax.canon(atom)
-    neg = syntax.canon(Not(atom))
+    neg = Not(atom)
     return [s for s in p.conditions if atom in s or neg in s]
 
 

@@ -160,9 +160,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
             if t in mapping and mapping[t] != u:
                 return _fail(path, "eq-axiom-4 pairs conflict on a replaced constant")
             mapping[t] = u
-        expected_left = frozenset(syntax.canon(Eq(u, t)) for u, t in pairs) | {
-            syntax.canon(base)
-        }
+        expected_left = frozenset(Eq(u, t) for u, t in pairs) | {syntax.canon(base)}
         replaced = syntax.canon(syntax.substitute(base, mapping))
         if seq.left != expected_left:
             return _fail(path, "eq-axiom-4 left side is {u_i=t_i} with phi(t_i)")
@@ -229,7 +227,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         p = prem[0].conclusion
         if p.right != seq.right:
             return _fail(path, "left-and keeps the right side")
-        if p.left != (seq.left - {phi}) | frozenset(syntax.canon(c) for c in phi.children):
+        if p.left != (seq.left - {phi}) | frozenset(phi.children):
             return _fail(path, "left-and premise left side mismatch")
         return None
 
@@ -244,7 +242,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
             return _fail(path, "right-and takes one premise per conjunct")
         delta = seq.right - {phi}
         wanted = sorted(
-            _sequent_key(Sequent(seq.left, delta | {syntax.canon(child)}))
+            _sequent_key(Sequent(seq.left, delta | {child}))
             for child in phi.children
         )
         got = sorted(_sequent_key(pr.conclusion) for pr in prem)
@@ -265,7 +263,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         p = prem[0].conclusion
         if p.left != seq.left:
             return _fail(path, "left-or keeps the left side")
-        if p.right != (seq.right - {phi}) | frozenset(syntax.canon(c) for c in phi.children):
+        if p.right != (seq.right - {phi}) | frozenset(phi.children):
             return _fail(path, "left-or premise right side mismatch")
         return None
 
@@ -281,7 +279,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
             return _fail(path, "right-or takes one premise per disjunct")
         gamma = seq.left - {phi}
         wanted = sorted(
-            _sequent_key(Sequent(gamma | {syntax.canon(child)}, seq.right))
+            _sequent_key(Sequent(gamma | {child}, seq.right))
             for child in phi.children
         )
         got = sorted(_sequent_key(pr.conclusion) for pr in prem)
@@ -325,19 +323,18 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         if not isinstance(phi, want):
             return _fail(path, f"{rule} needs its quantified formula")
         phi = syntax.canon(phi)
-        body = syntax.canon(phi.body)
         p = prem[0].conclusion
         if rule == "right-forall":
             if phi not in seq.right:
                 return _fail(path, "principal formula missing from conclusion")
             context = seq.left | (seq.right - {phi})
-            if p.left != seq.left or p.right != (seq.right - {phi}) | {body}:
+            if p.left != seq.left or p.right != (seq.right - {phi}) | {phi.body}:
                 return _fail(path, "right-forall premise mismatch")
         else:
             if phi not in seq.left:
                 return _fail(path, "principal formula missing from conclusion")
             context = (seq.left - {phi}) | seq.right
-            if p.right != seq.right or p.left != (seq.left - {phi}) | {body}:
+            if p.right != seq.right or p.left != (seq.left - {phi}) | {phi.body}:
                 return _fail(path, "left-exists premise mismatch")
         # eigenvariable condition (*)
         free_in_context = frozenset()

@@ -521,23 +521,35 @@ def nnf(f: Formula) -> Formula:
 
 def canon(f: Formula) -> Formula:
     """Canonical representative: children of ``and``/``or`` sorted by their
-    rendering (duplicates kept, order forgotten)."""
+    rendering (duplicates kept, order forgotten).  The result is its own
+    ``canon``, so canonicalizing it again is one lookup."""
     cached = f.__dict__.get("_canon")
     if cached is not None:
         return cached
     if isinstance(f, (Atom, Eq)):
         out = f
-    elif isinstance(f, Not):
-        out = Not(canon(f.body))
+    elif isinstance(f, (Not, Forall, Exists)):
+        body = canon(f.body)
+        if body is f.body:
+            out = f
+        elif isinstance(f, Not):
+            out = Not(body)
+        else:
+            out = type(f)(f.vars, body)
     elif isinstance(f, (And, Or)):
-        kids = sorted((canon(c) for c in f.children), key=render)
-        out = type(f)(tuple(kids))
-    elif isinstance(f, (Forall, Exists)):
-        out = type(f)(f.vars, canon(f.body))
+        out = canonical(type(f), f.children)
     else:
         raise TypeError(f"not a formula: {f!r}")
     object.__setattr__(out, "_canon", out)
     object.__setattr__(f, "_canon", out)
+    return out
+
+
+def canonical(kind, children) -> Formula:
+    """The canonical ``kind`` node (``And`` or ``Or``) over the children: the
+    one builder of canonical conjunctions and disjunctions."""
+    out = kind(tuple(sorted(map(canon, children), key=render)))
+    object.__setattr__(out, "_canon", out)
     return out
 
 

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from boolkit import compact, syntax
-from boolkit.balg import FiniteBooleanAlgebra
+from boolkit import bvmodel, compact, consprop, syntax
+from boolkit.balg import FiniteBooleanAlgebra, Poset, ro_completion
 from boolkit.bvmodel import BValuedModel
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
@@ -203,6 +203,34 @@ def interior_of_closure(poset, u):
         q: {r for r in elements if poset.leq(r, q)} for q in elements
     }
     return frozenset(q for q in elements if down[q] <= closure)
+
+
+def reference_model_json(prop):
+    """JSON of the model of a consistency property with both halves of an
+    atom's value: the regularization of the members compatible with the
+    atom, those that hold it and those to which it can be added without
+    leaving the family."""
+    members = consprop.ordered_members(prop.members)
+    family = set(members)
+    poset = Poset.of_sets(members)
+    ro = ro_completion(poset)
+    consts = sorted(prop.sig.constants)
+
+    def value(atom):
+        compatible = [s for s in members if atom in s or s | {atom} in family]
+        return ro.element_of_mask(poset.regularize_mask(poset.mask_of(compatible)))
+
+    eq = {
+        (a, b): ro.algebra.one if a == b else value(Eq(*sorted((a, b))))
+        for a in consts
+        for b in consts
+    }
+    rel = {
+        name: {combo: value(Atom(name, combo)) for combo in itertools.product(consts, repeat=arity)}
+        for name, arity in prop.sig.relations.items()
+    }
+    model = BValuedModel(ro.algebra, tuple(consts), eq, rel, {c: c for c in consts})
+    return bvmodel.model_to_json(model)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,29 @@ class TestForcingCommands:
         assert code == 0
         assert "model" in doc
 
+    def test_a_loaded_condition_passes_back_as_a_dense_set(self, workdir):
+        # the condition is written in non-canonical order; loading makes it
+        # canonical, so the same text given back names the same condition
+        written = "(or (not (= b c)) (P a))"
+        poset = {
+            "signature": {"relations": {"P": 1}, "base_constants": ["a", "b", "c"]},
+            "phi": "(or (P a) (not (= b c)))",
+            "conditions": [[], [written]],
+        }
+        (workdir / "poset.json").write_text(json.dumps(poset))
+        (workdir / "dense.json").write_text(json.dumps({"dense_sets": [[[written]]]}))
+        code, doc = run_json(
+            [
+                "forcing", "generic",
+                "--poset", workdir / "poset.json",
+                "--dense", workdir / "dense.json",
+            ],
+            workdir,
+        )
+        assert code == 0
+        assert doc["members"] == [[], ["(or (P a) (not (= b c)))"]]
+        assert doc["maximal"]
+
 
 class TestReplay:
     def test_identical_reports(self, workdir):

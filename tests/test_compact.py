@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import types
@@ -727,3 +728,81 @@ class TestOracleSession:
         assert runs[0] == runs[1]
         # answering only repeats of a sentence set takes 777 searches here
         assert runs[0]["searches"] < 777
+
+
+class TestKeptSubsets:
+    def test_yields_the_kept_subsets_reached_through_kept_prefixes(self):
+        universe = tuple(range(6))
+        asked = []
+
+        def keep(ext):
+            asked.append(ext)
+            return sum(ext) <= 6
+
+        got = list(compact.kept_subsets(universe, keep))
+        expected = [
+            c for k in range(7) for c in itertools.combinations(universe, k) if sum(c) <= 6
+        ]
+        assert sorted(got) == sorted(expected) and len(got) == len(set(got))
+        assert got[0] == ()
+        # each kept subset is asked about once, and its extensions only after it
+        assert sorted(asked) == sorted(
+            s + (i,) for s in got for i in universe if not s or i > s[-1]
+        )
+        assert list(compact.kept_subsets(universe, lambda ext: True, 1)) == [
+            (), (5,), (4,), (3,), (2,), (1,), (0,)
+        ]
+
+    # sha256 over each run's session counters, status queries in order and
+    # result, as the stack walks that ``kept_subsets`` replaced produced them
+    WALKS = {
+        "build_sphi": "224f4f329e4c5a409300e040ed1459bb7407555828fa9c224c6978f9f369b1b6",
+        "saturate_theory": "e4f5c8ab6731f0b15b02934f0715a7e0cdacd13a13fcb76dc21cb253056db230",
+        "materialize_compactness_property": "6559854dea5dfabd89b84580d61433667ce2674dd10b10a1bcf1ba4dba5acacf",
+    }
+
+    @staticmethod
+    def _runs(name):
+        """Zero-argument calls, each giving one run's result as JSON."""
+        from test_acceptance import _compactness_families, _model_existence_instances
+        from test_forcing import TARGETS, _full_poset, _target
+
+        from boolkit import consprop
+
+        if name == "build_sphi":
+            return [lambda t=t: _full_poset(*_target(*t)).to_json() for t in TARGETS]
+        if name == "saturate_theory":
+            return [
+                lambda sig=sig, t=t: consprop.saturate_theory(t, sig).to_json()
+                for sig, t in _model_existence_instances()
+            ]
+        return [
+            lambda sig=sig, f=conjunction_closure(gens): (
+                compact.materialize_compactness_property(f, sig).to_json()
+            )
+            for sig, gens in _compactness_families()
+        ]
+
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_walks_ask_the_oracle_as_before(self, name, monkeypatch):
+        digest = hashlib.sha256()
+        sessions = []
+        init, status = compact.OracleSession.__init__, compact.OracleSession.status
+
+        def recorded_init(self, budget=compact.DEFAULT_BUDGET):
+            init(self, budget)
+            sessions.append(self)
+
+        def recorded_status(self, theory, sig, require_qe=False):
+            result = status(self, theory, sig, require_qe)
+            digest.update(repr(([syntax.render(f) for f in theory], result)).encode())
+            return result
+
+        monkeypatch.setattr(compact.OracleSession, "__init__", recorded_init)
+        monkeypatch.setattr(compact.OracleSession, "status", recorded_status)
+        for run in self._runs(name):
+            result = run()
+            digest.update(json.dumps(result, sort_keys=True).encode())
+            digest.update(repr([s.counters() for s in sessions]).encode())
+            sessions.clear()
+        assert digest.hexdigest() == self.WALKS[name]

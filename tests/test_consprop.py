@@ -232,6 +232,22 @@ class TestModelExistence:
         assert sorted(calls) == sorted({syntax.render(f) for s in prop.members for f in s})
         assert diagnostics["checked"] == sum(map(len, prop.members))
 
+    def test_atom_values_match_the_two_halved_reference(self):
+        # a member compatible with an atom has its extension by the atom
+        # below it, so the members holding the atom regularize to the same
+        # value as the compatible ones
+        from conftest import reference_model_json
+        from test_acceptance import _compactness_families, _model_existence_instances
+
+        props = [saturate_theory(theory, sig) for sig, theory in _model_existence_instances()]
+        props += [
+            compact.materialize_compactness_property(compact.conjunction_closure(gens), sig)
+            for sig, gens in _compactness_families()
+        ]
+        for prop in props:
+            model, _ = model_from_consprop(prop)
+            assert bvmodel.model_to_json(model) == reference_model_json(prop)
+
     def test_quantified_theory(self):
         t = Theory([Exists(("?x",), Atom("P", ("?x",)))])
         prop = saturate_theory(t, SIG_P)

@@ -344,6 +344,15 @@ class TestGenericitySentence:
         with pytest.raises(BoolkitError):
             genericity_sentence(PHI, [[frozenset()]], poset)
 
+    @pytest.mark.parametrize("target", TARGETS, ids=[t[0] for t in TARGETS])
+    def test_the_sentence_is_built_canonical(self, target):
+        phi, sig = _target(*target)
+        p = _full_poset(phi, sig)
+        sentence = genericity_sentence(phi, _dense_sets(p), p)
+        assert syntax.canon(sentence) is sentence
+        # so the oracle session prepares the sentence without rebuilding it
+        assert compact._Ground(sig).prepare([sentence], False)[0][0] is sentence
+
 
 class TestGenericityConservativity:
     @pytest.mark.parametrize("target", TARGETS, ids=[t[0] for t in TARGETS])

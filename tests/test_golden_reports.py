@@ -3,16 +3,27 @@
 Each hash is the sha256 of the exit code and the exact bytes ``cli.main``
 writes with ``--out``: ``oracle`` on the criterion-10 theories and the
 equality pigeonhole PHP(3..5) (witnesses and certificates), ``forcing
-build``/``model`` on the criterion-12 instances, and ``proof-check`` on the
-proof corpus and its mutations (rejection reasons).  They pin the reports
-byte for byte, so a refactoring below the CLI must leave them unchanged.
+build``/``model`` on the criterion-12 instances, ``proof-check`` on the
+proof corpus and its mutations (rejection reasons), ``compact
+--dump-algebra`` on the criterion-8 families, and ``star``, ``fincons`` and
+``conservative`` on the small criterion-7 and criterion-8 inputs.  They pin
+the reports byte for byte, so a refactoring below the CLI must leave them
+unchanged.  ``GENERICITY`` pins the rendered genericity sentence of each
+criterion-12 instance the same way.
 """
 import hashlib
 import json
 
-from boolkit import cli, compact, forcing, proofs, syntax
+from boolkit import bvmodel, cli, compact, forcing, proofs, syntax
+from boolkit.syntax import And
 
-from test_acceptance import _genericity_dense_sets, _genericity_instances, _ground_theories
+from test_acceptance import (
+    _compactness_families,
+    _genericity_dense_sets,
+    _genericity_instances,
+    _ground_theories,
+    _model_existence_instances,
+)
 from test_compact import pigeonhole
 from test_proofs import SIG as PROOF_SIG
 from test_proofs import mutations, proof_corpus
@@ -47,6 +58,32 @@ FORCING = [
 ]
 
 PROOF_CHECK = "d8c13c8064e6aaf06119e8b02bcbdbc501d131e0c9e1e949cf181a874b5b1714"
+
+COMPACT = [
+    "d9ff44e8162821fbabde94542af5539e0325b2af2a423491fe0386dac78e53aa",
+    "74eded3eaf02e49ed7586876f1f86e2431ef4ba71227181bfed29845c8615d51",
+    "fd8ee45a6873b9e783afddf974320bb03bfcc2da6bd73b3b4435260cd3d9676c",
+    "9e935b1309b52bd70eb00d89e13c7ab8abbb263afe35e67bca3b2810ebe3171f",
+    "96fefc1c899fb632cee76675eec5268810d007f9d7e3b68c1aaa30e2a7e036c0",
+    "88b093f548d48c89aa0b777db5dc025df22f2f4154a151779ab8f508b0a7adb4",
+    "f603563564c6012b7958fd7de0139e8a49a592e185137e94639ce726dc49b05e",
+    "e78de551736b51826d704a0f674c9981482a0c4071326479f5e16e81dc33256c",
+    "5ebd140ed8a5ba6c39076e3131ffc5df3a62f288d346d7ad7f372c5b03d1563f",
+    "0ac4fb1a079b4c62a34a046e01b9b2a14eadf98508518a3292e271c96129ae83",
+]
+
+GENERICITY = [
+    "b37c1e3bad3d8a9af19b04d3421095f55902ecd902739ad2ab325093906d6278",
+    "d918fe3628d0a071de64ad7a9ef4ad824c522e81cf631660d775a79258bf7bff",
+    "3cc99dab5be3d8d55cf01e0b3a5fde9794df015babfcac42ac9f3a52ccdbe80c",
+    "50bdedc58dfa8105152eddcb85b710000090a76f950281889c28504238f505b5",
+    "abe75dab8f8fe08c6a234219c7c3324d27372027507c0f1f69f48566cbfb841b",
+]
+
+# one digest over every case's report digest, cases in ``_small_families`` order
+STAR = "b2bd2ca44117391364146746f283ea408f6d8e2358af7501f3cd4c89d22af342"
+FINCONS = "bf46954e860cc7ff4b6d815f061f06f6ca6ad06e01c64f82fa6b5d3a28105ba8"
+CONSERVATIVE = "2fad35c1c70692a89bea7fc558edbd457c2c8b5a9bd803450df10bb37ad4e92c"
 
 
 def _write(path, doc):
@@ -119,3 +156,53 @@ def test_proof_check_reports_are_pinned(tmp_path):
             code, text = _report(tmp_path, ["proof-check", "--proof", proof, "--sig", sig_path])
             digest.update(_digest(code, text).encode())
     assert digest.hexdigest() == PROOF_CHECK
+
+
+def _theory_doc(sig, sentences):
+    return {"signature": sig.to_json(), "sentences": [syntax.render(f) for f in sentences]}
+
+
+def _small_families():
+    """The nonempty criterion-7 theories and the criterion-8 generators."""
+    out = [(sig, list(theory)) for sig, theory in _model_existence_instances() if len(theory)]
+    return out + [(sig, list(gens)) for sig, gens in _compactness_families()]
+
+
+def test_compact_reports_with_the_algebra_are_pinned(tmp_path):
+    digests = []
+    for sig, gens in _compactness_families():
+        family = _write(
+            tmp_path / "family.json", _theory_doc(sig, compact.conjunction_closure(gens))
+        )
+        digests.append(_digest(*_report(tmp_path, ["compact", "--family", family, "--dump-algebra"])))
+    assert digests == COMPACT
+
+
+def test_star_fincons_and_conservative_reports_are_pinned(tmp_path):
+    star, fincons, conservative = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for sig, sentences in _small_families():
+        theory = _write(tmp_path / "theory.json", _theory_doc(sig, sentences))
+        witness = compact.consistency_oracle(sentences, sig).witness
+        model = _write(tmp_path / "model.json", bvmodel.model_to_json(witness))
+        star.update(_digest(*_report(tmp_path, ["star", "--theory", theory, "--model", model])).encode())
+        for family in (sentences, compact.conjunction_closure(sentences)):
+            path = _write(tmp_path / "family.json", _theory_doc(sig, family))
+            fincons.update(_digest(*_report(tmp_path, ["fincons", "--family", path])).encode())
+        sig_path = _write(tmp_path / "sig.json", sig.to_json())
+        conj = syntax.render(And(tuple(sentences)))
+        for f in sentences[:2]:
+            for psi1, psi0 in ((conj, syntax.render(f)), (syntax.render(f), conj)):
+                args = ["conservative", "--sig", sig_path, "--psi1", psi1, "--psi0", psi0]
+                conservative.update(_digest(*_report(tmp_path, args)).encode())
+    assert star.hexdigest() == STAR
+    assert fincons.hexdigest() == FINCONS
+    assert conservative.hexdigest() == CONSERVATIVE
+
+
+def test_genericity_sentences_are_pinned():
+    digests = []
+    for sig, phi, bound in _genericity_instances():
+        p = forcing.build_sphi(phi, sig, bound)
+        sentence = forcing.genericity_sentence(phi, _genericity_dense_sets(p), p)
+        digests.append(hashlib.sha256(syntax.render(sentence).encode()).hexdigest())
+    assert digests == GENERICITY

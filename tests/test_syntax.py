@@ -16,6 +16,7 @@ from boolkit.syntax import (
     Or,
     Signature,
     canon,
+    canonical,
     nnf,
     nnf_step,
     parse,
@@ -26,7 +27,7 @@ from boolkit.syntax import (
     substitute,
 )
 
-from conftest import random_sentence
+from conftest import random_formula, random_sentence
 
 SIG = Signature(relations={"R": 2}, base_constants={"c0", "c1", "cw"}, fresh_constants={"e"})
 
@@ -71,6 +72,25 @@ def test_render_parse_roundtrip(seed, depth):
     rng = random.Random(seed)
     f = random_sentence(SIG, rng, depth)
     assert parse(render(f), SIG) == f
+
+
+CANON_SIG = Signature(relations={"R": 1, "S": 2}, base_constants={"a", "b"}, fresh_constants={"e"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 4), st.sampled_from([And, Or]))
+def test_canonical_is_the_builder_canon_uses(seed, depth, kind):
+    rng = random.Random(seed)
+    f = random_formula(CANON_SIG, rng, depth)
+    assert canon(canon(f)) is canon(f)
+    # a fresh copy of the tree has the same canonical rendering
+    copy = parse(render(f), CANON_SIG)
+    assert render(canon(copy)) == render(canon(f))
+    kids = [random_formula(CANON_SIG, rng, depth) for _ in range(rng.randint(0, 3))]
+    built = canonical(kind, kids)
+    assert render(built) == render(canon(kind(kids)))
+    assert render(built) == render(canonical(kind, reversed(kids)))
+    assert canon(built) is built
 
 
 class TestSubstitute:
