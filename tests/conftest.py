@@ -7,6 +7,7 @@ textbook interior-of-closure construction.
 """
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -18,11 +19,18 @@ from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
 @pytest.fixture(scope="session", autouse=True)
 def replayed_refutations():
-    """Replay the certificate of every Inconsistent oracle search the suite
-    makes, against the ground sentences that search was given; yields the
-    count of replays so far."""
-    count = {"replayed": 0}
-    search = compact.OracleSession._search
+    """Audit the oracle suite-wide.
+
+    Replay the certificate of every Inconsistent search against the ground
+    sentences that search was given, and check every status answer, cached
+    or searched: a Consistent set's cached witness satisfies each of its
+    ground sentences under ``classical_eval``, and an Inconsistent set has a
+    subset that a search on the same ground refuted and this fixture
+    replayed.  Yields the counts of replays and of audited answers so far.
+    """
+    count = {"replayed": 0, "consistent": 0, "inconsistent": 0}
+    refuted = weakref.WeakKeyDictionary()  # ground -> its replayed refuted sets
+    search, status = compact.OracleSession._search, compact.OracleSession.status
 
     def checked(self, ground, sentences, keep=False):
         verdict = search(self, ground, sentences, keep)
@@ -31,10 +39,27 @@ def replayed_refutations():
                 [syntax.render(f) for f in sentences]
             )
             count["replayed"] += 1
+            refuted.setdefault(ground, []).append(frozenset(sentences))
         return verdict
+
+    def audited(self, theory, sig, require_qe=False):
+        answer = status(self, theory, sig, require_qe)
+        ground = self._ground(sig)
+        sentences = ground.prepare(theory, require_qe)[0]
+        rendered = [syntax.render(f) for f in sentences]
+        if answer == compact.CONSISTENT:
+            witness = ground.witnesses[frozenset(sentences)]
+            assert all(classical_eval(witness, f) for f in sentences), rendered
+            count["consistent"] += 1
+        elif answer == compact.INCONSISTENT:
+            held = frozenset(sentences)
+            assert any(r <= held for r in refuted.get(ground, ())), rendered
+            count["inconsistent"] += 1
+        return answer
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(compact.OracleSession, "_search", checked)
+        patch.setattr(compact.OracleSession, "status", audited)
         yield count
 
 

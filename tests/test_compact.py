@@ -729,6 +729,49 @@ class TestOracleSession:
         # answering only repeats of a sentence set takes 777 searches here
         assert runs[0]["searches"] < 777
 
+    @pytest.mark.parametrize(
+        "relations, constants, theory, counters",
+        [
+            (
+                {"B": 2}, 3, [Atom("B", ("c0", "c1")), Not(Eq("c0", "c1")), Eq("c1", "c2")],
+                (2780, 52, 15, 2689, 24, 146),
+            ),
+            ({}, 6, [Not(Eq("c0", "c1")), Eq("c1", "c2")], (803, 27, 7, 738, 31, 191)),
+        ],
+        ids=["B-c0c1-c0c1-c1c2", "c0c1-c1c2-six"],
+    )
+    def test_the_demo_asks_the_same_queries(self, relations, constants, theory, counters, monkeypatch):
+        # a pin of the session counters: the query order and every answer's
+        # source (cache, refuted subset, witness or search) are unchanged
+        sessions = []
+
+        class Recorded(OracleSession):
+            def __init__(self, budget=compact.DEFAULT_BUDGET):
+                super().__init__(budget)
+                sessions.append(self)
+
+        monkeypatch.setattr(compact, "OracleSession", Recorded)
+        names = {f"c{i}" for i in range(constants)}
+        sig = Signature(relations=relations, base_constants=names, fresh_constants={"w"})
+        first_order_compactness_demo(Theory(theory), sig)
+        names = ("calls", "status_hits", "refuted_hits", "hint_hits", "searches", "nodes")
+        assert [s.counters() for s in sessions] == [dict(zip(names, counters))]
+
+    def test_the_suite_audits_every_status_answer(self, replayed_refutations):
+        count = replayed_refutations
+        before = (count["consistent"], count["inconsistent"])
+        sig = Signature(relations={}, base_constants={"a", "b", "c", "d", "e"})
+        ab, not_ab = Eq("a", "b"), Not(Eq("a", "b"))
+        cd_or_ce = Or((Eq("c", "d"), Eq("c", "e")))
+        session = OracleSession()
+        assert session.status([ab, not_ab], sig) == INCONSISTENT
+        assert session.status([cd_or_ce, ab, not_ab], sig) == INCONSISTENT
+        assert session.status([ab], sig) == CONSISTENT
+        assert session.status([ab, cd_or_ce], sig) == CONSISTENT
+        assert session.status([ab], sig) == CONSISTENT
+        assert (session.status_hits, session.refuted_hits, session.searches) == (1, 1, 3)
+        assert (count["consistent"], count["inconsistent"]) == (before[0] + 3, before[1] + 2)
+
 
 class TestKeptSubsets:
     def test_yields_the_kept_subsets_reached_through_kept_prefixes(self):

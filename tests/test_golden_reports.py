@@ -3,7 +3,8 @@
 Each hash is the sha256 of the exit code and the exact bytes ``cli.main``
 writes with ``--out``: ``oracle`` on the criterion-10 theories and the
 equality pigeonhole PHP(3..5) (witnesses and certificates), ``forcing
-build``/``model`` on the criterion-12 instances, ``proof-check`` on the
+build``/``model`` on the criterion-12 instances and ``forcing build`` under
+a 4-node oracle cap, ``proof-check`` on the
 proof corpus and its mutations (rejection reasons), ``compact
 --dump-algebra`` on the criterion-8 families, and ``star``, ``fincons`` and
 ``conservative`` on the small criterion-7 and criterion-8 inputs.  They pin
@@ -15,7 +16,7 @@ import hashlib
 import json
 
 from boolkit import bvmodel, cli, compact, forcing, proofs, syntax
-from boolkit.syntax import And
+from boolkit.syntax import And, Eq, Or, Signature
 
 from test_acceptance import (
     _compactness_families,
@@ -56,6 +57,11 @@ FORCING = [
     "bd44db1029ef46ce34b3f19adf0ff994ccad579c51f1098432762da41a7f318a",
     "7259839195f227fb832bd53ae0197fc64a21bd72ec57481996d1d09698f61596",
 ]
+
+# ``forcing build`` on the 4-constant disjunction under a 4-node oracle cap:
+# most conditions are decided by the session's witnesses and refuted subsets,
+# and the rest are excluded as unknown
+FORCING_CAPPED = "deb9e581b3d161cf8d3bd58c83d88542261868440af934ffaa28602a03ecd14b"
 
 PROOF_CHECK = "d8c13c8064e6aaf06119e8b02bcbdbc501d131e0c9e1e949cf181a874b5b1714"
 
@@ -145,6 +151,19 @@ def test_forcing_reports_are_pinned(tmp_path):
             _digest(*_report(tmp_path, ["forcing", "model", "--poset", poset_path, "--dense", dense_path]))
         )
     assert digests == FORCING
+
+
+def test_a_capped_forcing_build_report_is_pinned(tmp_path):
+    sig = Signature(relations={}, base_constants={"cw", "c0", "c1", "c2"})
+    phi = Or(tuple(Eq("cw", c) for c in ("c0", "c1", "c2")))
+    sig_path = _write(tmp_path / "sig.json", sig.to_json())
+    code, text = _report(
+        tmp_path,
+        ["forcing", "build", "--sig", sig_path, "--formula", syntax.render(phi),
+         "--size-bound", len(forcing.condition_universe(phi, sig)), "--budget-oracle-nodes", 4],
+    )
+    assert json.loads(text)["excluded_unknown"] > 0
+    assert _digest(code, text) == FORCING_CAPPED
 
 
 def test_proof_check_reports_are_pinned(tmp_path):
