@@ -165,7 +165,7 @@ def _reverse_inclusion(a, b) -> bool:
     return b <= a
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bit_positions(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, ascending."""
     text = bin(mask)[:1:-1]
     i = text.find("1")
@@ -247,7 +247,7 @@ class Poset:
         self._up = [0] * n
         for j, mask in enumerate(self._down):
             bit = 1 << j
-            for i in _bits(mask):
+            for i in bit_positions(mask):
                 self._up[i] |= bit
 
     @classmethod
@@ -298,10 +298,10 @@ class Poset:
         above no condition outside it.
         """
         touched = 0
-        for i in _bits(u_mask):
+        for i in bit_positions(u_mask):
             touched |= self._up[i]
         outside = 0
-        for k in _bits(self._all & ~touched):
+        for k in bit_positions(self._all & ~touched):
             outside |= self._up[k]
         return self._all & ~outside
 
@@ -373,7 +373,7 @@ def ro_completion(p: Poset) -> ROCompletion:
     cone = {}
     for q, down in zip(p.elements, p._down):
         value = 0
-        for r in _bits(down & minimal_mask):
+        for r in bit_positions(down & minimal_mask):
             value |= atom_bit[r]
         cone[q] = value
     algebra = FiniteBooleanAlgebra(len(atom_masks))

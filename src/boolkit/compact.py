@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, syntax
+from .balg import bit_positions
 from .errors import BoolkitError, ConstructionFailure
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
 
@@ -294,44 +295,81 @@ def _sig_key(sig: Signature):
 
 class _Ground:
     """The oracle's view of one signature: the search's constants, each
-    sentence's prepared forms, and the session caches of sentence sets."""
+    sentence's prepared forms, and the session caches of sentence sets.
+
+    Each distinct prepared ground sentence gets a number, first seen first,
+    and a sentence set is keyed by its mask, the OR of ``1 << number``."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.constants = sorted(sig.constants) or ["_unit"]
-        # id(sentence) -> [sentence, canonical, quantifier free, ground or None];
-        # keyed by identity, as a run passes the same objects again and again
+        # id(sentence) -> [sentence, canonical, its number, quantifier free,
+        # ground or None, its number]; keyed by identity, as a run passes the
+        # same objects again and again
         self.prepared = {}
+        self.sentences = []  # number -> prepared ground sentence
+        self.numbers = {}  # prepared ground sentence -> its number
         self.naming = None
-        self.statuses = {}  # ground set -> status
-        self.witnesses = {}  # ground set -> two-valued model of it
+        self.statuses = {}  # set mask -> status
+        self.witnesses = {}  # set mask -> two-valued model of the set
+        self.holds = {}  # (id of a kept witness, number) -> the sentence holds there
+
+    def number(self, f: Formula) -> int:
+        n = self.numbers.get(f)
+        if n is None:
+            n = self.numbers[f] = len(self.sentences)
+            self.sentences.append(f)
+        return n
 
     def prepare(self, theory, require_qe: bool) -> tuple:
-        """The theory's ground sentences as a tuple, and whether the
-        fresh-constant reduction applied (see ``prepare_ground``)."""
+        """The theory's ground sentences as a tuple, their numbers, and
+        whether the fresh-constant reduction applied (see
+        ``prepare_ground``)."""
         sig = self.sig
         entries = []
         for f in _sentences(theory):
             entry = self.prepared.get(id(f))
             if entry is None or entry[0] is not f:
                 c = syntax.canon(f)
-                entry = self.prepared[id(f)] = [f, c, syntax.is_quantifier_free(c), None]
+                entry = [f, c, self.number(c), syntax.is_quantifier_free(c), None, None]
+                self.prepared[id(f)] = entry
             entries.append(entry)
-        quantified = not all(entry[2] for entry in entries)
+        quantified = not all(entry[3] for entry in entries)
         if not quantified and not require_qe:
-            return tuple(entry[1] for entry in entries), False
+            return tuple(entry[1] for entry in entries), tuple(entry[2] for entry in entries), False
         if quantified and not sig.fresh_constants:
             raise BoolkitError("quantified input needs a nonempty fresh-constant pool")
         for entry in entries:
-            if entry[3] is None:
-                entry[3] = syntax.canon(syntax.qe_transform(entry[1], sig))
+            if entry[4] is None:
+                entry[4] = syntax.canon(syntax.qe_transform(entry[1], sig))
+                entry[5] = self.number(entry[4])
         if self.naming is None:
             fresh = sorted(sig.fresh_constants)
             self.naming = tuple(
                 syntax.canonical(Or, (Eq(c, d) for c in fresh))
                 for d in (sorted(sig.base_constants) if fresh else ())
             )
-        return tuple(entry[3] for entry in entries) + self.naming, True
+            self.naming_numbers = tuple(map(self.number, self.naming))
+        return (
+            tuple(entry[4] for entry in entries) + self.naming,
+            tuple(entry[5] for entry in entries) + self.naming_numbers,
+            True,
+        )
+
+    def holds_in(self, witness, n: int) -> bool:
+        """Whether sentence ``n`` holds in a kept witness, memoized."""
+        key = (id(witness), n)
+        out = self.holds.get(key)
+        if out is None:
+            out = self.holds[key] = bvmodel.holds(witness, self.sentences[n])
+        return out
+
+
+def _mask(numbers) -> int:
+    mask = 0
+    for n in numbers:
+        mask |= 1 << n
+    return mask
 
 
 def prepare_ground(theory, sig: Signature, require_qe: bool = False) -> tuple:
@@ -343,7 +381,7 @@ def prepare_ground(theory, sig: Signature, require_qe: bool = False) -> tuple:
     some fresh constant" are appended, which makes the reduction exact for
     witnesses generated by the constants.
     """
-    sentences, qe_applied = _Ground(sig).prepare(theory, require_qe)
+    sentences, _, qe_applied = _Ground(sig).prepare(theory, require_qe)
     return list(sentences), qe_applied
 
 
@@ -399,15 +437,15 @@ class OracleSession:
         """The full verdict of a search on the theory, sentences in order."""
         self.calls += 1
         ground = self._ground(sig)
-        sentences, _ = ground.prepare(theory, require_qe)
-        return self._search(ground, sentences, keep=True)
+        sentences, numbers, _ = ground.prepare(theory, require_qe)
+        return self._search(ground, sentences, _mask(numbers))
 
     def status(self, theory, sig: Signature, require_qe: bool = False) -> str:
         """The status of the theory's sentence set."""
         self.calls += 1
         ground = self._ground(sig)
-        sentences, qe_applied = ground.prepare(theory, require_qe)
-        key = frozenset(sentences)
+        sentences, numbers, qe_applied = ground.prepare(theory, require_qe)
+        key = _mask(numbers)
         status = ground.statuses.get(key)
         if status is not None:
             self.status_hits += 1
@@ -415,23 +453,24 @@ class OracleSession:
         # every reduced set holds all the naming constraints, so the sentence
         # a cached witness lacks is one of the theory's own; callers extend a
         # theory at its end, so the newest sentences are tried first
-        own = sentences[: len(sentences) - len(ground.naming)] if qe_applied else sentences
-        for f in reversed(own):
-            subset = key - {f}
+        own = numbers[: len(numbers) - len(ground.naming)] if qe_applied else numbers
+        for n in reversed(own):
+            subset = key & ~(1 << n)
             if ground.statuses.get(subset) == INCONSISTENT:
                 self.refuted_hits += 1
                 ground.statuses[key] = INCONSISTENT
                 return INCONSISTENT
             witness = ground.witnesses.get(subset)
-            if witness is not None and bvmodel.holds(witness, f):
+            if witness is not None and ground.holds_in(witness, n):
                 self.hint_hits += 1
                 ground.statuses[key] = CONSISTENT
                 ground.witnesses[key] = witness
                 return CONSISTENT
-        return self._search(ground, sentences, keep=True).status
+        return self._search(ground, sentences, key).status
 
-    def _search(self, ground: _Ground, sentences: tuple, keep: bool = False) -> OracleVerdict:
-        """Search; with ``keep``, record the set's status and witness."""
+    def _search(self, ground: _Ground, sentences: tuple, key: Optional[int] = None) -> OracleVerdict:
+        """Search; with a set mask ``key``, record the set's status and
+        witness under it."""
         self.searches += 1
         solver = _GroundSolver(ground.constants, self.budget.oracle_nodes)
         try:
@@ -446,7 +485,7 @@ class OracleSession:
                 witness = bvmodel.two_valued_model(
                     ground.constants,
                     ground.sig.relations,
-                    [_atom(key) for key, value in assignment.items() if value],
+                    [_atom(atom) for atom, value in assignment.items() if value],
                 )
                 for f in sentences:
                     if not bvmodel.holds(witness, f):
@@ -457,8 +496,7 @@ class OracleSession:
                     INCONSISTENT, certificate=certificate, budget_used=solver.nodes
                 )
         self.nodes += solver.nodes
-        if keep:
-            key = frozenset(sentences)
+        if key is not None:
             ground.statuses.setdefault(key, verdict.status)
             if verdict.witness is not None:
                 ground.witnesses.setdefault(key, verdict.witness)
@@ -484,7 +522,7 @@ def consistency_oracle(
     questions shares one ``OracleSession`` instead.
     """
     ground = _Ground(sig)
-    sentences, _ = ground.prepare(theory, require_qe)
+    sentences, _, _ = ground.prepare(theory, require_qe)
     return OracleSession(budget)._search(ground, sentences)
 
 
@@ -833,6 +871,22 @@ def materialize_compactness_property(
             )
         return status == CONSISTENT
 
+    # each distinct sentence of the family gets a bit, first seen first, and
+    # a member is the mask of its sentences
+    sentences, renders, numbers = [], [], {}
+
+    def bit(f: Formula) -> int:
+        n = numbers.get(f)
+        if n is None:
+            n = numbers[f] = len(sentences)
+            sentences.append(f)
+            renders.append(syntax.render(f))
+        return 1 << n
+
+    def ordered(mask: int) -> list:
+        """A member's sentence numbers in render order."""
+        return sorted(bit_positions(mask), key=renders.__getitem__)
+
     # each anchor's universe: its subsentences closed under the clause
     # steps, less the conjunctions matching a derived family member (the
     # member covers them); substitution and symmetry extensions are added
@@ -841,6 +895,7 @@ def materialize_compactness_property(
     overflow = ConstructionFailure(
         f"compactness universe exceeds the bound of {budget.max_members} sentences"
     )
+    psi_bit = bit(psi)
     family_sets = set()
     for anchor in members:
         reachable = consprop.clause_closure(
@@ -854,7 +909,7 @@ def materialize_compactness_property(
             continue
         # the universe is canonical and free of reflexive equalities
         for subset in kept_subsets(universe, lambda ext: consistent([*ext, anchor])):
-            family_sets.add(frozenset(subset + (psi,)))
+            family_sets.add(psi_bit | sum(map(bit, subset)))
             if len(family_sets) > budget.max_members:
                 raise ConstructionFailure("member budget exceeded during materialization")
     if not family_sets:
@@ -863,31 +918,35 @@ def materialize_compactness_property(
     # close the enumerated family under the clause obligations; every
     # extension added here is entailed by sentences already in the member,
     # so consistency is preserved (and re-checked all the same)
-    queue = sorted(family_sets, key=lambda s: sorted(map(syntax.render, s)))
+    of = obligations.compiled(sentences, lambda options: tuple(
+        0 if option is None else bit(option) for option in options
+    ))
+    queue = sorted(family_sets, key=lambda s: [renders[i] for i in ordered(s)])
     while queue:
         s = queue.pop()
-        for _clause, need, options in obligations.of(s):
+        ids = ordered(s)
+        for _clause, need, options in of(ids):
             fulfilled = False
             chosen = None
             for option in options:
-                ext = obligations.extend(s, option)
+                ext = s | option
                 if ext in family_sets:
                     fulfilled = True
                     break
-                if chosen is None and consistent(sorted(ext, key=syntax.render)):
+                if chosen is None and consistent([sentences[i] for i in ordered(ext)]):
                     chosen = ext
             if fulfilled:
                 continue
             if chosen is None:
                 raise ConstructionFailure(
                     f"no consistent extension for obligation: {need}",
-                    counterexample=sorted(map(syntax.render, s)),
+                    counterexample=[renders[i] for i in ids],
                 )
             family_sets.add(chosen)
             queue.append(chosen)
             if len(family_sets) > budget.max_members:
                 raise ConstructionFailure("member budget exceeded during closure")
-    return consprop.ConsistencyProperty(work_sig, frozenset(family_sets))
+    return consprop.ConsistencyProperty.from_masks(work_sig, sentences, family_sets)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, compact, syntax
-from .balg import Poset, ro_completion
+from .balg import Poset, bit_positions, ro_completion
 from .errors import BoolkitError, ConstructionFailure
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Theory
 
@@ -43,6 +43,18 @@ class ConsistencyProperty:
 
     def __len__(self):
         return len(self.members)
+
+    @classmethod
+    def from_masks(cls, sig: Signature, sentences, masks) -> "ConsistencyProperty":
+        """The property whose members are ``masks`` over ``sentences``, which
+        must be canonical and free of reflexive equalities: nothing is
+        canonicalized again, and the index is built from the masks."""
+        prop = cls.__new__(cls)
+        index = MemberIndex.of_masks(sentences, masks)
+        object.__setattr__(prop, "sig", sig)
+        object.__setattr__(prop, "members", frozenset(index.members))
+        prop.__dict__["index"] = index
+        return prop
 
     def __contains__(self, s):
         return canon_set(s) in self.members
@@ -82,22 +94,44 @@ class MemberIndex:
     the members by size, then by those positions; ``ids`` and ``masks`` give
     each one's sorted positions and bitmask, and ``mask_set`` holds the
     masks for membership tests.
+
+    ``of_masks(sentences, masks)`` is the one builder: it takes members as
+    masks over sentences in any order and renumbers the sentences some
+    member holds.  ``MemberIndex(members)`` numbers the members' sentences
+    first seen first and hands their masks to it.
     """
 
     def __init__(self, members):
-        members = list(members)
-        seen = {}  # sentence -> its position in first-seen order
-        first_seen = [[seen.setdefault(f, len(seen)) for f in s] for s in members]
-        self.sentences = sorted(seen, key=syntax.render)
+        seen = {}  # sentence -> its number, first seen first
+        masks = []
+        for s in members:
+            mask = 0
+            for f in s:
+                mask |= 1 << seen.setdefault(f, len(seen))
+            masks.append(mask)
+        self._build(list(seen), masks)
+
+    @classmethod
+    def of_masks(cls, sentences, masks) -> "MemberIndex":
+        index = cls.__new__(cls)
+        index._build(sentences, masks)
+        return index
+
+    def _build(self, sentences, masks):
+        held = 0
+        for mask in masks:
+            held |= mask
+        order = sorted(bit_positions(held), key=lambda i: syntax.render(sentences[i]))
+        self.sentences = [sentences[i] for i in order]
         self.position = {f: i for i, f in enumerate(self.sentences)}
-        rank = [self.position[f] for f in seen]
-        rows = [
-            (len(s), sorted([rank[k] for k in ks]), s) for ks, s in zip(first_seen, members)
-        ]
-        rows.sort(key=lambda row: row[:2])
-        self.members = [s for _, _, s in rows]
-        self.ids = [tuple(ids) for _, ids, _ in rows]
+        rank = dict(zip(order, range(len(order))))
+        rows = sorted(
+            (len(ids), ids)
+            for ids in (sorted(map(rank.__getitem__, bit_positions(mask))) for mask in masks)
+        )
+        self.ids = [tuple(ids) for _, ids in rows]
         self.masks = [sum(1 << i for i in ids) for ids in self.ids]
+        self.members = [frozenset(map(self.sentences.__getitem__, ids)) for ids in self.ids]
         self.mask_set = set(self.masks)
 
     def bits(self, options) -> tuple:
@@ -122,12 +156,12 @@ class ClauseObligations:
     one signature, memoized per sentence for one verification or
     materialization run.
 
-    ``of(s)`` yields ``(clause, need, options)`` triples: for universal
+    An obligation is a ``(clause, need, options)`` triple: for universal
     clauses the options are a single required sentence; for the choice
     clauses (big-or witness, existential witness, fresh naming) any one
     option suffices.  Options are stored canonical, ``None`` standing for an
-    option that leaves the member unchanged, so ``extend`` gives the
-    extended member without re-canonicalizing it.
+    option that leaves the member unchanged, so ``compiled`` turns each
+    into a bit to OR into a member's mask.
     """
 
     def __init__(self, sig: Signature):
@@ -139,11 +173,6 @@ class ClauseObligations:
         self._replaced = {}  # (equality, sentence) -> its Str.2 obligation, if any
         self._naming = {}  # constants mentioned -> Str.3 obligations
 
-    @staticmethod
-    def extend(s: frozenset, option: Optional[Formula]) -> frozenset:
-        """The member ``s`` with one canonical option added."""
-        return s if option is None or option in s else s | {option}
-
     def own(self, f: Formula) -> tuple:
         """The obligations of one canonical sentence by itself: Ind.1-Ind.5
         and Str.1."""
@@ -152,19 +181,47 @@ class ClauseObligations:
             out = self._own[f] = self._sentence_obligations(f)
         return out
 
-    def of(self, s: frozenset):
-        """The obligations of member ``s``: each sentence's own, sentences in
-        render order; then substitution of equals, equalities in render
-        order; then fresh naming."""
-        ordered = sorted(s, key=syntax.render)
-        for f in ordered:
-            yield from self.own(f)
-        for e in ordered:
-            if isinstance(e, Eq):
-                for f in ordered:
-                    if f is not e:
-                        yield from self.replaced(e, f)
-        yield from self.naming(frozenset().union(*map(self.constants_of, ordered)))
+    def compiled(self, sentences, bits):
+        """The obligations of members given by sentence numbers, options as
+        bits.  The returned ``of(ids)`` takes a member's numbers into
+        ``sentences`` in render order of their sentences and yields
+        ``(clause, need, option bits)``: each sentence's own obligations;
+        then substitution of equals, equalities in render order; then fresh
+        naming.  ``bits(options)`` compiles one obligation's options, once
+        per sentence, per (equality, sentence) pair and per set of
+        mentioned constants."""
+        own, replaced, naming, constants = {}, {}, {}, {}
+
+        def compile_(raw) -> tuple:
+            return tuple((clause, need, bits(options)) for clause, need, options in raw)
+
+        def of(ids):
+            for i in ids:
+                out = own.get(i)
+                if out is None:
+                    out = own[i] = compile_(self.own(sentences[i]))
+                yield from out
+            for e in ids:
+                if isinstance(sentences[e], Eq):
+                    for i in ids:
+                        if i == e:
+                            continue
+                        out = replaced.get((e, i))
+                        if out is None:
+                            out = replaced[(e, i)] = compile_(
+                                self.replaced(sentences[e], sentences[i])
+                            )
+                        yield from out
+            for i in ids:
+                if i not in constants:
+                    constants[i] = self.constants_of(sentences[i])
+            mentioned = frozenset().union(*[constants[i] for i in ids])
+            out = naming.get(mentioned)
+            if out is None:
+                out = naming[mentioned] = compile_(self.naming(mentioned))
+            yield from out
+
+        return of
 
     def replaced(self, e: Eq, f: Formula) -> tuple:
         """Str.2 for the equality ``e`` and another sentence ``f`` of a
@@ -248,12 +305,12 @@ class ClauseVerdict:
 def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     """Check the contradiction clause and all closure clauses on every member;
     reports the first violation, visiting members in ``ordered_members``
-    order and each member's obligations in ``ClauseObligations.of`` order.
+    order and each member's obligations in ``ClauseObligations.compiled``
+    order.
 
-    The checks run on the property's ``MemberIndex``: each obligation's
-    options are compiled to bits once per sentence (per equality and
-    sentence for Str.2, per mentioned-constant set for Str.3), and an option
-    is met when the member's mask with its bit is a member's mask.
+    The checks run on the property's ``MemberIndex``: the obligations are
+    compiled to bits by ``ClauseObligations.compiled``, and an option is met
+    when the member's mask with its bit is a member's mask.
     """
     index = prop.index
     sentences, masks, mask_set = index.sentences, index.masks, index.mask_set
@@ -267,37 +324,7 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
             if j is not None and mask >> j & 1:
                 return ClauseVerdict(False, "Con", s, syntax.render(sentences[j]))
 
-    obligations = ClauseObligations(prop.sig)
-    constants = [obligations.constants_of(f) for f in sentences]
-    own, replaced, naming = {}, {}, {}
-
-    def compiled(raw) -> tuple:
-        return tuple((clause, need, index.bits(options)) for clause, need, options in raw)
-
-    def of(ids):
-        # the order of ClauseObligations.of, on sentence positions
-        for i in ids:
-            out = own.get(i)
-            if out is None:
-                out = own[i] = compiled(obligations.own(sentences[i]))
-            yield from out
-        for e in ids:
-            if isinstance(sentences[e], Eq):
-                for i in ids:
-                    if i == e:
-                        continue
-                    out = replaced.get((e, i))
-                    if out is None:
-                        out = replaced[(e, i)] = compiled(
-                            obligations.replaced(sentences[e], sentences[i])
-                        )
-                    yield from out
-        mentioned = frozenset().union(*[constants[i] for i in ids])
-        out = naming.get(mentioned)
-        if out is None:
-            out = naming[mentioned] = compiled(obligations.naming(mentioned))
-        yield from out
-
+    of = ClauseObligations(prop.sig).compiled(sentences, index.bits)
     for s, ids, mask in rows:
         for clause, need, options in of(ids):
             for bit in options:
@@ -399,10 +426,13 @@ def saturate_theory(
             raise BoolkitError("fragment not decidable at this bound")
         return status == compact.CONSISTENT
 
-    members = []
-    if consistent(()):
-        members = compact.kept_subsets(closure_universe(theory, sig, bound), consistent)
-    return ConsistencyProperty(sig, members)
+    if not consistent(()):
+        return ConsistencyProperty(sig, [])
+    # the universe is canonical and free of reflexive equalities
+    universe = closure_universe(theory, sig, bound)
+    bit = {f: 1 << i for i, f in enumerate(universe)}
+    masks = [sum(map(bit.__getitem__, s)) for s in compact.kept_subsets(universe, consistent)]
+    return ConsistencyProperty.from_masks(sig, universe, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ def replayed_refutations():
     refuted = weakref.WeakKeyDictionary()  # ground -> its replayed refuted sets
     search, status = compact.OracleSession._search, compact.OracleSession.status
 
-    def checked(self, ground, sentences, keep=False):
-        verdict = search(self, ground, sentences, keep)
+    def checked(self, ground, sentences, key=None):
+        verdict = search(self, ground, sentences, key)
         if verdict.status == compact.INCONSISTENT:
             assert compact.replay_certificate(verdict.certificate, sentences, ground.sig), (
                 [syntax.render(f) for f in sentences]
@@ -45,10 +45,10 @@ def replayed_refutations():
     def audited(self, theory, sig, require_qe=False):
         answer = status(self, theory, sig, require_qe)
         ground = self._ground(sig)
-        sentences = ground.prepare(theory, require_qe)[0]
+        sentences, numbers, _ = ground.prepare(theory, require_qe)
         rendered = [syntax.render(f) for f in sentences]
         if answer == compact.CONSISTENT:
-            witness = ground.witnesses[frozenset(sentences)]
+            witness = ground.witnesses[sum(1 << n for n in set(numbers))]
             assert all(classical_eval(witness, f) for f in sentences), rendered
             count["consistent"] += 1
         elif answer == compact.INCONSISTENT:

@@ -669,13 +669,14 @@ class TestOracleSession:
                 queries += 1
                 assert status == consistency_oracle(ext, sig, require_qe=reduced).status
                 ground = session._ground(sig)
-                prepared = frozenset(ground.prepare(ext, reduced)[0])
+                prepared, numbers, _ = ground.prepare(ext, reduced)
+                key = sum(1 << n for n in set(numbers))  # the set's mask
                 if session.hint_hits > hints:
-                    witness = ground.witnesses[prepared]
+                    witness = ground.witnesses[key]
                     assert all(bvmodel.holds(witness, f) for f in prepared)
                 if session.refuted_hits > refuted:
                     assert any(
-                        ground.statuses.get(prepared - {f}) == INCONSISTENT for f in prepared
+                        ground.statuses.get(key & ~(1 << n)) == INCONSISTENT for n in numbers
                     )
                 if status == CONSISTENT:
                     stack.append((tuple(ext), j + 1))
