@@ -104,21 +104,6 @@ class Filter:
         if self.generator == 0:
             raise BoolkitError("a filter may not contain 0")
 
-    @classmethod
-    def from_members(cls, algebra: FiniteBooleanAlgebra, members: Iterable[int]) -> "Filter":
-        ms = frozenset(members)
-        if not ms:
-            raise BoolkitError("a filter is nonempty")
-        if 0 in ms:
-            raise BoolkitError("a filter excludes 0")
-        g = algebra.meet_all(ms)
-        if g == 0:
-            raise BoolkitError("member set is not closed under meet without hitting 0")
-        expected = frozenset(x for x in algebra.elements() if algebra.leq(g, x))
-        if ms != expected:
-            raise BoolkitError("member set is not upward closed / meet closed")
-        return cls(algebra, g)
-
     def __contains__(self, x: int) -> bool:
         return self.algebra.leq(self.generator, x)
 
@@ -277,18 +262,6 @@ class Poset:
     def leq(self, a, b) -> bool:
         return self._down[self._index[b]] >> self._index[a] & 1 == 1
 
-    def down_mask(self, a) -> int:
-        return self._down[self._index[a]]
-
-    def mask_of(self, subset: Iterable) -> int:
-        out = 0
-        for e in subset:
-            out |= 1 << self._index[e]
-        return out
-
-    def set_of(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
-
     def regularize_mask(self, u_mask: int) -> int:
         """Interior-of-closure of a set of positions, by the up masks.
 
@@ -306,15 +279,6 @@ class Poset:
         return self._all & ~outside
 
 
-def regularize(p: Poset, u: Iterable) -> frozenset:
-    """Interior-of-closure in the topology of down-sets: the elements q such
-    that below every r <= q some member of u appears.  Idempotent."""
-    u = set(u)
-    if not u <= set(p.elements):
-        raise BoolkitError("u must be a subset of the poset")
-    return p.set_of(p.regularize_mask(p.mask_of(u)))
-
-
 @dataclass(frozen=True)
 class ROCompletion:
     """Regular-open completion of a finite poset.
@@ -329,26 +293,12 @@ class ROCompletion:
     cone: dict
     _atom_masks: tuple
 
-    def element_of(self, regular_open: Iterable) -> int:
-        """Algebra element corresponding to a regular open set of conditions."""
-        u_mask = self.poset.mask_of(regular_open)
-        if self.poset.regularize_mask(u_mask) != u_mask:
-            raise BoolkitError("set is not regular open")
-        return self.element_of_mask(u_mask)
-
     def element_of_mask(self, u_mask: int) -> int:
         out = 0
         for j, a in enumerate(self._atom_masks):
             if a & ~u_mask == 0:
                 out |= 1 << j
         return out
-
-    def set_of_element(self, x: int) -> frozenset:
-        mask = 0
-        for j, a in enumerate(self._atom_masks):
-            if x >> j & 1:
-                mask |= a
-        return self.poset.set_of(self.poset.regularize_mask(mask))
 
 
 def ro_completion(p: Poset) -> ROCompletion:

@@ -303,12 +303,12 @@ class _Ground:
     def __init__(self, sig: Signature):
         self.sig = sig
         self.constants = sorted(sig.constants) or ["_unit"]
-        # id(sentence) -> [sentence, canonical, its number, quantifier free,
-        # ground or None, its number]; keyed by identity, as a run passes the
-        # same objects again and again
+        # id(sentence) -> [sentence, canonical number, quantifier free, ground
+        # number or None]; keyed by identity, as a run passes the same
+        # objects again and again
         self.prepared = {}
-        self.sentences = []  # number -> prepared ground sentence
-        self.numbers = {}  # prepared ground sentence -> its number
+        self.sentences = []  # number -> prepared sentence
+        self.numbers = {}  # prepared sentence -> its number
         self.naming = None
         self.statuses = {}  # set mask -> status
         self.witnesses = {}  # set mask -> two-valued model of the set
@@ -322,7 +322,7 @@ class _Ground:
         return n
 
     def prepare(self, theory, require_qe: bool) -> tuple:
-        """The theory's ground sentences as a tuple, their numbers, and
+        """The numbers of the theory's ground sentences as a tuple, and
         whether the fresh-constant reduction applied (see
         ``prepare_ground``)."""
         sig = self.sig
@@ -331,38 +331,25 @@ class _Ground:
             entry = self.prepared.get(id(f))
             if entry is None or entry[0] is not f:
                 c = syntax.canon(f)
-                entry = [f, c, self.number(c), syntax.is_quantifier_free(c), None, None]
+                entry = [f, self.number(c), syntax.is_quantifier_free(c), None]
                 self.prepared[id(f)] = entry
             entries.append(entry)
-        quantified = not all(entry[3] for entry in entries)
+        quantified = not all(entry[2] for entry in entries)
         if not quantified and not require_qe:
-            return tuple(entry[1] for entry in entries), tuple(entry[2] for entry in entries), False
+            return tuple(entry[1] for entry in entries), False
         if quantified and not sig.fresh_constants:
             raise BoolkitError("quantified input needs a nonempty fresh-constant pool")
         for entry in entries:
-            if entry[4] is None:
-                entry[4] = syntax.canon(syntax.qe_transform(entry[1], sig))
-                entry[5] = self.number(entry[4])
+            if entry[3] is None:
+                ground = syntax.qe_transform(self.sentences[entry[1]], sig)
+                entry[3] = self.number(syntax.canon(ground))
         if self.naming is None:
             fresh = sorted(sig.fresh_constants)
             self.naming = tuple(
-                syntax.canonical(Or, (Eq(c, d) for c in fresh))
+                self.number(syntax.canonical(Or, (Eq(c, d) for c in fresh)))
                 for d in (sorted(sig.base_constants) if fresh else ())
             )
-            self.naming_numbers = tuple(map(self.number, self.naming))
-        return (
-            tuple(entry[4] for entry in entries) + self.naming,
-            tuple(entry[5] for entry in entries) + self.naming_numbers,
-            True,
-        )
-
-    def holds_in(self, witness, n: int) -> bool:
-        """Whether sentence ``n`` holds in a kept witness, memoized."""
-        key = (id(witness), n)
-        out = self.holds.get(key)
-        if out is None:
-            out = self.holds[key] = bvmodel.holds(witness, self.sentences[n])
-        return out
+        return tuple(entry[3] for entry in entries) + self.naming, True
 
 
 def _mask(numbers) -> int:
@@ -381,24 +368,26 @@ def prepare_ground(theory, sig: Signature, require_qe: bool = False) -> tuple:
     some fresh constant" are appended, which makes the reduction exact for
     witnesses generated by the constants.
     """
-    sentences, _, qe_applied = _Ground(sig).prepare(theory, require_qe)
-    return list(sentences), qe_applied
+    ground = _Ground(sig)
+    numbers, qe_applied = ground.prepare(theory, require_qe)
+    return [ground.sentences[n] for n in numbers], qe_applied
 
 
 class OracleSession:
     """The oracle queries of one top-level run, under one budget.
 
     A run asks about many overlapping sentence sets, mostly for their status
-    alone.  The session memoizes each sentence's prepared forms per
-    signature and answers two queries:
+    alone.  The session memoizes each sentence's prepared forms and number
+    per signature and answers two queries:
 
     - ``verdict`` always searches and returns the search's full
       OracleVerdict, so a certificate indexes its own input;
-    - ``status`` returns the status alone, cached under the sentence set.
-      Before searching it looks at each subset with one sentence removed.
-      When that subset was refuted, so is the whole set (a refuted-subset
-      hit).  When that subset has a witness and the removed sentence holds
-      there, the witness is a Tarski model of the whole set (model
+    - ``status`` returns the status alone, cached under the set's mask.
+      Before searching it looks at each subset with one sentence removed,
+      ``mask & ~bit``.  When that subset was refuted, so is the whole set
+      (a refuted-subset hit).  When that subset has a witness and the
+      removed sentence holds there (``bvmodel.holds``, memoized per witness
+      and sentence), the witness is a Tarski model of the whole set (model
       rotation).
 
     Every searched Consistent result is built into a two-valued witness,
@@ -419,6 +408,7 @@ class OracleSession:
         self.calls = self.status_hits = self.refuted_hits = self.hint_hits = 0
         self.searches = self.nodes = 0
         self._grounds = {}  # _sig_key(sig) -> _Ground
+        self._by_sig = {}  # id(sig) -> (sig, its _Ground), as a run reuses one object
 
     def counters(self) -> dict:
         return {
@@ -427,24 +417,23 @@ class OracleSession:
         }
 
     def _ground(self, sig: Signature) -> _Ground:
-        key = _sig_key(sig)
-        ground = self._grounds.get(key)
-        if ground is None:
-            ground = self._grounds[key] = _Ground(sig)
-        return ground
+        entry = self._by_sig.get(id(sig))
+        if entry is None or entry[0] is not sig:
+            ground = self._grounds.setdefault(_sig_key(sig), _Ground(sig))
+            entry = self._by_sig[id(sig)] = (sig, ground)
+        return entry[1]
 
     def verdict(self, theory, sig: Signature, require_qe: bool = False) -> OracleVerdict:
         """The full verdict of a search on the theory, sentences in order."""
         self.calls += 1
         ground = self._ground(sig)
-        sentences, numbers, _ = ground.prepare(theory, require_qe)
-        return self._search(ground, sentences, _mask(numbers))
+        return self._search(ground, ground.prepare(theory, require_qe)[0], keep=True)
 
     def status(self, theory, sig: Signature, require_qe: bool = False) -> str:
         """The status of the theory's sentence set."""
         self.calls += 1
         ground = self._ground(sig)
-        sentences, numbers, qe_applied = ground.prepare(theory, require_qe)
+        numbers, qe_applied = ground.prepare(theory, require_qe)
         key = _mask(numbers)
         status = ground.statuses.get(key)
         if status is not None:
@@ -461,16 +450,22 @@ class OracleSession:
                 ground.statuses[key] = INCONSISTENT
                 return INCONSISTENT
             witness = ground.witnesses.get(subset)
-            if witness is not None and ground.holds_in(witness, n):
+            if witness is None:
+                continue
+            memo = (id(witness), n)
+            if memo not in ground.holds:
+                ground.holds[memo] = bvmodel.holds(witness, ground.sentences[n])
+            if ground.holds[memo]:
                 self.hint_hits += 1
                 ground.statuses[key] = CONSISTENT
                 ground.witnesses[key] = witness
                 return CONSISTENT
-        return self._search(ground, sentences, key).status
+        return self._search(ground, numbers, keep=True).status
 
-    def _search(self, ground: _Ground, sentences: tuple, key: Optional[int] = None) -> OracleVerdict:
-        """Search; with a set mask ``key``, record the set's status and
-        witness under it."""
+    def _search(self, ground: _Ground, numbers: tuple, keep: bool = False) -> OracleVerdict:
+        """Search on the numbered sentences, in order; with ``keep``, record
+        the set's status and witness under its mask."""
+        sentences = [ground.sentences[n] for n in numbers]
         self.searches += 1
         solver = _GroundSolver(ground.constants, self.budget.oracle_nodes)
         try:
@@ -496,7 +491,8 @@ class OracleSession:
                     INCONSISTENT, certificate=certificate, budget_used=solver.nodes
                 )
         self.nodes += solver.nodes
-        if key is not None:
+        if keep:
+            key = _mask(numbers)
             ground.statuses.setdefault(key, verdict.status)
             if verdict.witness is not None:
                 ground.witnesses.setdefault(key, verdict.witness)
@@ -522,8 +518,7 @@ def consistency_oracle(
     questions shares one ``OracleSession`` instead.
     """
     ground = _Ground(sig)
-    sentences, _, _ = ground.prepare(theory, require_qe)
-    return OracleSession(budget)._search(ground, sentences)
+    return OracleSession(budget)._search(ground, ground.prepare(theory, require_qe)[0])
 
 
 def _session(budget: Optional[Budget], session: Optional[OracleSession]) -> OracleSession:
@@ -855,10 +850,8 @@ def materialize_compactness_property(
     members = [syntax.canon(f) for f in _sentences(family)]
     gens = base_generators(members)
     psi = syntax.canonical(And, gens)
-    gen_keys = {syntax.conjunction_key(g) for g in gens}
-    drop_keys = {
-        syntax.conjunction_key(m) for m in members
-    } - gen_keys
+    drop_keys = {syntax.conjunction_key(m) for m in members}
+    drop_keys -= {syntax.conjunction_key(g) for g in gens}
     work_sig = star_signature(sig)
     session = _session(budget, session)
     budget = session.budget

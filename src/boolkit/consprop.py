@@ -49,11 +49,9 @@ class ConsistencyProperty:
         """The property whose members are ``masks`` over ``sentences``, which
         must be canonical and free of reflexive equalities: nothing is
         canonicalized again, and the index is built from the masks."""
-        prop = cls.__new__(cls)
         index = MemberIndex.of_masks(sentences, masks)
-        object.__setattr__(prop, "sig", sig)
-        object.__setattr__(prop, "members", frozenset(index.members))
-        prop.__dict__["index"] = index
+        prop = cls.__new__(cls)
+        prop.__dict__.update(sig=sig, members=frozenset(index.members), index=index)
         return prop
 
     def __contains__(self, s):
@@ -103,12 +101,7 @@ class MemberIndex:
 
     def __init__(self, members):
         seen = {}  # sentence -> its number, first seen first
-        masks = []
-        for s in members:
-            mask = 0
-            for f in s:
-                mask |= 1 << seen.setdefault(f, len(seen))
-            masks.append(mask)
+        masks = [sum(1 << seen.setdefault(f, len(seen)) for f in s) for s in members]
         self._build(list(seen), masks)
 
     @classmethod
@@ -145,16 +138,9 @@ class MemberIndex:
         )
 
 
-def ordered_members(members) -> list:
-    """Members by size, then by their sorted renderings: the order in which
-    verification visits them and model existence indexes them."""
-    return MemberIndex(members).members
-
-
 class ClauseObligations:
     """Everything the closure clauses demand of the members of a family over
-    one signature, memoized per sentence for one verification or
-    materialization run.
+    one signature, for one verification or materialization run.
 
     An obligation is a ``(clause, need, options)`` triple: for universal
     clauses the options are a single required sentence; for the choice
@@ -168,18 +154,9 @@ class ClauseObligations:
         self._consts = sorted(sig.constants)
         self._fresh = sorted(sig.fresh_constants)
         self._fresh_set = sig.fresh_constants
-        self._own = {}  # sentence -> its obligations (Ind.1-Ind.5, Str.1)
-        self._constants = {}  # sentence -> constants_of(sentence)
-        self._replaced = {}  # (equality, sentence) -> its Str.2 obligation, if any
-        self._naming = {}  # constants mentioned -> Str.3 obligations
-
-    def own(self, f: Formula) -> tuple:
-        """The obligations of one canonical sentence by itself: Ind.1-Ind.5
-        and Str.1."""
-        out = self._own.get(f)
-        if out is None:
-            out = self._own[f] = self._sentence_obligations(f)
-        return out
+        # the obligations of one canonical sentence by itself: Ind.1-Ind.5
+        # and Str.1, memoized
+        self.own = functools.cache(self._sentence_obligations)
 
     def compiled(self, sentences, bits):
         """The obligations of members given by sentence numbers, options as
@@ -190,59 +167,47 @@ class ClauseObligations:
         naming.  ``bits(options)`` compiles one obligation's options, once
         per sentence, per (equality, sentence) pair and per set of
         mentioned constants."""
-        own, replaced, naming, constants = {}, {}, {}, {}
 
         def compile_(raw) -> tuple:
             return tuple((clause, need, bits(options)) for clause, need, options in raw)
 
+        own = functools.cache(lambda i: compile_(self.own(sentences[i])))
+        replaced = functools.cache(lambda e, i: compile_(self.replaced(sentences[e], sentences[i])))
+        naming = functools.cache(lambda mentioned: compile_(self.naming(mentioned)))
+        constants = functools.cache(lambda i: syntax.constants_of(sentences[i]))
+
         def of(ids):
             for i in ids:
-                out = own.get(i)
-                if out is None:
-                    out = own[i] = compile_(self.own(sentences[i]))
-                yield from out
+                yield from own(i)
             for e in ids:
                 if isinstance(sentences[e], Eq):
                     for i in ids:
-                        if i == e:
-                            continue
-                        out = replaced.get((e, i))
-                        if out is None:
-                            out = replaced[(e, i)] = compile_(
-                                self.replaced(sentences[e], sentences[i])
-                            )
-                        yield from out
-            for i in ids:
-                if i not in constants:
-                    constants[i] = self.constants_of(sentences[i])
-            mentioned = frozenset().union(*[constants[i] for i in ids])
-            out = naming.get(mentioned)
-            if out is None:
-                out = naming[mentioned] = compile_(self.naming(mentioned))
-            yield from out
+                        if i != e:
+                            yield from replaced(e, i)
+            yield from naming(frozenset().union(*map(constants, ids)))
 
         return of
 
     def replaced(self, e: Eq, f: Formula) -> tuple:
         """Str.2 for the equality ``e`` and another sentence ``f`` of a
         member: empty when ``f`` does not mention ``e.right``."""
-        out = self._replaced.get((e, f))
-        if out is None:
-            out = self._replaced[(e, f)] = self._substitution(e, f)
-        return out
+        if e.right not in syntax.constants_of(f):
+            return ()
+        replaced = syntax.substitute(f, {e.right: e.left})
+        need = f"substitute {e.left} for {e.right} in {syntax.render(f)}"
+        return (("Str.2", need, (_canonical_sentence(replaced),)),)
 
     def naming(self, mentioned: frozenset) -> tuple:
         """Str.3 for a member mentioning the constants ``mentioned``."""
-        out = self._naming.get(mentioned)
-        if out is None:
-            out = self._naming[mentioned] = self._fresh_naming(mentioned)
-        return out
-
-    def constants_of(self, f: Formula) -> frozenset:
-        out = self._constants.get(f)
-        if out is None:
-            out = self._constants[f] = syntax.constants_of(f)
-        return out
+        out = []
+        for d in self._consts:
+            options = [None] if d in self._fresh_set else []
+            preferred = [c for c in self._fresh if c != d]
+            preferred.sort(key=lambda c: (c in mentioned, c))
+            options.extend(Eq(c, d) for c in preferred)
+            # with an empty fresh pool the clause is unsatisfiable for any d
+            out.append(("Str.3", f"fresh name for {d}", tuple(options)))
+        return tuple(out)
 
     def _sentence_obligations(self, f: Formula) -> tuple:
         out = []
@@ -272,24 +237,6 @@ class ClauseObligations:
             need("Str.1", f"symmetric {syntax.render(f)}", [Eq(f.right, f.left)])
         return tuple(out)
 
-    def _substitution(self, e: Eq, f: Formula) -> tuple:
-        if e.right not in self.constants_of(f):
-            return ()
-        replaced = syntax.substitute(f, {e.right: e.left})
-        need = f"substitute {e.left} for {e.right} in {syntax.render(f)}"
-        return (("Str.2", need, (_canonical_sentence(replaced),)),)
-
-    def _fresh_naming(self, mentioned: frozenset) -> tuple:
-        out = []
-        for d in self._consts:
-            options = [None] if d in self._fresh_set else []
-            preferred = [c for c in self._fresh if c != d]
-            preferred.sort(key=lambda c: (c in mentioned, c))
-            options.extend(Eq(c, d) for c in preferred)
-            # with an empty fresh pool the clause is unsatisfiable for any d
-            out.append(("Str.3", f"fresh name for {d}", tuple(options)))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ClauseVerdict:
@@ -304,7 +251,7 @@ class ClauseVerdict:
 
 def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     """Check the contradiction clause and all closure clauses on every member;
-    reports the first violation, visiting members in ``ordered_members``
+    reports the first violation, visiting members in ``MemberIndex``
     order and each member's obligations in ``ClauseObligations.compiled``
     order.
 

@@ -110,6 +110,12 @@ class Formula:
             return NotImplemented
         return render(self) == render(other)
 
+    def __getstate__(self):
+        # the cached hash depends on PYTHONHASHSEED, so pickle leaves it out
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 @dataclass(frozen=True, repr=False, eq=False)
 class Atom(Formula):

@@ -12,8 +12,9 @@ import weakref
 import pytest
 
 from boolkit import bvmodel, compact, consprop, syntax
-from boolkit.balg import FiniteBooleanAlgebra, Poset, ro_completion
+from boolkit.balg import FiniteBooleanAlgebra, Filter, Poset, ro_completion
 from boolkit.bvmodel import BValuedModel
+from boolkit.errors import BoolkitError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
 
@@ -32,9 +33,10 @@ def replayed_refutations():
     refuted = weakref.WeakKeyDictionary()  # ground -> its replayed refuted sets
     search, status = compact.OracleSession._search, compact.OracleSession.status
 
-    def checked(self, ground, sentences, key=None):
-        verdict = search(self, ground, sentences, key)
+    def checked(self, ground, numbers, keep=False):
+        verdict = search(self, ground, numbers, keep)
         if verdict.status == compact.INCONSISTENT:
+            sentences = [ground.sentences[n] for n in numbers]
             assert compact.replay_certificate(verdict.certificate, sentences, ground.sig), (
                 [syntax.render(f) for f in sentences]
             )
@@ -45,7 +47,8 @@ def replayed_refutations():
     def audited(self, theory, sig, require_qe=False):
         answer = status(self, theory, sig, require_qe)
         ground = self._ground(sig)
-        sentences, numbers, _ = ground.prepare(theory, require_qe)
+        numbers = ground.prepare(theory, require_qe)[0]
+        sentences = [ground.sentences[n] for n in numbers]
         rendered = [syntax.render(f) for f in sentences]
         if answer == compact.CONSISTENT:
             witness = ground.witnesses[sum(1 << n for n in set(numbers))]
@@ -215,6 +218,64 @@ def brute_force_satisfiable(sentences, sig):
 
 
 # ---------------------------------------------------------------------------
+# set-based views of posets, completions and filters
+
+
+def mask_of(poset, subset) -> int:
+    """The bitmask of a set of poset elements."""
+    out = 0
+    for e in subset:
+        out |= 1 << poset._index[e]
+    return out
+
+
+def set_of(poset, mask) -> frozenset:
+    return frozenset(e for i, e in enumerate(poset.elements) if mask >> i & 1)
+
+
+def down_mask(poset, a) -> int:
+    """The elements at least as strong as ``a``, as a bitmask."""
+    return poset._down[poset._index[a]]
+
+
+def regularize(poset, u) -> frozenset:
+    """Interior-of-closure of a set of elements, through ``regularize_mask``."""
+    return set_of(poset, poset.regularize_mask(mask_of(poset, u)))
+
+
+def element_of(ro, regular_open) -> int:
+    """The algebra element of a regular open set of conditions."""
+    u_mask = mask_of(ro.poset, regular_open)
+    if ro.poset.regularize_mask(u_mask) != u_mask:
+        raise BoolkitError("set is not regular open")
+    return ro.element_of_mask(u_mask)
+
+
+def set_of_element(ro, x) -> frozenset:
+    """The regular open set of conditions of an algebra element."""
+    mask = 0
+    for j, a in enumerate(ro._atom_masks):
+        if x >> j & 1:
+            mask |= a
+    return set_of(ro.poset, ro.poset.regularize_mask(mask))
+
+
+def filter_from_members(algebra, members) -> Filter:
+    """The filter with exactly these members; raises unless they form one."""
+    ms = frozenset(members)
+    if not ms:
+        raise BoolkitError("a filter is nonempty")
+    if 0 in ms:
+        raise BoolkitError("a filter excludes 0")
+    g = algebra.meet_all(ms)
+    if g == 0:
+        raise BoolkitError("member set is not closed under meet without hitting 0")
+    if ms != frozenset(x for x in algebra.elements() if algebra.leq(g, x)):
+        raise BoolkitError("member set is not upward closed / meet closed")
+    return Filter(algebra, g)
+
+
+# ---------------------------------------------------------------------------
 # independent regularization oracle
 
 
@@ -235,7 +296,7 @@ def reference_model_json(prop):
     atom's value: the regularization of the members compatible with the
     atom, those that hold it and those to which it can be added without
     leaving the family."""
-    members = consprop.ordered_members(prop.members)
+    members = prop.index.members
     family = set(members)
     poset = Poset.of_sets(members)
     ro = ro_completion(poset)
@@ -243,7 +304,7 @@ def reference_model_json(prop):
 
     def value(atom):
         compatible = [s for s in members if atom in s or s | {atom} in family]
-        return ro.element_of_mask(poset.regularize_mask(poset.mask_of(compatible)))
+        return ro.element_of_mask(poset.regularize_mask(mask_of(poset, compatible)))
 
     eq = {
         (a, b): ro.algebra.one if a == b else value(Eq(*sorted((a, b))))

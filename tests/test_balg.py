@@ -10,13 +10,20 @@ from boolkit.balg import (
     Filter,
     Poset,
     quotient_algebra,
-    regularize,
     ro_completion,
     ultrafilters,
 )
 from boolkit.errors import BoolkitError
 
-from conftest import interior_of_closure
+from conftest import (
+    down_mask,
+    element_of,
+    filter_from_members,
+    interior_of_closure,
+    mask_of,
+    regularize,
+    set_of_element,
+)
 
 
 def antichain_poset(k):
@@ -45,7 +52,7 @@ def random_posets(draw, max_size=8):
 
 def _minimal_cones(p):
     """Atoms as the cones that contain no other cone (a quadratic scan)."""
-    cones = [p.regularize_mask(p.down_mask(q)) for q in p.elements]
+    cones = [p.regularize_mask(down_mask(p, q)) for q in p.elements]
     return sorted({m for m in cones if not any(o != m and o & ~m == 0 for o in cones)})
 
 
@@ -94,7 +101,7 @@ class TestRegularize:
         subset = {x for i, x in enumerate(names) if bits >> i & 1}
         expected = interior_of_closure(p, subset)
         assert regularize(p, subset) == expected
-        assert p.regularize_mask(p.mask_of(subset)) == p.mask_of(expected)
+        assert p.regularize_mask(mask_of(p, subset)) == mask_of(p, expected)
 
     def test_idempotent_monotone_inflationary(self):
         rng = random.Random(7)
@@ -142,14 +149,14 @@ class TestRoCompletion:
         ro = ro_completion(p)
         assert list(ro._atom_masks) == _minimal_cones(p)
         for q in p.elements:
-            assert ro.cone[q] == ro.element_of_mask(p.regularize_mask(p.down_mask(q)))
+            assert ro.cone[q] == ro.element_of_mask(p.regularize_mask(down_mask(p, q)))
 
     def test_elements_are_regular_opens(self):
         p = Poset(["a", "b", "c", "d"], leq_pairs=[("a", "c"), ("b", "c"), ("a", "d")])
         ro = ro_completion(p)
         for x in ro.algebra.elements():
-            ro_set = ro.set_of_element(x)
-            assert ro.element_of(ro_set) == x
+            ro_set = set_of_element(ro, x)
+            assert element_of(ro, ro_set) == x
 
 
 def brute_force_ultrafilters(b):
@@ -192,10 +199,10 @@ class TestFilters:
     def test_from_members_validates(self):
         b = FiniteBooleanAlgebra(2)
         with pytest.raises(BoolkitError):
-            Filter.from_members(b, {1})  # not upward closed: misses 3
+            filter_from_members(b, {1})  # not upward closed: misses 3
         with pytest.raises(BoolkitError):
-            Filter.from_members(b, {1, 2, 3})  # meet of 1 and 2 is 0
-        assert Filter.from_members(b, {1, 3}).generator == 1
+            filter_from_members(b, {1, 2, 3})  # meet of 1 and 2 is 0
+        assert filter_from_members(b, {1, 3}).generator == 1
 
 
 class TestQuotient:
@@ -242,7 +249,7 @@ class TestPoset:
         built = Poset.of_sets(sets)
         built._check_axioms()  # of_sets skips the check; its order passes it
         reference = Poset(sets, leq=lambda a, b: b <= a)
-        assert [built.down_mask(s) for s in sets] == [reference.down_mask(s) for s in sets]
+        assert [down_mask(built, s) for s in sets] == [down_mask(reference, s) for s in sets]
         # of_sets builds its up masks directly, not by transposing the down masks
         assert built._up == reference._up
         for mask in subsets:

@@ -669,7 +669,8 @@ class TestOracleSession:
                 queries += 1
                 assert status == consistency_oracle(ext, sig, require_qe=reduced).status
                 ground = session._ground(sig)
-                prepared, numbers, _ = ground.prepare(ext, reduced)
+                numbers = ground.prepare(ext, reduced)[0]
+                prepared = [ground.sentences[n] for n in numbers]
                 key = sum(1 << n for n in set(numbers))  # the set's mask
                 if session.hint_hits > hints:
                     witness = ground.witnesses[key]

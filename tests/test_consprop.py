@@ -15,6 +15,8 @@ from boolkit.consprop import (
 from boolkit.errors import BoolkitError, ConstructionFailure
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
+from conftest import down_mask
+
 SIG_CD = Signature(relations={}, base_constants=set(), fresh_constants={"c", "d"})
 SIG_P = Signature(relations={"P": 1}, base_constants=set(), fresh_constants={"c0", "c1"})
 
@@ -92,7 +94,7 @@ class TestVerify:
 
         for sig, theory in _model_existence_instances():
             prop = saturate_theory(theory, sig)
-            members = consprop.ordered_members(prop.members)
+            members = prop.index.members
             memo = {}
             for i in range(len(members)):
                 smaller = ConsistencyProperty(sig, members[:i] + members[i + 1 :])
@@ -198,7 +200,9 @@ class TestModelExistence:
             members = sorted(prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
             built = Poset.of_sets(members)
             reference = Poset(members, leq=lambda a, b: b <= a)
-            assert [built.down_mask(s) for s in members] == [reference.down_mask(s) for s in members]
+            assert [down_mask(built, s) for s in members] == [
+                down_mask(reference, s) for s in members
+            ]
             ro, ro_ref = ro_completion(built), ro_completion(reference)
             assert ro._atom_masks == ro_ref._atom_masks
             assert ro.cone == ro_ref.cone
@@ -214,7 +218,7 @@ class TestModelExistence:
         monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
         with pytest.raises(ConstructionFailure) as exc:
             model_from_consprop(prop)
-        first = next(s for s in consprop.ordered_members(prop.members) if chosen in s)
+        first = next(s for s in prop.index.members if chosen in s)
         assert exc.value.counterexample["member"] == sorted(map(syntax.render, first))
         assert exc.value.counterexample["sentence"] == syntax.render(chosen)
 

@@ -351,7 +351,8 @@ class TestGenericitySentence:
         sentence = genericity_sentence(phi, _dense_sets(p), p)
         assert syntax.canon(sentence) is sentence
         # so the oracle session prepares the sentence without rebuilding it
-        assert compact._Ground(sig).prepare([sentence], False)[0][0] is sentence
+        ground = compact._Ground(sig)
+        assert ground.sentences[ground.prepare([sentence], False)[0][0]] is sentence
 
 
 class TestGenericityConservativity:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,3 +231,24 @@ class TestSignature:
 
     def test_json_roundtrip(self):
         assert Signature.from_json(SIG.to_json()) == SIG
+
+
+def test_a_pickled_formula_hashes_as_a_fresh_one_under_another_hash_seed(tmp_path):
+    src = str(Path(syntax.__file__).resolve().parents[1])
+    path = tmp_path / "formula.pickle"
+    dump = (
+        "import pickle, sys; from boolkit.syntax import Eq, Not; f = Not(Eq('a', 'b')); "
+        "hash(f); pickle.dump(f, open(sys.argv[1], 'wb'))"
+    )
+    load = (
+        "import pickle, sys; from boolkit.syntax import Eq, Not; "
+        "g = pickle.load(open(sys.argv[1], 'rb')); h = Not(Eq('a', 'b')); "
+        "print(g == h, g in {h})"
+    )
+    for seed, code in (("1", dump), ("2", load)):
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
