@@ -408,7 +408,6 @@ class OracleSession:
         self.calls = self.status_hits = self.refuted_hits = self.hint_hits = 0
         self.searches = self.nodes = 0
         self._grounds = {}  # _sig_key(sig) -> _Ground
-        self._by_sig = {}  # id(sig) -> (sig, its _Ground), as a run reuses one object
 
     def counters(self) -> dict:
         return {
@@ -417,11 +416,11 @@ class OracleSession:
         }
 
     def _ground(self, sig: Signature) -> _Ground:
-        entry = self._by_sig.get(id(sig))
-        if entry is None or entry[0] is not sig:
-            ground = self._grounds.setdefault(_sig_key(sig), _Ground(sig))
-            entry = self._by_sig[id(sig)] = (sig, ground)
-        return entry[1]
+        key = _sig_key(sig)
+        ground = self._grounds.get(key)
+        if ground is None:
+            ground = self._grounds[key] = _Ground(sig)
+        return ground
 
     def verdict(self, theory, sig: Signature, require_qe: bool = False) -> OracleVerdict:
         """The full verdict of a search on the theory, sentences in order."""
