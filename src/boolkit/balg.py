@@ -143,13 +143,6 @@ def quotient_algebra(b: FiniteBooleanAlgebra, f: Filter) -> tuple:
 # posets and their regular-open completion
 
 
-def _reverse_inclusion(a, b) -> bool:
-    """The order of ``Poset.of_sets``.  ``Poset.__init__`` recognizes this
-    predicate and derives the order from membership bitsets rather than
-    calling it on every pair, so every poset is still built by ``__init__``."""
-    return b <= a
-
-
 def bit_positions(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, ascending."""
     text = bin(mask)[:1:-1]
@@ -159,28 +152,30 @@ def bit_positions(mask: int) -> Iterator[int]:
         i = text.find("1", i + 1)
 
 
-def _inclusion_masks(sets: tuple) -> tuple:
-    """Down and up masks of sets ordered by reverse inclusion.
+def _item_masks(sets) -> tuple:
+    """Each set as a mask over its items' positions, first seen first, and
+    each item's ``holder_masks``."""
+    position = {}  # item -> its position
+    rows = [[position.setdefault(x, len(position)) for x in s] for s in sets]
+    return [sum(1 << k for k in row) for row in rows], holder_masks(rows, len(position))
 
-    Each item gets the bitmask of the sets that hold it.  The sets below
-    ``s`` (its supersets) are the AND of its items' masks, and every set lies
-    below the empty one; the sets above ``s`` (its subsets) are those that
-    hold no item outside ``s``.
-    """
-    position = {}  # item -> its position in holders
-    holders = []
-    contents = []  # each set's items, as a mask over item positions
-    for i, s in enumerate(sets):
-        bit = 1 << i
-        inside = 0
-        for x in s:
-            k = position.setdefault(x, len(holders))
-            if k == len(holders):
-                holders.append(0)
-            holders[k] |= bit
-            inside |= 1 << k
-        contents.append(inside)
-    full = (1 << len(sets)) - 1
+
+def holder_masks(rows, width: int) -> list:
+    """Per item position below ``width``, the mask of the rows (sets given
+    as their items' positions) that hold it."""
+    holders = [0] * width
+    for i, row in enumerate(rows):
+        for k in row:
+            holders[k] |= 1 << i
+    return holders
+
+
+def _inclusion_masks(contents, holders) -> tuple:
+    """Down and up masks of sets ordered by reverse inclusion, from the
+    masks of ``_item_masks``.  The sets below ``s`` (its supersets) are the
+    AND of its items' holders, and every set lies below the empty one; the
+    sets above ``s`` (its subsets) are those holding no item outside ``s``."""
+    full = (1 << len(contents)) - 1
     down, up = [], []
     for inside in contents:
         below, outside = full, 0
@@ -208,15 +203,7 @@ class Poset:
     """
 
     def __init__(self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise BoolkitError("poset elements must be distinct")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        self._all = (1 << n) - 1
-        if leq is _reverse_inclusion:
-            self._down, self._up = _inclusion_masks(self.elements)
-            return
+        n = self._number(elements)
         if leq is not None:
             rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
         else:
@@ -235,12 +222,24 @@ class Poset:
             for i in bit_positions(mask):
                 self._up[i] |= bit
 
+    def _number(self, elements) -> int:
+        self.elements = tuple(elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise BoolkitError("poset elements must be distinct")
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._all = (1 << len(self.elements)) - 1
+        return len(self.elements)
+
     @classmethod
-    def of_sets(cls, sets: Iterable) -> "Poset":
+    def of_sets(cls, sets: Iterable, items: tuple = None) -> "Poset":
         """Distinct sets ordered by reverse inclusion: a larger set is the
         stronger condition.  Costs one AND per item of each set and one OR
-        per item outside it instead of a comparison per pair of sets."""
-        return cls(sets, leq=_reverse_inclusion)
+        per item outside it instead of a comparison per pair of sets;
+        ``items`` is ``_item_masks(sets)``, items numbered in any order."""
+        poset = cls.__new__(cls)
+        poset._number(sets)
+        poset._down, poset._up = _inclusion_masks(*(items or _item_masks(poset.elements)))
+        return poset
 
     def _check_axioms(self):
         n = len(self.elements)

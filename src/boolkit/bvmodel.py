@@ -149,10 +149,11 @@ def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValu
 
 
 class _Counter:
-    __slots__ = ("left",)
+    __slots__ = ("left", "memo")  # steps left; id of a closed and/or node -> its value
 
     def __init__(self, cap):
         self.left = cap
+        self.memo = {}
 
     def tick(self):
         self.left -= 1
@@ -170,6 +171,10 @@ def eval_formula(
     disjunction join, quantifier blocks meet/join over domain tuples; the
     empty conjunction is 1 and the empty disjunction 0.
 
+    A closed conjunction or disjunction met again as the same object is
+    evaluated once, so ``max_steps`` counts a shared closed node once (each
+    further occurrence is one step); under a quantifier nothing is shared.
+
     Raises on unbound free variables, uninterpreted constants, or when the
     quantifier blow-up exceeds ``max_steps``.
     """
@@ -179,7 +184,7 @@ def eval_formula(
 
 
 def _resolve(m, term, env):
-    if syntax.is_var(term):
+    if term.startswith(syntax.VAR_PREFIX):  # syntax.is_var, without the call
         if term not in env:
             raise BoolkitError(f"unbound free variable {term}")
         return env[term]
@@ -197,15 +202,19 @@ def _eval(m, f, env, counter) -> int:
         return m.rel[f.rel][tuple(_resolve(m, t, env) for t in f.args)]
     if isinstance(f, Not):
         return b.complement(_eval(m, f.body, env, counter))
-    if isinstance(f, And):
-        out = b.one
-        for c in f.children:
-            out &= _eval(m, c, env, counter)
-        return out
-    if isinstance(f, Or):
-        out = b.zero
-        for c in f.children:
-            out |= _eval(m, c, env, counter)
+    if isinstance(f, (And, Or)):
+        if not env and id(f) in counter.memo:
+            return counter.memo[id(f)]
+        if isinstance(f, And):
+            out = b.one
+            for c in f.children:
+                out &= _eval(m, c, env, counter)
+        else:
+            out = b.zero
+            for c in f.children:
+                out |= _eval(m, c, env, counter)
+        if not env:
+            counter.memo[id(f)] = out
         return out
     if isinstance(f, (Forall, Exists)):
         is_forall = isinstance(f, Forall)

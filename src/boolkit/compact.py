@@ -163,118 +163,101 @@ class _PathClosure:
         for c in moved:
             self.rep[c] = b
 
-    def eval_atom(self, f):
-        rep = self.rep
-        if isinstance(f, Eq):
-            a, b = rep[f.left], rep[f.right]
-            if a == b:
-                return True
-            if ((a, b) if a < b else (b, a)) in self.diseq:
-                return False
-            return None
-        canon = (f.rel, tuple(map(rep.__getitem__, f.args)))
-        if canon in self.rel_true:
-            return True
-        if canon in self.rel_false:
-            return False
-        return None
-
-
-def _eval3(f, closure):
-    """Strong Kleene evaluation; stable under completion of the assignment."""
-    if isinstance(f, (Eq, Atom)):
-        return closure.eval_atom(f)
-    if isinstance(f, Not):
-        v = _eval3(f.body, closure)
-        return None if v is None else not v
-    if isinstance(f, And):
-        out = True
-        for c in f.children:
-            v = _eval3(c, closure)
-            if v is False:
-                return False
-            if v is None:
-                out = None
-        return out
-    if isinstance(f, Or):
-        out = False
-        for c in f.children:
-            v = _eval3(c, closure)
-            if v is True:
-                return True
-            if v is None:
-                out = None
-        return out
-    raise BoolkitError(f"non-ground sentence reached the ground solver: {f!r}")
-
-
-def _first_undecided_atom(f, closure):
-    """The path key of the first atom of ``f`` the closure leaves undecided."""
-    if isinstance(f, Eq):
-        return ("eq", *sorted((f.left, f.right))) if closure.eval_atom(f) is None else None
-    if isinstance(f, Atom):
-        return ("rel", f.rel, f.args) if closure.eval_atom(f) is None else None
-    if isinstance(f, Not):
-        return _first_undecided_atom(f.body, closure)
-    if isinstance(f, (And, Or)):
-        for c in f.children:
-            found = _first_undecided_atom(c, closure)
-            if found is not None:
-                return found
-        return None
-    raise BoolkitError(f"non-ground sentence reached the ground solver: {f!r}")
-
 
 class _BudgetExhausted(Exception):
     pass
 
 
-class _GroundSolver:
-    """Depth-first search over atom assignments on one path closure.
+def _ground_search(constants, node_cap: int, pending: list) -> tuple:
+    """Depth-first search over atom assignments on one path closure, from
+    the (index, ``_Ground.compiled`` sentence) pairs ``pending``: the
+    satisfying path or None, the certificate or None, and the node count;
+    ``_BudgetExhausted`` at node ``node_cap + 1``.  A node branches on the
+    first undecided atom of the first undecided sentence and evaluates only
+    the sentences its parent left undecided (a strong-Kleene value holds on
+    every extension of the path), each shared compiled node once."""
+    closure = _PathClosure(constants)
+    rep = closure.rep
+    diseq = rel_true = rel_false = None
+    values, firsts = {}, {}  # shared node -> its value, its first undecided atom
+    nodes = 0
 
-    A node evaluates only the sentences its parent left undecided: a
-    strong-Kleene value, once decided, holds on every extension of the
-    path.  The first false sentence and the branch atom (first undecided
-    atom of the first undecided sentence) are therefore those a full
-    re-evaluation would pick, and so is the whole search tree.
-    """
+    def value(node):
+        """Strong Kleene value on the path: True, False or None."""
+        kind, x, y = node  # a leaf: sign, key; an inner node: children, shared
+        if kind == "eq":
+            a, b = rep[y[1]], rep[y[2]]
+            if a == b:
+                return x
+            return (not x) if ((a, b) if a < b else (b, a)) in diseq else None
+        if kind == "rel":
+            canon = (y[1], tuple(map(rep.__getitem__, y[2])))
+            if canon in rel_true:
+                return x
+            return (not x) if canon in rel_false else None
+        if y is not None and y in values:
+            return values[y]
+        decisive = kind == "or"
+        out = not decisive
+        for child in x:
+            v = value(child)
+            if v is decisive:
+                out = v
+                break
+            if v is None:
+                out = None
+        if y is not None:
+            values[y] = out
+        return out
 
-    def __init__(self, constants, node_cap):
-        self.closure = _PathClosure(constants)
-        self.node_cap = node_cap
-        self.nodes = 0
+    def first(node):
+        """The path key of the first leaf whose atom is undecided."""
+        kind, x, y = node
+        if kind == "eq" or kind == "rel":
+            return y if value(node) is None else None
+        if y is not None and y in firsts:
+            return firsts[y]
+        found = next(filter(None, map(first, x)), None)
+        if y is not None:
+            firsts[y] = found
+        return found
 
-    def search(self, pending, conflict=None):
-        """Search below the current path; ``pending`` lists the (index,
-        sentence) pairs undecided at the parent, ``conflict`` what the last
-        assignment caused."""
-        self.nodes += 1
-        if self.nodes > self.node_cap:
+    def search(pending, conflict):
+        nonlocal nodes, diseq, rel_true, rel_false
+        nodes += 1
+        if nodes > node_cap:
             raise _BudgetExhausted
         if conflict is not None:
             return None, {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
-        closure = self.closure
+        diseq, rel_true, rel_false = closure.diseq, closure.rel_true, closure.rel_false
+        values.clear()
+        firsts.clear()
         undecided = []
         branch_atom = None
         for i, f in pending:
-            v = _eval3(f, closure)
+            v = value(f)
             if v is False:
                 return None, {"conflict": {"kind": "sentence", "index": i}}
             if v is None:
                 undecided.append((i, f))
                 if branch_atom is None:
-                    branch_atom = _first_undecided_atom(f, closure)
+                    branch_atom = first(f)
         if branch_atom is None:
             return dict(closure.assignment), None
         cert = {"atom": list(branch_atom)}
-        for value in (True, False):
-            conflict = closure.assign(branch_atom, value)
-            model, sub = self.search(undecided, conflict)
+        for truth in (True, False):
+            conflict = closure.assign(branch_atom, truth)
+            model, sub = search(undecided, conflict)
             closure.undo()
             if model is not None:
                 return model, None
-            cert["true" if value else "false"] = sub
+            cert["true" if truth else "false"] = sub
         return None, cert
+
+    try:
+        return (*search(pending, None), nodes)
+    finally:
+        value = first = search = None  # break the closures' cycles, freeing the path now
 
 
 def _atom(key) -> Formula:
@@ -313,6 +296,46 @@ class _Ground:
         self.statuses = {}  # set mask -> status
         self.witnesses = {}  # set mask -> two-valued model of the set
         self.holds = {}  # (id of a kept witness, number) -> the sentence holds there
+        self.roots = {}  # number -> compiled sentence
+        self.nodes = ({}, {})  # per polarity: id of an and/or object -> its node
+        self.shared = 0  # compiled nodes reached twice so far
+
+    def compiled(self, n: int):
+        """The numbered ground sentence in negation normal form, compiled
+        once per session.  A leaf is a tuple ("eq" or "rel", sign, path
+        key); an inner node is a list ["and" or "or", children in order,
+        shared], one per (and/or object, polarity), where ``shared``
+        numbers a node reached a second time, through any parent."""
+        root = self.roots.get(n)
+        if root is None:
+            root = self.roots[n] = self._compile((self.sentences[n],), True)[0]
+        return root
+
+    def _compile(self, formulas, sign: bool) -> list:
+        out = []
+        for f in formulas:
+            polarity = sign
+            while type(f) is Not:
+                f, polarity = f.body, not polarity
+            kind = type(f)
+            if kind is Eq:
+                a, b = f.left, f.right
+                out.append(("eq", polarity, ("eq", a, b) if a <= b else ("eq", b, a)))
+            elif kind is Atom:
+                out.append(("rel", polarity, ("rel", f.rel, f.args)))
+            elif kind is And or kind is Or:
+                nodes = self.nodes[polarity]
+                node = nodes.get(id(f))
+                if node is None:
+                    kind = "and" if (kind is And) == polarity else "or"
+                    node = nodes[id(f)] = [kind, self._compile(f.children, polarity), None]
+                elif node[2] is None:
+                    node[2] = self.shared
+                    self.shared += 1
+                out.append(node)
+            else:
+                raise BoolkitError(f"non-ground sentence reached the ground solver: {f!r}")
+        return out
 
     def number(self, f: Formula) -> int:
         n = self.numbers.get(f)
@@ -466,11 +489,12 @@ class OracleSession:
         the set's status and witness under its mask."""
         sentences = [ground.sentences[n] for n in numbers]
         self.searches += 1
-        solver = _GroundSolver(ground.constants, self.budget.oracle_nodes)
+        cap = self.budget.oracle_nodes
+        pending = [(i, ground.compiled(n)) for i, n in enumerate(numbers)]
         try:
-            assignment, certificate = solver.search(list(enumerate(sentences)))
+            assignment, certificate, nodes = _ground_search(ground.constants, cap, pending)
         except _BudgetExhausted:
-            verdict = OracleVerdict(UNKNOWN, budget_used=solver.nodes)
+            verdict = OracleVerdict(UNKNOWN, budget_used=cap + 1)
         else:
             if assignment is not None:
                 # the model is read off the true atoms; the path has no
@@ -484,12 +508,10 @@ class OracleSession:
                 for f in sentences:
                     if not bvmodel.holds(witness, f):
                         raise BoolkitError(f"oracle witness fails sentence {syntax.render(f)}")
-                verdict = OracleVerdict(CONSISTENT, witness=witness, budget_used=solver.nodes)
+                verdict = OracleVerdict(CONSISTENT, witness=witness, budget_used=nodes)
             else:
-                verdict = OracleVerdict(
-                    INCONSISTENT, certificate=certificate, budget_used=solver.nodes
-                )
-        self.nodes += solver.nodes
+                verdict = OracleVerdict(INCONSISTENT, certificate=certificate, budget_used=nodes)
+        self.nodes += verdict.budget_used
         if keep:
             key = _mask(numbers)
             ground.statuses.setdefault(key, verdict.status)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, compact, syntax
-from .balg import Poset, bit_positions, ro_completion
+from .balg import Poset, bit_positions, holder_masks, ro_completion
 from .errors import BoolkitError, ConstructionFailure
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Theory
 
@@ -392,11 +392,11 @@ def model_from_consprop(
 ) -> tuple:
     """Build a model realizing every member of a consistency property.
 
-    The members ordered by reverse inclusion form a poset, built from
-    per-sentence membership bitsets (``Poset.of_sets``); its regular-open
+    The members ordered by reverse inclusion form a poset, built
+    (``Poset.of_sets``) from the property's ``MemberIndex`` masks and, per
+    sentence, the mask of the members holding it; its regular-open
     completion is the algebra; the domain is the constant pool; an atomic
-    value is the regularization of the set of members holding the atom,
-    read off the property's ``MemberIndex`` masks.  (A member to which the
+    value is the regularization of the atom's mask.  (A member to which the
     atom can be added without leaving the family has that extension below
     it, so the members compatible with the atom regularize to the same
     value.)  The property is verified clause by clause first, and a failing
@@ -418,15 +418,15 @@ def model_from_consprop(
         raise BoolkitError("model construction needs at least one constant")
 
     index = prop.index
-    members, masks = index.members, index.masks
-    poset = Poset.of_sets(members)  # stronger means larger as a set
+    members = index.members
+    holders = holder_masks(index.ids, len(index.sentences))
+    poset = Poset.of_sets(members, (index.masks, holders))  # stronger means larger
     ro = ro_completion(poset)
     algebra = ro.algebra
 
     def value_of(atom: Formula) -> int:
         i = index.position.get(atom)  # an atom in no member holds in none
-        bit = 0 if i is None else 1 << i
-        mask = sum(1 << j for j, m in enumerate(masks) if m & bit)
+        mask = 0 if i is None else holders[i]
         return ro.element_of_mask(poset.regularize_mask(mask))
 
     domain = tuple(consts)

@@ -191,9 +191,13 @@ def term_model(g: GenericFilter) -> bvmodel.BValuedModel:
     return bvmodel.two_valued_model(sorted(sig.constants), sig.relations, g.sigma())
 
 
-def _meets(dset) -> Formula:
-    """The disjunction over the canonical conditions of their conjunctions."""
-    return syntax.canonical(Or, (syntax.canonical(And, s) for s in dset))
+def _meets(dset, conjunctions: dict) -> Formula:
+    """The disjunction over the canonical conditions of their conjunctions,
+    one object per condition in ``conjunctions``, which it fills."""
+    for s in dset:
+        if s not in conjunctions:
+            conjunctions[s] = syntax.canonical(And, s)
+    return syntax.canonical(Or, map(conjunctions.__getitem__, dset))
 
 
 def meets_equivalence(g: GenericFilter, d: Iterable[frozenset]) -> bool:
@@ -201,7 +205,7 @@ def meets_equivalence(g: GenericFilter, d: Iterable[frozenset]) -> bool:
     the term model satisfies the disjunction of its conditions' conjunctions."""
     dset = list(map(_condition, d))
     meets = any(s in g.members for s in dset)
-    return meets == bvmodel.holds(term_model(g), _meets(dset))
+    return meets == bvmodel.holds(term_model(g), _meets(dset, {}))
 
 
 def genericity_sentence(
@@ -210,14 +214,15 @@ def genericity_sentence(
     p: SPhiPoset,
 ) -> Formula:
     """The target sentence conjoined with, for each supplied dense set, the
-    disjunction over its conditions of their conjunctions."""
+    disjunction over its conditions of their conjunctions.  A condition in
+    several dense sets has one conjunction object, shared by their blocks."""
     phi = syntax.canon(phi)
-    blocks = []
+    blocks, conjunctions = [], {}
     for i, d in enumerate(dense):
         dset = list(map(_condition, d))
         if not _density(dset, p):
             raise BoolkitError(f"supplied set {i} is not dense")
-        blocks.append(_meets(dset))
+        blocks.append(_meets(dset, conjunctions))
     if not blocks:
         return phi
     return syntax.canonical(And, [phi] + blocks)

@@ -250,14 +250,16 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    stack = [f]
+    """No quantifier in the tree; a shared and/or object is walked once."""
+    stack, seen = [f], set()
     while stack:
         g = stack.pop()
         if isinstance(g, (Forall, Exists)):
             return False
         if isinstance(g, Not):
             stack.append(g.body)
-        elif isinstance(g, (And, Or)):
+        elif isinstance(g, (And, Or)) and id(g) not in seen:
+            seen.add(id(g))
             stack.extend(g.children)
     return True
 

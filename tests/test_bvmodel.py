@@ -115,6 +115,37 @@ class TestEval:
         with pytest.raises(ResourceBudgetError):
             eval_formula(m, f, max_steps=10)
 
+    def test_a_shared_closed_node_costs_its_steps_once(self):
+        m = two_valued_identity_model(SIG)
+        shared = Or((Eq("c0", "c1"), Atom("R", ("c0",))))  # 3 steps
+        f = And((shared, Not(shared), shared))  # 1 + 3 + (1 + 1) + 1
+        copy = syntax.parse(syntax.render(f), SIG)  # the same tree, nothing shared
+        assert eval_formula(m, f, max_steps=7) == eval_formula(m, copy) == 0
+        with pytest.raises(ResourceBudgetError):
+            eval_formula(m, f, max_steps=6)
+        with pytest.raises(ResourceBudgetError):
+            eval_formula(m, copy, max_steps=7)
+        assert "counts a shared closed node once" in " ".join(eval_formula.__doc__.split())
+
+    def test_under_a_quantifier_a_shared_node_is_evaluated_per_assignment(self):
+        m = bvmodel.two_valued_model(["c0", "c1", "e0"], {"R": 1}, [Atom("R", ("c1",))])
+        rx = And((Atom("R", ("?x",)),))  # open, shared under the quantifier
+        assert eval_formula(m, Exists(("?x",), Or((rx, rx)))) == 1
+        assert eval_formula(m, Forall(("?x",), And((rx, rx)))) == 0
+        # a closed node under a quantifier is not memoized either: each of
+        # the 3 assignments costs And + Or + R(c1) + R(?x), 4 steps
+        closed = Or((Atom("R", ("c1",)),))
+        f = Forall(("?x",), And((closed, Atom("R", ("?x",)))))
+        assert eval_formula(m, f, max_steps=13) == 0
+        with pytest.raises(ResourceBudgetError):
+            eval_formula(m, f, max_steps=12)
+        # nor is anything under a caller's assignment
+        g = And((closed, closed))
+        assert eval_formula(m, g, {"?y": "c0"}, max_steps=5) == 1
+        with pytest.raises(ResourceBudgetError):
+            eval_formula(m, g, {"?y": "c0"}, max_steps=4)
+        assert eval_formula(m, g, max_steps=4) == 1
+
     def test_de_morgan_and_duality_exact(self):
         rng = random.Random(5)
         for _ in range(60):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import types
 
 import pytest
@@ -30,6 +31,7 @@ from boolkit.compact import (
     star_theory,
 )
 from boolkit.errors import BoolkitError, ConstructionFailure
+from boolkit.forcing import build_sphi, genericity_sentence
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Theory
 
 from conftest import (
@@ -39,8 +41,12 @@ from conftest import (
     reference_search,
     reference_witness,
 )
+from test_acceptance import _genericity_dense_sets, _genericity_instances
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
+SIG_ABC = Signature(relations={"R": 1}, base_constants={"a", "b", "c"})
+R_B = Atom("R", ("b",))
+G = Or((Eq("a", "b"), And((Atom("R", ("a",)), Not(Eq("a", "c"))))))  # one object, shared
 
 
 def pigeonhole(n):
@@ -79,6 +85,23 @@ def ground_sets(draw, constants=5, literals=8, formulas=6, leaves=6):
     )
     prefix = draw(st.lists(relation_literals, max_size=literals))
     return prefix + draw(st.lists(formula, min_size=1, max_size=formulas)), sig
+
+
+@st.composite
+def shared_ground_sets(draw):
+    """Ground sets whose sentences share subformula objects: a pool starts
+    from a ``ground_sets`` draw and grows by conjunctions and disjunctions
+    of pool objects, each taken plain or negated, so an object recurs
+    within and across sentences and under ``Not`` in both polarities."""
+    sentences, sig = draw(ground_sets(constants=4, literals=3, formulas=3, leaves=4))
+    pool = list(sentences)
+    for _ in range(draw(st.integers(1, 5))):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+        kids = tuple(f if draw(st.booleans()) else Not(f) for f in picks)
+        pool.append(draw(st.sampled_from([And, Or]))(kids))
+    shared = draw(st.sampled_from(pool))
+    theory = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return theory + [Or((Not(shared), pool[-1])), Not(And((shared, Not(pool[-1]))))], sig
 
 
 class TestOracle:
@@ -197,6 +220,54 @@ class TestSearchTree:
             assert bvmodel.model_to_json(verdict.witness) == bvmodel.model_to_json(expected)
         if status == INCONSISTENT:
             assert replay_certificate(verdict.certificate, sentences, sig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_ground_sets(), st.one_of(st.none(), st.integers(1, 50)))
+    @example(  # G in both polarities, within one sentence and across three
+        ([Or((Not(G), Not(R_B))), And((G, R_B)), Or((G, Not(G)))], SIG_ABC), None
+    )
+    def test_shared_subformulas_walk_the_tree_of_the_unshared_search(self, case, cap):
+        sentences, sig = case
+        budget = Budget() if cap is None else Budget(oracle_nodes=cap)
+        verdict = consistency_oracle(sentences, sig, budget)
+        ground, _ = compact.prepare_ground(sentences, sig)
+        constants = sorted(sig.constants)
+        status, nodes, assignment, certificate = reference_search(
+            ground, constants, budget.oracle_nodes
+        )
+        assert (verdict.status, verdict.budget_used) == (status, nodes)
+        assert json.dumps(verdict.certificate) == json.dumps(certificate)
+        if status == CONSISTENT:
+            expected = reference_witness(assignment, constants, sig)
+            assert bvmodel.model_to_json(verdict.witness) == bvmodel.model_to_json(expected)
+
+    def test_compiles_one_node_per_object_and_polarity(self):
+        g = Or((Eq("b", "a"), Atom("R", ("a",))))
+        ground = compact._Ground(SIG)
+        numbers, _ = ground.prepare([And((g, Not(g))), Or((g, Atom("R", ("b",))))], False)
+        first, second = (ground.compiled(n) for n in numbers)
+        negated, plain = first[1]  # "(not ..." renders before "(or ..."
+        assert second[1][1] is plain and plain[0] == "or" and negated[0] == "and"
+        assert plain[1][0] == ("eq", True, ("eq", "a", "b"))
+        assert negated[1][0] == ("eq", False, ("eq", "a", "b"))
+        # g is reached twice at its plain polarity, once negated
+        assert plain[2] is not None and negated[2] is None and first[2] is None
+        assert ground.compiled(numbers[0]) is first
+
+    @pytest.mark.parametrize("instance", range(5))
+    def test_a_shared_genericity_sentence_answers_as_its_unshared_copy(self, instance):
+        sig, phi, bound = _genericity_instances()[instance]
+        p = build_sphi(phi, sig, size_bound=bound)
+        sentence = genericity_sentence(phi, _genericity_dense_sets(p), p)
+        copy = syntax.parse(syntax.render(sentence), sig)
+        shared, unshared = consistency_oracle([sentence], sig), consistency_oracle([copy], sig)
+        fields = ("status", "budget_used", "certificate")
+        assert [getattr(shared, k) for k in fields] == [getattr(unshared, k) for k in fields]
+        witness = shared.witness
+        assert bvmodel.model_to_json(witness) == bvmodel.model_to_json(unshared.witness)
+        rng = random.Random(instance)
+        for m in [witness] + [bvmodel.random_model(sig, rng) for _ in range(8)]:
+            assert bvmodel.eval_formula(m, sentence) == bvmodel.eval_formula(m, copy)
 
     @pytest.mark.parametrize("n, nodes", [(3, 97), (4, 521), (5, 3261), (6, 23485)])
     def test_pigeonhole_ladder_node_counts(self, n, nodes):
@@ -362,6 +433,7 @@ class TestReplay:
             return out
 
         solver = {"_eval3", "_first_undecided_atom", "_atom_key", "_PathClosure", "_GroundSolver"}
+        solver |= {"_ground_search", "compiled", "_compile", "roots"}
         assert "find" in names(replay_certificate.__code__)  # nested code is read
         assert not names(replay_certificate.__code__) & solver
         assert not hasattr(compact, "_Closure") and not hasattr(compact, "_UnionFind")

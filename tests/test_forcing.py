@@ -354,6 +354,19 @@ class TestGenericitySentence:
         ground = compact._Ground(sig)
         assert ground.sentences[ground.prepare([sentence], False)[0][0]] is sentence
 
+    def test_each_condition_has_one_conjunction_object(self):
+        phi, sig = _target(*TARGETS[0])  # the 4-constant disjunction
+        p = _full_poset(phi, sig)
+        dense = _dense_sets(p)
+        sentence = genericity_sentence(phi, dense, p)
+        blocks = [b for b in sentence.children if b is not phi]
+        assert len(blocks) == len(dense) == 7
+        references = [c for b in blocks for c in b.children]
+        objects = {id(c): c for c in references}
+        conditions = {s for d in dense for s in d}
+        assert len(objects) == len(conditions) == len(set(map(syntax.render, references)))
+        assert len(references) > 3 * len(objects)
+
 
 class TestGenericityConservativity:
     @pytest.mark.parametrize("target", TARGETS, ids=[t[0] for t in TARGETS])
