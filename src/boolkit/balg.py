@@ -143,6 +143,13 @@ def quotient_algebra(b: FiniteBooleanAlgebra, f: Filter) -> tuple:
 # posets and their regular-open completion
 
 
+def _reverse_inclusion(a, b) -> bool:
+    """The order of ``Poset.of_sets``.  ``Poset.__init__`` recognizes this
+    predicate and derives the order from membership bitsets rather than
+    calling it on every pair, so every poset is still built by ``__init__``."""
+    return b <= a
+
+
 def bit_positions(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, ascending."""
     text = bin(mask)[:1:-1]
@@ -202,8 +209,18 @@ class Poset:
     transpose (bit j of ``up[i]``), which ``of_sets`` builds directly.
     """
 
-    def __init__(self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None):
-        n = self._number(elements)
+    def __init__(
+        self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None, items=None
+    ):
+        self.elements = tuple(elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise BoolkitError("poset elements must be distinct")
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        n = len(self.elements)
+        self._all = (1 << n) - 1
+        if leq is _reverse_inclusion:
+            self._down, self._up = _inclusion_masks(*(items or _item_masks(self.elements)))
+            return
         if leq is not None:
             rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
         else:
@@ -222,24 +239,13 @@ class Poset:
             for i in bit_positions(mask):
                 self._up[i] |= bit
 
-    def _number(self, elements) -> int:
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise BoolkitError("poset elements must be distinct")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._all = (1 << len(self.elements)) - 1
-        return len(self.elements)
-
     @classmethod
     def of_sets(cls, sets: Iterable, items: tuple = None) -> "Poset":
         """Distinct sets ordered by reverse inclusion: a larger set is the
         stronger condition.  Costs one AND per item of each set and one OR
         per item outside it instead of a comparison per pair of sets;
         ``items`` is ``_item_masks(sets)``, items numbered in any order."""
-        poset = cls.__new__(cls)
-        poset._number(sets)
-        poset._down, poset._up = _inclusion_masks(*(items or _item_masks(poset.elements)))
-        return poset
+        return cls(sets, leq=_reverse_inclusion, items=items)
 
     def _check_axioms(self):
         n = len(self.elements)

@@ -174,7 +174,6 @@ def eval_formula(
     A closed conjunction or disjunction met again as the same object is
     evaluated once, so ``max_steps`` counts a shared closed node once (each
     further occurrence is one step); with a variable bound nothing is shared.
-
     Raises on unbound free variables, uninterpreted constants, or when the
     quantifier blow-up exceeds ``max_steps``.
     """

@@ -301,11 +301,10 @@ class _Ground:
         self.shared = 0  # compiled nodes reached twice so far
 
     def compiled(self, n: int):
-        """The numbered ground sentence in negation normal form, compiled
-        once per session.  A leaf is a tuple ("eq" or "rel", sign, path
-        key); an inner node is a list ["and" or "or", children in order,
-        shared], one per (and/or object, polarity), where ``shared``
-        numbers a node reached a second time, through any parent."""
+        """The numbered ground sentence in negation normal form, compiled once
+        per session: a leaf is a tuple ("eq" or "rel", sign, path key), an
+        inner node a list ["and" or "or", children in order, shared], one per
+        (and/or object, polarity); ``shared`` numbers a node reached twice."""
         root = self.roots.get(n)
         if root is None:
             root = self.roots[n] = self._compile((self.sentences[n],), True)[0]

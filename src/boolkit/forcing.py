@@ -194,9 +194,8 @@ def term_model(g: GenericFilter) -> bvmodel.BValuedModel:
 def _meets(dset, conjunctions: dict) -> Formula:
     """The disjunction over the canonical conditions of their conjunctions,
     one object per condition in ``conjunctions``, which it fills."""
-    for s in dset:
-        if s not in conjunctions:
-            conjunctions[s] = syntax.canonical(And, s)
+    for s in set(dset) - conjunctions.keys():
+        conjunctions[s] = syntax.canonical(And, s)
     return syntax.canonical(Or, map(conjunctions.__getitem__, dset))
 
 
