@@ -803,33 +803,60 @@ class TestOracleSession:
         # answering only repeats of a sentence set takes 777 searches here
         assert runs[0]["searches"] < 777
 
-    @pytest.mark.parametrize(
-        "relations, constants, theory, counters",
-        [
-            (
-                {"B": 2}, 3, [Atom("B", ("c0", "c1")), Not(Eq("c0", "c1")), Eq("c1", "c2")],
-                (2780, 52, 15, 2689, 24, 146),
-            ),
-            ({}, 6, [Not(Eq("c0", "c1")), Eq("c1", "c2")], (803, 27, 7, 738, 31, 191)),
-        ],
-        ids=["B-c0c1-c0c1-c1c2", "c0c1-c1c2-six"],
-    )
-    def test_the_demo_asks_the_same_queries(self, relations, constants, theory, counters, monkeypatch):
-        # a pin of the session counters: the query order and every answer's
-        # source (cache, refuted subset, witness or search) are unchanged
-        sessions = []
+    DEMOS = {
+        "B-c0c1-c0c1-c1c2": (
+            {"B": 2}, 3, [Atom("B", ("c0", "c1")), Not(Eq("c0", "c1")), Eq("c1", "c2")]
+        ),
+        "c0c1-c1c2-six": ({}, 6, [Not(Eq("c0", "c1")), Eq("c1", "c2")]),
+    }
+    # sha256 over each demo's status queries in order, each with its answer:
+    # a function of the theory, whatever witness or certificate a search finds
+    DEMO_QUERIES = {
+        "B-c0c1-c0c1-c1c2": "53fa67b51569c8957588aa5d83a3cfda33791c90f0982738d04866671dce2d52",
+        "c0c1-c1c2-six": "235e8d77b3bda756af021a5777435e85e9c2d7bf344d34febc9b93b48d817715",
+    }
+    # the demo's session counters: calls, status, refuted and hint hits,
+    # searches and nodes
+    DEMO_COUNTERS = {
+        "B-c0c1-c0c1-c1c2": (2780, 52, 15, 2689, 24, 146),
+        "c0c1-c1c2-six": (803, 27, 7, 738, 31, 191),
+    }
+
+    @staticmethod
+    def _demo(name, monkeypatch):
+        """The demo's session counters, and a digest of its status queries
+        in order, each with its answer."""
+        relations, constants, theory = TestOracleSession.DEMOS[name]
+        sessions, digest = [], hashlib.sha256()
+        status = OracleSession.status
 
         class Recorded(OracleSession):
             def __init__(self, budget=compact.DEFAULT_BUDGET):
                 super().__init__(budget)
                 sessions.append(self)
 
+            def status(self, theory, sig, require_qe=False):
+                result = status(self, theory, sig, require_qe)
+                digest.update(repr(([syntax.render(f) for f in theory], result)).encode())
+                return result
+
         monkeypatch.setattr(compact, "OracleSession", Recorded)
         names = {f"c{i}" for i in range(constants)}
         sig = Signature(relations=relations, base_constants=names, fresh_constants={"w"})
         first_order_compactness_demo(Theory(theory), sig)
-        names = ("calls", "status_hits", "refuted_hits", "hint_hits", "searches", "nodes")
-        assert [s.counters() for s in sessions] == [dict(zip(names, counters))]
+        # the demo threads one session through the whole pipeline
+        (session,) = sessions
+        return tuple(session.counters().values()), digest.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_the_demo_asks_the_same_queries(self, name, monkeypatch):
+        assert self._demo(name, monkeypatch)[1] == self.DEMO_QUERIES[name]
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_the_demo_session_counters(self, name, monkeypatch):
+        # a pin of every answer's source (cache, refuted subset, witness or
+        # search) and of the nodes searched
+        assert self._demo(name, monkeypatch)[0] == self.DEMO_COUNTERS[name]
 
     def test_the_suite_audits_every_status_answer(self, replayed_refutations):
         count = replayed_refutations
@@ -870,12 +897,20 @@ class TestKeptSubsets:
             (), (5,), (4,), (3,), (2,), (1,), (0,)
         ]
 
-    # sha256 over each run's session counters, status queries in order and
-    # result, as the stack walks that ``kept_subsets`` replaced produced them
+    # sha256 over each run's status queries in order, each with its answer,
+    # and the run's result, as the stack walks that ``kept_subsets``
+    # replaced produced them
     WALKS = {
-        "build_sphi": "224f4f329e4c5a409300e040ed1459bb7407555828fa9c224c6978f9f369b1b6",
-        "saturate_theory": "e4f5c8ab6731f0b15b02934f0715a7e0cdacd13a13fcb76dc21cb253056db230",
-        "materialize_compactness_property": "6559854dea5dfabd89b84580d61433667ce2674dd10b10a1bcf1ba4dba5acacf",
+        "build_sphi": "bca33645989a5678e7dfa57f89392362f830774e729295be78a063cd9e90601a",
+        "saturate_theory": "cc009a6e5c9af80769060db1687659498f8db80e91987879d2963d5cb9493752",
+        "materialize_compactness_property": "3d3379be53d6799a1752efa26d922fdac337632c507fd0be5ad4f8e5cdc79ff3",
+    }
+    # each walk's session counters, summed over its runs: calls, status,
+    # refuted and hint hits, searches and nodes
+    WALK_COUNTERS = {
+        "build_sphi": (7140, 11, 4708, 2161, 260, 1177),
+        "saturate_theory": (2518, 1245, 482, 604, 187, 883),
+        "materialize_compactness_property": (334, 40, 1, 209, 84, 249),
     }
 
     @staticmethod
@@ -900,8 +935,10 @@ class TestKeptSubsets:
             for sig, gens in _compactness_families()
         ]
 
-    @pytest.mark.parametrize("name", sorted(WALKS))
-    def test_walks_ask_the_oracle_as_before(self, name, monkeypatch):
+    @staticmethod
+    def _walk(name, monkeypatch):
+        """The digest of a walk's queries, answers and results, and its
+        session counters summed over its runs."""
         digest = hashlib.sha256()
         sessions = []
         init, status = compact.OracleSession.__init__, compact.OracleSession.status
@@ -917,9 +954,15 @@ class TestKeptSubsets:
 
         monkeypatch.setattr(compact.OracleSession, "__init__", recorded_init)
         monkeypatch.setattr(compact.OracleSession, "status", recorded_status)
-        for run in self._runs(name):
-            result = run()
-            digest.update(json.dumps(result, sort_keys=True).encode())
-            digest.update(repr([s.counters() for s in sessions]).encode())
-            sessions.clear()
-        assert digest.hexdigest() == self.WALKS[name]
+        for run in TestKeptSubsets._runs(name):
+            digest.update(json.dumps(run(), sort_keys=True).encode())
+        totals = [sum(values) for values in zip(*(s.counters().values() for s in sessions))]
+        return digest.hexdigest(), tuple(totals)
+
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_walks_ask_the_oracle_as_before(self, name, monkeypatch):
+        assert self._walk(name, monkeypatch)[0] == self.WALKS[name]
+
+    @pytest.mark.parametrize("name", sorted(WALK_COUNTERS))
+    def test_walk_session_counters(self, name, monkeypatch):
+        assert self._walk(name, monkeypatch)[1] == self.WALK_COUNTERS[name]
