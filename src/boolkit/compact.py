@@ -172,10 +172,21 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     """Depth-first search over atom assignments on one path closure, from
     the (index, ``_Ground.compiled`` sentence) pairs ``pending``: the
     satisfying path or None, the certificate or None, and the node count;
-    ``_BudgetExhausted`` at node ``node_cap + 1``.  A node branches on the
-    first undecided atom of the first undecided sentence and evaluates only
-    the sentences its parent left undecided (a strong-Kleene value holds on
-    every extension of the path), each shared compiled node once."""
+    ``_BudgetExhausted`` at node ``node_cap + 1``.
+
+    A node branches on the literal forced by the first undecided sentence,
+    in order, that forces one: an undecided leaf forces itself, an ``and``
+    the first of its undecided children that forces one, and an ``or``
+    whose children are all false but one what that one forces.  The forced
+    value goes first; the other side falsifies the forcing sentence, so it
+    is one ``sentence`` leaf, counted as one node, with no search (or a
+    clash leaf, when that side merges two classes whose relation atoms
+    clash).  When no sentence forces a literal, the node branches on the
+    first undecided atom of the first undecided sentence, True first.
+
+    A node evaluates only the sentences its parent left undecided (a
+    strong-Kleene value holds on every extension of the path), each shared
+    compiled node once, and the same pass finds the forced literals."""
     closure = _PathClosure(constants)
     rep = closure.rep
     diseq = rel_true = rel_false = None
@@ -183,29 +194,39 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     nodes = 0
 
     def value(node):
-        """Strong Kleene value on the path: True, False or None."""
+        """Strong Kleene value on the path: True, False, or when undecided
+        the leaf of the literal the node forces, or None."""
         kind, x, y = node  # a leaf: sign, key; an inner node: children, shared
         if kind == "eq":
             a, b = rep[y[1]], rep[y[2]]
             if a == b:
                 return x
-            return (not x) if ((a, b) if a < b else (b, a)) in diseq else None
+            return (not x) if ((a, b) if a < b else (b, a)) in diseq else node
         if kind == "rel":
             canon = (y[1], tuple(map(rep.__getitem__, y[2])))
             if canon in rel_true:
                 return x
-            return (not x) if canon in rel_false else None
+            return (not x) if canon in rel_false else node
         if y is not None and y in values:
             return values[y]
-        decisive = kind == "or"
-        out = not decisive
-        for child in x:
-            v = value(child)
-            if v is decisive:
-                out = v
-                break
-            if v is None:
-                out = None
+        if kind == "and":
+            out = True
+            for child in x:
+                v = value(child)
+                if v is False:
+                    out = False
+                    break
+                if v is not True and type(out) is not tuple:
+                    out = v
+        else:
+            out = False
+            for child in x:
+                v = value(child)
+                if v is True:
+                    out = True
+                    break
+                if v is not False:
+                    out = v if out is False else None
         if y is not None:
             values[y] = out
         return out
@@ -214,7 +235,7 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         """The path key of the first leaf whose atom is undecided."""
         kind, x, y = node
         if kind == "eq" or kind == "rel":
-            return y if value(node) is None else None
+            return y if value(node) is node else None
         if y is not None and y in firsts:
             return firsts[y]
         found = next(filter(None, map(first, x)), None)
@@ -233,25 +254,42 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         values.clear()
         firsts.clear()
         undecided = []
-        branch_atom = None
+        unit = None
         for i, f in pending:
             v = value(f)
             if v is False:
                 return None, {"conflict": {"kind": "sentence", "index": i}}
-            if v is None:
+            if v is not True:
                 undecided.append((i, f))
-                if branch_atom is None:
-                    branch_atom = first(f)
-        if branch_atom is None:
+                if unit is None and v is not None:
+                    unit, forcing = v, i
+        if not undecided:
             return dict(closure.assignment), None
-        cert = {"atom": list(branch_atom)}
-        for truth in (True, False):
-            conflict = closure.assign(branch_atom, truth)
+        if unit is None:
+            atom, truths = first(undecided[0][1]), (True, False)
+        else:
+            atom, truths = unit[2], (unit[1],)
+        cert = {"atom": list(atom)}
+        for truth in truths:
+            conflict = closure.assign(atom, truth)
             model, sub = search(undecided, conflict)
             closure.undo()
             if model is not None:
                 return model, None
             cert["true" if truth else "false"] = sub
+        if unit is not None:
+            nodes += 1
+            if nodes > node_cap:
+                raise _BudgetExhausted
+            refuted = {"conflict": {"kind": "sentence", "index": forcing}}
+            if atom[0] == "eq" and not unit[1]:
+                # a merge can clash, and on a clashing path a relation
+                # atom is both true and false, so the sentence may not be
+                conflict = closure.assign(atom, True)
+                closure.undo()
+                if conflict is not None:
+                    refuted = {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
+            cert["false" if unit[1] else "true"] = refuted
         return None, cert
 
     try:

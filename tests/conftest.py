@@ -474,16 +474,36 @@ class _ReferenceClosure:
 
     def first_undecided_atom(self, f):
         if isinstance(f, (Eq, Atom)):
-            if self.value(f) is not None:
-                return None
-            if isinstance(f, Eq):
-                return ("eq", *sorted((f.left, f.right)))
-            return ("rel", f.rel, f.args)
+            return None if self.value(f) is not None else _atom_key(f)
         for child in (f.body,) if isinstance(f, Not) else f.children:
             found = self.first_undecided_atom(child)
             if found is not None:
                 return found
         return None
+
+    def forced(self, f, sign=True):
+        """The literal an undecided formula forces when it is to take the
+        truth value ``sign``, as (path key, value), or None: an atom forces
+        itself, a conjunction the first of its undecided children that
+        forces one, and a disjunction whose children are all false but one
+        what that one forces (with ``sign`` False, the two swap roles)."""
+        if isinstance(f, Not):
+            return self.forced(f.body, not sign)
+        if self.value(f) is not None:
+            return None
+        if isinstance(f, (Eq, Atom)):
+            return _atom_key(f), sign
+        if isinstance(f, And) == sign:
+            return next(filter(None, (self.forced(c, sign) for c in f.children)), None)
+        # a child is false for this sign when its value is the opposite one
+        open_children = [c for c in f.children if self.value(c) is not (not sign)]
+        return self.forced(open_children[0], sign) if len(open_children) == 1 else None
+
+
+def _atom_key(f):
+    if isinstance(f, Eq):
+        return ("eq", *sorted((f.left, f.right)))
+    return ("rel", f.rel, f.args)
 
 
 def reference_witness(assignment, constants, sig):
@@ -508,39 +528,64 @@ def reference_witness(assignment, constants, sig):
 
 def reference_search(sentences, constants, node_cap):
     """Depth-first search that re-evaluates every sentence on a fresh
-    closure at each node.  Returns (status, nodes, assignment or None,
-    certificate or None), with the oracle's certificate format."""
+    closure at each node.  A node branches on the literal forced by the
+    first undecided sentence that forces one, forced value first; its other
+    side is one leaf, closed by a clash when the path clashes there and by
+    the forcing sentence otherwise.  With no forced literal it branches on
+    the first undecided atom of the first undecided sentence, True first.
+    Returns (status, nodes, assignment or None, certificate or None), with
+    the oracle's certificate format."""
     nodes = 0
 
     class Exhausted(Exception):
         pass
 
-    def search(assignment):
+    def count():
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
             raise Exhausted
+
+    def leaf(closure):
+        kind, detail = closure.conflict
+        return {"conflict": {"kind": kind, "detail": repr(detail)}}
+
+    def search(assignment):
+        count()
         closure = _ReferenceClosure(constants, assignment)
         if closure.conflict is not None:
-            kind, detail = closure.conflict
-            return None, {"conflict": {"kind": kind, "detail": repr(detail)}}
-        branch_atom = None
+            return None, leaf(closure)
+        branch_atom = unit = None
         for i, f in enumerate(sentences):
             v = closure.value(f)
             if v is False:
                 return None, {"conflict": {"kind": "sentence", "index": i}}
             if v is None and branch_atom is None:
                 branch_atom = closure.first_undecided_atom(f)
+            if v is None and unit is None and closure.forced(f) is not None:
+                unit = (i, *closure.forced(f))
         if branch_atom is None:
             return dict(assignment), None
+        values = (True, False)
+        if unit is not None:
+            index, branch_atom, forced = unit
+            values = (forced,)
         cert = {"atom": list(branch_atom)}
-        for value in (True, False):
+        for value in values:
             assignment[branch_atom] = value
             model, sub = search(assignment)
             del assignment[branch_atom]
             if model is not None:
                 return model, None
             cert["true" if value else "false"] = sub
+        if unit is not None:
+            count()
+            assignment[branch_atom] = not forced
+            refuted = _ReferenceClosure(constants, assignment)
+            del assignment[branch_atom]
+            cert["false" if forced else "true"] = (
+                leaf(refuted) if refuted.conflict is not None else _sentence_leaf(index)
+            )
         return None, cert
 
     try:
@@ -549,6 +594,10 @@ def reference_search(sentences, constants, node_cap):
         return "Unknown", nodes, None, None
     status = "Consistent" if assignment is not None else "Inconsistent"
     return status, nodes, assignment, certificate
+
+
+def _sentence_leaf(index):
+    return {"conflict": {"kind": "sentence", "index": index}}
 
 
 def _condition_order(s):

@@ -45,7 +45,7 @@ from test_acceptance import _genericity_dense_sets, _genericity_instances
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
 SIG_ABC = Signature(relations={"R": 1}, base_constants={"a", "b", "c"})
-R_B = Atom("R", ("b",))
+R_A, R_B = Atom("R", ("a",)), Atom("R", ("b",))
 G = Or((Eq("a", "b"), And((Atom("R", ("a",)), Not(Eq("a", "c"))))))  # one object, shared
 
 
@@ -204,6 +204,13 @@ class TestSearchTree:
         ),
         None,
     )
+    @example(  # a != b is forced; its refuted side a = b clashes on R
+        (
+            [R_A, Not(R_B), Or((Not(R_A), R_B, Not(Eq("a", "b")))), Or((Eq("a", "b"), Eq("a", "b")))],
+            Signature(relations={"R": 1}, base_constants={"a", "b"}),
+        ),
+        None,
+    )
     def test_matches_the_rebuild_per_node_search(self, case, cap):
         sentences, sig = case
         budget = Budget() if cap is None else Budget(oracle_nodes=cap)
@@ -220,6 +227,7 @@ class TestSearchTree:
             assert bvmodel.model_to_json(verdict.witness) == bvmodel.model_to_json(expected)
         if status == INCONSISTENT:
             assert replay_certificate(verdict.certificate, sentences, sig)
+            assert len(list(_nodes(verdict.certificate))) == nodes
 
     @settings(max_examples=300, deadline=None)
     @given(shared_ground_sets(), st.one_of(st.none(), st.integers(1, 50)))
@@ -269,11 +277,19 @@ class TestSearchTree:
         for m in [witness] + [bvmodel.random_model(sig, rng) for _ in range(8)]:
             assert bvmodel.eval_formula(m, sentence) == bvmodel.eval_formula(m, copy)
 
-    @pytest.mark.parametrize("n, nodes", [(3, 97), (4, 521), (5, 3261), (6, 23485)])
+    @pytest.mark.parametrize("n, nodes", [(3, 43), (4, 149), (5, 681), (6, 3955)])
     def test_pigeonhole_ladder_node_counts(self, n, nodes):
         sentences, sig = pigeonhole(n)
         verdict = consistency_oracle(sentences, sig)
         assert (verdict.status, verdict.budget_used) == (INCONSISTENT, nodes)
+        assert len(list(_nodes(verdict.certificate))) == nodes
+
+    def test_pigeonhole_seven_decides_under_the_default_budget(self):
+        sentences, sig = pigeonhole(7)
+        verdict = consistency_oracle(sentences, sig)
+        assert (verdict.status, verdict.budget_used) == (INCONSISTENT, 27455)
+        assert len(list(_nodes(verdict.certificate))) == 27455
+        assert replay_certificate(verdict.certificate, sentences, sig)
 
     def test_capped_pigeonhole_stops_one_node_past_the_cap(self):
         sentences, sig = pigeonhole(7)
@@ -309,7 +325,6 @@ def _sentence_leaf(index):
     return {"conflict": {"kind": "sentence", "index": index}}
 
 
-R_A = Atom("R", ("a",))
 # the refutation of [R(a), not R(a)]
 SPLIT_R_A = {"atom": ["rel", "R", ["a"]], "true": _sentence_leaf(1), "false": _sentence_leaf(0)}
 
@@ -755,31 +770,35 @@ class TestOracleSession:
                     stack.append((tuple(ext), j + 1))
 
     def test_a_witness_decides_a_set_the_capped_search_leaves_unknown(self):
-        sig = Signature(relations={}, base_constants={"a", "b", "c"})
-        ab, bc = Not(Eq("a", "b")), Not(Eq("b", "c"))
+        sig = Signature(relations={}, base_constants={"a", "b", "c", "d"})
+        ab = Not(Eq("a", "b"))
+        bc_or_cd = Or((Not(Eq("b", "c")), Not(Eq("c", "d"))))
         capped = Budget(oracle_nodes=3)
-        assert consistency_oracle([ab, bc], sig, capped).status == UNKNOWN
+        # a != b is forced, then b = c is tried first, which forces c != d
+        # past the cap
+        assert consistency_oracle([ab, bc_or_cd], sig, capped).status == UNKNOWN
         session = OracleSession(capped)
         assert session.status([ab], sig) == CONSISTENT
         # the witness of {a != b} has b != c, so no search is made
-        assert session.status([ab, bc], sig) == CONSISTENT
+        assert session.status([ab, bc_or_cd], sig) == CONSISTENT
         assert (session.hint_hits, session.searches) == (1, 1)
         # a verdict always carries its own search
-        assert session.verdict([ab, bc], sig).status == UNKNOWN
+        assert session.verdict([ab, bc_or_cd], sig).status == UNKNOWN
 
     def test_a_refuted_subset_decides_a_set_the_capped_search_leaves_unknown(self):
         sig = Signature(relations={}, base_constants={"a", "b", "c", "d", "e"})
         ab, not_ab = Eq("a", "b"), Not(Eq("a", "b"))
-        cd_or_ce = Or((Eq("c", "d"), Eq("c", "e")))
+        cd = Eq("c", "d")
         capped = Budget(oracle_nodes=3)
-        # branching on c = d first leaves the clash on a = b past the cap
-        assert consistency_oracle([cd_or_ce, ab, not_ab], sig, capped).status == UNKNOWN
+        # the forced c = d goes first, which leaves the refuted side of
+        # a = b past the cap
+        assert consistency_oracle([cd, ab, not_ab], sig, capped).status == UNKNOWN
         session = OracleSession(capped)
         assert session.status([ab, not_ab], sig) == INCONSISTENT
-        assert session.status([cd_or_ce, ab, not_ab], sig) == INCONSISTENT
+        assert session.status([cd, ab, not_ab], sig) == INCONSISTENT
         assert (session.refuted_hits, session.searches) == (1, 1)
         # a verdict always carries its own search
-        assert session.verdict([cd_or_ce, ab, not_ab], sig).status == UNKNOWN
+        assert session.verdict([cd, ab, not_ab], sig).status == UNKNOWN
 
     def test_counters_are_deterministic_and_witnesses_save_searches(self, monkeypatch):
         sessions = []
@@ -818,8 +837,8 @@ class TestOracleSession:
     # the demo's session counters: calls, status, refuted and hint hits,
     # searches and nodes
     DEMO_COUNTERS = {
-        "B-c0c1-c0c1-c1c2": (2780, 52, 15, 2689, 24, 146),
-        "c0c1-c1c2-six": (803, 27, 7, 738, 31, 191),
+        "B-c0c1-c0c1-c1c2": (2780, 52, 15, 2689, 24, 129),
+        "c0c1-c1c2-six": (803, 27, 7, 738, 31, 173),
     }
 
     @staticmethod
@@ -908,9 +927,9 @@ class TestKeptSubsets:
     # each walk's session counters, summed over its runs: calls, status,
     # refuted and hint hits, searches and nodes
     WALK_COUNTERS = {
-        "build_sphi": (7140, 11, 4708, 2161, 260, 1177),
-        "saturate_theory": (2518, 1245, 482, 604, 187, 883),
-        "materialize_compactness_property": (334, 40, 1, 209, 84, 249),
+        "build_sphi": (7140, 11, 4708, 2161, 260, 1134),
+        "saturate_theory": (2518, 1245, 482, 601, 190, 740),
+        "materialize_compactness_property": (334, 40, 1, 209, 84, 227),
     }
 
     @staticmethod

@@ -150,7 +150,7 @@ class TestBuild:
             "refuted_hits": 3772,
             "hint_hits": 1472,
             "searches": 146,
-            "nodes": 696,
+            "nodes": 688,
         }]
 
     def test_inconsistent_target_rejected(self):

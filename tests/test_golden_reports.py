@@ -30,19 +30,19 @@ from test_proofs import SIG as PROOF_SIG
 from test_proofs import mutations, proof_corpus
 
 ORACLE = [
-    "a96b9fb5decf44657c94cf7bc696971605f09c9ccbc6f6e36f744ec2f604596d",
-    "f88135ab9f9dc4a6dd96217c1cca598f533961be7e7062bfd2c3c0afae082e45",
-    "329492782c00ef7ad4a01f7d34b93b093af7ab81649d5b2afefd81f923aca46a",
-    "5c1a8cd8456c922dbc6a89201d9b2156b37862fb8501dedad96f402f7b6a14fc",
-    "359f3be44f134cb531616f56fbfcf1d6448f4197eeeff85a0a0f74721c9dc3ad",
-    "b82ad109a36ea070fb0a0f34ce77d02c6866374a0321660f081b2e44d9fd735a",
+    "702fd5278e7bbb0a3239428a54cbc5ae0b13e1db02580b42bfbbd8eab5427ba3",
+    "63effa6c64ec834a18560936f1eb9236e995031ce3fac26d8399817651daa1ed",
+    "75f11bc365508c9ac36aa7f1366547e255bd6616e24aec5fa43ced2f1b1faab3",
+    "1358b2df8f7026a0f0b58552d697556de126099c44dc74da027607bc9b2c2730",
+    "87244e849379cfcbd6d8c7c0ce3884dd0123ee7506554756722bdb2ec822aae3",
+    "c09246949856fc7930bc81b0f7497ae05d85be755a421613987f994c6c60de5d",
     "0364b09f07956310cffb245cf61ad3f4ab9dd7d64b242a719c39b1f76ab3cc7c",
-    "58c8ba22df12f5a2702699627525b82b69378e458c1606cec1fab2d156684dce",
-    "2b684b957d8407ec8eac1499a29e7c46143b09494e47eed4385f6ef46e203a38",
+    "c804d9c5cefb67c00ecf7cbc56561824ce4cbf33305b051d25e7e97becfd9252",
+    "f24460a3a7cf46f8595013c6ad5e62b6a17776d219403531d4ad6acbbbf70e57",
     "0364b09f07956310cffb245cf61ad3f4ab9dd7d64b242a719c39b1f76ab3cc7c",
-    "c82d8aac9e7669d34355fbc11d478dfb90d8e0d959032a3289016b342461c32b",
-    "92f31341dbb37f10857af2b52def3b9b19c1c903025d83dffed8231a293212d1",
-    "876b92ab1b02ee7b125811e20fa8892008ff7019bf12f3b8424322fcbeeb76a7",
+    "746735d137594fbccd08381241d7400862ca033cc3f9516d244a13eaaded9f68",
+    "00b247ceef22516bf3cc949d1a615841bdf43ecf2eefd66bb33d3b1dfda05dae",
+    "21c18e40b064ddfa62e7eb18c4b2f35c708cdf5ce6827cd5aa36c0980e6604f0",
 ]
 
 FORCING = [
@@ -61,7 +61,7 @@ FORCING = [
 # ``forcing build`` on the 4-constant disjunction under a 4-node oracle cap:
 # most conditions are decided by the session's witnesses and refuted subsets,
 # and the rest are excluded as unknown
-FORCING_CAPPED = "deb9e581b3d161cf8d3bd58c83d88542261868440af934ffaa28602a03ecd14b"
+FORCING_CAPPED = "103943c67ca55bb1261fedf4fe52d9e50f1b64b058d1becb6dbcdbc6c5e32bce"
 
 PROOF_CHECK = "d8c13c8064e6aaf06119e8b02bcbdbc501d131e0c9e1e949cf181a874b5b1714"
 
