@@ -71,17 +71,24 @@ def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport
             bad.append(("symmetry", a, c))
             if len(bad) >= max_violations:
                 return ValidationReport(False, tuple(bad))
-    for a, c, d in itertools.product(m.domain, repeat=3):
-        if not b.leq(b.meet(m.eq[(a, c)], m.eq[(c, d)]), m.eq[(a, d)]):
-            bad.append(("transitivity", a, c, d))
-            if len(bad) >= max_violations:
-                return ValidationReport(False, tuple(bad))
+    # with equality the identity, transitivity and congruence hold: eq(a, c)
+    # meet eq(c, d) is 0 unless a = c = d, and a congruence guard is 0 unless
+    # xs = ys, where table[xs] <= table[ys] is an equality
+    identity = all(m.eq[(a, c)] == (b.one if a == c else 0) for a in m.domain for c in m.domain)
+    if not identity:
+        for a, c, d in itertools.product(m.domain, repeat=3):
+            if not b.leq(b.meet(m.eq[(a, c)], m.eq[(c, d)]), m.eq[(a, d)]):
+                bad.append(("transitivity", a, c, d))
+                if len(bad) >= max_violations:
+                    return ValidationReport(False, tuple(bad))
     for name, table in m.rel.items():
         arity = len(next(iter(table))) if table else 0
         for xs in itertools.product(m.domain, repeat=arity):
             if xs not in table or not b.is_element(table[xs]):
                 bad.append(("rel-table", name, xs))
                 return ValidationReport(False, tuple(bad))
+        if identity:
+            continue
         for xs in itertools.product(m.domain, repeat=arity):
             for ys in itertools.product(m.domain, repeat=arity):
                 guard = b.meet_all(m.eq[(x, y)] for x, y in zip(xs, ys))

@@ -87,77 +87,80 @@ class _PathClosure:
     undecided atom at a time and undone on backtrack.
 
     Every constant maps straight to its class representative, the class
-    minimum.  A disequality or relation literal is one table entry.  A
-    positive equality relabels the class with the larger minimum and
-    rebuilds the tables from the path; the only conflict a merge can cause
-    is a relation clash, named by the least one.  ``assignment`` is the
-    path itself, in insertion order.
+    minimum, and each representative to the set of representatives it is
+    distinct from.  A relation literal is one table entry.  A positive
+    equality relabels the class with the larger minimum, moves its
+    disequalities to the other class and relabels the relation tables; the
+    only conflict a merge can cause is a relation clash, named by the least
+    one.  ``assignment`` is the path itself, in insertion order.
     """
 
     def __init__(self, constants):
         self.rep = {c: c for c in constants}
         self.members = {c: [c] for c in constants}
+        self.diseq = {c: set() for c in constants}
         self.assignment = {}
-        self.diseq = set()
         self.rel_true = set()
         self.rel_false = set()
         self._undo = []
-
-    def _canon(self, key):
-        return (key[1], tuple(map(self.rep.__getitem__, key[2])))
 
     def assign(self, key, value):
         """Extend the path by an atom the closure leaves undecided; return
         the conflict it causes, or None."""
         self.assignment[key] = value
+        rep, diseq = self.rep, self.diseq
         if key[0] == "rel":
+            # an undecided atom's entry is new, so it clashes with nothing
             table = self.rel_true if value else self.rel_false
-            entry = self._canon(key)
-        else:
-            a, b = self.rep[key[1]], self.rep[key[2]]
-            if b < a:
-                a, b = b, a
-            if not value:
-                table, entry = self.diseq, (a, b)
-            else:
-                moved = self.members.pop(b)
-                for c in moved:
-                    self.rep[c] = a
-                self.members[a].extend(moved)
-                self._undo.append((a, b, moved, self.diseq, self.rel_true, self.rel_false))
-                return self._rebuild()
-        # an undecided atom's entry is new, so it clashes with nothing
-        table.add(entry)
-        self._undo.append((table, entry))
-        return None
-
-    def _rebuild(self):
+            entry = (key[1], tuple(map(rep.__getitem__, key[2])))
+            table.add(entry)
+            self._undo.append(((table, entry),))
+            return None
+        a, b = rep[key[1]], rep[key[2]]
+        if b < a:
+            a, b = b, a
+        if not value:
+            diseq[a].add(b)
+            diseq[b].add(a)
+            self._undo.append(((diseq[a], b), (diseq[b], a)))
+            return None
         # a positive equality is assigned only while it is undecided, so no
-        # disequality separates the two classes it merges: no disequality
-        # ever falls inside one class
-        rep = self.rep
-        self.diseq = diseq = set()
-        self.rel_true = rel_true = set()
-        self.rel_false = rel_false = set()
-        for key, value in self.assignment.items():
-            if key[0] == "rel":
-                (rel_true if value else rel_false).add(self._canon(key))
-            elif not value:
-                a, b = rep[key[1]], rep[key[2]]
-                diseq.add((a, b) if a < b else (b, a))
-        clash = rel_true & rel_false
-        if clash:
-            return ("rel-congruence", min(clash))
-        return None
+        # disequality separates a and b, and none ever falls inside a class
+        moved = self.members.pop(b)
+        for c in moved:
+            rep[c] = a
+        self.members[a].extend(moved)
+        partners = diseq[b]  # kept as it is for the undo
+        added = partners - diseq[a]
+        for p in partners:
+            diseq[p].discard(b)
+        for p in added:
+            diseq[p].add(a)
+        diseq[a] |= added
+        rel_true, rel_false = self.rel_true, self.rel_false
+        self._undo.append((a, b, moved, added, rel_true, rel_false))
+        if not (rel_true or rel_false):
+            return None
+        self.rel_true = {(r, tuple(map(rep.__getitem__, args))) for r, args in rel_true}
+        self.rel_false = {(r, tuple(map(rep.__getitem__, args))) for r, args in rel_false}
+        clash = self.rel_true & self.rel_false
+        return ("rel-congruence", min(clash)) if clash else None
 
     def undo(self):
         """Take the last assigned atom off the path."""
         self.assignment.popitem()
         entry = self._undo.pop()
-        if len(entry) == 2:  # a literal: (table, entry)
-            entry[0].discard(entry[1])
+        if len(entry) < 6:  # a literal: the (set, item) pairs it added
+            for table, item in entry:
+                table.discard(item)
             return
-        a, b, moved, self.diseq, self.rel_true, self.rel_false = entry
+        a, b, moved, added, self.rel_true, self.rel_false = entry
+        diseq = self.diseq
+        for p in added:
+            diseq[p].discard(a)
+        diseq[a] -= added
+        for p in diseq[b]:
+            diseq[p].add(b)
         del self.members[a][-len(moved):]
         self.members[b] = moved
         for c in moved:
@@ -188,8 +191,8 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     strong-Kleene value holds on every extension of the path), each shared
     compiled node once, and the same pass finds the forced literals."""
     closure = _PathClosure(constants)
-    rep = closure.rep
-    diseq = rel_true = rel_false = None
+    rep, diseq = closure.rep, closure.diseq
+    rel_true = rel_false = None
     values, firsts = {}, {}  # shared node -> its value, its first undecided atom
     nodes = 0
 
@@ -201,7 +204,7 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
             a, b = rep[y[1]], rep[y[2]]
             if a == b:
                 return x
-            return (not x) if ((a, b) if a < b else (b, a)) in diseq else node
+            return (not x) if b in diseq[a] else node
         if kind == "rel":
             canon = (y[1], tuple(map(rep.__getitem__, y[2])))
             if canon in rel_true:
@@ -212,7 +215,12 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         if kind == "and":
             out = True
             for child in x:
-                v = value(child)
+                k, cx, cy = child  # equality leaves, the commonest, inline
+                if k == "eq":
+                    a, b = rep[cy[1]], rep[cy[2]]
+                    v = cx if a == b else (not cx) if b in diseq[a] else child
+                else:
+                    v = value(child)
                 if v is False:
                     out = False
                     break
@@ -221,7 +229,12 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         else:
             out = False
             for child in x:
-                v = value(child)
+                k, cx, cy = child
+                if k == "eq":
+                    a, b = rep[cy[1]], rep[cy[2]]
+                    v = cx if a == b else (not cx) if b in diseq[a] else child
+                else:
+                    v = value(child)
                 if v is True:
                     out = True
                     break
@@ -244,13 +257,13 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         return found
 
     def search(pending, conflict):
-        nonlocal nodes, diseq, rel_true, rel_false
+        nonlocal nodes, rel_true, rel_false
         nodes += 1
         if nodes > node_cap:
             raise _BudgetExhausted
         if conflict is not None:
             return None, {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
-        diseq, rel_true, rel_false = closure.diseq, closure.rel_true, closure.rel_false
+        rel_true, rel_false = closure.rel_true, closure.rel_false
         values.clear()
         firsts.clear()
         undecided = []
@@ -468,6 +481,7 @@ class OracleSession:
         self.calls = self.status_hits = self.refuted_hits = self.hint_hits = 0
         self.searches = self.nodes = 0
         self._grounds = {}  # _sig_key(sig) -> _Ground
+        self._last = (None, None)  # the last signature object asked about, its ground
 
     def counters(self) -> dict:
         return {
@@ -476,10 +490,13 @@ class OracleSession:
         }
 
     def _ground(self, sig: Signature) -> _Ground:
+        if self._last[0] is sig:
+            return self._last[1]
         key = _sig_key(sig)
         ground = self._grounds.get(key)
         if ground is None:
             ground = self._grounds[key] = _Ground(sig)
+        self._last = (sig, ground)
         return ground
 
     def verdict(self, theory, sig: Signature, require_qe: bool = False) -> OracleVerdict:

@@ -36,8 +36,11 @@ def condition_universe(phi: Formula, sig: Signature) -> list:
 
 
 def _condition(s) -> frozenset:
-    """A caller's condition set, canonical."""
-    return frozenset(syntax.canon(f) for f in s)
+    """A caller's condition set, canonical; a frozenset already canonical
+    is returned as it is."""
+    if type(s) is frozenset and all(syntax.canon(f) is f for f in s):
+        return s
+    return frozenset(map(syntax.canon, s))
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,59 @@ def classical_eval(m, f, env=None):
 
 
 # ---------------------------------------------------------------------------
+# full-scan model validation (reference for ``bvmodel.validate_model``)
+
+
+def reference_validate_model(m, max_violations=1):
+    """(ok, violations) of the equality axioms, the relation tables, the
+    congruence condition and the constants, every scan run in full."""
+    b = m.algebra
+    bad = []
+
+    def report():
+        return (not bad, tuple(bad))
+
+    for a in m.domain:
+        for c in m.domain:
+            if (a, c) not in m.eq or not b.is_element(m.eq[(a, c)]):
+                bad.append(("eq-table", a, c))
+                if len(bad) >= max_violations:
+                    return report()
+    for a in m.domain:
+        if m.eq[(a, a)] != b.one:
+            bad.append(("reflexivity", a))
+    for a, c in itertools.product(m.domain, repeat=2):
+        if m.eq[(a, c)] != m.eq[(c, a)]:
+            bad.append(("symmetry", a, c))
+            if len(bad) >= max_violations:
+                return report()
+    for a, c, d in itertools.product(m.domain, repeat=3):
+        if not b.leq(b.meet(m.eq[(a, c)], m.eq[(c, d)]), m.eq[(a, d)]):
+            bad.append(("transitivity", a, c, d))
+            if len(bad) >= max_violations:
+                return report()
+    for name, table in m.rel.items():
+        arity = len(next(iter(table))) if table else 0
+        for xs in itertools.product(m.domain, repeat=arity):
+            if xs not in table or not b.is_element(table[xs]):
+                bad.append(("rel-table", name, xs))
+                return report()
+        for xs in itertools.product(m.domain, repeat=arity):
+            for ys in itertools.product(m.domain, repeat=arity):
+                guard = b.meet_all(m.eq[(x, y)] for x, y in zip(xs, ys))
+                if not b.leq(b.meet(guard, table[xs]), table[ys]):
+                    bad.append(("congruence", name, xs, ys))
+                    if len(bad) >= max_violations:
+                        return report()
+    for name, elem in m.consts.items():
+        if elem not in m.domain:
+            bad.append(("constant", name, elem))
+            if len(bad) >= max_violations:
+                return report()
+    return report()
+
+
+# ---------------------------------------------------------------------------
 # independent ground satisfiability by exhaustive enumeration
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from boolkit.bvmodel import (
 from boolkit.errors import BoolkitError, ResourceBudgetError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
-from conftest import classical_eval, random_sentence
+from conftest import classical_eval, random_sentence, reference_validate_model
 
 SIG = Signature(relations={"R": 1}, base_constants={"c0", "c1"}, fresh_constants={"e0"})
 
@@ -43,6 +44,26 @@ def two_valued_identity_model(sig, domain=("x", "y")):
         rel[name] = {combo: 0 for combo in itertools.product(domain, repeat=arity)}
     consts = {c: domain[0] for c in sig.constants}
     return BValuedModel(b, domain, eq, rel, consts)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except KeyError:
+        return KeyError
+
+
+def _identity_model(sig, rng, max_atoms=3, max_domain=3):
+    """A model whose equality is the identity and whose relation values are
+    random elements of a random algebra."""
+    b = FiniteBooleanAlgebra(rng.randint(1, max_atoms))
+    domain = tuple(f"m{i}" for i in range(rng.randint(1, max_domain)))
+    eq = {(a, c): (b.one if a == c else 0) for a in domain for c in domain}
+    rel = {
+        name: {xs: rng.randrange(b.one + 1) for xs in itertools.product(domain, repeat=arity)}
+        for name, arity in sig.relations.items()
+    }
+    return BValuedModel(b, domain, eq, rel, {c: rng.choice(domain) for c in sorted(sig.constants)})
 
 
 def counterexample_model(with_relation=False):
@@ -77,6 +98,39 @@ class TestValidation:
         for _ in range(60):
             m = random_model(SIG, rng)
             assert validate_model(m).ok
+
+    def test_reports_as_the_full_scan(self):
+        sig = Signature(relations={"R": 1, "S": 2}, base_constants={"c0", "c1"})
+        rng = random.Random(3)
+        cases = 0
+        for _ in range(300):
+            if rng.random() < 0.5:
+                m = random_model(sig, rng, max_atoms=rng.choice([1, 3]))
+            else:  # equality the identity, relations arbitrary
+                m = _identity_model(sig, rng)
+            b, domain = m.algebra, m.domain
+            eq = dict(m.eq)
+            rel = {name: dict(table) for name, table in m.rel.items()}
+            mutation = rng.choice(["none", "eq", "eq", "rel", "rel", "missing"])
+            if mutation == "eq":
+                a, c = rng.choice(domain), rng.choice(domain)
+                eq[(a, c)] = rng.randrange(b.one + 1)
+                if rng.random() < 0.5:
+                    eq[(c, a)] = eq[(a, c)]
+            elif mutation == "rel":
+                name = rng.choice(sorted(rel))
+                rel[name][rng.choice(sorted(rel[name]))] = rng.randrange(b.one + 1)
+            elif mutation == "missing":
+                table = eq if rng.random() < 0.5 else rel[rng.choice(sorted(rel))]
+                del table[rng.choice(sorted(table))]
+            mutant = BValuedModel(b, domain, eq, rel, dict(m.consts), check=False)
+            for k in (1, 3, 1000):
+                # past a missing eq entry, both scans read it and raise
+                assert _outcome(lambda: astuple(validate_model(mutant, k))) == _outcome(
+                    lambda: reference_validate_model(mutant, k)
+                )
+            cases += not reference_validate_model(mutant)[0]
+        assert cases > 50  # the mutants break the model often enough
 
 
 class TestEval:

@@ -727,6 +727,15 @@ class TestOracleSession:
             "nodes": verdict.budget_used + again.budget_used,
         }
 
+    def test_equal_signatures_share_one_ground(self):
+        session = OracleSession()
+        same = Signature(SIG.relations, SIG.base_constants, SIG.fresh_constants)
+        star = compact.star_signature(SIG)
+        ground = session._ground(SIG)
+        assert session._ground(same) is ground and session._ground(SIG) is ground
+        assert session._ground(star) is not ground
+        assert session._ground(same) is ground and session._ground(star) is session._ground(star)
+
     def test_a_session_and_a_budget_are_not_both_given(self):
         with pytest.raises(TypeError):
             compactness_run([Atom("R", ("a",))], SIG, Budget(), session=OracleSession())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolkit import bvmodel, compact, syntax
+from boolkit import bvmodel, compact, forcing, syntax
 from boolkit.compact import consistency_oracle, is_conservative_strengthening
 from boolkit.errors import BoolkitError
 from boolkit.forcing import (
@@ -162,6 +162,14 @@ class TestBuild:
 class TestDense:
     def test_whole_poset_dense(self, poset):
         assert is_dense(list(poset.conditions), poset).ok
+
+    def test_a_canonical_condition_set_is_taken_as_it_is(self):
+        f = Or((Eq("c1", "cw"), Eq("c0", "cw")))  # children out of rendering order
+        canonical = frozenset({syntax.canon(f)})
+        assert syntax.canon(f) is not f
+        assert forcing._condition(canonical) is canonical
+        for raw in (frozenset({f}), [syntax.canon(f)], {f}):
+            assert forcing._condition(raw) == canonical and forcing._condition(raw) is not raw
 
     def test_empty_not_dense(self, poset):
         assert not is_dense([], poset).ok
