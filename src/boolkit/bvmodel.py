@@ -71,9 +71,8 @@ def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport
             bad.append(("symmetry", a, c))
             if len(bad) >= max_violations:
                 return ValidationReport(False, tuple(bad))
-    # with equality the identity, transitivity and congruence hold: eq(a, c)
-    # meet eq(c, d) is 0 unless a = c = d, and a congruence guard is 0 unless
-    # xs = ys, where table[xs] <= table[ys] is an equality
+    # with equality the identity, transitivity holds, as eq(a, c) meet eq(c, d) is 0
+    # unless a = c = d; so does congruence, as a guard is 0 unless xs = ys
     identity = all(m.eq[(a, c)] == (b.one if a == c else 0) for a in m.domain for c in m.domain)
     if not identity:
         for a, c, d in itertools.product(m.domain, repeat=3):

@@ -87,17 +87,15 @@ class _PathClosure:
     undecided atom at a time and undone on backtrack.
 
     Every constant maps straight to its class representative, the class
-    minimum, and each representative to the set of representatives it is
-    distinct from.  A relation literal is one table entry.  A positive
-    equality relabels the class with the larger minimum, moves its
-    disequalities to the other class and relabels the relation tables; the
-    only conflict a merge can cause is a relation clash, named by the least
-    one.  ``assignment`` is the path itself, in insertion order.
+    minimum, and each representative to the representatives it is distinct
+    from.  A relation literal is one table entry.  A positive equality moves
+    the class with the larger minimum, and its disequalities, to the other
+    and relabels the relation tables; the only conflict a merge can cause is
+    a relation clash, named by the least one.  ``assignment`` is the path.
     """
 
     def __init__(self, constants):
         self.rep = {c: c for c in constants}
-        self.members = {c: [c] for c in constants}
         self.diseq = {c: set() for c in constants}
         self.assignment = {}
         self.rel_true = set()
@@ -126,10 +124,9 @@ class _PathClosure:
             return None
         # a positive equality is assigned only while it is undecided, so no
         # disequality separates a and b, and none ever falls inside a class
-        moved = self.members.pop(b)
+        moved = [c for c, r in rep.items() if r == b]
         for c in moved:
             rep[c] = a
-        self.members[a].extend(moved)
         partners = diseq[b]  # kept as it is for the undo
         added = partners - diseq[a]
         for p in partners:
@@ -139,8 +136,6 @@ class _PathClosure:
         diseq[a] |= added
         rel_true, rel_false = self.rel_true, self.rel_false
         self._undo.append((a, b, moved, added, rel_true, rel_false))
-        if not (rel_true or rel_false):
-            return None
         self.rel_true = {(r, tuple(map(rep.__getitem__, args))) for r, args in rel_true}
         self.rel_false = {(r, tuple(map(rep.__getitem__, args))) for r, args in rel_false}
         clash = self.rel_true & self.rel_false
@@ -161,8 +156,6 @@ class _PathClosure:
         diseq[a] -= added
         for p in diseq[b]:
             diseq[p].add(b)
-        del self.members[a][-len(moved):]
-        self.members[b] = moved
         for c in moved:
             self.rep[c] = b
 
@@ -177,19 +170,16 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     satisfying path or None, the certificate or None, and the node count;
     ``_BudgetExhausted`` at node ``node_cap + 1``.
 
-    A node branches on the literal forced by the first undecided sentence,
-    in order, that forces one: an undecided leaf forces itself, an ``and``
-    the first of its undecided children that forces one, and an ``or``
-    whose children are all false but one what that one forces.  The forced
-    value goes first; the other side falsifies the forcing sentence, so it
-    is one ``sentence`` leaf, counted as one node, with no search (or a
-    clash leaf, when that side merges two classes whose relation atoms
-    clash).  When no sentence forces a literal, the node branches on the
-    first undecided atom of the first undecided sentence, True first.
-
-    A node evaluates only the sentences its parent left undecided (a
-    strong-Kleene value holds on every extension of the path), each shared
-    compiled node once, and the same pass finds the forced literals."""
+    A node branches on the literal forced by the first undecided sentence
+    that forces one (an undecided leaf forces itself, an ``and`` what its
+    first undecided child that forces one forces, an ``or`` with one child
+    not false what that child forces), forced value first.  The other side
+    falsifies that sentence, so it is one ``sentence`` leaf, a node with no
+    search, unless the path clashes there.  With no forced literal, a node
+    branches on the first undecided atom of the first undecided sentence,
+    True first.  A node evaluates only the sentences its parent left
+    undecided (a strong-Kleene value holds on every extension of the path),
+    each shared compiled node once, in one pass that also finds the units."""
     closure = _PathClosure(constants)
     rep, diseq = closure.rep, closure.diseq
     rel_true = rel_false = None
@@ -202,14 +192,10 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         kind, x, y = node  # a leaf: sign, key; an inner node: children, shared
         if kind == "eq":
             a, b = rep[y[1]], rep[y[2]]
-            if a == b:
-                return x
-            return (not x) if b in diseq[a] else node
+            return x if a == b else (not x) if b in diseq[a] else node
         if kind == "rel":
             canon = (y[1], tuple(map(rep.__getitem__, y[2])))
-            if canon in rel_true:
-                return x
-            return (not x) if canon in rel_false else node
+            return x if canon in rel_true else (not x) if canon in rel_false else node
         if y is not None and y in values:
             return values[y]
         if kind == "and":
@@ -256,13 +242,13 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
             firsts[y] = found
         return found
 
-    def search(pending, conflict):
+    def search(pending, leaf):
         nonlocal nodes, rel_true, rel_false
         nodes += 1
         if nodes > node_cap:
             raise _BudgetExhausted
-        if conflict is not None:
-            return None, {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
+        if leaf is not None:
+            return None, leaf
         rel_true, rel_false = closure.rel_true, closure.rel_false
         values.clear()
         firsts.clear()
@@ -279,30 +265,22 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         if not undecided:
             return dict(closure.assignment), None
         if unit is None:
-            atom, truths = first(undecided[0][1]), (True, False)
+            atom, sides = first(undecided[0][1]), (True, False)
         else:
-            atom, truths = unit[2], (unit[1],)
+            atom, sides = unit[2], (unit[1], not unit[1])
         cert = {"atom": list(atom)}
-        for truth in truths:
-            conflict = closure.assign(atom, truth)
-            model, sub = search(undecided, conflict)
+        for truth in sides:
+            conflict, leaf = closure.assign(atom, truth), None
+            if conflict is not None:
+                leaf = {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
+            elif unit is not None and truth != unit[1]:
+                # the forcing sentence is false on this side
+                leaf = {"conflict": {"kind": "sentence", "index": forcing}}
+            model, sub = search(undecided, leaf)
             closure.undo()
             if model is not None:
                 return model, None
             cert["true" if truth else "false"] = sub
-        if unit is not None:
-            nodes += 1
-            if nodes > node_cap:
-                raise _BudgetExhausted
-            refuted = {"conflict": {"kind": "sentence", "index": forcing}}
-            if atom[0] == "eq" and not unit[1]:
-                # a merge can clash, and on a clashing path a relation
-                # atom is both true and false, so the sentence may not be
-                conflict = closure.assign(atom, True)
-                closure.undo()
-                if conflict is not None:
-                    refuted = {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
-            cert["false" if unit[1] else "true"] = refuted
         return None, cert
 
     try:
@@ -490,14 +468,12 @@ class OracleSession:
         }
 
     def _ground(self, sig: Signature) -> _Ground:
-        if self._last[0] is sig:
-            return self._last[1]
-        key = _sig_key(sig)
-        ground = self._grounds.get(key)
-        if ground is None:
-            ground = self._grounds[key] = _Ground(sig)
-        self._last = (sig, ground)
-        return ground
+        if self._last[0] is not sig:
+            key = _sig_key(sig)
+            if key not in self._grounds:
+                self._grounds[key] = _Ground(sig)
+            self._last = (sig, self._grounds[key])
+        return self._last[1]
 
     def verdict(self, theory, sig: Signature, require_qe: bool = False) -> OracleVerdict:
         """The full verdict of a search on the theory, sentences in order."""

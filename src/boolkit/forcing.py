@@ -36,8 +36,7 @@ def condition_universe(phi: Formula, sig: Signature) -> list:
 
 
 def _condition(s) -> frozenset:
-    """A caller's condition set, canonical; a frozenset already canonical
-    is returned as it is."""
+    """A caller's condition set, canonical: itself when it already is."""
     if type(s) is frozenset and all(syntax.canon(f) is f for f in s):
         return s
     return frozenset(map(syntax.canon, s))
