@@ -615,8 +615,9 @@ def reference_search(sentences, constants, node_cap):
                 return None, {"conflict": {"kind": "sentence", "index": i}}
             if v is None and branch_atom is None:
                 branch_atom = closure.first_undecided_atom(f)
-            if v is None and unit is None and closure.forced(f) is not None:
-                unit = (i, *closure.forced(f))
+            if v is None and unit is None:
+                found = closure.forced(f)
+                unit = None if found is None else (i, *found)
         if branch_atom is None:
             return dict(assignment), None
         values = (True, False)
