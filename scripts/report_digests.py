@@ -1,0 +1,101 @@
+"""Print one JSON line per CLI report: the command, its input, the exit code
+and the sha256 of the report bytes, all under the default budget.
+
+The reports are ``conservative``, ``fincons`` and ``compact`` on the
+criterion-8 families, ``focompact`` on the criterion-10 theories, and
+``forcing build``, ``generic`` and ``model`` on the criterion-12 instances.
+The instances come from ``tests/test_acceptance.py`` next to this script;
+``--src`` picks the checkout whose ``boolkit`` is imported, so that two
+checkouts compare with ``diff``:
+
+    python scripts/report_digests.py --src ../other-checkout > other.jsonl
+    python scripts/report_digests.py > this.jsonl
+    diff other.jsonl this.jsonl
+"""
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT), help="checkout whose src/boolkit is imported")
+    args = parser.parse_args()
+    sys.path[:0] = [str(Path(args.src).resolve() / "src"), str(ROOT / "tests")]
+    with tempfile.TemporaryDirectory() as tmp:
+        digests(Path(tmp))
+
+
+def digests(work: Path):
+    from boolkit import cli, compact, forcing, syntax
+    from boolkit.syntax import And
+    from test_acceptance import (
+        _compactness_families,
+        _genericity_dense_sets,
+        _genericity_instances,
+        _ground_theories,
+    )
+
+    out = work / "report.json"
+
+    def write(name, doc):
+        path = work / name
+        path.write_text(json.dumps(doc, sort_keys=True))
+        return str(path)
+
+    def report(command, given, argv):
+        """Run one CLI call, print its line, and return the report bytes."""
+        out.unlink(missing_ok=True)
+        code = cli.main([*argv, "--out", str(out)])
+        text = out.read_bytes() if out.exists() else b""
+        line = {"command": command, "input": given, "exit": code,
+                "sha256": hashlib.sha256(text).hexdigest()}
+        print(json.dumps(line, sort_keys=True), flush=True)
+        return text
+
+    def theory(sig, sentences):
+        return {"signature": sig.to_json(), "sentences": [syntax.render(f) for f in sentences]}
+
+    for sig, gens in _compactness_families():
+        sig_path = write("sig.json", sig.to_json())
+        conj = syntax.render(And(tuple(gens)))
+        for f in gens:
+            for psi1, psi0 in ((conj, syntax.render(f)), (syntax.render(f), conj)):
+                report("conservative", {"signature": sig.to_json(), "psi1": psi1, "psi0": psi0},
+                       ["conservative", "--sig", sig_path, "--psi1", psi1, "--psi0", psi0])
+        for family in (gens, compact.conjunction_closure(gens)):
+            doc = theory(sig, family)
+            report("fincons", doc, ["fincons", "--family", write("family.json", doc)])
+        doc = theory(sig, compact.conjunction_closure(gens))
+        report("compact", doc, ["compact", "--family", write("family.json", doc)])
+
+    for sig, sentences in _ground_theories():
+        doc = theory(sig, sentences)
+        report("focompact", doc, ["focompact", "--theory", write("theory.json", doc)])
+
+    for sig, phi, bound in _genericity_instances():
+        given = {"signature": sig.to_json(), "formula": syntax.render(phi), "size_bound": bound}
+        text = report("forcing build", given, [
+            "forcing", "build", "--sig", write("sig.json", sig.to_json()),
+            "--formula", syntax.render(phi), "--size-bound", str(bound),
+        ])
+        poset = json.loads(text)["poset"]
+        conditions = frozenset(
+            frozenset(syntax.canon(syntax.parse(f, sig)) for f in s) for s in poset["conditions"]
+        )
+        p = forcing.SPhiPoset(syntax.canon(phi), sig, conditions)
+        dense = {"dense_sets": [
+            sorted(sorted(syntax.render(f) for f in s) for s in d) for d in _genericity_dense_sets(p)
+        ]}
+        paths = ["--poset", write("poset.json", poset), "--dense", write("dense.json", dense)]
+        for sub in ("generic", "model"):
+            report(f"forcing {sub}", dict(given, dense=dense["dense_sets"]), ["forcing", sub, *paths])
+
+
+if __name__ == "__main__":
+    main()

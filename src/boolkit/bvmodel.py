@@ -63,6 +63,8 @@ def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport
                 bad.append(("eq-table", a, c))
                 if len(bad) >= max_violations:
                     return ValidationReport(False, tuple(bad))
+    if bad:  # the scans below read the whole table
+        return ValidationReport(False, tuple(bad))
     for a in m.domain:
         if m.eq[(a, a)] != b.one:
             bad.append(("reflexivity", a))

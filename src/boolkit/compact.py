@@ -12,11 +12,12 @@ are named by the declared constants.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, syntax
-from .balg import bit_positions
+from .balg import bit_positions, ultrafilters
 from .errors import BoolkitError, ConstructionFailure
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
 
@@ -713,6 +714,15 @@ def is_conservative_strengthening(
     """psi1 must entail psi0, and no finite set of psi0-subsentences may be
     consistent with one of the two but not the other.
 
+    When a refutation of {psi0} + C also refutes {psi1} + C, psi1 is asked
+    only about the maximal psi0-consistent sets M.  Proof: as psi1 entails
+    psi0, C disagrees only if {psi0} + C is consistent and {psi1} + C is
+    not; such a C lies in some M, and {psi1} + M consistent makes its
+    subset {psi1} + C consistent.  Only when that fails, or a status is
+    Unknown, does the scan over every subset in order name the violating
+    subset or report Unknown.  ``checked_subsets`` counts the subsets whose
+    agreement was established, by a query or by implication.
+
     Subset enumeration is exhaustive by default; when ``budget.max_subset``
     caps the subset size the report is only bounded-conservative.
     """
@@ -733,8 +743,11 @@ def is_conservative_strengthening(
     subs = sorted(syntax.subsentences(psi0, sig), key=syntax.render)
     max_size = len(subs) if budget.max_subset is None else min(budget.max_subset, len(subs))
     bounded = max_size < len(subs)
+    if implied and _maximal_sets_agree(psi1, psi0, subs, max_size, sig, session):
+        checked = sum(math.comb(len(subs), size) for size in range(max_size + 1))
+        return ConservativityReport(True, True, checked, bounded=bounded)
     checked = 0
-    for size in range(0, max_size + 1):
+    for size in range(max_size + 1):
         for combo in itertools.combinations(subs, size):
             checked += 1
             v0 = session.status([psi0, *combo], sig)
@@ -749,6 +762,26 @@ def is_conservative_strengthening(
                     False, True, checked, violating_subset=frozenset(combo), bounded=bounded
                 )
     return ConservativityReport(True, True, checked, bounded=bounded)
+
+
+def _maximal_sets_agree(psi1, psi0, subs, max_size, sig, session) -> bool:
+    """Whether psi1 is consistent with each maximal psi0-consistent set of
+    at most ``max_size`` of the ``subs``, every status decided; or psi0 is
+    refuted, so that no set is psi0-consistent."""
+    statuses = [session.status([psi0], sig)]
+
+    def keep(ext):
+        statuses.append(session.status([psi0, *ext], sig))
+        return statuses[-1] == CONSISTENT
+
+    if statuses[0] != CONSISTENT:
+        return statuses[0] == INCONSISTENT
+    walk = list(kept_subsets(subs, keep, max_size))
+    # the walk stops at max_size, so a set of that size is maximal too
+    below = {s - {f} for s in map(frozenset, walk) for f in s}
+    return UNKNOWN not in statuses and all(
+        session.status([psi1, *m], sig) == CONSISTENT for m in walk if frozenset(m) not in below
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -806,15 +839,13 @@ def is_finitely_conservative(
     keys = {syntax.conjunction_key(f): f for f in members}
     session = _session(budget, session)
 
-    some_consistent = False
     for f in members:
         status = session.status([f], sig)
         if status == UNKNOWN:
             return FiniteConservativityVerdict(False, "oracle unknown", member=f, unknown=True)
         if status == CONSISTENT:
-            some_consistent = True
             break
-    if not some_consistent:
+    else:
         return FiniteConservativityVerdict(False, "no Boolean consistent member")
 
     # pairwise closure suffices: conjunct-set keys are unions
@@ -864,11 +895,7 @@ def base_generators(family) -> list:
     base = []
     for m in sorted(members, key=lambda f: (len(syntax.conjunction_key(f)), syntax.render(f))):
         mkey = syntax.conjunction_key(m)
-        covered = set()
-        for b in base:
-            bkey = syntax.conjunction_key(b)
-            if bkey <= mkey:
-                covered |= bkey
+        covered = set().union(*(k for k in map(syntax.conjunction_key, base) if k <= mkey))
         if covered != mkey:
             base.append(m)
     return base
@@ -1078,18 +1105,8 @@ def lindenbaum_complete(
     session = _session(budget, session)
     if session.status(current, sig) != CONSISTENT:
         raise BoolkitError("cannot complete an inconsistent theory")
-    atoms = []
-    consts = sorted(sig.constants)
-    for a, b in itertools.combinations(consts, 2):
-        atoms.append(Eq(a, b))
-    for name, arity in sorted(sig.relations.items()):
-        for combo in itertools.product(consts, repeat=arity):
-            atoms.append(Atom(name, combo))
-    for atom in atoms:
-        if session.status([*current, atom], sig) == CONSISTENT:
-            current.append(atom)
-        else:
-            current.append(Not(atom))
+    for atom in syntax.ground_atoms(sig):
+        current.append(atom if session.status([*current, atom], sig) == CONSISTENT else Not(atom))
     return current
 
 
@@ -1125,8 +1142,6 @@ def first_order_compactness_demo(
     family = conjunction_closure(stars)
     result = compactness_run(family, sig, session=session)
     model = result.model
-    from .balg import ultrafilters
-
     if model.algebra.atom_count <= completion_atom_cap:
         model = bvmodel.mixing_completion(model)
     quotient = bvmodel.quotient_model(model, ultrafilters(model.algebra)[0])

@@ -8,14 +8,13 @@ ordered by reverse inclusion.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from . import bvmodel, compact, syntax
 from .errors import BoolkitError
-from .syntax import And, Atom, Eq, Formula, Not, Or, Signature
+from .syntax import And, Formula, Not, Or, Signature
 
 
 def condition_universe(phi: Formula, sig: Signature) -> list:
@@ -26,10 +25,7 @@ def condition_universe(phi: Formula, sig: Signature) -> list:
     for f in syntax.subsentences(phi, sig):
         if f != phi:
             out.add(f)
-    consts = sorted(sig.constants)
-    atoms = [Eq(a, b) for a, b in itertools.combinations(consts, 2)]
-    for name, arity in sorted(sig.relations.items()):
-        atoms += [Atom(name, combo) for combo in itertools.product(consts, repeat=arity)]
+    atoms = syntax.ground_atoms(sig)
     out.update(atoms)
     out.update(map(Not, atoms))
     return sorted(out, key=syntax.render)
@@ -40,6 +36,12 @@ def _condition(s) -> frozenset:
     if type(s) is frozenset and all(syntax.canon(f) is f for f in s):
         return s
     return frozenset(map(syntax.canon, s))
+
+
+def _conditions(d, p: SPhiPoset) -> list:
+    """A dense set's entries, canonical: an entry that is one of the
+    poset's conditions as it is, any other through ``_condition``."""
+    return [s if type(s) is frozenset and s in p.conditions else _condition(s) for s in d]
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> Dens
     the reverse-inclusion order says every condition has an extension there.
     The strict flag demands a proper superset.  A set that is not dense is
     witnessed by its least uncovered condition in ``_condition_order``."""
-    return _density(list(map(_condition, d)), p, strict)
+    return _density(_conditions(d, p), p, strict)
 
 
 def _density(dset: list, p: SPhiPoset, strict: bool = False) -> DensityVerdict:
@@ -160,7 +162,7 @@ class GenericFilter:
 def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
     """Build a descending chain entering each supplied dense set in turn,
     upward close it, and extend to a maximal filter by greedy saturation."""
-    dense = [list(map(_condition, d)) for d in dense]
+    dense = [_conditions(d, p) for d in dense]
     for i, d in enumerate(dense):
         if not _density(d, p):
             raise BoolkitError(f"supplied set {i} is not dense")
@@ -220,7 +222,7 @@ def genericity_sentence(
     phi = syntax.canon(phi)
     blocks, conjunctions = [], {}
     for i, d in enumerate(dense):
-        dset = list(map(_condition, d))
+        dset = _conditions(d, p)
         if not _density(dset, p):
             raise BoolkitError(f"supplied set {i} is not dense")
         blocks.append(_meets(dset, conjunctions))

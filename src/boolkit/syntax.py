@@ -250,18 +250,23 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    """No quantifier in the tree; a shared and/or object is walked once."""
-    stack, seen = [f], set()
-    while stack:
+    """No quantifier in the tree; a shared and/or object is walked once, and
+    the answer is cached in the instance."""
+    cached = f.__dict__.get("_qf")
+    if cached is not None:
+        return cached
+    stack, seen, cached = [f], set(), True
+    while stack and cached:
         g = stack.pop()
         if isinstance(g, (Forall, Exists)):
-            return False
-        if isinstance(g, Not):
+            cached = False
+        elif isinstance(g, Not):
             stack.append(g.body)
         elif isinstance(g, (And, Or)) and id(g) not in seen:
             seen.add(id(g))
             stack.extend(g.children)
-    return True
+    object.__setattr__(f, "_qf", cached)
+    return cached
 
 
 def validate(f: Formula, sig: Signature) -> None:
@@ -600,6 +605,16 @@ def subsentences(psi: Formula, sig: Signature) -> frozenset:
         for combo in itertools.product(pool, repeat=len(fv)):
             out.add(canon(substitute(sub, dict(zip(fv, combo)))))
     return frozenset(out)
+
+
+def ground_atoms(sig: Signature) -> list:
+    """The atomic sentences over the signature, reflexive equalities
+    excluded: the equalities of sorted constants, then each relation's."""
+    consts = sorted(sig.constants)
+    atoms = [Eq(a, b) for a, b in itertools.combinations(consts, 2)]
+    for name, arity in sorted(sig.relations.items()):
+        atoms += [Atom(name, combo) for combo in itertools.product(consts, repeat=arity)]
+    return atoms
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,8 @@ def reference_validate_model(m, max_violations=1):
                 bad.append(("eq-table", a, c))
                 if len(bad) >= max_violations:
                     return report()
+    if bad:  # the scans below read the whole table
+        return report()
     for a in m.domain:
         if m.eq[(a, a)] != b.one:
             bad.append(("reflexivity", a))

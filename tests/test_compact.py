@@ -460,6 +460,51 @@ class TestReplay:
         assert replayed_refutations["replayed"] == before + 1
 
 
+# two base constants and one fresh one: a quantified sentence expands over
+# three constants, so a pair has few subsentences
+Q_SIG = Signature(relations={"P": 1}, base_constants={"a", "b"}, fresh_constants={"e"})
+VALID = [Exists(("?x",), Eq("?x", "a")), Forall(("?x",), Eq("?x", "?x"))]
+QUANTIFIED = VALID + [Forall(("?x",), Atom("P", ("?x",)))]
+
+
+@st.composite
+def conservativity_pairs(draw):
+    """(psi1, psi0, max_subset) over ``Q_SIG``, ground or quantified: psi1
+    is psi0 and one more conjunct, or a sentence of its own, or, where only
+    psi0 is quantified, psi0 less a valid quantified conjunct; max_subset
+    is between 1 and the number of psi0's subsentences."""
+    c = st.sampled_from(["a", "b", "e"])
+    leaf = st.one_of(st.builds(Eq, c, c), st.builds(lambda x: Atom("P", (x,)), c))
+    ground = st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.builds(Not, kids),
+            st.lists(kids, min_size=2, max_size=2).map(lambda cs: And(tuple(cs))),
+            st.lists(kids, min_size=2, max_size=2).map(lambda cs: Or(tuple(cs))),
+        ),
+        max_leaves=2,
+    )
+    sentence = st.one_of(ground, ground, st.sampled_from(QUANTIFIED))
+    shape = draw(st.sampled_from(["extra", "extra", "own", "split"]))
+    if shape == "split":
+        psi1 = draw(ground)
+        psi0 = And((draw(st.sampled_from(VALID)), psi1))
+    else:
+        psi0 = draw(sentence)
+        psi1 = And((psi0, draw(sentence))) if shape == "extra" else draw(sentence)
+    subs = syntax.subsentences(psi0, Q_SIG)
+    return psi1, psi0, draw(st.integers(1, len(subs)))
+
+
+# psi0-consistent sets are maximal at two of three subsentences, and psi1
+# refutes the one with the negated atom
+EXCLUDED_MIDDLE = (
+    And((Or((Atom("P", ("a",)), Not(Atom("P", ("a",))))), Atom("P", ("a",)))),
+    Or((Atom("P", ("a",)), Not(Atom("P", ("a",))))),
+    3,
+)
+
+
 class TestConservative:
     def test_identity(self):
         f = Or((Eq("a", "b"), Atom("R", ("a",))))
@@ -480,7 +525,11 @@ class TestConservative:
         report = is_conservative_strengthening(psi1, psi0, sig)
         assert report.entailment_ok
         assert not report.conservative
+        # psi1 refutes the maximal psi0-consistent set, which holds both
+        # disjuncts, so the ordered scan runs and names the first violation
         assert report.violating_subset == frozenset({Eq("c2", "c0")})
+        assert report.checked_subsets == 2
+        assert dataclasses.astuple(report) == reference_conservativity(psi1, psi0, sig)
 
     def test_fresh_tautology_conjunct_conservative(self):
         psi0 = Atom("R", ("a",))
@@ -504,6 +553,55 @@ class TestConservative:
         report = is_conservative_strengthening(psi1, psi0, sig)
         assert dataclasses.astuple(report) == reference_conservativity(psi1, psi0, sig)
         assert report.violating_subset == frozenset()
+
+    @settings(max_examples=100, deadline=None)
+    @given(conservativity_pairs())
+    @example(EXCLUDED_MIDDLE)
+    def test_reports_as_a_search_for_every_subset(self, case):
+        psi1, psi0, max_subset = case
+        budget = Budget(max_subset=max_subset)
+        report = is_conservative_strengthening(psi1, psi0, Q_SIG, budget)
+        assert dataclasses.astuple(report) == reference_conservativity(psi1, psi0, Q_SIG, budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(conservativity_pairs(), st.integers(2, 20))
+    def test_capped_reports_agree_when_decided(self, case, cap):
+        psi1, psi0, max_subset = case
+        capped = Budget(oracle_nodes=cap, max_subset=max_subset)
+        report = dataclasses.astuple(is_conservative_strengthening(psi1, psi0, Q_SIG, capped))
+        reference = reference_conservativity(psi1, psi0, Q_SIG, capped)
+        if not report[-1] and not reference[-1]:
+            assert report == reference
+        # a decided report is the uncapped one
+        if not report[-1]:
+            uncapped = Budget(max_subset=max_subset)
+            assert report == reference_conservativity(psi1, psi0, Q_SIG, uncapped)
+
+    def test_an_unknown_status_in_the_walk_falls_back_to_the_scan(self, monkeypatch):
+        # as if a capped search left {psi0, not P(a)} undecided: the walk
+        # cannot tell which sets are maximal, and the scan reports Unknown
+        psi1, psi0, _ = EXCLUDED_MIDDLE
+        undecided = {psi0, Not(Atom("P", ("a",)))}
+        status = OracleSession.status
+
+        def capped(self, theory, sig, require_qe=False):
+            if set(theory) == undecided:
+                return UNKNOWN
+            return status(self, theory, sig, require_qe)
+
+        monkeypatch.setattr(OracleSession, "status", capped)
+        report = is_conservative_strengthening(psi1, psi0, Q_SIG)
+        assert (report.conservative, report.unknown, report.checked_subsets) == (False, True, 3)
+
+    def test_a_refuted_target_agrees_on_every_subset(self):
+        psi0 = And((Eq("a", "b"), Not(Eq("a", "b"))))
+        psi1 = And((psi0, Atom("R", ("a",))))
+        session = OracleSession()
+        report = is_conservative_strengthening(psi1, psi0, SIG, session=session)
+        assert dataclasses.astuple(report) == reference_conservativity(psi1, psi0, SIG)
+        assert report.conservative and report.checked_subsets == 2 ** 3
+        # the entailment and psi0 alone; psi1 is asked about no subset
+        assert session.calls == 2
 
     def test_bounded_run_labelled(self):
         psi0 = Or((Eq("a", "b"), Atom("R", ("a",))))
@@ -842,14 +940,14 @@ class TestOracleSession:
     # sha256 over each demo's status queries in order, each with its answer:
     # a function of the theory, whatever witness or certificate a search finds
     DEMO_QUERIES = {
-        "B-c0c1-c0c1-c1c2": "53fa67b51569c8957588aa5d83a3cfda33791c90f0982738d04866671dce2d52",
-        "c0c1-c1c2-six": "235e8d77b3bda756af021a5777435e85e9c2d7bf344d34febc9b93b48d817715",
+        "B-c0c1-c0c1-c1c2": "7690f5378200479ce635f22123b733d5e2ba7b442bb794954534113ee71a23af",
+        "c0c1-c1c2-six": "8881c1c90e402aa96d444f3a50b813e8e9082a6fb2be0421ec01a16d7de773af",
     }
     # the demo's session counters: calls, status, refuted and hint hits,
     # searches and nodes
     DEMO_COUNTERS = {
-        "B-c0c1-c0c1-c1c2": (2780, 52, 15, 2689, 24, 129),
-        "c0c1-c1c2-six": (803, 27, 7, 738, 31, 173),
+        "B-c0c1-c0c1-c1c2": (2718, 36, 0, 2659, 23, 125),
+        "c0c1-c1c2-six": (773, 19, 0, 724, 30, 170),
     }
 
     @staticmethod

@@ -171,6 +171,13 @@ class TestDense:
         for raw in (frozenset({f}), [syntax.canon(f)], {f}):
             assert forcing._condition(raw) == canonical and forcing._condition(raw) is not raw
 
+    def test_a_dense_set_entry_that_is_a_condition_is_taken_as_it_is(self, poset):
+        f = Or((Eq("c1", "cw"), Eq("c0", "cw")))  # children out of rendering order
+        conditions = sorted(poset.conditions, key=forcing._condition_order)[:3]
+        out = forcing._conditions(conditions + [{f}, [syntax.canon(f)]], poset)
+        assert all(a is b for a, b in zip(out, conditions))
+        assert out[3:] == [frozenset({syntax.canon(f)})] * 2
+
     def test_empty_not_dense(self, poset):
         assert not is_dense([], poset).ok
 
@@ -377,6 +384,24 @@ class TestGenericitySentence:
 
 
 class TestGenericityConservativity:
+    def test_the_session_counters_on_the_four_constant_target(self):
+        # psi1 is asked only about the one maximal psi0-consistent set, all
+        # four subsentences, and its witness is rotated in from the walk
+        phi, sig = _target(*TARGETS[0])
+        p = _full_poset(phi, sig)
+        sentence = genericity_sentence(phi, _dense_sets(p), p)
+        session = compact.OracleSession()
+        report = is_conservative_strengthening(sentence, phi, sig, session=session)
+        assert (report.conservative, report.checked_subsets) == (True, 2 ** 4)
+        assert session.counters() == {
+            "calls": 18,
+            "status_hits": 8,
+            "refuted_hits": 0,
+            "hint_hits": 2,
+            "searches": 8,
+            "nodes": 26,
+        }
+
     @pytest.mark.parametrize("target", TARGETS, ids=[t[0] for t in TARGETS])
     def test_reports_match_a_search_for_every_subset(self, target, monkeypatch):
         phi, sig = _target(*target)

@@ -213,6 +213,14 @@ class TestQe:
         out = qe_transform(f, sig)
         assert isinstance(out, And) and len(out.children) == 4
 
+    def test_quantifier_free_is_walked_once_per_object(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            f = random_sentence(SIG, rng, 3)
+            expected = not any(isinstance(g, (Forall, Exists)) for g in syntax.subformulas(f))
+            assert syntax.is_quantifier_free(f) is expected
+            assert f.__dict__["_qf"] is expected and syntax.is_quantifier_free(f) is expected
+
     def test_output_quantifier_free(self):
         rng = random.Random(3)
         for _ in range(30):
