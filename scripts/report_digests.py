@@ -2,8 +2,11 @@
 and the sha256 of the report bytes, all under the default budget.
 
 The reports are ``conservative``, ``fincons`` and ``compact`` on the
-criterion-8 families, ``focompact`` on the criterion-10 theories, and
-``forcing build``, ``generic`` and ``model`` on the criterion-12 instances.
+criterion-8 families, ``focompact`` on the criterion-10 theories,
+``forcing build``, ``generic`` and ``model`` on the criterion-12 instances,
+and ``consprop-model`` on the saturated property of each criterion-7
+theory, followed by ``eval`` of each theory sentence and each member's
+conjunction on the model it builds.
 The instances come from ``tests/test_acceptance.py`` next to this script;
 ``--src`` picks the checkout whose ``boolkit`` is imported, so that two
 checkouts compare with ``diff``:
@@ -32,13 +35,14 @@ def main():
 
 
 def digests(work: Path):
-    from boolkit import cli, compact, forcing, syntax
+    from boolkit import cli, compact, consprop, forcing, syntax
     from boolkit.syntax import And
     from test_acceptance import (
         _compactness_families,
         _genericity_dense_sets,
         _genericity_instances,
         _ground_theories,
+        _model_existence_instances,
     )
 
     out = work / "report.json"
@@ -95,6 +99,18 @@ def digests(work: Path):
         paths = ["--poset", write("poset.json", poset), "--dense", write("dense.json", dense)]
         for sub in ("generic", "model"):
             report(f"forcing {sub}", dict(given, dense=dense["dense_sets"]), ["forcing", sub, *paths])
+
+    for sig, sentences in _model_existence_instances():
+        doc = consprop.saturate_theory(sentences, sig).to_json()
+        path = write("consprop.json", doc)
+        text = report("consprop-model", doc, ["consprop-model", "--consprop", path])
+        model = write("model.json", json.loads(text)["model"])
+        paths = ["--model", model, "--sig", write("sig.json", sig.to_json())]
+        conjunctions = [And(tuple(syntax.parse(t, sig) for t in s)) for s in doc["members"]]
+        for f in [*sentences, *conjunctions]:
+            formula = syntax.render(f)
+            given = dict(theory(sig, sentences), formula=formula)
+            report("eval", given, ["eval", *paths, "--formula", formula])
 
 
 if __name__ == "__main__":

@@ -179,11 +179,16 @@ def eval_formula(
     disjunction join, quantifier blocks meet/join over domain tuples; the
     empty conjunction is 1 and the empty disjunction 0.
 
-    A closed conjunction or disjunction met again as the same object is
-    evaluated once, so ``max_steps`` counts a shared closed node once (each
-    further occurrence is one step); with a variable bound nothing is shared.
-    Raises on unbound free variables, uninterpreted constants, or when the
-    quantifier blow-up exceeds ``max_steps``.
+    ``max_steps`` counts only the nodes evaluated.  A conjunction stops at
+    the first child that brings its meet to 0, and a disjunction at the
+    first that brings its join to 1; the children after that are not
+    evaluated, so an unbound variable or uninterpreted constant in one of
+    them raises nothing.  A closed conjunction or disjunction met again as
+    the same object is evaluated once, so ``max_steps`` counts a shared
+    closed node once (each further occurrence is one step); with a variable
+    bound nothing is shared.  Quantifier blocks range over every domain
+    tuple.  Raises on an unbound free variable or uninterpreted constant
+    that is evaluated, or when the quantifier blow-up exceeds ``max_steps``.
     """
     counter = _Counter(max_steps)
     env = dict(assignment or {})
@@ -212,14 +217,19 @@ def _eval(m, f, env, counter) -> int:
     if isinstance(f, (And, Or)):
         if not env and id(f) in counter.memo:
             return counter.memo[id(f)]
+        # a meet stops at 0 and a join at 1: no later child can change it
         if isinstance(f, And):
-            out = b.one
+            out, stop = b.one, b.zero
             for c in f.children:
                 out &= _eval(m, c, env, counter)
+                if out == stop:
+                    break
         else:
-            out = b.zero
+            out, stop = b.zero, b.one
             for c in f.children:
                 out |= _eval(m, c, env, counter)
+                if out == stop:
+                    break
         if not env:
             counter.memo[id(f)] = out
         return out
@@ -445,25 +455,6 @@ def random_model(
     return BValuedModel(b, domain, eq, rel, consts)
 
 
-def random_model_with_qe(
-    sig: Signature,
-    rng: random.Random,
-    max_atoms: int = 3,
-) -> BValuedModel:
-    """Like random_model, but the fresh constants surject onto the domain, so
-    the quantifier-elimination axiom gets value 1."""
-    fresh = sorted(sig.fresh_constants)
-    if not fresh:
-        raise BoolkitError("signature has no fresh constants")
-    m = random_model(sig, rng, max_atoms=max_atoms, max_domain=len(fresh))
-    consts = dict(m.consts)
-    shuffled = list(m.domain)
-    rng.shuffle(shuffled)
-    for i, c in enumerate(fresh):
-        consts[c] = shuffled[i % len(shuffled)]
-    return BValuedModel(m.algebra, m.domain, m.eq, m.rel, consts)
-
-
 def bits_to_string(x: int, atom_count: int) -> str:
     return "".join("1" if x >> i & 1 else "0" for i in range(atom_count))
 
@@ -519,43 +510,6 @@ def model_from_json(doc: dict, check: bool = True) -> BValuedModel:
         rel[name] = table
     consts = dict(doc.get("consts", {}))
     return BValuedModel(algebra, domain, eq, rel, consts, check)
-
-
-def sentence_catalog(sig: Signature, depth: int = 3, limit: int = 60) -> list:
-    """A deterministic catalog of sentences over the signature, grown to the
-    requested connective depth.  Used by the fullness checker and the
-    quotient agreement tests."""
-    consts = sorted(sig.constants)
-    atoms = []
-    for c in consts[:3]:
-        for d in consts[:3]:
-            atoms.append(Eq(c, d))
-    for name, arity in sorted(sig.relations.items()):
-        for combo in itertools.product(consts[:2], repeat=arity):
-            atoms.append(Atom(name, combo))
-    catalog = list(atoms[:limit])
-    layer = list(catalog)
-    for _ in range(depth - 1):
-        new_layer = []
-        for i, f in enumerate(layer):
-            new_layer.append(Not(f))
-            if i + 1 < len(layer):
-                new_layer.append(And((f, layer[i + 1])))
-                new_layer.append(Or((f, layer[i + 1])))
-        layer = new_layer[: max(4, limit // 4)]
-        catalog.extend(layer)
-    x = "?x"
-    quantified = []
-    for c in consts[:2]:
-        quantified.append(Exists((x,), Eq(x, c)))
-        quantified.append(Forall((x,), Or((Eq(x, c), Not(Eq(x, c))))))
-    for name, arity in sorted(sig.relations.items()):
-        if arity >= 1:
-            args = (x,) + tuple(consts[:1] * (arity - 1))
-            quantified.append(Exists((x,), Atom(name, args)))
-            quantified.append(Forall((x,), Not(Atom(name, args))))
-    catalog.extend(quantified)
-    return catalog[:limit]
 
 
 def existential_catalog(sig: Signature, limit: int = 12) -> list:

@@ -444,11 +444,15 @@ class OracleSession:
 
     Every searched Consistent result is built into a two-valued witness,
     validated, and checked against each sentence; it then serves later
-    status queries.  Every Inconsistent status goes back to a certified
-    search on a subset.  So a witness or a refuted subset can decide a set
-    that a search under the session's node cap would leave Unknown: a
-    ``verdict`` is a function of (theory, signature, budget), but a
-    ``status`` also depends on what the session was asked before.
+    status queries.  Both checks evaluate the sentence's Formula objects
+    with ``bvmodel``, which stops a conjunction at its first false conjunct
+    and a disjunction at its first true one, so a check of a large sentence
+    (a genericity sentence) walks only the part that decides it.  Every
+    Inconsistent status goes back to a certified search on a subset.  So a
+    witness or a refuted subset can decide a set that a search under the
+    session's node cap would leave Unknown: a ``verdict`` is a function of
+    (theory, signature, budget), but a ``status`` also depends on what the
+    session was asked before.
 
     The counters are plain integers: ``calls``, ``status_hits``,
     ``refuted_hits``, ``hint_hits`` (witnesses), ``searches`` and the

@@ -125,8 +125,59 @@ def random_sentence(sig, rng, depth):
     return f
 
 
+def random_model_with_qe(sig, rng, max_atoms=3):
+    """Like ``bvmodel.random_model``, but the fresh constants surject onto
+    the domain, so the quantifier-elimination axiom gets value 1."""
+    fresh = sorted(sig.fresh_constants)
+    if not fresh:
+        raise BoolkitError("signature has no fresh constants")
+    m = bvmodel.random_model(sig, rng, max_atoms=max_atoms, max_domain=len(fresh))
+    consts = dict(m.consts)
+    shuffled = list(m.domain)
+    rng.shuffle(shuffled)
+    for i, c in enumerate(fresh):
+        consts[c] = shuffled[i % len(shuffled)]
+    return BValuedModel(m.algebra, m.domain, m.eq, m.rel, consts)
+
+
+def sentence_catalog(sig, depth=3, limit=60):
+    """A deterministic catalog of sentences over the signature, grown to the
+    requested connective depth, for the quotient agreement tests."""
+    consts = sorted(sig.constants)
+    atoms = []
+    for c in consts[:3]:
+        for d in consts[:3]:
+            atoms.append(Eq(c, d))
+    for name, arity in sorted(sig.relations.items()):
+        for combo in itertools.product(consts[:2], repeat=arity):
+            atoms.append(Atom(name, combo))
+    catalog = list(atoms[:limit])
+    layer = list(catalog)
+    for _ in range(depth - 1):
+        new_layer = []
+        for i, f in enumerate(layer):
+            new_layer.append(Not(f))
+            if i + 1 < len(layer):
+                new_layer.append(And((f, layer[i + 1])))
+                new_layer.append(Or((f, layer[i + 1])))
+        layer = new_layer[: max(4, limit // 4)]
+        catalog.extend(layer)
+    x = "?x"
+    quantified = []
+    for c in consts[:2]:
+        quantified.append(Exists((x,), Eq(x, c)))
+        quantified.append(Forall((x,), Or((Eq(x, c), Not(Eq(x, c))))))
+    for name, arity in sorted(sig.relations.items()):
+        if arity >= 1:
+            args = (x,) + tuple(consts[:1] * (arity - 1))
+            quantified.append(Exists((x,), Atom(name, args)))
+            quantified.append(Forall((x,), Not(Atom(name, args))))
+    catalog.extend(quantified)
+    return catalog[:limit]
+
+
 # ---------------------------------------------------------------------------
-# independent classical evaluator (two-valued reference)
+# independent evaluators (two-valued and B-valued references)
 
 
 def classical_eval(m, f, env=None):
@@ -154,6 +205,32 @@ def classical_eval(m, f, env=None):
             for combo in combos
         )
         return all(results) if isinstance(f, Forall) else any(results)
+    raise TypeError(f)
+
+
+def reference_bvalue(m, f, env=None):
+    """Boolean value by a full walk: every child of every conjunction and
+    disjunction is evaluated, with no memo and no early exit."""
+    env = env or {}
+    b = m.algebra
+
+    def term(t):
+        return env[t] if syntax.is_var(t) else m.consts[t]
+
+    if isinstance(f, Eq):
+        return m.eq[(term(f.left), term(f.right))]
+    if isinstance(f, Atom):
+        return m.rel[f.rel][tuple(term(t) for t in f.args)]
+    if isinstance(f, Not):
+        return b.complement(reference_bvalue(m, f.body, env))
+    if isinstance(f, And):
+        return b.meet_all([reference_bvalue(m, c, env) for c in f.children])
+    if isinstance(f, Or):
+        return b.join_all([reference_bvalue(m, c, env) for c in f.children])
+    if isinstance(f, (Forall, Exists)):
+        combos = itertools.product(m.domain, repeat=len(f.vars))
+        values = [reference_bvalue(m, f.body, {**env, **dict(zip(f.vars, c))}) for c in combos]
+        return b.meet_all(values) if isinstance(f, Forall) else b.join_all(values)
     raise TypeError(f)
 
 

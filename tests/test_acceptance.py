@@ -14,8 +14,6 @@ from boolkit.bvmodel import (
     mixing_witness_catalog,
     quotient_model,
     random_model,
-    random_model_with_qe,
-    sentence_catalog,
 )
 from boolkit.compact import (
     CONSISTENT,
@@ -42,7 +40,12 @@ from boolkit.forcing import (
 )
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Theory
 
-from conftest import classical_eval, random_sentence
+from conftest import (
+    classical_eval,
+    random_model_with_qe,
+    random_sentence,
+    sentence_catalog,
+)
 from test_proofs import mutations, proof_corpus
 
 SIG = Signature(relations={"R": 1}, base_constants={"c0", "c1"}, fresh_constants={"e0"})

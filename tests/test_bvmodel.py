@@ -24,14 +24,19 @@ from boolkit.bvmodel import (
     model_to_json,
     quotient_model,
     random_model,
-    random_model_with_qe,
-    sentence_catalog,
     validate_model,
 )
 from boolkit.errors import BoolkitError, ResourceBudgetError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
-from conftest import classical_eval, random_sentence, reference_validate_model
+from conftest import (
+    classical_eval,
+    random_model_with_qe,
+    random_sentence,
+    reference_bvalue,
+    reference_validate_model,
+    sentence_catalog,
+)
 
 SIG = Signature(relations={"R": 1}, base_constants={"c0", "c1"}, fresh_constants={"e0"})
 
@@ -169,15 +174,42 @@ class TestEval:
 
     def test_a_shared_closed_node_costs_its_steps_once(self):
         m = two_valued_identity_model(SIG)
-        shared = Or((Eq("c0", "c1"), Atom("R", ("c0",))))  # 3 steps
-        f = And((shared, Not(shared), shared))  # 1 + 3 + (1 + 1) + 1
+        # every disjunct is false, so no join stops early
+        shared = Or((Atom("R", ("c0",)), Not(Eq("c0", "c1"))))  # 1 + 1 + 2 steps
+        f = Or((shared, Not(Not(shared)), shared))  # 1 + 4 + (1 + 1 + 1) + 1
         copy = syntax.parse(syntax.render(f), SIG)  # the same tree, nothing shared
-        assert eval_formula(m, f, max_steps=7) == eval_formula(m, copy) == 0
+        assert eval_formula(m, f, max_steps=9) == eval_formula(m, copy) == 0
         with pytest.raises(ResourceBudgetError):
-            eval_formula(m, f, max_steps=6)
+            eval_formula(m, f, max_steps=8)
         with pytest.raises(ResourceBudgetError):
-            eval_formula(m, copy, max_steps=7)
+            eval_formula(m, copy, max_steps=9)
         assert "counts a shared closed node once" in " ".join(eval_formula.__doc__.split())
+
+    def test_a_meet_stops_at_zero_and_a_join_at_one(self):
+        m = two_valued_identity_model(SIG)
+        never = Eq("?x", "c9")  # unbound and uninterpreted: raises when evaluated
+        with pytest.raises(BoolkitError):
+            eval_formula(m, And((Eq("c0", "c1"), never)))
+        for f, value in ((And((Atom("R", ("c0",)), never)), 0), (Or((Eq("c0", "c1"), never)), 1)):
+            assert eval_formula(m, f, max_steps=2) == value
+            with pytest.raises(ResourceBudgetError):
+                eval_formula(m, f, max_steps=1)
+
+    def test_agrees_with_a_full_walk(self):
+        # random multi-atom models, and sentences whose and/or objects recur
+        rng = random.Random(16)
+        for _ in range(150):
+            m = random_model(SIG, rng, max_atoms=3)
+            pool = [random_sentence(SIG, rng, 3) for _ in range(3)]
+            for _ in range(5):
+                kind = rng.choice((And, Or, Not))
+                if kind is Not:
+                    pool.append(Not(rng.choice(pool)))
+                else:
+                    pool.append(kind(tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))))
+            pool.append(Forall(("?q",), Or((pool[-1], Eq("?q", "c0"), pool[-1]))))
+            for f in pool:
+                assert eval_formula(m, f) == reference_bvalue(m, f), syntax.render(f)
 
     def test_under_a_quantifier_a_shared_node_is_evaluated_per_assignment(self):
         m = bvmodel.two_valued_model(["c0", "c1", "e0"], {"R": 1}, [Atom("R", ("c1",))])
