@@ -4,10 +4,14 @@ and the sha256 of the report bytes, all under the default budget.
 The reports are ``conservative``, ``fincons`` and ``compact`` on the
 criterion-8 families, ``focompact`` on the criterion-10 theories,
 ``forcing build``, ``generic`` and ``model`` on the criterion-12 instances,
-and ``consprop-model`` on the saturated property of each criterion-7
+``consprop-model`` on the saturated property of each criterion-7
 theory, followed by ``eval`` of each theory sentence and each member's
-conjunction on the model it builds.
-The instances come from ``tests/test_acceptance.py`` next to this script;
+conjunction on the model it builds, and ``oracle``, with and without
+``--require-qe``, on the criterion-10 theories, the pigeonhole PHP(3..6),
+the faicom families for n = 2..6, whole and less each sentence, and the
+quantified sentences over ``Q_SIG``, one by one and together.
+The instances come from ``tests/test_acceptance.py`` and
+``tests/test_compact.py`` next to this script;
 ``--src`` picks the checkout whose ``boolkit`` is imported, so that two
 checkouts compare with ``diff``:
 
@@ -44,6 +48,7 @@ def digests(work: Path):
         _ground_theories,
         _model_existence_instances,
     )
+    from test_compact import Q_SIG, QUANTIFIED, pigeonhole
 
     out = work / "report.json"
 
@@ -111,6 +116,19 @@ def digests(work: Path):
             formula = syntax.render(f)
             given = dict(theory(sig, sentences), formula=formula)
             report("eval", given, ["eval", *paths, "--formula", formula])
+
+    theories = [(sig, list(sentences)) for sig, sentences in _ground_theories()]
+    theories += [(sig, sentences) for sentences, sig in map(pigeonhole, range(3, 7))]
+    for n in range(2, 7):
+        family = list(compact.faicom_family(n))
+        sig = compact.faicom_signature(n)
+        theories += [(sig, family)] + [(sig, family[:i] + family[i + 1:]) for i in range(n + 1)]
+    theories += [(Q_SIG, [f]) for f in QUANTIFIED] + [(Q_SIG, QUANTIFIED)]
+    for sig, sentences in theories:
+        doc = theory(sig, sentences)
+        path = write("theory.json", doc)
+        for flags in ([], ["--require-qe"]):
+            report("oracle", dict(doc, require_qe=bool(flags)), ["oracle", "--theory", path, *flags])
 
 
 if __name__ == "__main__":

@@ -87,9 +87,6 @@ class FiniteBooleanAlgebra:
         yield from extend([], 0, max_size)
 
 
-TWO = FiniteBooleanAlgebra(1)
-
-
 @dataclass(frozen=True)
 class Filter:
     """A filter on a finite algebra, stored by its principal generator

@@ -125,6 +125,17 @@ def _model(args, check: bool = True) -> bvmodel.BValuedModel:
         raise UsageError(f"{args.model}: {exc}") from exc
 
 
+def _check_model(m: bvmodel.BValuedModel, formulas) -> None:
+    """Raise UsageError unless the model interprets every constant, and every
+    relation at its arity, of the formulas about to be evaluated on it."""
+    try:
+        own = _model_signature(m)
+        for f in formulas:
+            syntax.validate(f, own)
+    except SignatureError as exc:
+        raise UsageError(f"the model does not interpret the formulas: {exc}") from exc
+
+
 def _report(args, config: RunConfig, body: dict, code: int) -> int:
     doc = {"command": args.command, "version": __version__, "config": config.to_json()}
     doc.update(body)
@@ -179,9 +190,7 @@ def _cmd_eval(args, config):
     unbound = syntax.free_vars(f) - set(assignment)
     if unbound:
         raise UsageError(f"--assignment must bind the free variables {' '.join(sorted(unbound))}")
-    uninterpreted = syntax.constants_of(f) - set(m.consts)
-    if uninterpreted:
-        raise UsageError(f"the model interprets no constant {' '.join(sorted(uninterpreted))}")
+    _check_model(m, [f])
     value = bvmodel.eval_formula(m, f, assignment, max_steps=config.budget.eval_steps)
     body = {
         "value": bvmodel.bits_to_string(value, m.algebra.atom_count),
@@ -254,6 +263,7 @@ def _cmd_fullness(args, config):
     sig = _signature(args) if args.sig else _model_signature(m)
     catalog = bvmodel.existential_catalog(sig)
     catalog += bvmodel.mixing_witness_catalog(min(m.algebra.atom_count, 3))
+    _check_model(m, catalog)
     verdict = bvmodel.check_fullness(m, catalog)
     body = {"ok": verdict.ok, "catalog_size": len(catalog)}
     if not verdict.ok:
@@ -383,6 +393,7 @@ def _cmd_compact(args, config):
 def _cmd_star(args, config):
     theory, sig = _theory(args.theory, args)
     m = _model(args)
+    _check_model(m, [g for f in theory for g in syntax.subsentences(f, sig)])
     stars = compact.star_theory(m, list(theory), sig)
     family = compact.conjunction_closure(stars)
     body = {

@@ -18,7 +18,8 @@ from typing import Iterable, Optional
 
 from . import bvmodel, syntax
 from .balg import bit_positions, ultrafilters
-from .errors import BoolkitError, ConstructionFailure
+from .certify import prepare_ground, replay_certificate  # noqa: F401 (re-exported)
+from .errors import BoolkitError, ConstructionFailure, SignatureError
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
 
 
@@ -54,12 +55,6 @@ class OracleVerdict:
 
     def __bool__(self):
         return self.status == CONSISTENT
-
-
-def _sentences(theory) -> list:
-    if isinstance(theory, Theory):
-        return list(theory.sentences)
-    return list(theory)
 
 
 def kept_subsets(universe, keep, max_size: Optional[int] = None):
@@ -376,10 +371,10 @@ class _Ground:
     def prepare(self, theory, require_qe: bool) -> tuple:
         """The numbers of the theory's ground sentences as a tuple, and
         whether the fresh-constant reduction applied (see
-        ``prepare_ground``)."""
+        ``certify.prepare_ground``, which this reduction must match)."""
         sig = self.sig
         entries = []
-        for f in _sentences(theory):
+        for f in theory:
             entry = self.prepared.get(id(f))
             if entry is None or entry[0] is not f:
                 c = syntax.canon(f)
@@ -390,17 +385,13 @@ class _Ground:
         if not quantified and not require_qe:
             return tuple(entry[1] for entry in entries), False
         if quantified and not sig.fresh_constants:
-            raise BoolkitError("quantified input needs a nonempty fresh-constant pool")
+            raise SignatureError("quantified input needs a nonempty fresh-constant pool")
         for entry in entries:
             if entry[3] is None:
                 ground = syntax.qe_transform(self.sentences[entry[1]], sig)
                 entry[3] = self.number(syntax.canon(ground))
         if self.naming is None:
-            fresh = sorted(sig.fresh_constants)
-            self.naming = tuple(
-                self.number(syntax.canonical(Or, (Eq(c, d) for c in fresh)))
-                for d in (sorted(sig.base_constants) if fresh else ())
-            )
+            self.naming = tuple(map(self.number, syntax.naming_constraints(sig)))
         return tuple(entry[3] for entry in entries) + self.naming, True
 
 
@@ -409,20 +400,6 @@ def _mask(numbers) -> int:
     for n in numbers:
         mask |= 1 << n
     return mask
-
-
-def prepare_ground(theory, sig: Signature, require_qe: bool = False) -> tuple:
-    """Reduce a theory to ground sentences.
-
-    Returns (sentences, qe_applied).  Quantified sentences are replaced by
-    their fresh-constant transforms; whenever any transform happens (or the
-    caller demands it) the naming constraints "every base constant equals
-    some fresh constant" are appended, which makes the reduction exact for
-    witnesses generated by the constants.
-    """
-    ground = _Ground(sig)
-    numbers, qe_applied = ground.prepare(theory, require_qe)
-    return [ground.sentences[n] for n in numbers], qe_applied
 
 
 class OracleSession:
@@ -484,7 +461,7 @@ class OracleSession:
         """The full verdict of a search on the theory, sentences in order."""
         self.calls += 1
         ground = self._ground(sig)
-        return self._search(ground, ground.prepare(theory, require_qe)[0], keep=True)
+        return self._search(ground, ground.prepare(theory, require_qe)[0])
 
     def status(self, theory, sig: Signature, require_qe: bool = False) -> str:
         """The status of the theory's sentence set."""
@@ -517,11 +494,11 @@ class OracleSession:
                 ground.statuses[key] = CONSISTENT
                 ground.witnesses[key] = witness
                 return CONSISTENT
-        return self._search(ground, numbers, keep=True).status
+        return self._search(ground, numbers).status
 
-    def _search(self, ground: _Ground, numbers: tuple, keep: bool = False) -> OracleVerdict:
-        """Search on the numbered sentences, in order; with ``keep``, record
-        the set's status and witness under its mask."""
+    def _search(self, ground: _Ground, numbers: tuple) -> OracleVerdict:
+        """Search on the numbered sentences, in order, and record the set's
+        status and witness under its mask."""
         sentences = [ground.sentences[n] for n in numbers]
         self.searches += 1
         cap = self.budget.oracle_nodes
@@ -547,11 +524,10 @@ class OracleSession:
             else:
                 verdict = OracleVerdict(INCONSISTENT, certificate=certificate, budget_used=nodes)
         self.nodes += verdict.budget_used
-        if keep:
-            key = _mask(numbers)
-            ground.statuses.setdefault(key, verdict.status)
-            if verdict.witness is not None:
-                ground.witnesses.setdefault(key, verdict.witness)
+        key = _mask(numbers)
+        ground.statuses.setdefault(key, verdict.status)
+        if verdict.witness is not None:
+            ground.witnesses.setdefault(key, verdict.witness)
         return verdict
 
 
@@ -570,11 +546,10 @@ def consistency_oracle(
     a replayable refutation trace; Unknown arises only from budget
     exhaustion.
 
-    One search on a fresh session, with nothing kept; a run that asks many
-    questions shares one ``OracleSession`` instead.
+    One ``verdict`` on a fresh session; a run that asks many questions
+    shares one ``OracleSession`` instead.
     """
-    ground = _Ground(sig)
-    return OracleSession(budget)._search(ground, ground.prepare(theory, require_qe)[0])
+    return OracleSession(budget).verdict(theory, sig, require_qe)
 
 
 def _session(budget: Optional[Budget], session: Optional[OracleSession]) -> OracleSession:
@@ -585,110 +560,6 @@ def _session(budget: Optional[Budget], session: Optional[OracleSession]) -> Orac
     if budget is not None:
         raise TypeError("pass a budget or a session, not both")
     return session
-
-
-def replay_certificate(certificate, theory, sig: Signature, require_qe: bool = False) -> bool:
-    """Check a refutation trace on its own; True when every leaf closes.
-
-    A node ``{"atom": key, "true": node, "false": node}`` splits on an atom
-    not yet on the path.  A leaf ``{"conflict": {"kind": ...}}`` closes when
-    the path clashes under congruence (``eq-closure``: a disequality inside
-    one class; ``rel-congruence``: a relation atom both true and false on
-    one tuple of classes), or, for kind ``sentence``, when the ground
-    sentence at ``index`` is strong-Kleene false on the path, hence in every
-    completion.  The checker has its own union-find, evaluator and atom
-    parse, and returns False for anything malformed.
-    """
-    sentences, _ = prepare_ground(theory, sig, require_qe=require_qe)
-    constants = sig.constants
-
-    def declared(names):
-        return all(isinstance(c, str) and c in constants for c in names)
-
-    def parse(atom):
-        """The path key of a certificate atom, or None when malformed."""
-        if not isinstance(atom, (list, tuple)) or len(atom) != 3:
-            return None
-        kind, x, y = atom
-        if kind == "eq" and declared((x, y)):
-            return ("eq", *sorted((x, y)))
-        if kind == "rel" and isinstance(y, (list, tuple)) and declared(y):
-            if isinstance(x, str) and sig.relations.get(x) == len(y):
-                return ("rel", x, tuple(y))
-        return None
-
-    def closes(conflict, path):
-        if not isinstance(conflict, dict):
-            return False
-        parent = {}
-
-        def find(c):
-            while c in parent:
-                c = parent[c]
-            return c
-
-        for key, truth in path.items():
-            if key[0] == "eq" and truth and find(key[1]) != find(key[2]):
-                parent[find(key[2])] = find(key[1])
-        diseq, rel_true, rel_false, clashes = set(), set(), set(), []
-        for key, truth in path.items():
-            if key[0] == "rel":
-                (rel_true if truth else rel_false).add((key[1], tuple(map(find, key[2]))))
-            elif not truth:
-                pair = frozenset((find(key[1]), find(key[2])))
-                if len(pair) == 1:
-                    clashes.append("eq-closure")
-                diseq.add(pair)
-        if rel_true & rel_false:
-            clashes.append("rel-congruence")
-
-        def kleene(f):
-            """Strong Kleene value on the path: True, False or None."""
-            if isinstance(f, Eq):
-                pair = frozenset((find(f.left), find(f.right)))
-                return True if len(pair) == 1 else (False if pair in diseq else None)
-            if isinstance(f, Atom):
-                canon = (f.rel, tuple(map(find, f.args)))
-                return True if canon in rel_true else (False if canon in rel_false else None)
-            if isinstance(f, Not):
-                v = kleene(f.body)
-                return None if v is None else not v
-            if isinstance(f, (And, Or)):
-                values = [kleene(child) for child in f.children]
-                decisive = isinstance(f, Or)
-                if decisive in values:
-                    return decisive
-                return None if None in values else not decisive
-            return None
-
-        if conflict.get("kind") == "sentence":
-            index = conflict.get("index")
-            in_range = type(index) is int and 0 <= index < len(sentences)
-            return in_range and kleene(sentences[index]) is False
-        return conflict.get("kind") in clashes
-
-    # depth first; each entry carries the path length above it, and every
-    # split puts a new atom on the path, so the walk ends
-    path = {}
-    stack = [(certificate, 0, None, None)]
-    while stack:
-        node, depth, key, truth = stack.pop()
-        while len(path) > depth:
-            path.popitem()
-        if key is not None:
-            path[key] = truth
-        if not isinstance(node, dict):
-            return False
-        if "conflict" in node:
-            if not closes(node["conflict"], path):
-                return False
-            continue
-        key = parse(node.get("atom"))
-        if key is None or key in path:
-            return False
-        stack.append((node.get("false"), len(path), key, False))
-        stack.append((node.get("true"), len(path), key, True))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +708,7 @@ def is_finitely_conservative(
     """Check the three requirements: a consistent member, closure under
     finite conjunctions (membership up to flattening and conjunct order),
     and conservativity of every conjunction over each of its conjuncts."""
-    members = [syntax.canon(f) for f in _sentences(family)]
+    members = [syntax.canon(f) for f in family]
     if not members:
         return FiniteConservativityVerdict(False, "empty family")
     keys = {syntax.conjunction_key(f): f for f in members}
@@ -889,13 +760,13 @@ def is_finitely_conservative(
 
 
 def big_conjunction(family: Iterable[Formula]) -> Formula:
-    return syntax.canonical(And, {syntax.canon(f) for f in _sentences(family)})
+    return syntax.canonical(And, {syntax.canon(f) for f in family})
 
 
 def base_generators(family) -> list:
     """Recover a minimal generating set: members whose conjunct set is not
     the union of strictly smaller members' conjunct sets."""
-    members = [syntax.canon(f) for f in _sentences(family)]
+    members = [syntax.canon(f) for f in family]
     base = []
     for m in sorted(members, key=lambda f: (len(syntax.conjunction_key(f)), syntax.render(f))):
         mkey = syntax.conjunction_key(m)
@@ -929,7 +800,7 @@ def materialize_compactness_property(
     """
     from . import consprop
 
-    members = [syntax.canon(f) for f in _sentences(family)]
+    members = [syntax.canon(f) for f in family]
     gens = base_generators(members)
     psi = syntax.canonical(And, gens)
     drop_keys = {syntax.conjunction_key(m) for m in members}
@@ -1048,7 +919,7 @@ def compactness_run(
     """
     from . import consprop
 
-    members = [syntax.canon(f) for f in _sentences(family)]
+    members = [syntax.canon(f) for f in family]
     session = _session(budget, session)
     budget = session.budget
     fincons = is_finitely_conservative(members, sig, session=session)
@@ -1084,7 +955,7 @@ def star_theory(
     if m.algebra.atom_count != 1:
         raise BoolkitError("star_theory needs a two-valued model")
     out = []
-    for phi in _sentences(generators):
+    for phi in generators:
         phi = syntax.canon(phi)
         if not bvmodel.holds(m, phi):
             raise BoolkitError(f"generator is false in the model: {syntax.render(phi)}")
@@ -1105,7 +976,7 @@ def lindenbaum_complete(
     """Greedy completion of a consistent ground theory over the finite atom
     space: each atom is added positively when consistent, negatively
     otherwise."""
-    current = [syntax.canon(f) for f in _sentences(theory)]
+    current = [syntax.canon(f) for f in theory]
     session = _session(budget, session)
     if session.status(current, sig) != CONSISTENT:
         raise BoolkitError("cannot complete an inconsistent theory")
@@ -1118,7 +989,6 @@ def first_order_compactness_demo(
     theory,
     sig: Signature,
     budget: Budget = DEFAULT_BUDGET,
-    completion_atom_cap: int = 3,
 ) -> bvmodel.BValuedModel:
     """Route a finitely consistent ground theory through the compactness
     pipeline and return a Tarski model of it.
@@ -1126,11 +996,11 @@ def first_order_compactness_demo(
     The theory is Lindenbaum-completed, turned into a star family read off
     the completion's witness, run through compactness_run, and collapsed by
     an ultrafilter quotient.  The mixing completion step is performed
-    literally when the algebra is small; for larger algebras the quotient is
-    taken directly, which yields the same model up to isomorphism because the
-    original model embeds in its completion with the same atomic values.
+    literally when the algebra has at most 3 atoms; for larger algebras the
+    quotient is taken directly, which yields the same model up to
+    isomorphism because the original model embeds in its completion with the same atomic values.
     """
-    sentences = [syntax.canon(f) for f in _sentences(theory)]
+    sentences = [syntax.canon(f) for f in theory]
     session = OracleSession(budget)
     if session.status(sentences, sig) != CONSISTENT:
         subset = _minimal_inconsistent_subset(sentences, sig, session)
@@ -1146,7 +1016,7 @@ def first_order_compactness_demo(
     family = conjunction_closure(stars)
     result = compactness_run(family, sig, session=session)
     model = result.model
-    if model.algebra.atom_count <= completion_atom_cap:
+    if model.algebra.atom_count <= 3:
         model = bvmodel.mixing_completion(model)
     quotient = bvmodel.quotient_model(model, ultrafilters(model.algebra)[0])
     for f in sentences:

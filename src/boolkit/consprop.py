@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from . import bvmodel, compact, syntax
 from .balg import Poset, bit_positions, holder_masks, ro_completion
 from .errors import BoolkitError, ConstructionFailure
-from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Theory
+from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature
 
 
 def _canonical_sentence(f: Formula) -> Optional[Formula]:
@@ -330,7 +330,7 @@ def closure_universe(theory, sig: Signature, bound: int = 64) -> list:
     its negation), closed under the clause steps and under substitution
     recolorings.
     """
-    sentences = list(theory.sentences if isinstance(theory, Theory) else theory)
+    sentences = list(theory)
     consts = sorted(sig.constants)
     seeds = [sub for phi in sentences for sub in syntax.subsentences(phi, sig)]
     for c, d in itertools.permutations(consts, 2):
@@ -362,7 +362,7 @@ def saturate_theory(
 
     When the theory itself is inconsistent the result is the empty family.
     """
-    base = list(theory.sentences if isinstance(theory, Theory) else theory)
+    base = list(theory)
     session = compact.OracleSession(budget)
 
     def consistent(subset) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -75,17 +76,6 @@ def _fail(path, reason):
     return ProofVerdict(False, tuple(path), reason)
 
 
-def _sequent_key(seq: Sequent):
-    return (
-        tuple(sorted(syntax.render(f) for f in seq.left)),
-        tuple(sorted(syntax.render(f) for f in seq.right)),
-    )
-
-
-def _is_constant_term(t):
-    return not syntax.is_var(t)
-
-
 def _substitute_side(side, binding):
     return frozenset(syntax.canon(syntax.substitute(f, binding)) for f in side)
 
@@ -109,7 +99,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         if len(seq.right) != 1:
             return _fail(path, "eq-axiom-1 has a single conclusion formula")
         (f,) = seq.right
-        if not (isinstance(f, Eq) and f.left == f.right and _is_constant_term(f.left)):
+        if not (isinstance(f, Eq) and f.left == f.right and not syntax.is_var(f.left)):
             return _fail(path, "eq-axiom-1 concludes c=c")
         return None
 
@@ -123,8 +113,8 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
             and isinstance(g, Eq)
             and f.left == g.right
             and f.right == g.left
-            and _is_constant_term(f.left)
-            and _is_constant_term(f.right)
+            and not syntax.is_var(f.left)
+            and not syntax.is_var(f.right)
         ):
             return _fail(path, "eq-axiom-2 is c=d |- d=c")
         return None
@@ -155,7 +145,7 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
             return _fail(path, "eq-axiom-4 needs data: formula and (u, t) pairs")
         mapping = {}
         for u, t in pairs:
-            if not (_is_constant_term(u) and _is_constant_term(t)):
+            if syntax.is_var(u) or syntax.is_var(t):
                 return _fail(path, "eq-axiom-4 pairs are constants")
             if t in mapping and mapping[t] != u:
                 return _fail(path, "eq-axiom-4 pairs conflict on a replaced constant")
@@ -241,12 +231,8 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         if len(prem) != len(phi.children):
             return _fail(path, "right-and takes one premise per conjunct")
         delta = seq.right - {phi}
-        wanted = sorted(
-            _sequent_key(Sequent(seq.left, delta | {child}))
-            for child in phi.children
-        )
-        got = sorted(_sequent_key(pr.conclusion) for pr in prem)
-        if wanted != got:
+        wanted = Counter(Sequent(seq.left, delta | {child}) for child in phi.children)
+        if wanted != Counter(pr.conclusion for pr in prem):
             return _fail(path, "right-and premise mismatch")
         return None
 
@@ -278,12 +264,8 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
         if len(prem) != len(phi.children):
             return _fail(path, "right-or takes one premise per disjunct")
         gamma = seq.left - {phi}
-        wanted = sorted(
-            _sequent_key(Sequent(gamma | {child}, seq.right))
-            for child in phi.children
-        )
-        got = sorted(_sequent_key(pr.conclusion) for pr in prem)
-        if wanted != got:
+        wanted = Counter(Sequent(gamma | {child}, seq.right) for child in phi.children)
+        if wanted != Counter(pr.conclusion for pr in prem):
             return _fail(path, "right-or premise mismatch")
         return None
 

@@ -659,3 +659,10 @@ def qe_transform(psi: Formula, sig: Signature) -> Formula:
         raise TypeError(f"not a formula: {f!r}")
 
     return go(psi)
+
+
+def naming_constraints(sig: Signature) -> list:
+    """One sentence per base constant, in order, saying it equals some fresh
+    constant; none when there are no fresh constants."""
+    fresh = sorted(sig.fresh_constants)
+    return [canonical(Or, (Eq(c, d) for c in fresh)) for d in sorted(sig.base_constants) if fresh]

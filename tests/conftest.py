@@ -33,8 +33,8 @@ def replayed_refutations():
     refuted = weakref.WeakKeyDictionary()  # ground -> its replayed refuted sets
     search, status = compact.OracleSession._search, compact.OracleSession.status
 
-    def checked(self, ground, numbers, keep=False):
-        verdict = search(self, ground, numbers, keep)
+    def checked(self, ground, numbers):
+        verdict = search(self, ground, numbers)
         if verdict.status == compact.INCONSISTENT:
             sentences = [ground.sentences[n] for n in numbers]
             assert compact.replay_certificate(verdict.certificate, sentences, ground.sig), (

@@ -334,6 +334,14 @@ class TestUsageBoundary:
             ["quotient", "--model", "invalid.json"],
             ["mixing", "--model", "invalid.json"],
             ["fullness", "--model", "invalid.json"],
+            # models without a table of the right arity for R, or without b
+            ["eval", "--formula", "(R a)", "--sig", "sig.json"],
+            ["eval", "--formula", "(R a)", "--sig", "sig.json", "--model", "binary.json"],
+            ["fullness", "--sig", "sig.json"],
+            ["fullness", "--sig", "sig.json", "--model", "binary.json"],
+            ["star", "--theory", "rb.json", "--sig", "sig.json"],
+            ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "binary.json"],
+            ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "unary.json"],
         ],
         ids=lambda args: " ".join(map(str, args)),
     )
@@ -342,11 +350,37 @@ class TestUsageBoundary:
         (workdir / "m.json").write_text(json.dumps(model))
         # well shaped, but the R table misses the tuple (a)
         (workdir / "invalid.json").write_text(json.dumps(dict(model, rel={"R": {"z": "1"}})))
+        (workdir / "binary.json").write_text(json.dumps(dict(model, rel={"R": {"a a": "1"}})))
+        (workdir / "unary.json").write_text(json.dumps(dict(model, rel={"R": {"a": "1"}})))
+        (workdir / "rb.json").write_text(json.dumps({"sentences": ["(R b)"]}))
         (workdir / "a-directory").mkdir()
-        files = {"sig.json", "invalid.json", "a-directory"}
+        files = {"sig.json", "invalid.json", "binary.json", "unary.json", "rb.json", "a-directory"}
         args = [workdir / a if a in files else a for a in args]
         if args[0] not in ("faicom", "forcing") and "--model" not in args:
             args = args + ["--model", workdir / "m.json"]
+        self._usage_error(capsys, args)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["oracle", "oracle --require-qe", "conservative", "fincons", "compact", "focompact",
+         "forcing build"],
+    )
+    def test_quantified_input_without_fresh_constants(self, workdir, capsys, command):
+        sig = {"relations": {"P": 1}, "base_constants": ["a"]}
+        phi = "(exists (?x) (P ?x))"
+        (workdir / "qsig.json").write_text(json.dumps(sig))
+        (workdir / "q.json").write_text(json.dumps({"signature": sig, "sentences": [phi]}))
+        sig_path, theory = workdir / "qsig.json", workdir / "q.json"
+        args = {
+            "oracle": ["oracle", "--theory", theory],
+            "oracle --require-qe": ["oracle", "--theory", theory, "--require-qe"],
+            "conservative": ["conservative", "--sig", sig_path, "--psi1", f"(and (P a) {phi})",
+                             "--psi0", phi],
+            "fincons": ["fincons", "--family", theory],
+            "compact": ["compact", "--family", theory],
+            "focompact": ["focompact", "--theory", theory],
+            "forcing build": ["forcing", "build", "--sig", sig_path, "--formula", phi],
+        }[command]
         self._usage_error(capsys, args)
 
     @pytest.mark.parametrize("signature", [3, ["a"]])

@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
-import types
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +44,7 @@ from conftest import (
     reference_search,
     reference_witness,
 )
-from test_acceptance import _genericity_dense_sets, _genericity_instances
+from test_acceptance import _genericity_dense_sets, _genericity_instances, _ground_theories
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
 SIG_ABC = Signature(relations={"R": 1}, base_constants={"a", "b", "c"})
@@ -440,18 +443,40 @@ class TestReplay:
                 assert replay_certificate(mutant, theory, sig) is False, kind
 
     def test_shares_no_code_with_the_solver(self):
-        def names(code):
-            out = set(code.co_names) | set(code.co_freevars)
-            for const in code.co_consts:
-                if isinstance(const, types.CodeType):
-                    out |= names(const)
-            return out
+        src = str(Path(compact.__file__).resolve().parents[1])
+        code = "import sys, boolkit.certify; print(*sorted(m for m in sys.modules if 'boolkit' in m))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out == ["boolkit", "boolkit.certify", "boolkit.errors", "boolkit.syntax"]
 
-        solver = {"_eval3", "_first_undecided_atom", "_atom_key", "_PathClosure", "_GroundSolver"}
-        solver |= {"_ground_search", "compiled", "_compile", "roots"}
-        assert "find" in names(replay_certificate.__code__)  # nested code is read
-        assert not names(replay_certificate.__code__) & solver
-        assert not hasattr(compact, "_Closure") and not hasattr(compact, "_UnionFind")
+    def test_prepare_ground_matches_the_session(self):
+        # imported here, so that report_digests.py can import this module on an older checkout
+        from boolkit import certify
+
+        cases = [pigeonhole(n) for n in (3, 4, 5)]
+        for n in range(2, 7):
+            family = list(faicom_family(n))
+            cases += [(family[:i] + family[i + 1:], faicom_signature(n)) for i in range(n + 1)]
+            cases.append((family, faicom_signature(n)))
+        cases += [(list(theory), sig) for sig, theory in _ground_theories()]
+        cases += [([f], Q_SIG) for f in QUANTIFIED] + [(QUANTIFIED, Q_SIG)]
+        # instances whose conjuncts sort apart from the quantified body's
+        s2 = Signature(relations={"S": 2}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
+        cases.append(([Exists(("?x",), And((Atom("S", ("?x", "b")), Atom("S", ("a", "?x")))))], s2))
+        session = OracleSession()  # shared, so later cases meet prepared entries again
+        for require_qe in (False, True):
+            for theory, sig in cases:
+                ground = session._ground(sig)
+                numbers, qe_applied = ground.prepare(theory, require_qe)
+                sentences, applied = certify.prepare_ground(theory, sig, require_qe)
+                quantified = not all(map(syntax.is_quantifier_free, theory))
+                assert applied == qe_applied == (require_qe or quantified)
+                rendered = [syntax.render(ground.sentences[n]) for n in numbers]
+                assert [syntax.render(f) for f in sentences] == rendered
+                naming = syntax.naming_constraints(sig) if applied else []
+                assert sentences[len(theory):] == naming
 
     def test_the_suite_replays_every_refutation(self, replayed_refutations):
         before = replayed_refutations["replayed"]
