@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -343,6 +344,183 @@ class TestPremiseOrder:
                 Sequent([], [pair]), "right-and", premises, data={"formula": pair}
             )
             assert check_proof(tree).ok
+
+
+LOGICAL_RULES = (
+    "left-and", "right-and", "left-or", "right-or",
+    "left-forall", "right-forall", "left-exists", "right-exists",
+)
+
+# Every reason a logical rule can give, by rule.
+LOGICAL_REASONS = {
+    "left-and": (
+        "left-and takes one premise",
+        "left-and needs its conjunction",
+        "principal conjunction missing from conclusion",
+        "left-and keeps the right side",
+        "left-and premise left side mismatch",
+    ),
+    "right-and": (
+        "right-and needs its conjunction",
+        "principal conjunction missing from conclusion",
+        "right-and takes one premise per conjunct",
+        "right-and premise mismatch",
+    ),
+    "left-or": (
+        "left-or takes one premise",
+        "left-or needs its disjunction",
+        "principal disjunction missing from conclusion",
+        "left-or keeps the left side",
+        "left-or premise right side mismatch",
+    ),
+    "right-or": (
+        "right-or needs its disjunction",
+        "principal disjunction missing from conclusion",
+        "right-or takes one premise per disjunct",
+        "right-or premise mismatch",
+    ),
+    "left-forall": (
+        "left-forall takes one premise",
+        "left-forall needs its quantified formula",
+        "left-forall needs one instantiating term per variable",
+        "substitution captures variable ?y",
+        "principal formula missing from conclusion",
+        "left-forall premise mismatch",
+    ),
+    "right-exists": (
+        "right-exists takes one premise",
+        "right-exists needs its quantified formula",
+        "right-exists needs one instantiating term per variable",
+        "substitution captures variable ?y",
+        "principal formula missing from conclusion",
+        "right-exists premise mismatch",
+    ),
+    "right-forall": (
+        "right-forall takes one premise",
+        "right-forall needs its quantified formula",
+        "principal formula missing from conclusion",
+        "right-forall premise mismatch",
+        "eigenvariable condition violated for ['?y']",
+    ),
+    "left-exists": (
+        "left-exists takes one premise",
+        "left-exists needs its quantified formula",
+        "principal formula missing from conclusion",
+        "left-exists premise mismatch",
+        "eigenvariable condition violated for ['?x']",
+    ),
+}
+
+# sha256 of the (rule, ok, reason) lines of every single-node variant,
+# ordered by the variant's JSON rendering
+NODE_REASONS = "5a53f8ae5764ebc795fdcb84b3e1b089d8d61d4af749df9d43ab803a1fe9f420"
+
+EXTRA = Atom("R", ("e", "e"))
+
+
+def _render(node):
+    return json.dumps(proof_to_json(node), sort_keys=True)
+
+
+def _nodes():
+    """Every node of the corpus and of its mutations, plus two nodes whose
+    instance would capture a variable."""
+    capture_fa = Forall(("?x",), Exists(("?y",), Atom("R", ("?x", "?y"))))
+    capture_ex = Exists(("?x",), Forall(("?y",), Atom("R", ("?x", "?y"))))
+    body = axiom([Atom("R", ("?y", "?y"))], [Atom("R", ("?y", "?y"))])
+    stack = [
+        ProofTree(Sequent([capture_fa], []), "left-forall", [body],
+                  data={"formula": capture_fa, "terms": ("?y",)}),
+        ProofTree(Sequent([], [capture_ex]), "right-exists", [body],
+                  data={"formula": capture_ex, "terms": ("?y",)}),
+    ]
+    for _name, tree in proof_corpus():
+        stack += [tree, *mutations(tree)]
+    nodes = {}
+    while stack:
+        node = stack.pop()
+        nodes[_render(node)] = node
+        stack.extend(node.premises)
+    return nodes.values()
+
+
+def _with_side(seq, side, formulas):
+    return Sequent(formulas, seq.right) if side == "left" else Sequent(seq.left, formulas)
+
+
+def _variants(node):
+    """Single-node corruptions of one node: its conclusion, premise count,
+    rule label, data and premise conclusions, one change at a time."""
+    seq, rule, prem, data = node.conclusion, node.rule, node.premises, node.data
+    out = [ProofTree(Sequent(seq.right, seq.left), rule, prem, data)]
+    if prem:
+        out += [ProofTree(seq, rule, prem[:-1], data), ProofTree(seq, rule, prem[:1] + prem, data)]
+    out += [ProofTree(seq, other, prem, data) for other in LOGICAL_RULES]
+    out += [ProofTree(seq, rule, prem, dict(data, formula=f)) for f in seq.left | seq.right]
+    out.append(ProofTree(seq, rule, prem, {k: v for k, v in data.items() if k != "formula"}))
+    terms = tuple(data.get("terms", ()))
+    out += [ProofTree(seq, rule, prem, dict(data, terms=t)) for t in (terms + ("c",), ())]
+    for i, p in enumerate(prem):
+        pseq = p.conclusion
+        changed = [Sequent(pseq.right, pseq.left)]
+        for side in ("left", "right"):
+            formulas = getattr(pseq, side)
+            changed.append(_with_side(pseq, side, formulas | {EXTRA}))
+            changed += [_with_side(pseq, side, formulas - {f}) for f in formulas]
+        for new in changed:
+            premise = ProofTree(new, p.rule, p.premises, p.data)
+            out.append(ProofTree(seq, rule, prem[:i] + (premise,) + prem[i + 1:], data))
+    phi = data.get("formula")
+    if prem and isinstance(phi, (Forall, Exists)):
+        # a context formula in which the eigenvariable is free, on both the
+        # conclusion and the premise
+        free = Atom("P", (phi.vars[0],))
+        p = prem[0]
+        for side in ("left", "right"):
+            grown = _with_side(p.conclusion, side, getattr(p.conclusion, side) | {free})
+            premise = ProofTree(grown, p.rule, p.premises, p.data)
+            out.append(ProofTree(
+                _with_side(seq, side, getattr(seq, side) | {free}), rule,
+                (premise,) + prem[1:], data,
+            ))
+    return out
+
+
+def _variant_reasons():
+    variants = {}
+    for node in _nodes():
+        for variant in _variants(node):
+            variants[_render(variant)] = variant
+    out = []
+    for key in sorted(variants):
+        variant = variants[key]
+        bad = proofs._check_node(variant, ())
+        out.append((variant.rule, bad is None, "" if bad is None else bad.reason))
+    return out
+
+
+class TestNodeReasons:
+    def test_reasons_are_pinned(self):
+        reasons = _variant_reasons()
+        text = "\n".join(json.dumps(line) for line in reasons)
+        assert hashlib.sha256(text.encode()).hexdigest() == NODE_REASONS, len(reasons)
+
+    def test_every_logical_reason_occurs(self):
+        given = {(rule, reason) for rule, ok, reason in _variant_reasons() if not ok}
+        missing = [
+            (rule, reason)
+            for rule, reasons in LOGICAL_REASONS.items()
+            for reason in reasons
+            if (rule, reason) not in given
+        ]
+        assert not missing
+        # and the list is whole: the one other reason is the leaf check
+        logical = {
+            (rule, reason)
+            for rule, reason in given
+            if rule in LOGICAL_RULES and not reason.startswith("leaf labelled")
+        }
+        assert logical <= {(r, x) for r, xs in LOGICAL_REASONS.items() for x in xs}
 
 
 class TestInterchange:
