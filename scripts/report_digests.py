@@ -9,9 +9,11 @@ theory, followed by ``eval`` of each theory sentence and each member's
 conjunction on the model it builds, and ``oracle``, with and without
 ``--require-qe``, on the criterion-10 theories, the pigeonhole PHP(3..6),
 the faicom families for n = 2..6, whole and less each sentence, and the
-quantified sentences over ``Q_SIG``, one by one and together.
-The instances come from ``tests/test_acceptance.py`` and
-``tests/test_compact.py`` next to this script;
+quantified sentences over ``Q_SIG``, one by one and together, and
+``proof-check``, with and without ``--probe-trials``, on the proof corpus
+and its mutations.
+The instances come from ``tests/test_acceptance.py``,
+``tests/test_compact.py`` and ``tests/test_proofs.py`` next to this script;
 ``--src`` picks the checkout whose ``boolkit`` is imported, so that two
 checkouts compare with ``diff``:
 
@@ -39,7 +41,7 @@ def main():
 
 
 def digests(work: Path):
-    from boolkit import cli, compact, consprop, forcing, syntax
+    from boolkit import cli, compact, consprop, forcing, proofs, syntax
     from boolkit.syntax import And
     from test_acceptance import (
         _compactness_families,
@@ -49,6 +51,8 @@ def digests(work: Path):
         _model_existence_instances,
     )
     from test_compact import Q_SIG, QUANTIFIED, pigeonhole
+    from test_proofs import SIG as PROOF_SIG
+    from test_proofs import mutations, proof_corpus
 
     out = work / "report.json"
 
@@ -129,6 +133,15 @@ def digests(work: Path):
         path = write("theory.json", doc)
         for flags in ([], ["--require-qe"]):
             report("oracle", dict(doc, require_qe=bool(flags)), ["oracle", "--theory", path, *flags])
+
+    sig_path = write("sig.json", PROOF_SIG.to_json())
+    for _name, tree in proof_corpus():
+        for candidate in [tree, *mutations(tree)]:
+            doc = proofs.proof_to_json(candidate)
+            path = write("proof.json", doc)
+            for flags in ([], ["--probe-trials", "20"]):
+                report("proof-check", {"proof": doc, "flags": flags},
+                       ["proof-check", "--sig", sig_path, "--proof", path, *flags])
 
 
 if __name__ == "__main__":

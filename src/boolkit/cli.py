@@ -151,9 +151,9 @@ def _report(args, config: RunConfig, body: dict, code: int) -> int:
     return code
 
 
-def _oracle_body(verdict: compact.OracleVerdict, include_witness: bool = True) -> dict:
+def _oracle_body(verdict: compact.OracleVerdict) -> dict:
     body = {"status": verdict.status, "budget_used": verdict.budget_used}
-    if verdict.witness is not None and include_witness:
+    if verdict.witness is not None:
         body["witness"] = bvmodel.model_to_json(verdict.witness)
     if verdict.certificate is not None:
         body["certificate"] = verdict.certificate
@@ -394,7 +394,12 @@ def _cmd_star(args, config):
     theory, sig = _theory(args.theory, args)
     m = _model(args)
     _check_model(m, [g for f in theory for g in syntax.subsentences(f, sig)])
-    stars = compact.star_theory(m, list(theory), sig)
+    try:
+        stars = compact.star_theory(m, list(theory), sig)
+    except ResourceBudgetError:
+        raise
+    except BoolkitError as exc:  # a model that is not two-valued, or a false sentence
+        raise UsageError(str(exc)) from exc
     family = compact.conjunction_closure(stars)
     body = {
         "stars": [syntax.render(f) for f in stars],

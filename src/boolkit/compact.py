@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import bvmodel, syntax
 from .balg import bit_positions, ultrafilters
-from .certify import prepare_ground, replay_certificate  # noqa: F401 (re-exported)
+from .certify import replay_certificate  # noqa: F401 (re-exported)
 from .errors import BoolkitError, ConstructionFailure, SignatureError
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
 

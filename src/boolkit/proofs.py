@@ -18,19 +18,20 @@ from .errors import BoolkitError
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Or, Signature
 
 AXIOM_RULES = ("eq-axiom-1", "eq-axiom-2", "eq-axiom-3", "eq-axiom-4", "axiom")
-RULES = AXIOM_RULES + (
-    "cut",
-    "substitution",
-    "weakening",
-    "left-and",
-    "right-and",
-    "left-or",
-    "right-or",
-    "left-forall",
-    "right-forall",
-    "left-exists",
-    "right-exists",
-)
+# each logical rule: the side of the conclusion its principal formula sits
+# on, and the connective the rule introduces
+LOGICAL_RULES = {
+    "left-and": ("left", And),
+    "right-and": ("right", And),
+    "left-or": ("right", Or),
+    "right-or": ("left", Or),
+    "left-forall": ("left", Forall),
+    "right-forall": ("right", Forall),
+    "left-exists": ("left", Exists),
+    "right-exists": ("right", Exists),
+}
+RULES = AXIOM_RULES + ("cut", "substitution", "weakening", *LOGICAL_RULES)
+_NOUNS = {And: ("conjunction", "conjunct"), Or: ("disjunction", "disjunct")}
 
 
 @dataclass(frozen=True)
@@ -205,129 +206,57 @@ def _check_node(node: ProofTree, path) -> Optional[ProofVerdict]:
             return _fail(path, "weakening only adds formulas")
         return None
 
-    if rule == "left-and":
-        if len(prem) != 1:
-            return _fail(path, "left-and takes one premise")
-        phi = data.get("formula")
-        if not isinstance(phi, And):
-            return _fail(path, "left-and needs its conjunction")
-        phi = syntax.canon(phi)
-        if phi not in seq.left:
-            return _fail(path, "principal conjunction missing from conclusion")
-        p = prem[0].conclusion
-        if p.right != seq.right:
-            return _fail(path, "left-and keeps the right side")
-        if p.left != (seq.left - {phi}) | frozenset(phi.children):
-            return _fail(path, "left-and premise left side mismatch")
-        return None
-
-    if rule == "right-and":
-        phi = data.get("formula")
-        if not isinstance(phi, And):
-            return _fail(path, "right-and needs its conjunction")
-        phi = syntax.canon(phi)
-        if phi not in seq.right:
-            return _fail(path, "principal conjunction missing from conclusion")
-        if len(prem) != len(phi.children):
-            return _fail(path, "right-and takes one premise per conjunct")
-        delta = seq.right - {phi}
-        wanted = Counter(Sequent(seq.left, delta | {child}) for child in phi.children)
-        if wanted != Counter(pr.conclusion for pr in prem):
-            return _fail(path, "right-and premise mismatch")
-        return None
-
-    if rule == "left-or":
-        # collects a set of right-side formulas into one disjunction
-        if len(prem) != 1:
-            return _fail(path, "left-or takes one premise")
-        phi = data.get("formula")
-        if not isinstance(phi, Or):
-            return _fail(path, "left-or needs its disjunction")
-        phi = syntax.canon(phi)
-        if phi not in seq.right:
-            return _fail(path, "principal disjunction missing from conclusion")
-        p = prem[0].conclusion
-        if p.left != seq.left:
-            return _fail(path, "left-or keeps the left side")
-        if p.right != (seq.right - {phi}) | frozenset(phi.children):
-            return _fail(path, "left-or premise right side mismatch")
-        return None
-
-    if rule == "right-or":
-        # case split: one premise per disjunct of a left-side disjunction
-        phi = data.get("formula")
-        if not isinstance(phi, Or):
-            return _fail(path, "right-or needs its disjunction")
-        phi = syntax.canon(phi)
-        if phi not in seq.left:
-            return _fail(path, "principal disjunction missing from conclusion")
-        if len(prem) != len(phi.children):
-            return _fail(path, "right-or takes one premise per disjunct")
-        gamma = seq.left - {phi}
-        wanted = Counter(Sequent(gamma | {child}, seq.right) for child in phi.children)
-        if wanted != Counter(pr.conclusion for pr in prem):
-            return _fail(path, "right-or premise mismatch")
-        return None
-
-    if rule in ("left-forall", "right-exists"):
-        if len(prem) != 1:
-            return _fail(path, f"{rule} takes one premise")
-        phi = data.get("formula")
-        want = Forall if rule == "left-forall" else Exists
-        if not isinstance(phi, want):
-            return _fail(path, f"{rule} needs its quantified formula")
-        phi = syntax.canon(phi)
+    # a logical rule: the right-side rules are the left-side ones with the
+    # sequent's two sides exchanged
+    side, kind = LOGICAL_RULES[rule]
+    other = "right" if side == "left" else "left"
+    quantified = kind in (Forall, Exists)
+    # left-and, left-or, left-forall and right-exists replace the principal
+    # formula in their one premise; right-and and right-or take one premise
+    # per child; right-forall and left-exists bind an eigenvariable
+    replaces = (kind in (And, Forall)) == (side == "left")
+    noun, part = _NOUNS.get(kind, ("formula", None))
+    if (replaces or quantified) and len(prem) != 1:
+        return _fail(path, f"{rule} takes one premise")
+    phi = data.get("formula")
+    if not isinstance(phi, kind):
+        return _fail(path, f"{rule} needs its {'quantified ' if quantified else ''}{noun}")
+    phi = syntax.canon(phi)
+    parts = {phi.body} if quantified else frozenset(phi.children)
+    if quantified and replaces:
         terms = tuple(data.get("terms", ()))
         if len(terms) != len(phi.vars):
             return _fail(path, f"{rule} needs one instantiating term per variable")
         try:
-            instance = syntax.canon(syntax.substitute(phi.body, dict(zip(phi.vars, terms))))
+            parts = {syntax.canon(syntax.substitute(phi.body, dict(zip(phi.vars, terms))))}
         except BoolkitError as exc:
             return _fail(path, str(exc))
-        p = prem[0].conclusion
-        if rule == "left-forall":
-            if phi not in seq.left:
-                return _fail(path, "principal formula missing from conclusion")
-            if p.right != seq.right or p.left != (seq.left - {phi}) | {instance}:
-                return _fail(path, "left-forall premise mismatch")
-        else:
-            if phi not in seq.right:
-                return _fail(path, "principal formula missing from conclusion")
-            if p.left != seq.left or p.right != (seq.right - {phi}) | {instance}:
-                return _fail(path, "right-exists premise mismatch")
+    if phi not in getattr(seq, side):
+        return _fail(path, f"principal {noun} missing from conclusion")
+    rest, kept = getattr(seq, side) - {phi}, getattr(seq, other)
+    if not (replaces or quantified):
+        if len(prem) != len(phi.children):
+            return _fail(path, f"{rule} takes one premise per {part}")
+        wanted = Counter(Sequent(**{side: rest | {child}, other: kept}) for child in phi.children)
+        if wanted != Counter(pr.conclusion for pr in prem):
+            return _fail(path, f"{rule} premise mismatch")
         return None
-
-    if rule in ("right-forall", "left-exists"):
-        if len(prem) != 1:
-            return _fail(path, f"{rule} takes one premise")
-        phi = data.get("formula")
-        want = Forall if rule == "right-forall" else Exists
-        if not isinstance(phi, want):
-            return _fail(path, f"{rule} needs its quantified formula")
-        phi = syntax.canon(phi)
-        p = prem[0].conclusion
-        if rule == "right-forall":
-            if phi not in seq.right:
-                return _fail(path, "principal formula missing from conclusion")
-            context = seq.left | (seq.right - {phi})
-            if p.left != seq.left or p.right != (seq.right - {phi}) | {phi.body}:
-                return _fail(path, "right-forall premise mismatch")
-        else:
-            if phi not in seq.left:
-                return _fail(path, "principal formula missing from conclusion")
-            context = (seq.left - {phi}) | seq.right
-            if p.right != seq.right or p.left != (seq.left - {phi}) | {phi.body}:
-                return _fail(path, "left-exists premise mismatch")
-        # eigenvariable condition (*)
-        free_in_context = frozenset()
-        for f in context:
-            free_in_context |= syntax.free_vars(f)
-        clash = set(phi.vars) & free_in_context
-        if clash:
-            return _fail(path, f"eigenvariable condition violated for {sorted(clash)}")
+    p = prem[0].conclusion
+    if not quantified:
+        if getattr(p, other) != kept:
+            return _fail(path, f"{rule} keeps the {other} side")
+        if getattr(p, side) != rest | parts:
+            return _fail(path, f"{rule} premise {side} side mismatch")
         return None
-
-    raise AssertionError(f"unhandled rule {rule}")
+    if getattr(p, other) != kept or getattr(p, side) != rest | parts:
+        return _fail(path, f"{rule} premise mismatch")
+    if replaces:
+        return None
+    # eigenvariable condition (*)
+    clash = set(phi.vars) & frozenset().union(*map(syntax.free_vars, rest | kept))
+    if clash:
+        return _fail(path, f"eigenvariable condition violated for {sorted(clash)}")
+    return None
 
 
 def check_proof(p: ProofTree) -> ProofVerdict:

@@ -342,6 +342,9 @@ class TestUsageBoundary:
             ["star", "--theory", "rb.json", "--sig", "sig.json"],
             ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "binary.json"],
             ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "unary.json"],
+            # a model that is not two-valued, and one in which (R b) is false
+            ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "two-atoms.json"],
+            ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "rb-false.json"],
         ],
         ids=lambda args: " ".join(map(str, args)),
     )
@@ -353,8 +356,17 @@ class TestUsageBoundary:
         (workdir / "binary.json").write_text(json.dumps(dict(model, rel={"R": {"a a": "1"}})))
         (workdir / "unary.json").write_text(json.dumps(dict(model, rel={"R": {"a": "1"}})))
         (workdir / "rb.json").write_text(json.dumps({"sentences": ["(R b)"]}))
+        consts = {"a": "a", "b": "a"}
+        (workdir / "rb-false.json").write_text(
+            json.dumps(dict(model, consts=consts, rel={"R": {"a": "0"}}))
+        )
+        two = {"algebra": {"atoms": ["a0", "a1"]}, "domain": ["a"], "eq": [["11"]]}
+        (workdir / "two-atoms.json").write_text(
+            json.dumps(dict(two, consts=consts, rel={"R": {"a": "11"}}))
+        )
         (workdir / "a-directory").mkdir()
-        files = {"sig.json", "invalid.json", "binary.json", "unary.json", "rb.json", "a-directory"}
+        files = {"sig.json", "invalid.json", "binary.json", "unary.json", "rb.json", "a-directory",
+                 "rb-false.json", "two-atoms.json"}
         args = [workdir / a if a in files else a for a in args]
         if args[0] not in ("faicom", "forcing") and "--model" not in args:
             args = args + ["--model", workdir / "m.json"]

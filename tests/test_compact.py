@@ -218,7 +218,9 @@ class TestSearchTree:
         sentences, sig = case
         budget = Budget() if cap is None else Budget(oracle_nodes=cap)
         verdict = consistency_oracle(sentences, sig, budget)
-        ground, _ = compact.prepare_ground(sentences, sig)
+        from boolkit import certify  # here: report_digests.py imports this file on old checkouts
+
+        ground, _ = certify.prepare_ground(sentences, sig)
         constants = sorted(sig.constants)
         status, nodes, assignment, certificate = reference_search(
             ground, constants, budget.oracle_nodes
@@ -241,7 +243,9 @@ class TestSearchTree:
         sentences, sig = case
         budget = Budget() if cap is None else Budget(oracle_nodes=cap)
         verdict = consistency_oracle(sentences, sig, budget)
-        ground, _ = compact.prepare_ground(sentences, sig)
+        from boolkit import certify  # here: report_digests.py imports this file on old checkouts
+
+        ground, _ = certify.prepare_ground(sentences, sig)
         constants = sorted(sig.constants)
         status, nodes, assignment, certificate = reference_search(
             ground, constants, budget.oracle_nodes
@@ -420,7 +424,9 @@ class TestReplay:
     def test_rejects_every_mutant_of_a_refutation(self, theory, sig):
         certificate = consistency_oracle(theory, sig).certificate
         assert replay_certificate(certificate, theory, sig)
-        ground, _ = compact.prepare_ground(theory, sig)
+        from boolkit import certify  # here: report_digests.py imports this file on old checkouts
+
+        ground, _ = certify.prepare_ground(theory, sig)
         constants = sorted(sig.constants)
         mutants = {"moved index": [], "missing branch": [], "changed kind": []}
         for node, address, path in _nodes(certificate):

@@ -346,11 +346,6 @@ class TestPremiseOrder:
             assert check_proof(tree).ok
 
 
-LOGICAL_RULES = (
-    "left-and", "right-and", "left-or", "right-or",
-    "left-forall", "right-forall", "left-exists", "right-exists",
-)
-
 # Every reason a logical rule can give, by rule.
 LOGICAL_REASONS = {
     "left-and": (
@@ -455,7 +450,7 @@ def _variants(node):
     out = [ProofTree(Sequent(seq.right, seq.left), rule, prem, data)]
     if prem:
         out += [ProofTree(seq, rule, prem[:-1], data), ProofTree(seq, rule, prem[:1] + prem, data)]
-    out += [ProofTree(seq, other, prem, data) for other in LOGICAL_RULES]
+    out += [ProofTree(seq, other, prem, data) for other in LOGICAL_REASONS]
     out += [ProofTree(seq, rule, prem, dict(data, formula=f)) for f in seq.left | seq.right]
     out.append(ProofTree(seq, rule, prem, {k: v for k, v in data.items() if k != "formula"}))
     terms = tuple(data.get("terms", ()))
@@ -518,7 +513,7 @@ class TestNodeReasons:
         logical = {
             (rule, reason)
             for rule, reason in given
-            if rule in LOGICAL_RULES and not reason.startswith("leaf labelled")
+            if rule in LOGICAL_REASONS and not reason.startswith("leaf labelled")
         }
         assert logical <= {(r, x) for r, xs in LOGICAL_REASONS.items() for x in xs}
 
