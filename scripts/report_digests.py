@@ -11,7 +11,9 @@ conjunction on the model it builds, and ``oracle``, with and without
 the faicom families for n = 2..6, whole and less each sentence, and the
 quantified sentences over ``Q_SIG``, one by one and together, and
 ``proof-check``, with and without ``--probe-trials``, on the proof corpus
-and its mutations.
+and its mutations, and ``consprop-verify`` on each one-member removal of
+the criterion-7 saturated properties and of the properties materialized
+from the criterion-8 families.
 The instances come from ``tests/test_acceptance.py``,
 ``tests/test_compact.py`` and ``tests/test_proofs.py`` next to this script;
 ``--src`` picks the checkout whose ``boolkit`` is imported, so that two
@@ -142,6 +144,18 @@ def digests(work: Path):
             for flags in ([], ["--probe-trials", "20"]):
                 report("proof-check", {"proof": doc, "flags": flags},
                        ["proof-check", "--sig", sig_path, "--proof", path, *flags])
+
+    sources = [("saturate", sig, sentences, consprop.saturate_theory(sentences, sig))
+               for sig, sentences in _model_existence_instances()]
+    sources += [("materialize", sig, gens, compact.materialize_compactness_property(
+        compact.conjunction_closure(gens), sig)) for sig, gens in _compactness_families()]
+    for source, sig, sentences, prop in sources:
+        doc = prop.to_json()
+        for i, removed in enumerate(doc["members"]):
+            smaller = dict(doc, members=doc["members"][:i] + doc["members"][i + 1:])
+            path = write("consprop.json", smaller)
+            given = {"source": source, "theory": theory(sig, sentences), "removed": removed}
+            report("consprop-verify", given, ["consprop-verify", "--consprop", path])
 
 
 if __name__ == "__main__":

@@ -214,7 +214,6 @@ class Poset:
             raise BoolkitError("poset elements must be distinct")
         self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        self._all = (1 << n) - 1
         if leq is _reverse_inclusion:
             self._down, self._up = _inclusion_masks(*(items or _item_masks(self.elements)))
             return
@@ -264,21 +263,9 @@ class Poset:
     def leq(self, a, b) -> bool:
         return self._down[self._index[b]] >> self._index[a] & 1 == 1
 
-    def regularize_mask(self, u_mask: int) -> int:
-        """Interior-of-closure of a set of positions, by the up masks.
-
-        The closure of u is the set of conditions with an extension in u,
-        the union of the up masks of u's members.  Its interior keeps the
-        conditions whose every extension is in the closure, that is, those
-        above no condition outside it.
-        """
-        touched = 0
-        for i in bit_positions(u_mask):
-            touched |= self._up[i]
-        outside = 0
-        for k in bit_positions(self._all & ~touched):
-            outside |= self._up[k]
-        return self._all & ~outside
+    def above(self, i: int) -> int:
+        """The positions of the elements that ``elements[i]`` extends."""
+        return self._up[i]
 
 
 @dataclass(frozen=True)
@@ -287,20 +274,18 @@ class ROCompletion:
 
     ``algebra`` is the completion in canonical atom form, ``cone`` maps each
     poset element q to the image of its cone (the regularized down-set of q);
-    the map is order preserving with dense image.
+    the map is order preserving with dense image.  ``minimal`` gives each
+    atom's minimal element as a poset position; as a minimal element lies
+    in the regularization of a set just when it lies in the set, the
+    element of that regularization is the set of atoms whose minimal
+    element is in the set.
     """
 
     poset: Poset
     algebra: FiniteBooleanAlgebra
     cone: dict
+    minimal: tuple
     _atom_masks: tuple
-
-    def element_of_mask(self, u_mask: int) -> int:
-        out = 0
-        for j, a in enumerate(self._atom_masks):
-            if a & ~u_mask == 0:
-                out |= 1 << j
-        return out
 
 
 def ro_completion(p: Poset) -> ROCompletion:
@@ -313,20 +298,23 @@ def ro_completion(p: Poset) -> ROCompletion:
     (strongest) elements, pairwise disjoint, sorted by mask: every cone
     contains the cone of a minimal element below it, and two minimal
     elements share no regular-open neighbourhood.  The cone of q is then the
-    join of the atoms of the minimal elements below q.
+    join of the atoms of the minimal elements below q, and the cone of a
+    minimal element r holds the elements above r and no other minimal
+    element, so both are read off the up masks of the minimal elements.
     """
     if not p.elements:
         raise BoolkitError("ro_completion needs a nonempty poset")
     minimal = [r for r, down in enumerate(p._down) if down == 1 << r]
-    atom_of = {p.regularize_mask(1 << r): r for r in minimal}
+    seen = shared = 0  # the elements above one, and above two, minimal elements
+    for r in minimal:
+        shared |= seen & p._up[r]
+        seen |= p._up[r]
+    atom_of = {p._up[r] & ~shared: r for r in minimal}
     atom_masks = sorted(atom_of)
-    atom_bit = {atom_of[mask]: 1 << j for j, mask in enumerate(atom_masks)}
-    minimal_mask = sum(1 << r for r in minimal)
-    cone = {}
-    for q, down in zip(p.elements, p._down):
-        value = 0
-        for r in bit_positions(down & minimal_mask):
-            value |= atom_bit[r]
-        cone[q] = value
+    minimal = tuple(map(atom_of.get, atom_masks))
+    cone = [0] * len(p.elements)
+    for j, r in enumerate(minimal):
+        for q in bit_positions(p._up[r]):
+            cone[q] |= 1 << j
     algebra = FiniteBooleanAlgebra(len(atom_masks))
-    return ROCompletion(p, algebra, cone, tuple(atom_masks))
+    return ROCompletion(p, algebra, dict(zip(p.elements, cone)), minimal, tuple(atom_masks))

@@ -291,6 +291,8 @@ def _cmd_qe(args, config):
 
 
 def _cmd_proof_check(args, config):
+    if args.probe_trials < 0:
+        raise UsageError("--probe-trials must be at least 0")
     sig = _signature(args)
     tree = proofs.proof_from_json(_load(args.proof, "proof"), sig)
     verdict = proofs.check_proof(tree)

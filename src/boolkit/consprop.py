@@ -90,8 +90,9 @@ class MemberIndex:
     Each distinct sentence gets one bit, in render order, so a member's
     sorted positions compare as its sorted renderings do.  ``members`` lists
     the members by size, then by those positions; ``ids`` and ``masks`` give
-    each one's sorted positions and bitmask, and ``mask_set`` holds the
-    masks for membership tests.
+    each one's sorted positions and bitmask, ``number`` maps each mask to
+    its member's position in that list, and ``holders[i]`` is the mask of
+    the member positions that hold sentence i.
 
     ``of_masks(sentences, masks)`` is the one builder: it takes members as
     masks over sentences in any order and renumbers the sentences some
@@ -125,7 +126,8 @@ class MemberIndex:
         self.ids = [tuple(ids) for _, ids in rows]
         self.masks = [sum(1 << i for i in ids) for ids in self.ids]
         self.members = [frozenset(map(self.sentences.__getitem__, ids)) for ids in self.ids]
-        self.mask_set = set(self.masks)
+        self.number = {mask: k for k, mask in enumerate(self.masks)}
+        self.holders = holder_masks(self.ids, len(self.sentences))
 
     def bits(self, options) -> tuple:
         """Canonical options as bits, 0 for ``None`` (the member itself); an
@@ -255,31 +257,72 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     order and each member's obligations in ``ClauseObligations.compiled``
     order.
 
-    The checks run on the property's ``MemberIndex``: the obligations are
-    compiled to bits by ``ClauseObligations.compiled``, and an option is met
-    when the member's mask with its bit is a member's mask.
+    Each check runs once per distinct sentence, for every member at once,
+    on masks of member positions in the property's ``MemberIndex``.  A
+    member m meets an option b when it holds b or m ∪ {b} is a member, so
+    the members meeting b are b's holders and those holders without b.  An
+    obligation fails on the members it applies to that meet none of its
+    options: a sentence's own obligations apply to its holders, Str.2 to
+    the holders of an equality and another sentence, and Str.3, whose
+    options do not depend on the member, to all.  Con fails on the holders
+    of a negation and of its body.  Only the first failing member is
+    walked, obligation by obligation, to name the clause and the detail.
     """
     index = prop.index
-    sentences, masks, mask_set = index.sentences, index.masks, index.mask_set
-    rows = list(zip(index.members, index.ids, masks))
+    sentences, masks, number, holders = index.sentences, index.masks, index.number, index.holders
+    everyone = (1 << len(masks)) - 1
     negated = [
         index.position.get(f.body) if isinstance(f, Not) else None for f in sentences
     ]
-    for s, ids, mask in rows:
-        for i in ids:
-            j = negated[i]
-            if j is not None and mask >> j & 1:
-                return ClauseVerdict(False, "Con", s, syntax.render(sentences[j]))
+    con = 0
+    for i, j in enumerate(negated):
+        if j is not None:
+            con |= holders[i] & holders[j]
+    if con:
+        k = next(bit_positions(con))
+        body = next(j for j in map(negated.__getitem__, index.ids[k])
+                    if j is not None and masks[k] >> j & 1)
+        return ClauseVerdict(False, "Con", index.members[k], syntax.render(sentences[body]))
 
-    of = ClauseObligations(prop.sig).compiled(sentences, index.bits)
-    for s, ids, mask in rows:
-        for clause, need, options in of(ids):
-            for bit in options:
-                if mask | bit in mask_set:
-                    break
-            else:
-                return ClauseVerdict(False, clause, s, need)
-    return ClauseVerdict(True)
+    @functools.cache
+    def meets(bit: int) -> int:
+        if not bit:
+            return everyone
+        out = held = holders[bit.bit_length() - 1]
+        for k in bit_positions(held):
+            j = number.get(masks[k] ^ bit)
+            if j is not None:
+                out |= 1 << j
+        return out
+
+    def failing(subject: int, raw) -> int:
+        out = 0
+        for _clause, _need, options in raw:
+            met = 0
+            for bit in index.bits(options):
+                met |= meets(bit)
+            out |= subject & ~met
+        return out
+
+    obligations = ClauseObligations(prop.sig)
+    bad = failing(everyone, obligations.naming(frozenset()))  # the same options for all
+    for i, f in enumerate(sentences):
+        bad |= failing(holders[i], obligations.own(f))
+        if isinstance(f, Eq):
+            for j, g in enumerate(sentences):
+                both = holders[i] & holders[j]
+                if both and j != i:
+                    bad |= failing(both, obligations.replaced(f, g))
+    if not bad:
+        return ClauseVerdict(True)
+    k = next(bit_positions(bad))
+    mask = masks[k]
+    clause, need = next(
+        (clause, need)
+        for clause, need, options in obligations.compiled(sentences, index.bits)(index.ids[k])
+        if not any(mask | bit in number for bit in options)
+    )
+    return ClauseVerdict(False, clause, index.members[k], need)
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +436,22 @@ def model_from_consprop(
     """Build a model realizing every member of a consistency property.
 
     The members ordered by reverse inclusion form a poset, built
-    (``Poset.of_sets``) from the property's ``MemberIndex`` masks and, per
-    sentence, the mask of the members holding it; its regular-open
-    completion is the algebra; the domain is the constant pool; an atomic
-    value is the regularization of the atom's mask.  (A member to which the
-    atom can be added without leaving the family has that extension below
-    it, so the members compatible with the atom regularize to the same
-    value.)  The property is verified clause by clause first, and a failing
-    clause raises.  The construction is then validated: the congruence
-    conditions must hold and every member's cone must sit below the value of
-    each of its sentences, each distinct sentence evaluated once.  A
-    validation failure raises with the counterexample.
+    (``Poset.of_sets``) from the property's ``MemberIndex`` masks and
+    holders; its regular-open completion is the algebra and the domain is
+    the constant pool.  An atomic value is the regularization of the
+    atom's holders.  (A member to which the atom can be added without
+    leaving the family has that extension below it, so the members
+    compatible with the atom regularize to the same value.)  As each
+    algebra atom is the cone of a maximal member, which lies in the
+    regularization of a set just when it lies in the set, the value is the
+    set of atoms whose maximal member holds the atom.  The property is
+    verified clause by clause first, and a failing clause raises.  The
+    construction is then validated: the congruence conditions must hold
+    and every member's cone must sit below the value of each of its
+    sentences.  Each distinct sentence is evaluated once, and fails on its
+    holders inside the maximal member of an atom outside its value; only
+    the first failing member is walked, its sentences in render order, to
+    name the failure, which raises with the counterexample.
     """
     verdict = verify_consistency_property(prop)
     if not verdict.ok:
@@ -418,8 +466,7 @@ def model_from_consprop(
         raise BoolkitError("model construction needs at least one constant")
 
     index = prop.index
-    members = index.members
-    holders = holder_masks(index.ids, len(index.sentences))
+    members, holders = index.members, index.holders
     poset = Poset.of_sets(members, (index.masks, holders))  # stronger means larger
     ro = ro_completion(poset)
     algebra = ro.algebra
@@ -427,7 +474,7 @@ def model_from_consprop(
     def value_of(atom: Formula) -> int:
         i = index.position.get(atom)  # an atom in no member holds in none
         mask = 0 if i is None else holders[i]
-        return ro.element_of_mask(poset.regularize_mask(mask))
+        return sum(1 << j for j, r in enumerate(ro.minimal) if mask >> r & 1)
 
     domain = tuple(consts)
     eq = {}
@@ -451,29 +498,30 @@ def model_from_consprop(
     except BoolkitError as exc:
         raise ConstructionFailure(f"congruence validation failed: {exc}") from exc
 
-    # each distinct sentence is evaluated once, when a member first needs it
-    values = {}
-    diagnostics = {"members": len(members), "atoms": algebra.atom_count, "checked": 0}
-    for s in members:
-        cone = ro.cone[s]
-        for phi in s:
-            value = values.get(phi)
-            if value is None:
-                value = values[phi] = bvmodel.eval_formula(
-                    model, phi, max_steps=budget.eval_steps
-                )
-            diagnostics["checked"] += 1
-            if not algebra.leq(cone, value):
-                raise ConstructionFailure(
-                    "cone is not below the value of a member sentence",
-                    counterexample={
-                        "member": sorted(map(syntax.render, s)),
-                        "sentence": syntax.render(phi),
-                        "cone": cone,
-                        "value": value,
-                    },
-                )
-    return model, diagnostics
+    ups = [poset.above(r) for r in ro.minimal]
+    values, failed = [], []
+    for i, phi in enumerate(index.sentences):
+        value = bvmodel.eval_formula(model, phi, max_steps=budget.eval_steps)
+        outside = 0
+        for j in bit_positions(algebra.one & ~value):
+            outside |= ups[j]
+        values.append(value)
+        failed.append(holders[i] & outside)
+    bad = functools.reduce(int.__or__, failed, 0)
+    if bad:
+        k = next(bit_positions(bad))
+        i = next(i for i in index.ids[k] if failed[i] >> k & 1)
+        raise ConstructionFailure(
+            "cone is not below the value of a member sentence",
+            counterexample={
+                "member": sorted(map(syntax.render, members[k])),
+                "sentence": syntax.render(index.sentences[i]),
+                "cone": ro.cone[members[k]],
+                "value": values[i],
+            },
+        )
+    checked = sum(map(len, index.ids))
+    return model, {"members": len(members), "atoms": algebra.atom_count, "checked": checked}
 
 
 def mixing_model_from_consprop(

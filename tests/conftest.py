@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from boolkit import bvmodel, compact, consprop, syntax
-from boolkit.balg import FiniteBooleanAlgebra, Filter, Poset, ro_completion
+from boolkit.balg import FiniteBooleanAlgebra, Filter, Poset, bit_positions, ro_completion
 from boolkit.bvmodel import BValuedModel
 from boolkit.errors import BoolkitError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
@@ -370,17 +370,45 @@ def down_mask(poset, a) -> int:
     return poset._down[poset._index[a]]
 
 
+def regularize_mask(poset, u_mask: int) -> int:
+    """Interior-of-closure of a set of positions, by the up masks.
+
+    The closure of u is the set of conditions with an extension in u,
+    the union of the up masks of u's members.  Its interior keeps the
+    conditions whose every extension is in the closure, that is, those
+    above no condition outside it.
+    """
+    everything = (1 << len(poset)) - 1
+    touched = 0
+    for i in bit_positions(u_mask):
+        touched |= poset._up[i]
+    outside = 0
+    for k in bit_positions(everything & ~touched):
+        outside |= poset._up[k]
+    return everything & ~outside
+
+
 def regularize(poset, u) -> frozenset:
     """Interior-of-closure of a set of elements, through ``regularize_mask``."""
-    return set_of(poset, poset.regularize_mask(mask_of(poset, u)))
+    return set_of(poset, regularize_mask(poset, mask_of(poset, u)))
+
+
+def element_of_mask(ro, u_mask) -> int:
+    """The algebra element of a regular open mask: the atoms whose masks
+    lie inside it."""
+    out = 0
+    for j, a in enumerate(ro._atom_masks):
+        if a & ~u_mask == 0:
+            out |= 1 << j
+    return out
 
 
 def element_of(ro, regular_open) -> int:
     """The algebra element of a regular open set of conditions."""
     u_mask = mask_of(ro.poset, regular_open)
-    if ro.poset.regularize_mask(u_mask) != u_mask:
+    if regularize_mask(ro.poset, u_mask) != u_mask:
         raise BoolkitError("set is not regular open")
-    return ro.element_of_mask(u_mask)
+    return element_of_mask(ro, u_mask)
 
 
 def set_of_element(ro, x) -> frozenset:
@@ -389,7 +417,7 @@ def set_of_element(ro, x) -> frozenset:
     for j, a in enumerate(ro._atom_masks):
         if x >> j & 1:
             mask |= a
-    return set_of(ro.poset, ro.poset.regularize_mask(mask))
+    return set_of(ro.poset, regularize_mask(ro.poset, mask))
 
 
 def filter_from_members(algebra, members) -> Filter:
@@ -436,7 +464,7 @@ def reference_model_json(prop):
 
     def value(atom):
         compatible = [s for s in members if atom in s or s | {atom} in family]
-        return ro.element_of_mask(poset.regularize_mask(mask_of(poset, compatible)))
+        return element_of_mask(ro, regularize_mask(poset, mask_of(poset, compatible)))
 
     eq = {
         (a, b): ro.algebra.one if a == b else value(Eq(*sorted((a, b))))

@@ -18,10 +18,12 @@ from boolkit.errors import BoolkitError
 from conftest import (
     down_mask,
     element_of,
+    element_of_mask,
     filter_from_members,
     interior_of_closure,
     mask_of,
     regularize,
+    regularize_mask,
     set_of_element,
 )
 
@@ -52,7 +54,7 @@ def random_posets(draw, max_size=8):
 
 def _minimal_cones(p):
     """Atoms as the cones that contain no other cone (a quadratic scan)."""
-    cones = [p.regularize_mask(down_mask(p, q)) for q in p.elements]
+    cones = [regularize_mask(p, down_mask(p, q)) for q in p.elements]
     return sorted({m for m in cones if not any(o != m and o & ~m == 0 for o in cones)})
 
 
@@ -101,7 +103,7 @@ class TestRegularize:
         subset = {x for i, x in enumerate(names) if bits >> i & 1}
         expected = interior_of_closure(p, subset)
         assert regularize(p, subset) == expected
-        assert p.regularize_mask(mask_of(p, subset)) == mask_of(p, expected)
+        assert regularize_mask(p, mask_of(p, subset)) == mask_of(p, expected)
 
     def test_idempotent_monotone_inflationary(self):
         rng = random.Random(7)
@@ -149,7 +151,23 @@ class TestRoCompletion:
         ro = ro_completion(p)
         assert list(ro._atom_masks) == _minimal_cones(p)
         for q in p.elements:
-            assert ro.cone[q] == ro.element_of_mask(p.regularize_mask(down_mask(p, q)))
+            assert ro.cone[q] == element_of_mask(ro, regularize_mask(p, down_mask(p, q)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            random_posets(),
+            st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=8,
+                     unique=True).map(Poset.of_sets),
+        ),
+        st.integers(0, 2**8 - 1),
+    )
+    def test_a_regularization_holds_the_atoms_of_its_minimal_elements(self, p, bits):
+        # a minimal element lies in the regularization of U just when it lies in U
+        ro = ro_completion(p)
+        u_mask = bits & (1 << len(p)) - 1
+        expected = sum(1 << j for j, r in enumerate(ro.minimal) if u_mask >> r & 1)
+        assert element_of_mask(ro, regularize_mask(p, u_mask)) == expected
 
     def test_elements_are_regular_opens(self):
         p = Poset(["a", "b", "c", "d"], leq_pairs=[("a", "c"), ("b", "c"), ("a", "d")])
@@ -253,8 +271,8 @@ class TestPoset:
         # of_sets builds its up masks directly, not by transposing the down masks
         assert built._up == reference._up
         for mask in subsets:
-            mask &= built._all
-            assert built.regularize_mask(mask) == reference.regularize_mask(mask)
+            mask &= (1 << len(built)) - 1
+            assert regularize_mask(built, mask) == regularize_mask(reference, mask)
         ro, ro_ref = ro_completion(built), ro_completion(reference)
         assert ro._atom_masks == ro_ref._atom_masks and ro.cone == ro_ref.cone
 

@@ -329,6 +329,7 @@ class TestUsageBoundary:
             ["mixing", "--lam", 0],
             ["forcing", "build", "--sig", "sig.json", "--formula", "(R a)", "--size-bound", -1],
             ["faicom", "--n", 2, "--fresh", -1],
+            ["proof-check", "--sig", "sig.json", "--proof", "refl.json", "--probe-trials", -3],
             ["faicom", "--n", 2, "--out", "a-directory"],
             ["eval", "--formula", "(= a a)", "--model", "invalid.json"],
             ["quotient", "--model", "invalid.json"],
@@ -364,11 +365,13 @@ class TestUsageBoundary:
         (workdir / "two-atoms.json").write_text(
             json.dumps(dict(two, consts=consts, rel={"R": {"a": "11"}}))
         )
+        refl = {"rule": "eq-axiom-1", "conclusion": {"left": [], "right": ["(= a a)"]}}
+        (workdir / "refl.json").write_text(json.dumps(refl))
         (workdir / "a-directory").mkdir()
         files = {"sig.json", "invalid.json", "binary.json", "unary.json", "rb.json", "a-directory",
-                 "rb-false.json", "two-atoms.json"}
+                 "rb-false.json", "two-atoms.json", "refl.json"}
         args = [workdir / a if a in files else a for a in args]
-        if args[0] not in ("faicom", "forcing") and "--model" not in args:
+        if args[0] not in ("faicom", "forcing", "proof-check") and "--model" not in args:
             args = args + ["--model", workdir / "m.json"]
         self._usage_error(capsys, args)
 

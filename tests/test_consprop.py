@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -101,6 +102,36 @@ class TestVerify:
                 verdict = verify_consistency_property(smaller)
                 got = (verdict.ok, verdict.clause, verdict.member, verdict.detail)
                 assert got == naive_verify(smaller, memo)
+
+    def test_matches_the_naive_checker_on_materialized_and_base_constant_removals(self):
+        # materialized properties are over the star signature, where every
+        # constant is fresh and so Str.3 is met by the member itself; the
+        # saturated properties over base constants make Str.3 ask for a name
+        from conftest import naive_verify
+        from test_acceptance import _compactness_families
+
+        props = [
+            compact.materialize_compactness_property(compact.conjunction_closure(gens), sig)
+            for sig, gens in _compactness_families()
+        ]
+        for sig, theory in [
+            (Signature(relations={"P": 1}, base_constants={"a"}, fresh_constants={"c"}),
+             Theory([Atom("P", ("a",))])),
+            (Signature(relations={}, base_constants={"a", "b"}, fresh_constants={"c"}), Theory([])),
+        ]:
+            props.append(saturate_theory(theory, sig))
+        rng = random.Random(19)
+        clauses = set()
+        for prop in props:
+            members = prop.index.members
+            memo = {}
+            for i in sorted(rng.sample(range(len(members)), min(60, len(members)))):
+                smaller = ConsistencyProperty(prop.sig, members[:i] + members[i + 1 :])
+                verdict = verify_consistency_property(smaller)
+                got = (verdict.ok, verdict.clause, verdict.member, verdict.detail)
+                assert got == naive_verify(smaller, memo)
+                clauses.add(verdict.clause)
+        assert clauses >= {"", "Ind.2", "Str.1", "Str.2", "Str.3"}
 
     @pytest.mark.parametrize(
         "sig, members, clause",
@@ -221,6 +252,30 @@ class TestModelExistence:
         first = next(s for s in prop.index.members if chosen in s)
         assert exc.value.counterexample["member"] == sorted(map(syntax.render, first))
         assert exc.value.counterexample["sentence"] == syntax.render(chosen)
+
+    def test_cone_check_names_the_first_of_two_failing_members(self, monkeypatch):
+        # y comes after x in render order, but a member without x holds y
+        # before any member holds x: that member is the first to fail
+        sig = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0"})
+        gens = [Atom("R", ("a",)), Atom("R", ("b",))]
+        prop = compact.materialize_compactness_property(compact.conjunction_closure(gens), sig)
+        members = prop.index.members
+        first = {f: next(k for k, s in enumerate(members) if f in s) for f in prop.index.sentences}
+        x, y = next(
+            (x, y)
+            for x, y in itertools.combinations(prop.index.sentences, 2)
+            if first[y] < first[x] and x not in members[first[y]]
+        )
+        real = bvmodel.eval_formula
+
+        def eval_formula(model, phi, **kwargs):
+            return 0 if phi in (x, y) else real(model, phi, **kwargs)
+
+        monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
+        with pytest.raises(ConstructionFailure) as exc:
+            model_from_consprop(prop)
+        assert exc.value.counterexample["member"] == sorted(map(syntax.render, members[first[y]]))
+        assert exc.value.counterexample["sentence"] == syntax.render(y)
 
     def test_each_distinct_sentence_is_evaluated_once(self, monkeypatch):
         prop = saturate_theory(Theory([Atom("P", ("c0",))]), SIG_P)
