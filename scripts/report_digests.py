@@ -13,7 +13,10 @@ quantified sentences over ``Q_SIG``, one by one and together, and
 ``proof-check``, with and without ``--probe-trials``, on the proof corpus
 and its mutations, and ``consprop-verify`` on each one-member removal of
 the criterion-7 saturated properties and of the properties materialized
-from the criterion-8 families.
+from the criterion-8 families.  Last come ``materialize`` lines, which run
+no CLI call: for each criterion-8 family and each family that the
+criterion-10 demonstration materializes, the member count and the sha256
+of the materialized property's JSON.
 The instances come from ``tests/test_acceptance.py``,
 ``tests/test_compact.py`` and ``tests/test_proofs.py`` next to this script;
 ``--src`` picks the checkout whose ``boolkit`` is imported, so that two
@@ -51,6 +54,7 @@ def digests(work: Path):
         _genericity_instances,
         _ground_theories,
         _model_existence_instances,
+        _star_families,
     )
     from test_compact import Q_SIG, QUANTIFIED, pigeonhole
     from test_proofs import SIG as PROOF_SIG
@@ -156,6 +160,14 @@ def digests(work: Path):
             path = write("consprop.json", smaller)
             given = {"source": source, "theory": theory(sig, sentences), "removed": removed}
             report("consprop-verify", given, ["consprop-verify", "--consprop", path])
+
+    families = [(sig, compact.conjunction_closure(gens)) for sig, gens in _compactness_families()]
+    for sig, family in families + _star_families():
+        doc = compact.materialize_compactness_property(family, sig).to_json()
+        text = json.dumps(doc, sort_keys=True).encode()
+        line = {"command": "materialize", "input": theory(sig, family),
+                "members": len(doc["members"]), "sha256": hashlib.sha256(text).hexdigest()}
+        print(json.dumps(line, sort_keys=True), flush=True)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ are named by the declared constants.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Iterable, Optional
 from . import bvmodel, syntax
 from .balg import bit_positions, ultrafilters
 from .certify import replay_certificate  # noqa: F401 (re-exported)
-from .errors import BoolkitError, ConstructionFailure, SignatureError
+from .errors import BoolkitError, ConstructionFailure, ResourceBudgetError, SignatureError
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
 
 
@@ -552,6 +553,13 @@ def consistency_oracle(
     return OracleSession(budget).verdict(theory, sig, require_qe)
 
 
+def _decided(status: str, doing: str) -> str:
+    """A status that is not Unknown; an Unknown one raises, as the budget ran out."""
+    if status == UNKNOWN:
+        raise ResourceBudgetError(f"oracle unknown while {doing}")
+    return status
+
+
 def _session(budget: Optional[Budget], session: Optional[OracleSession]) -> OracleSession:
     """The session a pipeline function works in: the caller's, whose budget
     then governs the whole call, or a fresh one under ``budget``."""
@@ -810,12 +818,7 @@ def materialize_compactness_property(
     budget = session.budget
 
     def consistent(sentences) -> bool:
-        status = session.status(sentences, work_sig)
-        if status == UNKNOWN:
-            raise ConstructionFailure(
-                "oracle unknown while materializing", counterexample=sentences
-            )
-        return status == CONSISTENT
+        return _decided(session.status(sentences, work_sig), "materializing") == CONSISTENT
 
     # each distinct sentence of the family gets a bit, first seen first, and
     # a member is the mask of its sentences
@@ -829,16 +832,12 @@ def materialize_compactness_property(
             renders.append(syntax.render(f))
         return 1 << n
 
-    def ordered(mask: int) -> list:
-        """A member's sentence numbers in render order."""
-        return sorted(bit_positions(mask), key=renders.__getitem__)
-
     # each anchor's universe: its subsentences closed under the clause
     # steps, less the conjunctions matching a derived family member (the
     # member covers them); substitution and symmetry extensions are added
     # below member by member, where they are entailed and therefore harmless
     obligations = consprop.ClauseObligations(work_sig)
-    overflow = ConstructionFailure(
+    overflow = ResourceBudgetError(
         f"compactness universe exceeds the bound of {budget.max_members} sentences"
     )
     psi_bit = bit(psi)
@@ -857,30 +856,37 @@ def materialize_compactness_property(
         for subset in kept_subsets(universe, lambda ext: consistent([*ext, anchor])):
             family_sets.add(psi_bit | sum(map(bit, subset)))
             if len(family_sets) > budget.max_members:
-                raise ConstructionFailure("member budget exceeded during materialization")
+                raise ResourceBudgetError("member budget exceeded during materialization")
     if not family_sets:
         raise ConstructionFailure("no consistent covering member; family has no model")
 
     # close the enumerated family under the clause obligations; every
     # extension added here is entailed by sentences already in the member,
-    # so consistency is preserved (and re-checked all the same)
+    # so consistency is preserved (and re-checked all the same); each
+    # member keeps its row, its sentence numbers in render order
     of = obligations.compiled(sentences, lambda options: tuple(
         0 if option is None else bit(option) for option in options
     ))
-    queue = sorted(family_sets, key=lambda s: [renders[i] for i in ordered(s)])
+    rows = {s: sorted(bit_positions(s), key=renders.__getitem__) for s in family_sets}
+    queue = sorted(rows, key=lambda s: [renders[i] for i in rows[s]])
     while queue:
         s = queue.pop()
-        ids = ordered(s)
+        ids = rows[s]
         for _clause, need, options in of(ids):
+            if options and not options[0] & ~s:
+                continue  # met by the member itself
             fulfilled = False
             chosen = None
             for option in options:
                 ext = s | option
-                if ext in family_sets:
+                if ext in rows:
                     fulfilled = True
                     break
-                if chosen is None and consistent([sentences[i] for i in ordered(ext)]):
-                    chosen = ext
+                if chosen is None:
+                    row = list(ids)
+                    bisect.insort(row, option.bit_length() - 1, key=renders.__getitem__)
+                    if consistent([sentences[i] for i in row]):
+                        chosen = ext, row
             if fulfilled:
                 continue
             if chosen is None:
@@ -888,11 +894,11 @@ def materialize_compactness_property(
                     f"no consistent extension for obligation: {need}",
                     counterexample=[renders[i] for i in ids],
                 )
-            family_sets.add(chosen)
-            queue.append(chosen)
-            if len(family_sets) > budget.max_members:
-                raise ConstructionFailure("member budget exceeded during closure")
-    return consprop.ConsistencyProperty.from_masks(work_sig, sentences, family_sets)
+            rows[chosen[0]] = chosen[1]
+            queue.append(chosen[0])
+            if len(rows) > budget.max_members:
+                raise ResourceBudgetError("member budget exceeded during closure")
+    return consprop.ConsistencyProperty.from_rows(work_sig, sentences, list(rows.values()))
 
 
 @dataclass
@@ -923,6 +929,8 @@ def compactness_run(
     session = _session(budget, session)
     budget = session.budget
     fincons = is_finitely_conservative(members, sig, session=session)
+    if fincons.unknown:
+        raise ResourceBudgetError("oracle unknown while checking finite conservativity")
     if not fincons.ok:
         raise BoolkitError(f"family is not finitely conservative: {fincons.reason}")
     prop = materialize_compactness_property(members, sig, session=session)
@@ -978,10 +986,11 @@ def lindenbaum_complete(
     otherwise."""
     current = [syntax.canon(f) for f in theory]
     session = _session(budget, session)
-    if session.status(current, sig) != CONSISTENT:
+    if _decided(session.status(current, sig), "completing") != CONSISTENT:
         raise BoolkitError("cannot complete an inconsistent theory")
     for atom in syntax.ground_atoms(sig):
-        current.append(atom if session.status([*current, atom], sig) == CONSISTENT else Not(atom))
+        status = _decided(session.status([*current, atom], sig), "completing")
+        current.append(atom if status == CONSISTENT else Not(atom))
     return current
 
 
@@ -1002,17 +1011,18 @@ def first_order_compactness_demo(
     """
     sentences = [syntax.canon(f) for f in theory]
     session = OracleSession(budget)
-    if session.status(sentences, sig) != CONSISTENT:
+    if _decided(session.status(sentences, sig), "checking the theory") != CONSISTENT:
         subset = _minimal_inconsistent_subset(sentences, sig, session)
         raise BoolkitError(
             "theory has an inconsistent finite subset: "
             + "; ".join(syntax.render(f) for f in subset)
         )
     completed = lindenbaum_complete(sentences, sig, session=session)
-    witness = session.verdict(completed, sig).witness
+    verdict = session.verdict(completed, sig)
+    _decided(verdict.status, "checking the completion")
     # a theory and its single conjunction are interchangeable for Boolean
     # consistency; the singleton generator keeps the materialized family small
-    stars = star_theory(witness, [big_conjunction(sentences)], sig)
+    stars = star_theory(verdict.witness, [big_conjunction(sentences)], sig)
     family = conjunction_closure(stars)
     result = compactness_run(family, sig, session=session)
     model = result.model

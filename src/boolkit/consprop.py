@@ -45,11 +45,11 @@ class ConsistencyProperty:
         return len(self.members)
 
     @classmethod
-    def from_masks(cls, sig: Signature, sentences, masks) -> "ConsistencyProperty":
-        """The property whose members are ``masks`` over ``sentences``, which
-        must be canonical and free of reflexive equalities: nothing is
-        canonicalized again, and the index is built from the masks."""
-        index = MemberIndex.of_masks(sentences, masks)
+    def from_rows(cls, sig: Signature, sentences, rows) -> "ConsistencyProperty":
+        """The property whose members are ``rows`` over ``sentences`` (see
+        ``MemberIndex.of_rows``), which must be canonical and free of
+        reflexive equalities: nothing is canonicalized again."""
+        index = MemberIndex.of_rows(sentences, rows)
         prop = cls.__new__(cls)
         prop.__dict__.update(sig=sig, members=frozenset(index.members), index=index)
         return prop
@@ -94,36 +94,32 @@ class MemberIndex:
     its member's position in that list, and ``holders[i]`` is the mask of
     the member positions that hold sentence i.
 
-    ``of_masks(sentences, masks)`` is the one builder: it takes members as
-    masks over sentences in any order and renumbers the sentences some
-    member holds.  ``MemberIndex(members)`` numbers the members' sentences
-    first seen first and hands their masks to it.
+    ``of_rows(sentences, rows)`` is the one builder: it takes each member
+    as a row of numbers into ``sentences``, in render order of their
+    sentences, and renumbers the sentences some member holds in render
+    order, which keeps each row sorted.  ``MemberIndex(members)`` numbers
+    the members' sentences in render order and hands their rows to it.
     """
 
     def __init__(self, members):
-        seen = {}  # sentence -> its number, first seen first
-        masks = [sum(1 << seen.setdefault(f, len(seen)) for f in s) for s in members]
-        self._build(list(seen), masks)
+        sentences = sorted(set().union(*members), key=syntax.render)
+        position = {f: i for i, f in enumerate(sentences)}
+        self._build(sentences, [sorted(map(position.__getitem__, s)) for s in members])
 
     @classmethod
-    def of_masks(cls, sentences, masks) -> "MemberIndex":
+    def of_rows(cls, sentences, rows) -> "MemberIndex":
         index = cls.__new__(cls)
-        index._build(sentences, masks)
+        index._build(sentences, rows)
         return index
 
-    def _build(self, sentences, masks):
-        held = 0
-        for mask in masks:
-            held |= mask
-        order = sorted(bit_positions(held), key=lambda i: syntax.render(sentences[i]))
+    def _build(self, sentences, rows):
+        order = sorted(set().union(*rows), key=lambda i: syntax.render(sentences[i]))
         self.sentences = [sentences[i] for i in order]
         self.position = {f: i for i, f in enumerate(self.sentences)}
         rank = dict(zip(order, range(len(order))))
-        rows = sorted(
-            (len(ids), ids)
-            for ids in (sorted(map(rank.__getitem__, bit_positions(mask))) for mask in masks)
+        self.ids = sorted(
+            (tuple(map(rank.__getitem__, row)) for row in rows), key=lambda ids: (len(ids), ids)
         )
-        self.ids = [tuple(ids) for _, ids in rows]
         self.masks = [sum(1 << i for i in ids) for ids in self.ids]
         self.members = [frozenset(map(self.sentences.__getitem__, ids)) for ids in self.ids]
         self.number = {mask: k for k, mask in enumerate(self.masks)}
@@ -166,9 +162,10 @@ class ClauseObligations:
         ``sentences`` in render order of their sentences and yields
         ``(clause, need, option bits)``: each sentence's own obligations;
         then substitution of equals, equalities in render order; then fresh
-        naming.  ``bits(options)`` compiles one obligation's options, once
-        per sentence, per (equality, sentence) pair and per set of
-        mentioned constants."""
+        naming, left out when every constant is fresh, as each of its
+        options then starts with the member itself.  ``bits(options)``
+        compiles one obligation's options, once per sentence, per
+        (equality, sentence) pair and per set of mentioned constants."""
 
         def compile_(raw) -> tuple:
             return tuple((clause, need, bits(options)) for clause, need, options in raw)
@@ -177,6 +174,7 @@ class ClauseObligations:
         replaced = functools.cache(lambda e, i: compile_(self.replaced(sentences[e], sentences[i])))
         naming = functools.cache(lambda mentioned: compile_(self.naming(mentioned)))
         constants = functools.cache(lambda i: syntax.constants_of(sentences[i]))
+        named = self._consts != self._fresh
 
         def of(ids):
             for i in ids:
@@ -186,7 +184,8 @@ class ClauseObligations:
                     for i in ids:
                         if i != e:
                             yield from replaced(e, i)
-            yield from naming(frozenset().union(*map(constants, ids)))
+            if named:
+                yield from naming(frozenset().union(*map(constants, ids)))
 
         return of
 
@@ -420,9 +419,9 @@ def saturate_theory(
         return ConsistencyProperty(sig, [])
     # the universe is canonical and free of reflexive equalities
     universe = closure_universe(theory, sig, bound)
-    bit = {f: 1 << i for i, f in enumerate(universe)}
-    masks = [sum(map(bit.__getitem__, s)) for s in compact.kept_subsets(universe, consistent)]
-    return ConsistencyProperty.from_masks(sig, universe, masks)
+    position = {f: i for i, f in enumerate(universe)}  # render order, so rows come sorted
+    rows = [[position[f] for f in s] for s in compact.kept_subsets(universe, consistent)]
+    return ConsistencyProperty.from_rows(sig, universe, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from boolkit.bvmodel import (
 from boolkit.compact import (
     CONSISTENT,
     INCONSISTENT,
+    big_conjunction,
     compactness_run,
     conjunction_closure,
     consistency_oracle,
@@ -26,6 +27,7 @@ from boolkit.compact import (
     first_order_compactness_demo,
     is_conservative_strengthening,
     is_finitely_conservative,
+    lindenbaum_complete,
     star_theory,
 )
 from boolkit.forcing import (
@@ -373,6 +375,20 @@ def _ground_theories():
         (sig_b, Theory([Atom("B", (ns[0], ns[1])), Not(Eq(ns[0], ns[1])), Eq(ns[1], ns[2])]))
     )
     out.append((sig_b, Theory([Or((Atom("B", (ns[0], ns[1])), Atom("B", (ns[1], ns[0]))))])))
+    return out
+
+
+def _star_families():
+    """The family ``first_order_compactness_demo`` materializes for each
+    criterion-10 theory: the conjunction closure of the star theory of the
+    theory's conjunction, read off the witness of its Lindenbaum
+    completion."""
+    out = []
+    for sig, theory in _ground_theories():
+        sentences = [syntax.canon(f) for f in theory]
+        witness = consistency_oracle(lindenbaum_complete(sentences, sig), sig).witness
+        stars = star_theory(witness, [big_conjunction(sentences)], sig)
+        out.append((sig, conjunction_closure(stars)))
     return out
 
 

@@ -146,6 +146,48 @@ class TestOraclePipelines:
         assert m.algebra.atom_count == 1
 
 
+class TestBudgetExhaustion:
+    # a run that exhausts its budget exits 2 with one JSON error line and
+    # no report, never as a refutation or a traceback
+    THEORY = {
+        "signature": {"relations": {}, "base_constants": ["c0", "c1", "c2"],
+                      "fresh_constants": ["w"]},
+        "sentences": ["(or (= c0 c1) (= c0 c2))", "(not (= c1 c2))"],
+    }
+    FAMILY = {
+        "signature": {"relations": {"R": 1}, "base_constants": ["a", "b"],
+                      "fresh_constants": ["e0"]},
+        "sentences": ["(R a)", "(R b)", "(and (R a) (R b))"],
+    }
+
+    @pytest.mark.parametrize("command, budget, error", [
+        ("focompact", ["--budget-oracle-nodes", 1], "oracle unknown while checking the theory"),
+        ("focompact", ["--budget-oracle-nodes", 2], "oracle unknown while checking the theory"),
+        ("focompact", ["--budget-oracle-nodes", 3], "oracle unknown while completing"),
+        ("focompact", ["--budget-max-members", 5],
+         "compactness universe exceeds the bound of 5 sentences"),
+        ("compact", ["--budget-max-members", 3], "member budget exceeded during materialization"),
+        ("compact", ["--budget-oracle-nodes", 1],
+         "oracle unknown while checking finite conservativity"),
+    ], ids=["focompact-nodes-1", "focompact-nodes-2", "focompact-nodes-3", "focompact-members-5",
+            "compact-members-3", "compact-nodes-1"])
+    def test_exits_unknown(self, tmp_path, capsys, command, budget, error):
+        focompact = command == "focompact"
+        doc, flag = (self.THEORY, "--theory") if focompact else (self.FAMILY, "--family")
+        (tmp_path / "input.json").write_text(json.dumps(doc))
+        code, report = run_json([command, flag, tmp_path / "input.json", *budget], tmp_path)
+        captured = capsys.readouterr()
+        assert (code, report, captured.out) == (cli.EXIT_UNKNOWN, None, "")
+        assert captured.err.splitlines() == [json.dumps({"error": error}, sort_keys=True)]
+
+    def test_the_theory_is_unknown_to_the_oracle_under_the_same_cap(self, tmp_path):
+        (tmp_path / "input.json").write_text(json.dumps(self.THEORY))
+        code, report = run_json(
+            ["oracle", "--theory", tmp_path / "input.json", "--budget-oracle-nodes", 1], tmp_path
+        )
+        assert (code, report["status"]) == (cli.EXIT_UNKNOWN, "Unknown")
+
+
 class TestModelCommands:
     @pytest.fixture
     def model_file(self, workdir):

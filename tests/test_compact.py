@@ -33,7 +33,7 @@ from boolkit.compact import (
     replay_certificate,
     star_theory,
 )
-from boolkit.errors import BoolkitError, ConstructionFailure
+from boolkit.errors import BoolkitError, ResourceBudgetError
 from boolkit.forcing import build_sphi, genericity_sentence
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Theory
 
@@ -700,9 +700,9 @@ class TestCompactnessRun:
         with pytest.raises(BoolkitError):
             compactness_run(family, sig)
 
-    def test_universe_bound_is_a_construction_failure(self):
+    def test_universe_bound_is_a_budget_error(self):
         ra, rb = Atom("R", ("a",)), Atom("R", ("b",))
-        with pytest.raises(ConstructionFailure) as exc:
+        with pytest.raises(ResourceBudgetError) as exc:
             materialize_compactness_property([And((ra, rb)), ra, rb], SIG, Budget(max_members=2))
         assert str(exc.value) == "compactness universe exceeds the bound of 2 sentences"
 

@@ -161,6 +161,70 @@ class TestVerify:
             assert syntax.canon(Atom("P", ("c0",))) not in prop.index.position
 
 
+class TestMemberIndex:
+    FIELDS = ("sentences", "ids", "masks", "members", "number", "holders")
+
+    @staticmethod
+    def _demo_properties(monkeypatch):
+        """Each criterion-10 demo's materialized property, with the family
+        it was materialized from."""
+        from test_acceptance import _ground_theories
+
+        made = []
+        real = compact.materialize_compactness_property
+
+        def recorded(family, sig, *args, **kwargs):
+            prop = real(family, sig, *args, **kwargs)
+            made.append((family, prop))
+            return prop
+
+        monkeypatch.setattr(compact, "materialize_compactness_property", recorded)
+        for sig, theory in _ground_theories():
+            compact.first_order_compactness_demo(theory, sig)
+        return made
+
+    def test_the_row_builder_matches_the_member_builder(self, monkeypatch):
+        # saturation and materialization hand their rows to ``of_rows``;
+        # ``MemberIndex(members)`` indexes the members themselves
+        from test_acceptance import (
+            _compactness_families,
+            _model_existence_instances,
+            _star_families,
+        )
+
+        props = [saturate_theory(t, sig) for sig, t in _model_existence_instances()]
+        props += [
+            compact.materialize_compactness_property(compact.conjunction_closure(gens), sig)
+            for sig, gens in _compactness_families()
+        ]
+        demos = self._demo_properties(monkeypatch)
+        # the families of the digest script's helper are the demo's own
+        assert [family for family, _ in demos] == [family for _, family in _star_families()]
+        props += [prop for _, prop in demos]
+        assert max(map(len, props)) == 2656
+        for prop in props:
+            assert "index" in vars(prop)  # built from rows with the property
+            fresh = consprop.MemberIndex(prop.members)
+            for name in self.FIELDS:
+                assert getattr(prop.index, name) == getattr(fresh, name), name
+
+    def test_rows_may_number_sentences_in_any_order(self):
+        # the sentences may come in any order, some in no member; each row
+        # lists its numbers in render order of their sentences
+        prop = saturate_theory(Theory([Atom("P", ("c0",))]), SIG_P)
+        sentences = [*prop.index.sentences, Atom("P", ("c9",)), Eq("c0", "c9")]
+        random.Random(3).shuffle(sentences)
+        position = {f: i for i, f in enumerate(sentences)}
+        rows = [
+            sorted((position[f] for f in s), key=lambda i: syntax.render(sentences[i]))
+            for s in prop.members
+        ]
+        index = consprop.MemberIndex.of_rows(sentences, rows)
+        fresh = consprop.MemberIndex(prop.members)
+        for name in self.FIELDS:
+            assert getattr(index, name) == getattr(fresh, name), name
+
+
 class TestSaturate:
     def test_empty_theory_members(self):
         prop = saturate_theory(Theory([]), SIG_CD)
