@@ -13,8 +13,11 @@ quantified sentences over ``Q_SIG``, one by one and together, and
 ``proof-check``, with and without ``--probe-trials``, on the proof corpus
 and its mutations, and ``consprop-verify`` on each one-member removal of
 the criterion-7 saturated properties and of the properties materialized
-from the criterion-8 families.  Last come ``materialize`` lines, which run
-no CLI call: for each criterion-8 family and each family that the
+from the criterion-8 families, and ``validate-model`` on seeded random
+B-valued models and on three single-entry mutants of each (an equality
+entry or a relation entry given a random value, a relation entry deleted),
+whose reports name up to five violations.  Last come ``materialize`` lines,
+which run no CLI call: for each criterion-8 family and each family that the
 criterion-10 demonstration materializes, the member count and the sha256
 of the materialized property's JSON.
 The instances come from ``tests/test_acceptance.py``,
@@ -27,8 +30,10 @@ checkouts compare with ``diff``:
     diff other.jsonl this.jsonl
 """
 import argparse
+import copy
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -46,7 +51,7 @@ def main():
 
 
 def digests(work: Path):
-    from boolkit import cli, compact, consprop, forcing, proofs, syntax
+    from boolkit import bvmodel, cli, compact, consprop, forcing, proofs, syntax
     from boolkit.syntax import And
     from test_acceptance import (
         _compactness_families,
@@ -160,6 +165,23 @@ def digests(work: Path):
             path = write("consprop.json", smaller)
             given = {"source": source, "theory": theory(sig, sentences), "removed": removed}
             report("consprop-verify", given, ["consprop-verify", "--consprop", path])
+
+    rng = random.Random(2024)
+    model_sig = syntax.Signature(relations={"R": 1, "S": 2, "T": 3}, base_constants={"c0", "c1"})
+
+    def bits(k):
+        return "".join(rng.choice("01") for _ in range(k))
+
+    for _ in range(40):
+        doc = bvmodel.model_to_json(bvmodel.random_model(model_sig, rng, max_domain=rng.choice([2, 3, 4])))
+        k, n = len(doc["algebra"]["atoms"]), len(doc["domain"])
+        eq_mutant, rel_mutant, missing = (copy.deepcopy(doc) for _ in range(3))
+        eq_mutant["eq"][rng.randrange(n)][rng.randrange(n)] = bits(k)
+        name = rng.choice(sorted(doc["rel"]))
+        rel_mutant["rel"][name][rng.choice(sorted(doc["rel"][name]))] = bits(k)
+        del missing["rel"][name][rng.choice(sorted(doc["rel"][name]))]
+        for model in (doc, eq_mutant, rel_mutant, missing):
+            report("validate-model", model, ["validate-model", "--model", write("model.json", model)])
 
     families = [(sig, compact.conjunction_closure(gens)) for sig, gens in _compactness_families()]
     for sig, family in families + _star_families():

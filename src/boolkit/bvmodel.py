@@ -54,55 +54,70 @@ class ValidationReport:
 
 def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport:
     """Exhaustively check the equality axioms and the relation congruence
-    condition; failures report the violating tuple."""
-    b = m.algebra
+    condition; failures report the violating tuple.
+
+    Congruence is checked by position, R(xs) meet eq(xs[i], y) <= R(xs[i:=y]):
+    chained over the positions, by monotonicity of meet alone, this gives it
+    for every pair (xs, ys), whose scan runs only to name the violations.
+    """
+    one, domain, eq = m.algebra.one, m.domain, m.eq
     bad = []
-    for a in m.domain:
-        for c in m.domain:
-            if (a, c) not in m.eq or not b.is_element(m.eq[(a, c)]):
-                bad.append(("eq-table", a, c))
-                if len(bad) >= max_violations:
-                    return ValidationReport(False, tuple(bad))
+    for a, c in itertools.product(domain, repeat=2):
+        if not m.algebra.is_element(eq.get((a, c))):
+            bad.append(("eq-table", a, c))
+            if len(bad) >= max_violations:
+                return ValidationReport(False, tuple(bad))
     if bad:  # the scans below read the whole table
         return ValidationReport(False, tuple(bad))
-    for a in m.domain:
-        if m.eq[(a, a)] != b.one:
-            bad.append(("reflexivity", a))
-    for a, c in itertools.product(m.domain, repeat=2):
-        if m.eq[(a, c)] != m.eq[(c, a)]:
+    bad = [("reflexivity", a) for a in domain if eq[(a, a)] != one]
+    for a, c in itertools.product(domain, repeat=2):
+        if eq[(a, c)] != eq[(c, a)]:
             bad.append(("symmetry", a, c))
             if len(bad) >= max_violations:
                 return ValidationReport(False, tuple(bad))
     # with equality the identity, transitivity holds, as eq(a, c) meet eq(c, d) is 0
     # unless a = c = d; so does congruence, as a guard is 0 unless xs = ys
-    identity = all(m.eq[(a, c)] == (b.one if a == c else 0) for a in m.domain for c in m.domain)
+    identity = all(eq[(a, c)] == (one if a == c else 0) for a in domain for c in domain)
     if not identity:
-        for a, c, d in itertools.product(m.domain, repeat=3):
-            if not b.leq(b.meet(m.eq[(a, c)], m.eq[(c, d)]), m.eq[(a, d)]):
-                bad.append(("transitivity", a, c, d))
-                if len(bad) >= max_violations:
-                    return ValidationReport(False, tuple(bad))
-    for name, table in m.rel.items():
-        arity = len(next(iter(table))) if table else 0
-        for xs in itertools.product(m.domain, repeat=arity):
-            if xs not in table or not b.is_element(table[xs]):
-                bad.append(("rel-table", name, xs))
-                return ValidationReport(False, tuple(bad))
-        if identity:
-            continue
-        for xs in itertools.product(m.domain, repeat=arity):
-            for ys in itertools.product(m.domain, repeat=arity):
-                guard = b.meet_all(m.eq[(x, y)] for x, y in zip(xs, ys))
-                if not b.leq(b.meet(guard, table[xs]), table[ys]):
-                    bad.append(("congruence", name, xs, ys))
+        for a, c in itertools.product(domain, repeat=2):
+            ac = eq[(a, c)]
+            for d in domain:
+                if ac & eq[(c, d)] & ~eq[(a, d)]:
+                    bad.append(("transitivity", a, c, d))
                     if len(bad) >= max_violations:
                         return ValidationReport(False, tuple(bad))
+    for name, table in m.rel.items():
+        arity = len(next(iter(table))) if table else 0
+        tuples = list(itertools.product(domain, repeat=arity))
+        for xs in tuples:
+            if not m.algebra.is_element(table.get(xs)):
+                bad.append(("rel-table", name, xs))
+                return ValidationReport(False, tuple(bad))
+        if identity or _congruent_by_position(domain, eq, table, tuples):
+            continue
+        for xs, ys in itertools.product(tuples, repeat=2):
+            if m.algebra.meet_all(eq[(x, y)] for x, y in zip(xs, ys)) & table[xs] & ~table[ys]:
+                bad.append(("congruence", name, xs, ys))
+                if len(bad) >= max_violations:
+                    return ValidationReport(False, tuple(bad))
     for name, elem in m.consts.items():
-        if elem not in m.domain:
+        if elem not in domain:
             bad.append(("constant", name, elem))
             if len(bad) >= max_violations:
                 return ValidationReport(False, tuple(bad))
     return ValidationReport(not bad, tuple(bad))
+
+
+def _congruent_by_position(domain, eq, table, tuples) -> bool:
+    """R(xs) meet eq(xs[i], y) <= R(xs[i:=y]) for all xs in tuples, i and y."""
+    for xs in tuples:
+        v = table[xs]
+        for i, x in enumerate(xs):
+            for y in domain:
+                moved = v & eq[(x, y)]
+                if moved and moved & ~table[xs[:i] + (y,) + xs[i + 1 :]]:
+                    return False
+    return True
 
 
 def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValuedModel:
@@ -163,11 +178,6 @@ class _Counter:
         self.left = cap
         self.memo = {}
 
-    def tick(self):
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceBudgetError("evaluation step budget exceeded")
-
 
 def eval_formula(
     m: BValuedModel,
@@ -206,41 +216,43 @@ def _resolve(m, term, env):
 
 
 def _eval(m, f, env, counter) -> int:
-    counter.tick()
-    b = m.algebra
-    if isinstance(f, Eq):
+    counter.left -= 1
+    if counter.left < 0:
+        raise ResourceBudgetError("evaluation step budget exceeded")
+    kind = type(f)
+    if kind is Eq:
         return m.eq[(_resolve(m, f.left, env), _resolve(m, f.right, env))]
-    if isinstance(f, Atom):
-        return m.rel[f.rel][tuple(_resolve(m, t, env) for t in f.args)]
-    if isinstance(f, Not):
-        return b.complement(_eval(m, f.body, env, counter))
-    if isinstance(f, (And, Or)):
+    if kind is Atom:
+        return m.rel[f.rel][tuple([_resolve(m, t, env) for t in f.args])]
+    one = m.algebra.one
+    if kind is Not:
+        return one ^ _eval(m, f.body, env, counter)
+    if kind is And or kind is Or:
         if not env and id(f) in counter.memo:
             return counter.memo[id(f)]
         # a meet stops at 0 and a join at 1: no later child can change it
-        if isinstance(f, And):
-            out, stop = b.one, b.zero
+        if kind is And:
+            out = one
             for c in f.children:
                 out &= _eval(m, c, env, counter)
-                if out == stop:
+                if not out:
                     break
         else:
-            out, stop = b.zero, b.one
+            out = 0
             for c in f.children:
                 out |= _eval(m, c, env, counter)
-                if out == stop:
+                if out == one:
                     break
         if not env:
             counter.memo[id(f)] = out
         return out
-    if isinstance(f, (Forall, Exists)):
-        is_forall = isinstance(f, Forall)
-        out = b.one if is_forall else b.zero
+    if kind is Forall or kind is Exists:
+        out = one if kind is Forall else 0
         for combo in itertools.product(m.domain, repeat=len(f.vars)):
             inner = dict(env)
             inner.update(zip(f.vars, combo))
             v = _eval(m, f.body, inner, counter)
-            out = out & v if is_forall else out | v
+            out = out & v if kind is Forall else out | v
         return out
     raise TypeError(f"not a formula: {f!r}")
 
@@ -382,8 +394,7 @@ def mixing_completion(m: BValuedModel) -> BValuedModel:
         for t in maps:
             value = 0
             for i, a in enumerate(atoms):
-                if b.leq(a, m.eq[(s[i], t[i])]):
-                    value |= a
+                value |= a & m.eq[(s[i], t[i])]
             eq[(s, t)] = value
     rel = {}
     for name, table in m.rel.items():
@@ -392,8 +403,7 @@ def mixing_completion(m: BValuedModel) -> BValuedModel:
         for ss in itertools.product(maps, repeat=arity):
             value = 0
             for i, a in enumerate(atoms):
-                if b.leq(a, table[tuple(s[i] for s in ss)]):
-                    value |= a
+                value |= a & table[tuple(s[i] for s in ss)]
             new_table[ss] = value
         rel[name] = new_table
     embed = {x: tuple(x for _ in atoms) for x in m.domain}

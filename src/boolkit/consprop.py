@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from . import bvmodel, compact, syntax
 from .balg import Poset, bit_positions, holder_masks, ro_completion
-from .errors import BoolkitError, ConstructionFailure
+from .errors import BoolkitError, ConstructionFailure, ResourceBudgetError
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature
 
 
@@ -412,7 +412,7 @@ def saturate_theory(
         # one a cached witness lacks
         status = session.status(base + list(subset), sig, require_qe=True)
         if status == compact.UNKNOWN:
-            raise BoolkitError("fragment not decidable at this bound")
+            raise ResourceBudgetError("oracle unknown while saturating the theory")
         return status == compact.CONSISTENT
 
     if not consistent(()):

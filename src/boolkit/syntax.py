@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -324,23 +325,11 @@ def render(f: Formula) -> str:
     return out
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")  # \s agrees with str.isspace on every code point
+
+
 def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+    return [(t.group(), t.start()) for t in _TOKEN.finditer(text)]
 
 
 class _Parser:

@@ -176,6 +176,27 @@ def sentence_catalog(sig, depth=3, limit=60):
     return catalog[:limit]
 
 
+def reference_tokenize(text):
+    """(token, offset) pairs by a character loop: parentheses are tokens of
+    their own, ``str.isspace`` characters separate, anything else runs on."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append((c, i))
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+    return tokens
+
+
 # ---------------------------------------------------------------------------
 # independent evaluators (two-valued and B-valued references)
 

@@ -98,34 +98,63 @@ class TestValidation:
             assert validate_model(m).ok
 
     def test_reports_as_the_full_scan(self):
-        sig = Signature(relations={"R": 1, "S": 2}, base_constants={"c0", "c1"})
+        sig = Signature(relations={"R": 1, "S": 2, "T": 3}, base_constants={"c0", "c1"})
         rng = random.Random(3)
-        cases = 0
+        cases = congruence_only = 0
         for _ in range(300):
-            if rng.random() < 0.5:
-                m = random_model(sig, rng, max_atoms=rng.choice([1, 3]))
+            mutation = rng.choice(["none", "eq", "eq", "rel", "rel", "missing", "congruence", "stray"])
+            max_domain = rng.choice([2, 3, 4])
+            if mutation == "congruence":  # a valid model whose equality is not the identity
+                m = random_model(sig, rng, max_atoms=3, max_domain=max_domain)
+                while all(v == (m.algebra.one if a == c else 0) for (a, c), v in m.eq.items()):
+                    m = random_model(sig, rng, max_atoms=3, max_domain=max_domain)
+            elif rng.random() < 0.5:
+                m = random_model(sig, rng, max_atoms=rng.choice([1, 3]), max_domain=max_domain)
             else:  # equality the identity, relations arbitrary
-                m = _identity_model(sig, rng)
+                m = _identity_model(sig, rng, max_domain=max_domain)
             b, domain = m.algebra, m.domain
             eq = dict(m.eq)
             rel = {name: dict(table) for name, table in m.rel.items()}
-            mutation = rng.choice(["none", "eq", "eq", "rel", "rel", "missing"])
             if mutation == "eq":
                 a, c = rng.choice(domain), rng.choice(domain)
                 eq[(a, c)] = rng.randrange(b.one + 1)
                 if rng.random() < 0.5:
                     eq[(c, a)] = eq[(a, c)]
-            elif mutation == "rel":
+            elif mutation in ("rel", "congruence"):
                 name = rng.choice(sorted(rel))
                 rel[name][rng.choice(sorted(rel[name]))] = rng.randrange(b.one + 1)
             elif mutation == "missing":
                 table = eq if rng.random() < 0.5 else rel[rng.choice(sorted(rel))]
                 del table[rng.choice(sorted(table))]
+            elif mutation == "stray":  # a key outside the domain, as a JSON table may carry
+                name = rng.choice(sorted(rel))
+                rel[name][("zz",) * sig.relations[name]] = b.one
             mutant = BValuedModel(b, domain, eq, rel, dict(m.consts), check=False)
             for k in (1, 3, 1000):
-                assert astuple(validate_model(mutant, k)) == reference_validate_model(mutant, k)
-            cases += not reference_validate_model(mutant)[0]
+                want = reference_validate_model(mutant, k)
+                assert astuple(validate_model(mutant, k)) == want
+            cases += not want[0]
+            congruence_only += mutation == "congruence" and any(v[0] == "congruence" for v in want[1])
         assert cases > 50  # the mutants break the model often enough
+        assert congruence_only > 10  # and the by-position check hands over to the full scan
+
+    def test_a_failed_position_check_can_leave_the_full_scan_clean(self):
+        # without reflexivity the full scan's guard eq(y, z) meet eq(x, x) is
+        # below the by-position guard eq(y, z), and clears S(y, x) <= S(z, x)
+        b = FiniteBooleanAlgebra(2)
+        dom = ("x", "y", "z")
+        eq = {(a, c): 0 for a in dom for c in dom}
+        eq[("x", "x")] = 0b01
+        for a, c in itertools.product(("y", "z"), repeat=2):
+            eq[(a, c)] = b.one
+        table = {xs: 0 for xs in itertools.product(dom, repeat=2)}
+        table[("y", "x")] = 0b10
+        mutant = BValuedModel(b, dom, eq, {"S": table}, {}, check=False)
+        tuples = list(itertools.product(dom, repeat=2))
+        assert not bvmodel._congruent_by_position(dom, eq, table, tuples)
+        expected = (False, (("reflexivity", "x"),))
+        for k in (1, 3, 1000):
+            assert astuple(validate_model(mutant, k)) == reference_validate_model(mutant, k) == expected
 
     def test_a_missing_eq_entry_is_reported_past_one_violation(self):
         m = counterexample_model()

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -800,6 +801,19 @@ class TestFirstOrderCompactness:
         t = Theory([Eq("a", "b"), Not(Eq("a", "b"))])
         with pytest.raises(BoolkitError, match="inconsistent finite subset"):
             first_order_compactness_demo(t, sig)
+
+    def test_the_reported_subset_keeps_only_what_the_contradiction_needs(self):
+        sig = Signature(relations={"P": 1, "Q": 1}, base_constants={"a", "b"}, fresh_constants={"e"})
+        pa, qb, ab, not_pb = Atom("P", ("a",)), Atom("Q", ("b",)), Eq("a", "b"), Not(Atom("P", ("b",)))
+        core = compact._minimal_inconsistent_subset([pa, qb, ab, not_pb], sig, compact.OracleSession())
+        assert core == [pa, ab, not_pb]
+        assert not brute_force_satisfiable(core, sig)
+        for size in range(len(core)):
+            for subset in itertools.combinations(core, size):
+                assert brute_force_satisfiable(list(subset), sig), subset
+        rendered = "; ".join(syntax.render(f) for f in core)
+        with pytest.raises(BoolkitError, match=f"inconsistent finite subset: {re.escape(rendered)}$"):
+            first_order_compactness_demo(Theory([pa, qb, ab, not_pb]), sig)
 
 
 class TestFaicom:

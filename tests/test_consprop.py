@@ -13,7 +13,7 @@ from boolkit.consprop import (
     saturate_theory,
     verify_consistency_property,
 )
-from boolkit.errors import BoolkitError, ConstructionFailure
+from boolkit.errors import BoolkitError, ConstructionFailure, ResourceBudgetError
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
 from conftest import down_mask
@@ -250,6 +250,11 @@ class TestSaturate:
         for s in prop.members:
             v = compact.consistency_oracle(sorted(s, key=syntax.render), SIG_P)
             assert v.status == compact.CONSISTENT
+
+    def test_an_oracle_unknown_is_a_budget_error(self):
+        theory = Theory([Or((Atom("P", ("c0",)), Atom("P", ("c1",))))])
+        with pytest.raises(ResourceBudgetError, match="oracle unknown while saturating the theory"):
+            saturate_theory(theory, SIG_P, budget=compact.Budget(oracle_nodes=1))
 
     def test_universe_bound_enforced(self):
         with pytest.raises(BoolkitError) as exc:

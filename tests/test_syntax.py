@@ -31,7 +31,7 @@ from boolkit.syntax import (
     substitute,
 )
 
-from conftest import random_formula, random_sentence
+from conftest import random_formula, random_sentence, reference_tokenize
 
 SIG = Signature(relations={"R": 2}, base_constants={"c0", "c1", "cw"}, fresh_constants={"e"})
 
@@ -68,6 +68,14 @@ class TestParse:
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse("(and) (and)", SIG)
+
+
+def test_tokens_and_offsets_match_a_character_loop():
+    rng = random.Random(21)
+    pieces = ["(", ")", "c0", "?x", "?v12", "and", "=", "R"] + list(" \t\n\r\x0b\x0c\x1c\u00a0\u2003")
+    for _ in range(500):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(40)))
+        assert syntax._tokenize(text) == reference_tokenize(text), repr(text)
 
 
 @settings(max_examples=200, deadline=None)
