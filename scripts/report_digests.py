@@ -19,9 +19,13 @@ entry or a relation entry given a random value, a relation entry deleted),
 whose reports name up to five violations.  Last come ``materialize`` lines,
 which run no CLI call: for each criterion-8 family and each family that the
 criterion-10 demonstration materializes, the member count and the sha256
-of the materialized property's JSON.
+of the materialized property's JSON.  After them come ``parse`` and ``qe``
+lines, 200 each, on seeded texts, well-formed and malformed; these lines
+also carry the JSON error line the call printed, so an error message or
+position that changes shows.
 The instances come from ``tests/test_acceptance.py``,
-``tests/test_compact.py`` and ``tests/test_proofs.py`` next to this script;
+``tests/test_compact.py``, ``tests/test_proofs.py`` and
+``tests/test_syntax.py`` next to this script;
 ``--src`` picks the checkout whose ``boolkit`` is imported, so that two
 checkouts compare with ``diff``:
 
@@ -30,8 +34,10 @@ checkouts compare with ``diff``:
     diff other.jsonl this.jsonl
 """
 import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 import sys
@@ -64,6 +70,7 @@ def digests(work: Path):
     from test_compact import Q_SIG, QUANTIFIED, pigeonhole
     from test_proofs import SIG as PROOF_SIG
     from test_proofs import mutations, proof_corpus
+    from test_syntax import PARSE_SIG, fuzz_text, quantified_formula
 
     out = work / "report.json"
 
@@ -72,13 +79,18 @@ def digests(work: Path):
         path.write_text(json.dumps(doc, sort_keys=True))
         return str(path)
 
-    def report(command, given, argv):
-        """Run one CLI call, print its line, and return the report bytes."""
+    def report(command, given, argv, stderr=False):
+        """Run one CLI call, print its line, and return the report bytes;
+        with ``stderr`` the line also carries what the call printed there."""
         out.unlink(missing_ok=True)
-        code = cli.main([*argv, "--out", str(out)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err if stderr else sys.stderr):
+            code = cli.main([*argv, "--out", str(out)])
         text = out.read_bytes() if out.exists() else b""
         line = {"command": command, "input": given, "exit": code,
                 "sha256": hashlib.sha256(text).hexdigest()}
+        if stderr:
+            line["stderr"] = err.getvalue()
         print(json.dumps(line, sort_keys=True), flush=True)
         return text
 
@@ -190,6 +202,21 @@ def digests(work: Path):
         line = {"command": "materialize", "input": theory(sig, family),
                 "members": len(doc["members"]), "sha256": hashlib.sha256(text).hexdigest()}
         print(json.dumps(line, sort_keys=True), flush=True)
+
+    rng = random.Random(22)
+    sig_path = write("sig.json", PARSE_SIG.to_json())
+    for _ in range(200):
+        formula = fuzz_text(rng)
+        report("parse", {"signature": PARSE_SIG.to_json(), "formula": formula},
+               ["parse", "--sig", sig_path, "--formula", formula], stderr=True)
+    for i in range(200):
+        sig = syntax.Signature(relations={"R": 2}, base_constants={"c0"},
+                               fresh_constants=[f"e{j}" for j in range(i % 4)])
+        formula = syntax.render(quantified_formula(rng, sig, rng.randint(0, 3)))
+        if i % 5 == 4:  # malformed: cut short
+            formula = formula[: rng.randrange(1, len(formula))]
+        report("qe", {"signature": sig.to_json(), "formula": formula},
+               ["qe", "--sig", write("sig.json", sig.to_json()), "--formula", formula], stderr=True)
 
 
 if __name__ == "__main__":

@@ -671,7 +671,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(seed=args.seed, budget=_budget(args), out=args.out)
         return _HANDLERS[args.command](args, config)
-    except (UsageError, ParseError, SignatureError, ValueError) as exc:
+    except (UsageError, ParseError, SignatureError, ValueError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_USAGE
     except ResourceBudgetError as exc:

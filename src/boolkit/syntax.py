@@ -332,90 +332,12 @@ def _tokenize(text: str):
     return [(t.group(), t.start()) for t in _TOKEN.finditer(text)]
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Signature):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.sig = sig
-        self.text_len = len(text)
-
-    def peek(self):
-        if self.pos >= len(self.tokens):
-            return None, self.text_len
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok, at = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", at)
-        self.pos += 1
-        return tok, at
-
-    def expect(self, want):
-        tok, at = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", at)
-        return at
-
-    def term(self):
-        tok, at = self.next()
-        if tok in "()":
-            raise ParseError("expected a term", at)
-        if not is_var(tok) and tok not in self.sig.constants:
-            raise ParseError(f"undeclared symbol {tok!r}", at)
-        return tok
-
-    def formula(self) -> Formula:
-        at = self.expect("(")
-        head, head_at = self.next()
-        if head == "and" or head == "or":
-            children = []
-            while True:
-                tok, _ = self.peek()
-                if tok == ")":
-                    self.next()
-                    break
-                children.append(self.formula())
-            return And(children) if head == "and" else Or(children)
-        if head == "not":
-            body = self.formula()
-            self.expect(")")
-            return Not(body)
-        if head in ("forall", "exists"):
-            self.expect("(")
-            vars = []
-            while True:
-                tok, tok_at = self.next()
-                if tok == ")":
-                    break
-                if not is_var(tok):
-                    raise ParseError(f"quantified name {tok!r} must start with '?'", tok_at)
-                if tok in vars:
-                    raise ParseError(f"duplicate variable {tok!r} in quantifier block", tok_at)
-                vars.append(tok)
-            body = self.formula()
-            self.expect(")")
-            return (Forall if head == "forall" else Exists)(vars, body)
-        if head == "=":
-            left = self.term()
-            right = self.term()
-            self.expect(")")
-            return Eq(left, right)
-        if head in self.sig.relations:
-            args = []
-            while True:
-                tok, _ = self.peek()
-                if tok == ")":
-                    self.next()
-                    break
-                args.append(self.term())
-            if len(args) != self.sig.relations[head]:
-                raise ParseError(
-                    f"relation {head!r} expects {self.sig.relations[head]} arguments, got {len(args)}",
-                    head_at,
-                )
-            return Atom(head, args)
-        raise ParseError(f"undeclared symbol {head!r}", head_at)
+def _error(text: str, k: int, message: str) -> ParseError:
+    """``message`` at token ``k``'s offset; past the last token, end of input."""
+    tokens = _tokenize(text)
+    if k >= len(tokens):
+        return ParseError("unexpected end of input", len(text))
+    return ParseError(message, tokens[k][1])
 
 
 def parse(text: str, sig: Signature) -> Formula:
@@ -424,13 +346,80 @@ def parse(text: str, sig: Signature) -> Formula:
     Grammar: ``(and f...)``, ``(or f...)``, ``(not f)``, ``(forall (?v...) f)``,
     ``(exists (?v...) f)``, ``(= t t)``, ``(REL t...)``.  Tokens starting with
     ``?`` are variables; everything else must be declared in the signature.
+
+    One loop over the tokens with a stack of open frames: nesting depth is
+    not bounded by the recursion limit.
     """
-    p = _Parser(text, sig)
-    f = p.formula()
-    tok, at = p.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", at)
-    return f
+    tokens = _TOKEN.findall(text) + ["()", "()"]  # end markers: never a token, never a term
+    relations, constants = sig.relations, sig.constants
+    stack, k = [], 0  # open frames: (And or Or, children), (Not, None), (Forall or Exists, vars)
+    while True:
+        if tokens[k] != "(":
+            raise _error(text, k, f"expected '(', found {tokens[k]!r}")
+        head = tokens[k + 1]
+        k += 2
+        if head == "and" or head == "or":
+            kind = And if head == "and" else Or
+            if tokens[k] != ")":
+                stack.append((kind, []))
+                continue
+            f = kind(())
+            k += 1
+        elif head == "not":
+            stack.append((Not, None))
+            continue
+        elif head == "forall" or head == "exists":
+            if tokens[k] != "(":
+                raise _error(text, k, f"expected '(', found {tokens[k]!r}")
+            k += 1
+            vars = []
+            while tokens[k] != ")":
+                tok = tokens[k]
+                if tok[0] != VAR_PREFIX:
+                    raise _error(text, k, f"quantified name {tok!r} must start with '?'")
+                if tok in vars:
+                    raise _error(text, k, f"duplicate variable {tok!r} in quantifier block")
+                vars.append(tok)
+                k += 1
+            stack.append((Forall if head == "forall" else Exists, vars))
+            k += 1
+            continue
+        elif head == "=" or head in relations:
+            # "=" takes two terms and then ")"; a relation takes terms up to ")"
+            start = k
+            while k - start < 2 if head == "=" else tokens[k] != ")":
+                tok = tokens[k]
+                if tok in "()" or tok[0] != VAR_PREFIX and tok not in constants:
+                    message = "expected a term" if tok in "()" else f"undeclared symbol {tok!r}"
+                    raise _error(text, k, message)
+                k += 1
+            if head == "=" and tokens[k] != ")":
+                raise _error(text, k, f"expected ')', found {tokens[k]!r}")
+            if head != "=" and k - start != relations[head]:
+                message = f"relation {head!r} expects {relations[head]} arguments, got {k - start}"
+                raise _error(text, start - 1, message)
+            f = Eq(*tokens[start:k]) if head == "=" else Atom(head, tokens[start:k])
+            k += 1
+        else:
+            raise _error(text, k - 1, f"undeclared symbol {head!r}")
+        # f is complete: add it to the open frames, closing those it ends
+        while stack:
+            kind, items = stack[-1]
+            if kind is And or kind is Or:
+                items.append(f)
+                if tokens[k] != ")":
+                    break
+                f = kind(items)
+            elif tokens[k] != ")":
+                raise _error(text, k, f"expected ')', found {tokens[k]!r}")
+            else:
+                f = Not(f) if kind is Not else kind(items, f)
+            k += 1
+            stack.pop()
+        else:
+            if tokens[k] != "()":
+                raise _error(text, k, f"trailing input {tokens[k]!r}")
+            return f
 
 
 # ---------------------------------------------------------------------------
@@ -621,33 +610,42 @@ def qe_axiom(sig: Signature) -> Formula:
 
 def qe_transform(psi: Formula, sig: Signature) -> Formula:
     """Replace every quantified subformula by the conjunction (for ``forall``)
-    or disjunction (for ``exists``) of its fresh-constant instances, bottom-up
-    along the whole tree.  The output is quantifier free."""
-    if not is_sentence(psi):
-        raise ValueError("qe_transform is defined on sentences only")
-    if not sig.fresh_constants and not is_quantifier_free(psi):
-        raise ValueError("qe_transform needs a nonempty fresh-constant pool")
+    or disjunction (for ``exists``) of its fresh-constant instances, in one
+    top-down walk that binds each block's variables in an environment, as
+    ``bvmodel`` evaluates (``substitute`` stays the package's one public
+    substitution).  The output is quantifier free; each of its not/and/or
+    nodes is a new object, and only a variable-free leaf may be the input's."""
     pool = sorted(sig.fresh_constants)
+    if not pool and not is_quantifier_free(psi):
+        if not is_sentence(psi):
+            raise ValueError("qe_transform is defined on sentences only")
+        raise ValueError("qe_transform needs a nonempty fresh-constant pool")
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, (Atom, Eq)):
-            return f
-        if isinstance(f, Not):
-            return Not(go(f.body))
-        if isinstance(f, And):
-            return And(tuple(go(c) for c in f.children))
-        if isinstance(f, Or):
-            return Or(tuple(go(c) for c in f.children))
-        if isinstance(f, (Forall, Exists)):
-            body = go(f.body)
-            instances = tuple(
-                substitute(body, dict(zip(f.vars, combo)))
-                for combo in itertools.product(pool, repeat=len(f.vars))
-            )
-            return And(instances) if isinstance(f, Forall) else Or(instances)
+    def term(t, env):
+        t = env.get(t, t)
+        if t.startswith(VAR_PREFIX):
+            raise ValueError("qe_transform is defined on sentences only")
+        return t
+
+    def go(f: Formula, env) -> Formula:
+        kind = type(f)
+        if kind is Eq:
+            left, right = term(f.left, env), term(f.right, env)
+            return f if left is f.left and right is f.right else Eq(left, right)
+        if kind is Atom:
+            args = tuple([term(t, env) for t in f.args])
+            return f if args == f.args else Atom(f.rel, args)
+        if kind is Not:
+            return Not(go(f.body, env))
+        if kind is And or kind is Or:
+            return kind(tuple([go(c, env) for c in f.children]))
+        if kind is Forall or kind is Exists:
+            combos = itertools.product(pool, repeat=len(f.vars))
+            instances = [go(f.body, env | dict(zip(f.vars, combo))) for combo in combos]
+            return (And if kind is Forall else Or)(instances)
         raise TypeError(f"not a formula: {f!r}")
 
-    return go(psi)
+    return go(psi, {})
 
 
 def naming_constraints(sig: Signature) -> list:

@@ -14,7 +14,7 @@ import pytest
 from boolkit import bvmodel, compact, consprop, syntax
 from boolkit.balg import FiniteBooleanAlgebra, Filter, Poset, bit_positions, ro_completion
 from boolkit.bvmodel import BValuedModel
-from boolkit.errors import BoolkitError
+from boolkit.errors import BoolkitError, ParseError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
 
@@ -195,6 +195,135 @@ def reference_tokenize(text):
             tokens.append((text[i:j], i))
             i = j
     return tokens
+
+
+class _ReferenceParser:
+    """The recursive descent parser that ``syntax.parse`` replaced: one
+    method call per token, one Python frame per nesting level."""
+
+    def __init__(self, text, sig):
+        self.tokens = syntax._tokenize(text)
+        self.pos = 0
+        self.sig = sig
+        self.text_len = len(text)
+
+    def peek(self):
+        if self.pos >= len(self.tokens):
+            return None, self.text_len
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok, at = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", at)
+        self.pos += 1
+        return tok, at
+
+    def expect(self, want):
+        tok, at = self.next()
+        if tok != want:
+            raise ParseError(f"expected {want!r}, found {tok!r}", at)
+        return at
+
+    def term(self):
+        tok, at = self.next()
+        if tok in "()":
+            raise ParseError("expected a term", at)
+        if not syntax.is_var(tok) and tok not in self.sig.constants:
+            raise ParseError(f"undeclared symbol {tok!r}", at)
+        return tok
+
+    def formula(self):
+        self.expect("(")
+        head, head_at = self.next()
+        if head == "and" or head == "or":
+            children = []
+            while True:
+                tok, _ = self.peek()
+                if tok == ")":
+                    self.next()
+                    break
+                children.append(self.formula())
+            return And(children) if head == "and" else Or(children)
+        if head == "not":
+            body = self.formula()
+            self.expect(")")
+            return Not(body)
+        if head in ("forall", "exists"):
+            self.expect("(")
+            vars = []
+            while True:
+                tok, tok_at = self.next()
+                if tok == ")":
+                    break
+                if not syntax.is_var(tok):
+                    raise ParseError(f"quantified name {tok!r} must start with '?'", tok_at)
+                if tok in vars:
+                    raise ParseError(f"duplicate variable {tok!r} in quantifier block", tok_at)
+                vars.append(tok)
+            body = self.formula()
+            self.expect(")")
+            return (Forall if head == "forall" else Exists)(vars, body)
+        if head == "=":
+            left = self.term()
+            right = self.term()
+            self.expect(")")
+            return Eq(left, right)
+        if head in self.sig.relations:
+            args = []
+            while True:
+                tok, _ = self.peek()
+                if tok == ")":
+                    self.next()
+                    break
+                args.append(self.term())
+            if len(args) != self.sig.relations[head]:
+                raise ParseError(
+                    f"relation {head!r} expects {self.sig.relations[head]} arguments, got {len(args)}",
+                    head_at,
+                )
+            return Atom(head, args)
+        raise ParseError(f"undeclared symbol {head!r}", head_at)
+
+
+def reference_parse(text, sig):
+    """``syntax.parse`` by recursive descent over ``syntax._tokenize``."""
+    p = _ReferenceParser(text, sig)
+    f = p.formula()
+    tok, at = p.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", at)
+    return f
+
+
+def reference_qe_transform(psi, sig):
+    """``syntax.qe_transform`` bottom-up: expand the body of each quantifier
+    block first, then ``syntax.substitute`` each pool tuple into it."""
+    if not syntax.is_sentence(psi):
+        raise ValueError("qe_transform is defined on sentences only")
+    if not sig.fresh_constants and not syntax.is_quantifier_free(psi):
+        raise ValueError("qe_transform needs a nonempty fresh-constant pool")
+    pool = sorted(sig.fresh_constants)
+
+    def go(f):
+        if isinstance(f, (Atom, Eq)):
+            return f
+        if isinstance(f, Not):
+            return Not(go(f.body))
+        if isinstance(f, And):
+            return And(tuple(go(c) for c in f.children))
+        if isinstance(f, Or):
+            return Or(tuple(go(c) for c in f.children))
+        if isinstance(f, (Forall, Exists)):
+            body = go(f.body)
+            instances = tuple(
+                syntax.substitute(body, dict(zip(f.vars, combo)))
+                for combo in itertools.product(pool, repeat=len(f.vars))
+            )
+            return And(instances) if isinstance(f, Forall) else Or(instances)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(psi)
 
 
 # ---------------------------------------------------------------------------

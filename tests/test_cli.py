@@ -355,6 +355,18 @@ class TestUsageBoundary:
         self._usage_error(capsys, ["oracle", "--theory", workdir / "t.json"])
         self._usage_error(capsys, ["parse", "--sig", workdir / "bad_sig.json", "--formula", "(R a)"])
 
+    @pytest.mark.parametrize("command", ["parse", "eval"])
+    def test_formula_nested_too_deeply(self, workdir, capsys, command):
+        # parse does not recurse, but validation and evaluation do
+        model = {"algebra": {"atoms": ["a0"]}, "domain": ["a"], "eq": [["1"]],
+                 "consts": {"a": "a", "b": "a"}, "rel": {"R": {"a": "1"}}}
+        (workdir / "m.json").write_text(json.dumps(model))
+        formula = "(not " * 3000 + "(R a)" + ")" * 3000
+        args = [command, "--sig", workdir / "sig.json", "--formula", formula]
+        if command == "eval":
+            args += ["--model", workdir / "m.json"]
+        self._usage_error(capsys, args)
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolkit import syntax
-from boolkit.errors import BoolkitError, ParseError, SignatureError
+from boolkit import bvmodel, syntax
+from boolkit.errors import BoolkitError, ParseError, ResourceBudgetError, SignatureError
 from boolkit.syntax import (
     And,
     Atom,
@@ -31,7 +31,13 @@ from boolkit.syntax import (
     substitute,
 )
 
-from conftest import random_formula, random_sentence, reference_tokenize
+from conftest import (
+    random_formula,
+    random_sentence,
+    reference_parse,
+    reference_qe_transform,
+    reference_tokenize,
+)
 
 SIG = Signature(relations={"R": 2}, base_constants={"c0", "c1", "cw"}, fresh_constants={"e"})
 
@@ -76,6 +82,71 @@ def test_tokens_and_offsets_match_a_character_loop():
     for _ in range(500):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(40)))
         assert syntax._tokenize(text) == reference_tokenize(text), repr(text)
+
+
+PARSE_SIG = Signature(
+    relations={"R": 2, "P": 1, "Z": 0}, base_constants={"c0", "c1"}, fresh_constants={"e"}
+)
+PARSE_VOCAB = ["(", ")", "(", ")", "and", "or", "not", "forall", "exists", "=",
+               "R", "P", "Z", "c0", "e", "?x", "?v0", "zz", "?"]
+
+
+def _parse_outcome(parser, text):
+    try:
+        return render(parser(text, PARSE_SIG))
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def fuzz_text(rng):
+    """A rendered random formula, a truncation of one, one with one to three
+    tokens replaced, swapped or inserted, or a soup of vocabulary tokens."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return " ".join(rng.choice(PARSE_VOCAB) for _ in range(rng.randrange(30)))
+    depth = rng.randint(0, 5)
+    generate = random_formula if rng.random() < 0.3 else random_sentence
+    f = generate(PARSE_SIG, rng, depth)
+    tokens = [tok for tok, _ in syntax._tokenize(render(f))]
+    if kind == 0:
+        return rng.choice(" \n").join(tokens)
+    if kind == 1:
+        return " ".join(tokens[: rng.randrange(len(tokens) + 1)])
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(len(tokens)), rng.randrange(3)
+        if op == 0:
+            tokens[i] = rng.choice(PARSE_VOCAB)
+        elif op == 1:
+            j = rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens.insert(i, rng.choice(PARSE_VOCAB))
+    return " ".join(tokens)
+
+
+def test_parse_agrees_with_recursive_descent():
+    rng = random.Random(22)
+    messages = set()
+    for _ in range(20000):
+        text = fuzz_text(rng)
+        got = _parse_outcome(parse, text)
+        assert got == _parse_outcome(reference_parse, text), repr(text)
+        if isinstance(got, tuple):
+            messages.add(got[0].split(" ")[0])
+    # every kind of ParseError was met
+    assert messages >= {"unexpected", "expected", "undeclared", "quantified", "duplicate",
+                        "relation", "trailing"}
+
+
+def test_parse_does_not_recurse():
+    text = "(not " * 5000 + "(P c0)" + ")" * 5000
+    f = parse(text, PARSE_SIG)
+    for _ in range(5000):
+        f = f.body
+    assert f == Atom("P", ("c0",))
+    with pytest.raises(ParseError) as err:
+        parse(text[:-1], PARSE_SIG)
+    assert err.value.position == len(text) - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,6 +305,79 @@ class TestQe:
         for _ in range(30):
             f = random_sentence(SIG, rng, 3)
             assert syntax.is_quantifier_free(qe_transform(f, SIG))
+
+
+QE_NAMES = ("?x", "?y", "?z")
+
+
+def quantified_formula(rng, sig, depth, bound=frozenset()):
+    """A random formula whose quantifier blocks bind one to three of ?x, ?y
+    and ?z, so an inner block often re-binds an outer variable; one atom in
+    twenty-five may carry the free variable ?w."""
+    kind = rng.choice(["atom", "not", "and", "or", "forall", "exists"]) if depth else "atom"
+    if kind == "atom":
+        terms = sorted(sig.constants) + sorted(bound) + (["?w"] if rng.random() < 0.04 else [])
+        left, right = rng.choice(terms), rng.choice(terms)
+        return Eq(left, right) if rng.random() < 0.5 else Atom("R", (left, right))
+    if kind == "not":
+        return Not(quantified_formula(rng, sig, depth - 1, bound))
+    if kind in ("and", "or"):
+        children = [quantified_formula(rng, sig, depth - 1, bound)
+                    for _ in range(rng.randrange(3))]
+        return (And if kind == "and" else Or)(children)
+    pool = max(1, len(sig.fresh_constants))
+    vars = rng.sample(QE_NAMES, rng.choice([k for k in (1, 2, 3) if pool**k <= 9]))
+    body = quantified_formula(rng, sig, depth - 1, bound | set(vars))
+    return (Forall if kind == "forall" else Exists)(vars, body)
+
+
+def _qe_outcome(transform, f, sig):
+    try:
+        return transform(f, sig)
+    except (ValueError, BoolkitError) as exc:
+        return type(exc), str(exc)
+
+
+def _min_steps(m, f):
+    """The least ``max_steps`` under which ``eval_formula`` gives a value."""
+
+    def enough(steps):
+        try:
+            bvmodel.eval_formula(m, f, max_steps=steps)
+            return True
+        except ResourceBudgetError:
+            return False
+
+    low, high = 0, 1
+    while not enough(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if enough(mid) else (mid, high)
+    return high
+
+
+def test_qe_transform_agrees_with_bottom_up_substitution():
+    rng = random.Random(22)
+    seen = {"ok": 0, "not a sentence": 0, "empty pool": 0}
+    for _ in range(1000):
+        sig = Signature(relations={"R": 2}, base_constants={"c0"},
+                        fresh_constants=[f"e{i}" for i in range(rng.randint(0, 3))])
+        f = quantified_formula(rng, sig, rng.randint(0, 4))
+        got, want = _qe_outcome(qe_transform, f, sig), _qe_outcome(reference_qe_transform, f, sig)
+        if isinstance(want, tuple):
+            assert got == want, render(f)
+            seen["empty pool" if "pool" in want[1] else "not a sentence"] += 1
+            continue
+        seen["ok"] += 1
+        assert render(got) == render(want)
+        # each not/and/or of the output is its own object, none of the input's
+        inner = [id(g) for g in syntax.subformulas(got) if isinstance(g, (Not, And, Or))]
+        assert len(set(inner)) == len(inner)
+        assert not set(inner) & {id(g) for g in syntax.subformulas(f)}
+        m = bvmodel.random_model(sig, rng, max_domain=2)
+        assert _min_steps(m, got) == _min_steps(m, want), render(f)
+    assert min(seen.values()) >= 10, seen
 
 
 class TestSignature:
