@@ -1,14 +1,16 @@
-"""Finite Boolean algebras as atom bitmasks, finite posets, filters, quotient
-algebras, and the regular-open completion of a finite poset.
+"""Finite Boolean algebras as atom bitmasks, filters, quotient algebras,
+and the regular-open completion of a finite family of sets ordered by
+reverse inclusion.
 
 An algebra element is an ``int`` whose bits select atoms.  The poset order
 convention follows forcing practice: ``s <= t`` means s is the stronger
-condition (s extends t).
+condition (s extends t).  ``ro_completion`` reads a poset only through its
+down and up masks over element positions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import BoolkitError
 
@@ -137,14 +139,7 @@ def quotient_algebra(b: FiniteBooleanAlgebra, f: Filter) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# posets and their regular-open completion
-
-
-def _reverse_inclusion(a, b) -> bool:
-    """The order of ``Poset.of_sets``.  ``Poset.__init__`` recognizes this
-    predicate and derives the order from membership bitsets rather than
-    calling it on every pair, so every poset is still built by ``__init__``."""
-    return b <= a
+# the reverse-inclusion poset and its regular-open completion
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -154,14 +149,6 @@ def bit_positions(mask: int) -> Iterator[int]:
     while i >= 0:
         yield i
         i = text.find("1", i + 1)
-
-
-def _item_masks(sets) -> tuple:
-    """Each set as a mask over its items' positions, first seen first, and
-    each item's ``holder_masks``."""
-    position = {}  # item -> its position
-    rows = [[position.setdefault(x, len(position)) for x in s] for s in sets]
-    return [sum(1 << k for k in row) for row in rows], holder_masks(rows, len(position))
 
 
 def holder_masks(rows, width: int) -> list:
@@ -174,97 +161,40 @@ def holder_masks(rows, width: int) -> list:
     return holders
 
 
-def _inclusion_masks(contents, holders) -> tuple:
-    """Down and up masks of sets ordered by reverse inclusion, from the
-    masks of ``_item_masks``.  The sets below ``s`` (its supersets) are the
-    AND of its items' holders, and every set lies below the empty one; the
-    sets above ``s`` (its subsets) are those holding no item outside ``s``."""
-    full = (1 << len(contents)) - 1
-    down, up = [], []
-    for inside in contents:
-        below, outside = full, 0
-        for k, held in enumerate(holders):
-            if inside >> k & 1:
-                below &= held
-            else:
-                outside |= held
-        down.append(below)
-        up.append(full & ~outside)
-    return down, up
-
-
 class Poset:
-    """A finite poset with hashable elements.  ``leq(s, t)`` reads "s is at
-    least as strong as t".
+    """Distinct finite sets ordered by reverse inclusion: a larger set is
+    the stronger condition, so ``s <= t`` when s extends t (s ⊇ t).
 
-    The order is given by ``leq_pairs`` or by a ``leq`` predicate (called on
-    all n² pairs), and its axioms are checked on construction;
-    ``Poset.of_sets`` orders a family of distinct sets by reverse inclusion
-    from bitsets instead, a partial order by construction, so it skips the
-    check.  It is stored as bitmasks over element positions: bit i of
-    ``down[j]`` means elements[i] <= elements[j], and ``up`` is the
-    transpose (bit j of ``up[i]``), which ``of_sets`` builds directly.
+    ``contents[i]`` is set i as a mask over item positions and
+    ``holders[k]`` the mask of the sets holding item k (``holder_masks``).
+    Sets are named by position.  The order is stored as bitmasks over those
+    positions: bit i of ``_down[j]`` means set i extends set j, and ``_up``
+    is the transpose.  The sets below ``s`` (its supersets) are the AND of
+    its items' holders, and every set lies below the empty one; the sets
+    above ``s`` (its subsets) are those holding no item outside ``s``.  That
+    costs one AND per item of each set and one OR per item outside it, not
+    a comparison per pair of sets, and the order is partial by construction.
     """
 
-    def __init__(
-        self, elements: Iterable, leq_pairs: Iterable = None, leq: Callable = None, items=None
-    ):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise BoolkitError("poset elements must be distinct")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        if leq is _reverse_inclusion:
-            self._down, self._up = _inclusion_masks(*(items or _item_masks(self.elements)))
-            return
-        if leq is not None:
-            rel = {(a, b) for a in self.elements for b in self.elements if leq(a, b)}
-        else:
-            rel = set(leq_pairs or ())
-        self._down = [0] * n
-        for (a, b) in rel:
-            if a not in self._index or b not in self._index:
-                raise BoolkitError(f"order pair {(a, b)!r} mentions a non-element")
-            self._down[self._index[b]] |= 1 << self._index[a]
-        for i in range(n):
-            self._down[i] |= 1 << i
-        self._check_axioms()
-        self._up = [0] * n
-        for j, mask in enumerate(self._down):
-            bit = 1 << j
-            for i in bit_positions(mask):
-                self._up[i] |= bit
-
-    @classmethod
-    def of_sets(cls, sets: Iterable, items: tuple = None) -> "Poset":
-        """Distinct sets ordered by reverse inclusion: a larger set is the
-        stronger condition.  Costs one AND per item of each set and one OR
-        per item outside it instead of a comparison per pair of sets;
-        ``items`` is ``_item_masks(sets)``, items numbered in any order."""
-        return cls(sets, leq=_reverse_inclusion, items=items)
-
-    def _check_axioms(self):
-        n = len(self.elements)
-        for i in range(n):
-            mask = self._down[i]
-            m = mask
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if self._down[j] & ~mask:
-                    raise BoolkitError("order is not transitive")
-                if i != j and self._down[j] >> i & 1:
-                    raise BoolkitError("order is not antisymmetric")
+    def __init__(self, contents, holders):
+        full = (1 << len(contents)) - 1
+        down, up = [], []
+        for inside in contents:
+            below, outside = full, 0
+            for k, held in enumerate(holders):
+                if inside >> k & 1:
+                    below &= held
+                else:
+                    outside |= held
+            down.append(below)
+            up.append(full & ~outside)
+        self._down, self._up = down, up
 
     def __len__(self):
-        return len(self.elements)
-
-    def leq(self, a, b) -> bool:
-        return self._down[self._index[b]] >> self._index[a] & 1 == 1
+        return len(self._down)
 
     def above(self, i: int) -> int:
-        """The positions of the elements that ``elements[i]`` extends."""
+        """The positions of the sets that set i extends."""
         return self._up[i]
 
 
@@ -272,9 +202,9 @@ class Poset:
 class ROCompletion:
     """Regular-open completion of a finite poset.
 
-    ``algebra`` is the completion in canonical atom form, ``cone`` maps each
-    poset element q to the image of its cone (the regularized down-set of q);
-    the map is order preserving with dense image.  ``minimal`` gives each
+    ``algebra`` is the completion in canonical atom form, ``cone[q]`` is the
+    image of the cone (the regularized down-set) of the element at position
+    q; the map is order preserving with dense image.  ``minimal`` gives each
     atom's minimal element as a poset position; as a minimal element lies
     in the regularization of a set just when it lies in the set, the
     element of that regularization is the set of atoms whose minimal
@@ -283,7 +213,7 @@ class ROCompletion:
 
     poset: Poset
     algebra: FiniteBooleanAlgebra
-    cone: dict
+    cone: tuple
     minimal: tuple
     _atom_masks: tuple
 
@@ -302,7 +232,7 @@ def ro_completion(p: Poset) -> ROCompletion:
     minimal element r holds the elements above r and no other minimal
     element, so both are read off the up masks of the minimal elements.
     """
-    if not p.elements:
+    if not len(p):
         raise BoolkitError("ro_completion needs a nonempty poset")
     minimal = [r for r, down in enumerate(p._down) if down == 1 << r]
     seen = shared = 0  # the elements above one, and above two, minimal elements
@@ -312,9 +242,9 @@ def ro_completion(p: Poset) -> ROCompletion:
     atom_of = {p._up[r] & ~shared: r for r in minimal}
     atom_masks = sorted(atom_of)
     minimal = tuple(map(atom_of.get, atom_masks))
-    cone = [0] * len(p.elements)
+    cone = [0] * len(p)
     for j, r in enumerate(minimal):
         for q in bit_positions(p._up[r]):
             cone[q] |= 1 << j
     algebra = FiniteBooleanAlgebra(len(atom_masks))
-    return ROCompletion(p, algebra, dict(zip(p.elements, cone)), minimal, tuple(atom_masks))
+    return ROCompletion(p, algebra, tuple(cone), minimal, tuple(atom_masks))

@@ -2,8 +2,9 @@
 and the finite-scale model existence construction.
 
 A consistency property is a finite family of finite sentence sets.  Members
-are kept as canonical frozensets with reflexive equalities dropped (they are
-logically void and only inflate the family).
+are canonical sentence sets with reflexive equalities dropped (they are
+logically void and only inflate the family), kept as masks over their
+distinct sentences; the sets themselves are built only on request.
 """
 from __future__ import annotations
 
@@ -32,36 +33,31 @@ def canon_set(sentences: Iterable[Formula]) -> frozenset:
     return frozenset(f for f in map(_canonical_sentence, sentences) if f is not None)
 
 
-@dataclass(frozen=True)
 class ConsistencyProperty:
-    sig: Signature
-    members: frozenset
+    """A signature and a family of members.  ``index``, the members as
+    bitmasks, is built with the property and shared by clause verification
+    and model existence; ``members``, the canonical frozensets, is built
+    from it on request."""
 
-    def __init__(self, sig, members):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "members", frozenset(canon_set(s) for s in members))
+    def __init__(self, sig: Signature, members):
+        self.sig = sig
+        self.index = MemberIndex({canon_set(s) for s in members})
 
     def __len__(self):
-        return len(self.members)
+        return len(self.index.masks)
 
     @classmethod
     def from_rows(cls, sig: Signature, sentences, rows) -> "ConsistencyProperty":
         """The property whose members are ``rows`` over ``sentences`` (see
         ``MemberIndex.of_rows``), which must be canonical and free of
         reflexive equalities: nothing is canonicalized again."""
-        index = MemberIndex.of_rows(sentences, rows)
         prop = cls.__new__(cls)
-        prop.__dict__.update(sig=sig, members=frozenset(index.members), index=index)
+        prop.sig, prop.index = sig, MemberIndex.of_rows(sentences, rows)
         return prop
 
-    def __contains__(self, s):
-        return canon_set(s) in self.members
-
     @functools.cached_property
-    def index(self) -> "MemberIndex":
-        """The members as bitmasks, built once per property and shared by
-        clause verification and model existence."""
-        return MemberIndex(self.members)
+    def members(self) -> frozenset:
+        return frozenset(self.index.members)
 
     def to_json(self) -> dict:
         return {
@@ -88,11 +84,12 @@ class MemberIndex:
     """A family's members as bitmasks over its distinct sentences.
 
     Each distinct sentence gets one bit, in render order, so a member's
-    sorted positions compare as its sorted renderings do.  ``members`` lists
-    the members by size, then by those positions; ``ids`` and ``masks`` give
+    sorted positions compare as its sorted renderings do.  Members are
+    numbered by size, then by those positions; ``ids`` and ``masks`` give
     each one's sorted positions and bitmask, ``number`` maps each mask to
-    its member's position in that list, and ``holders[i]`` is the mask of
-    the member positions that hold sentence i.
+    its member's number, and ``holders[i]`` is the mask of the member
+    numbers that hold sentence i.  ``member(k)`` is member k as a frozenset
+    of sentences, and ``members`` lists them all, built on request.
 
     ``of_rows(sentences, rows)`` is the one builder: it takes each member
     as a row of numbers into ``sentences``, in render order of their
@@ -121,9 +118,15 @@ class MemberIndex:
             (tuple(map(rank.__getitem__, row)) for row in rows), key=lambda ids: (len(ids), ids)
         )
         self.masks = [sum(1 << i for i in ids) for ids in self.ids]
-        self.members = [frozenset(map(self.sentences.__getitem__, ids)) for ids in self.ids]
         self.number = {mask: k for k, mask in enumerate(self.masks)}
         self.holders = holder_masks(self.ids, len(self.sentences))
+
+    def member(self, k: int) -> frozenset:
+        return frozenset(map(self.sentences.__getitem__, self.ids[k]))
+
+    @functools.cached_property
+    def members(self) -> list:
+        return [self.member(k) for k in range(len(self.ids))]
 
     def bits(self, options) -> tuple:
         """Canonical options as bits, 0 for ``None`` (the member itself); an
@@ -281,7 +284,7 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
         k = next(bit_positions(con))
         body = next(j for j in map(negated.__getitem__, index.ids[k])
                     if j is not None and masks[k] >> j & 1)
-        return ClauseVerdict(False, "Con", index.members[k], syntax.render(sentences[body]))
+        return ClauseVerdict(False, "Con", index.member(k), syntax.render(sentences[body]))
 
     @functools.cache
     def meets(bit: int) -> int:
@@ -321,7 +324,7 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
         for clause, need, options in obligations.compiled(sentences, index.bits)(index.ids[k])
         if not any(mask | bit in number for bit in options)
     )
-    return ClauseVerdict(False, clause, index.members[k], need)
+    return ClauseVerdict(False, clause, index.member(k), need)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +437,11 @@ def model_from_consprop(
 ) -> tuple:
     """Build a model realizing every member of a consistency property.
 
-    The members ordered by reverse inclusion form a poset, built
-    (``Poset.of_sets``) from the property's ``MemberIndex`` masks and
-    holders; its regular-open completion is the algebra and the domain is
-    the constant pool.  An atomic value is the regularization of the
-    atom's holders.  (A member to which the atom can be added without
+    The members ordered by reverse inclusion form a poset, built from the
+    property's ``MemberIndex`` masks and holders, whose positions are the
+    member numbers; its regular-open completion is the algebra and the
+    domain is the constant pool.  An atomic value is the regularization of
+    the atom's holders.  (A member to which the atom can be added without
     leaving the family has that extension below it, so the members
     compatible with the atom regularize to the same value.)  As each
     algebra atom is the cone of a maximal member, which lies in the
@@ -450,23 +453,25 @@ def model_from_consprop(
     sentences.  Each distinct sentence is evaluated once, and fails on its
     holders inside the maximal member of an atom outside its value; only
     the first failing member is walked, its sentences in render order, to
-    name the failure, which raises with the counterexample.
+    name the failure, which raises with the counterexample: the member,
+    the sentence, the member's cone and the sentence's value.  Member sets
+    are built only to name a failure.
     """
     verdict = verify_consistency_property(prop)
     if not verdict.ok:
         raise BoolkitError(
             f"not a consistency property: clause {verdict.clause} fails ({verdict.detail})"
         )
-    if not prop.members:
+    index = prop.index
+    if not index.masks:
         raise BoolkitError("empty consistency property has no model")
     sig = prop.sig
     consts = sorted(sig.constants)
     if not consts:
         raise BoolkitError("model construction needs at least one constant")
 
-    index = prop.index
-    members, holders = index.members, index.holders
-    poset = Poset.of_sets(members, (index.masks, holders))  # stronger means larger
+    holders = index.holders
+    poset = Poset(index.masks, holders)  # stronger means larger
     ro = ro_completion(poset)
     algebra = ro.algebra
 
@@ -513,14 +518,14 @@ def model_from_consprop(
         raise ConstructionFailure(
             "cone is not below the value of a member sentence",
             counterexample={
-                "member": sorted(map(syntax.render, members[k])),
+                "member": sorted(map(syntax.render, index.member(k))),
                 "sentence": syntax.render(index.sentences[i]),
-                "cone": ro.cone[members[k]],
+                "cone": ro.cone[k],
                 "value": values[i],
             },
         )
     checked = sum(map(len, index.ids))
-    return model, {"members": len(members), "atoms": algebra.atom_count, "checked": checked}
+    return model, {"members": len(index.masks), "atoms": algebra.atom_count, "checked": checked}
 
 
 def mixing_model_from_consprop(

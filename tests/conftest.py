@@ -2,8 +2,9 @@
 
 The reference implementations here deliberately avoid the package's own code
 paths: classical truth is computed by direct recursion, satisfiability by
-enumerating partitions and relation assignments, and regularization by the
-textbook interior-of-closure construction.
+enumerating partitions and relation assignments, regularization by the
+textbook interior-of-closure construction, and a poset's order pair by pair
+(``ReferencePoset``).
 """
 import itertools
 import random
@@ -12,7 +13,14 @@ import weakref
 import pytest
 
 from boolkit import bvmodel, compact, consprop, syntax
-from boolkit.balg import FiniteBooleanAlgebra, Filter, Poset, bit_positions, ro_completion
+from boolkit.balg import (
+    FiniteBooleanAlgebra,
+    Filter,
+    Poset,
+    bit_positions,
+    holder_masks,
+    ro_completion,
+)
 from boolkit.bvmodel import BValuedModel
 from boolkit.errors import BoolkitError, ParseError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
@@ -500,7 +508,62 @@ def brute_force_satisfiable(sentences, sig):
 
 
 # ---------------------------------------------------------------------------
-# set-based views of posets, completions and filters
+# the reference poset builder and set-based views of posets, completions and
+# filters
+
+
+class ReferencePoset:
+    """A finite poset with hashable elements, the reference for
+    ``balg.Poset``.  ``leq(s, t)`` reads "s is at least as strong as t".
+
+    The order is given by ``leq_pairs`` or by a ``leq`` predicate (called on
+    all n² pairs), and its axioms are checked on construction.  The down
+    masks are filled pair by pair (bit i of ``_down[j]`` means elements[i]
+    <= elements[j]) and the up masks are their transpose, so
+    ``ro_completion`` runs on it as on a ``balg.Poset``, over the same
+    positions, with the order computed independently.
+    """
+
+    def __init__(self, elements, leq_pairs=(), leq=None):
+        self.elements = tuple(elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise BoolkitError("poset elements must be distinct")
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        n = len(self.elements)
+        if leq is not None:
+            leq_pairs = [(a, b) for a in self.elements for b in self.elements if leq(a, b)]
+        self._down = [1 << i for i in range(n)]
+        for (a, b) in leq_pairs:
+            if a not in self._index or b not in self._index:
+                raise BoolkitError(f"order pair {(a, b)!r} mentions a non-element")
+            self._down[self._index[b]] |= 1 << self._index[a]
+        self._check_axioms()
+        self._up = [0] * n
+        for j, mask in enumerate(self._down):
+            for i in bit_positions(mask):
+                self._up[i] |= 1 << j
+
+    def _check_axioms(self):
+        for i, mask in enumerate(self._down):
+            for j in bit_positions(mask):
+                if self._down[j] & ~mask:
+                    raise BoolkitError("order is not transitive")
+                if i != j and self._down[j] >> i & 1:
+                    raise BoolkitError("order is not antisymmetric")
+
+    def __len__(self):
+        return len(self.elements)
+
+    def leq(self, a, b) -> bool:
+        return self._down[self._index[b]] >> self._index[a] & 1 == 1
+
+
+def poset_of_sets(sets) -> Poset:
+    """``balg.Poset`` over distinct sets of hashable items, each set at its
+    position in ``sets``; items are numbered first seen first."""
+    position = {}  # item -> its position
+    rows = [[position.setdefault(x, len(position)) for x in s] for s in sets]
+    return Poset([sum(1 << k for k in row) for row in rows], holder_masks(rows, len(position)))
 
 
 def mask_of(poset, subset) -> int:
@@ -608,13 +671,13 @@ def reference_model_json(prop):
     leaving the family."""
     members = prop.index.members
     family = set(members)
-    poset = Poset.of_sets(members)
+    poset = poset_of_sets(members)
     ro = ro_completion(poset)
     consts = sorted(prop.sig.constants)
 
     def value(atom):
-        compatible = [s for s in members if atom in s or s | {atom} in family]
-        return element_of_mask(ro, regularize_mask(poset, mask_of(poset, compatible)))
+        compatible = sum(1 << k for k, s in enumerate(members) if atom in s or s | {atom} in family)
+        return element_of_mask(ro, regularize_mask(poset, compatible))
 
     eq = {
         (a, b): ro.algebra.one if a == b else value(Eq(*sorted((a, b))))

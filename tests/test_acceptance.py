@@ -5,7 +5,7 @@ import random
 import time
 
 from boolkit import bvmodel, consprop, syntax
-from boolkit.balg import Poset, ro_completion, ultrafilters
+from boolkit.balg import ro_completion, ultrafilters
 from boolkit.bvmodel import (
     check_fullness,
     check_mixing,
@@ -43,6 +43,7 @@ from boolkit.forcing import (
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Theory
 
 from conftest import (
+    ReferencePoset,
     classical_eval,
     random_model_with_qe,
     random_sentence,
@@ -255,11 +256,11 @@ def test_criterion_07_model_existence():
         members = sorted(
             prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s)))
         )
-        poset = Poset(members, leq=lambda a, b: b <= a)
+        poset = ReferencePoset(members, leq=lambda a, b: b <= a)
         ro = ro_completion(poset)
-        for s in members:
+        for k, s in enumerate(members):
             conj = And(tuple(sorted(s, key=syntax.render)))
-            assert model.algebra.leq(ro.cone[s], eval_formula(model, conj))
+            assert model.algebra.leq(ro.cone[k], eval_formula(model, conj))
     _finish(7, "saturated theories verify and their models realize every member", started, 300)
 
 

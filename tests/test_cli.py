@@ -241,6 +241,33 @@ class TestModelCommands:
         assert code == 0
         assert "model" in doc
 
+    def test_consprop_model_refutations(self, workdir, capsys, monkeypatch):
+        # a failed cone check and an empty family each exit 1 with one JSON
+        # error line and no report
+        sig = Signature(relations={"P": 1}, base_constants=set(), fresh_constants={"c0", "c1"})
+        theory = Theory([syntax.parse("(P c0)", sig), syntax.parse("(not (= c0 c1))", sig)])
+        prop = consprop.saturate_theory(theory, sig)
+        (workdir / "prop.json").write_text(json.dumps(prop.to_json()))
+        (workdir / "empty.json").write_text(json.dumps({"signature": sig.to_json(), "members": []}))
+        chosen, real = syntax.parse("(P c1)", sig), bvmodel.eval_formula
+
+        def eval_formula(model, phi, **kwargs):
+            return 0 if phi == chosen else real(model, phi, **kwargs)
+
+        monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
+        failure = {
+            "error": "cone is not below the value of a member sentence",
+            "counterexample": repr(
+                {"member": ["(P c1)"], "sentence": "(P c1)", "cone": 1, "value": 0}
+            ),
+        }
+        empty = {"error": "empty consistency property has no model"}
+        for name, error in (("prop.json", failure), ("empty.json", empty)):
+            code, report = run_json(["consprop-model", "--consprop", workdir / name], workdir)
+            captured = capsys.readouterr()
+            assert (code, report, captured.out) == (cli.EXIT_REFUTED, None, "")
+            assert captured.err.splitlines() == [json.dumps(error, sort_keys=True)]
+
 
 class TestForcingCommands:
     def test_build_generic_model(self, workdir):

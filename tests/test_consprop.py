@@ -16,7 +16,8 @@ from boolkit.consprop import (
 from boolkit.errors import BoolkitError, ConstructionFailure, ResourceBudgetError
 from boolkit.syntax import And, Atom, Eq, Exists, Not, Or, Signature, Theory
 
-from conftest import down_mask
+from boolkit.balg import ro_completion
+from conftest import ReferencePoset, down_mask, poset_of_sets
 
 SIG_CD = Signature(relations={}, base_constants=set(), fresh_constants={"c", "d"})
 SIG_P = Signature(relations={"P": 1}, base_constants=set(), fresh_constants={"c0", "c1"})
@@ -224,6 +225,28 @@ class TestMemberIndex:
         for name in self.FIELDS:
             assert getattr(index, name) == getattr(fresh, name), name
 
+    def test_passing_runs_build_no_member_sets(self):
+        # verification and model existence stay on member numbers; the
+        # member sets are built when asked for, with the same value
+        from test_acceptance import _compactness_families, _model_existence_instances
+
+        props = [
+            compact.compactness_run(compact.conjunction_closure(gens), sig).consistency_property
+            for sig, gens in _compactness_families()
+        ]
+        for sig, theory in _model_existence_instances():
+            props.append(saturate_theory(theory, sig))
+            model_from_consprop(props[-1])
+        for prop in props:
+            assert "members" not in vars(prop) and "members" not in vars(prop.index)
+            doc = prop.to_json()
+            assert doc["members"] == sorted(sorted(map(syntax.render, s)) for s in prop.members)
+            assert len(prop.members) == len(prop) > 0
+            assert ConsistencyProperty.from_json(doc).members == prop.members
+            fresh = consprop.MemberIndex(prop.members)
+            for name in self.FIELDS:
+                assert getattr(prop.index, name) == getattr(fresh, name), name
+
 
 class TestSaturate:
     def test_empty_theory_members(self):
@@ -277,50 +300,54 @@ class TestModelExistence:
         assert bvmodel.eval_formula(model, Eq("c", "d")) == model.algebra.one
 
     def test_cone_below_member_values(self):
-        from boolkit.balg import Poset, ro_completion
-
         prop = saturate_theory(Theory([Atom("P", ("c0",)), Not(Eq("c0", "c1"))]), SIG_P)
         model, diagnostics = model_from_consprop(prop)
         members = sorted(
             prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s)))
         )
-        poset = Poset(members, leq=lambda a, b: b <= a)
+        poset = ReferencePoset(members, leq=lambda a, b: b <= a)
         ro = ro_completion(poset)
-        for s in members:
-            cone = ro.cone[s]
+        for k, s in enumerate(members):
+            cone = ro.cone[k]
             conj = And(tuple(sorted(s, key=syntax.render)))
             assert model.algebra.leq(cone, bvmodel.eval_formula(model, conj))
 
     def test_inclusion_poset_matches_the_pairwise_order(self):
-        from boolkit.balg import Poset, ro_completion
         from test_acceptance import _model_existence_instances
 
         for sig, theory in _model_existence_instances():
             prop = saturate_theory(theory, sig)
             members = sorted(prop.members, key=lambda s: (len(s), sorted(map(syntax.render, s))))
-            built = Poset.of_sets(members)
-            reference = Poset(members, leq=lambda a, b: b <= a)
-            assert [down_mask(built, s) for s in members] == [
-                down_mask(reference, s) for s in members
-            ]
+            built = poset_of_sets(members)
+            reference = ReferencePoset(members, leq=lambda a, b: b <= a)
+            assert built._down == [down_mask(reference, s) for s in members]
             ro, ro_ref = ro_completion(built), ro_completion(reference)
             assert ro._atom_masks == ro_ref._atom_masks
             assert ro.cone == ro_ref.cone
 
     def test_cone_check_names_the_first_member_holding_a_failed_sentence(self, monkeypatch):
         prop = saturate_theory(Theory([Atom("P", ("c0",)), Not(Eq("c0", "c1"))]), SIG_P)
-        chosen = syntax.canon(Not(Eq("c0", "c1")))
+        members = prop.index.members
+        ro = ro_completion(ReferencePoset(members, leq=lambda a, b: b <= a))
         real = bvmodel.eval_formula
 
         def eval_formula(model, phi, **kwargs):
             return 0 if phi == chosen else real(model, phi, **kwargs)
 
         monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
-        with pytest.raises(ConstructionFailure) as exc:
-            model_from_consprop(prop)
-        first = next(s for s in prop.index.members if chosen in s)
-        assert exc.value.counterexample["member"] == sorted(map(syntax.render, first))
-        assert exc.value.counterexample["sentence"] == syntax.render(chosen)
+        # the first holders of (P c1) and of its negation have cones below
+        # one, each other than the cones of their neighbours
+        for chosen in (Not(Eq("c0", "c1")), Atom("P", ("c1",)), Not(Atom("P", ("c1",)))):
+            chosen = syntax.canon(chosen)
+            with pytest.raises(ConstructionFailure) as exc:
+                model_from_consprop(prop)
+            k = next(k for k, s in enumerate(members) if chosen in s)
+            assert exc.value.counterexample == {
+                "member": sorted(map(syntax.render, members[k])),
+                "sentence": syntax.render(chosen),
+                "cone": ro.cone[k],
+                "value": 0,
+            }
 
     def test_cone_check_names_the_first_of_two_failing_members(self, monkeypatch):
         # y comes after x in render order, but a member without x holds y
@@ -343,8 +370,13 @@ class TestModelExistence:
         monkeypatch.setattr(bvmodel, "eval_formula", eval_formula)
         with pytest.raises(ConstructionFailure) as exc:
             model_from_consprop(prop)
-        assert exc.value.counterexample["member"] == sorted(map(syntax.render, members[first[y]]))
-        assert exc.value.counterexample["sentence"] == syntax.render(y)
+        ro = ro_completion(ReferencePoset(members, leq=lambda a, b: b <= a))
+        assert exc.value.counterexample == {
+            "member": sorted(map(syntax.render, members[first[y]])),
+            "sentence": syntax.render(y),
+            "cone": ro.cone[first[y]],
+            "value": 0,
+        }
 
     def test_each_distinct_sentence_is_evaluated_once(self, monkeypatch):
         prop = saturate_theory(Theory([Atom("P", ("c0",))]), SIG_P)
