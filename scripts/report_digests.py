@@ -5,8 +5,9 @@ The reports are ``conservative``, ``fincons`` and ``compact`` on the
 criterion-8 families, ``focompact`` on the criterion-10 theories,
 ``forcing build``, ``generic`` and ``model`` on the criterion-12 instances,
 ``consprop-model`` on the saturated property of each criterion-7
-theory, followed by ``eval`` of each theory sentence and each member's
-conjunction on the model it builds, and ``oracle``, with and without
+theory, then with ``--mixing``, followed by ``eval`` of each theory
+sentence and each member's conjunction on the model it builds without
+``--mixing``, and ``oracle``, with and without
 ``--require-qe``, on the criterion-10 theories, the pigeonhole PHP(3..6),
 the faicom families for n = 2..6, whole and less each sentence, and the
 quantified sentences over ``Q_SIG``, one by one and together, and
@@ -136,6 +137,8 @@ def digests(work: Path):
         doc = consprop.saturate_theory(sentences, sig).to_json()
         path = write("consprop.json", doc)
         text = report("consprop-model", doc, ["consprop-model", "--consprop", path])
+        report("consprop-model", dict(doc, mixing=True),
+               ["consprop-model", "--consprop", path, "--mixing"])
         model = write("model.json", json.loads(text)["model"])
         paths = ["--model", model, "--sig", write("sig.json", sig.to_json())]
         conjunctions = [And(tuple(syntax.parse(t, sig) for t in s)) for s in doc["members"]]

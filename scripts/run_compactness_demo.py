@@ -8,9 +8,7 @@ from boolkit.syntax import Atom, Eq, Not, Or, Signature
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     sig = Signature(
         relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"}

@@ -385,9 +385,9 @@ def mixing_completion(m: BValuedModel) -> BValuedModel:
     """
     b = m.algebra
     atoms = b.atoms()
-    maps = [tuple(combo) for combo in itertools.product(m.domain, repeat=len(atoms))]
-    if len(maps) * len(maps) > 4 * 10**6:
+    if (len(m.domain) ** len(atoms)) ** 2 > 4 * 10**6:
         raise ResourceBudgetError("mixing completion would exceed the size cap")
+    maps = [tuple(combo) for combo in itertools.product(m.domain, repeat=len(atoms))]
     new_domain = tuple(maps)
     eq = {}
     for s in maps:

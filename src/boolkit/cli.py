@@ -457,55 +457,61 @@ def _poset(args, config) -> forcing.SPhiPoset:
     return forcing.SPhiPoset(phi, sig, frozenset(conditions))
 
 
-def _dense_sets(args, p: forcing.SPhiPoset) -> list:
-    if not args.dense:
-        return []
-    return [
-        [_condition(member, p.sig) for member in entry]
-        for entry in _load(args.dense, "dense")["dense_sets"]
-    ]
-
-
-def _cmd_forcing(args, config):
-    if args.forcing_command == "build":
-        if args.size_bound < 0:
-            raise UsageError("--size-bound must be at least 0")
-        sig = _signature(args)
-        phi = syntax.parse(args.formula, sig)
-        p = forcing.build_sphi(phi, sig, args.size_bound, config.budget)
-        body = {"poset": p.to_json(), "excluded_unknown": len(p.excluded_unknown)}
-        return _report(args, config, body, EXIT_OK)
+def _generic(args, config) -> forcing.GenericFilter:
+    """The generic filter over the loaded poset meeting the loaded dense sets."""
     p = _poset(args, config)
-    if args.forcing_command == "dense":
-        if args.atom:
-            d = forcing.dense_decision_set(p, syntax.parse(args.atom, p.sig))
-        else:
-            phi = p.phi
-            if not isinstance(phi, syntax.Or):
-                raise UsageError("--atom is required unless the target is a disjunction")
-            d = forcing.dense_commitment_set(p, phi)
-        verdict = forcing.is_dense(d, p, strict=args.strict)
-        body = {
-            "dense": verdict.ok,
-            "set": sorted(sorted(syntax.render(f) for f in s) for s in d),
-        }
-        return _report(args, config, body, EXIT_OK if verdict.ok else EXIT_REFUTED)
-    dense = _dense_sets(args, p)
-    g = forcing.generic_filter(p, dense)
-    if args.forcing_command == "generic":
-        body = {
-            "members": sorted(sorted(syntax.render(f) for f in s) for s in g.members),
-            "maximal": g.maximal,
-        }
-        return _report(args, config, body, EXIT_OK)
-    if args.forcing_command == "model":
-        m = forcing.term_model(g)
-        body = {
-            "model": bvmodel.model_to_json(m),
-            "sigma": sorted(syntax.render(f) for f in g.sigma()),
-        }
-        return _report(args, config, body, EXIT_OK)
-    raise UsageError(f"unknown forcing subcommand {args.forcing_command!r}")
+    dense = []
+    if args.dense:
+        dense = [
+            [_condition(member, p.sig) for member in entry]
+            for entry in _load(args.dense, "dense")["dense_sets"]
+        ]
+    return forcing.generic_filter(p, dense)
+
+
+def _cmd_forcing_build(args, config):
+    if args.size_bound < 0:
+        raise UsageError("--size-bound must be at least 0")
+    sig = _signature(args)
+    phi = syntax.parse(args.formula, sig)
+    p = forcing.build_sphi(phi, sig, args.size_bound, config.budget)
+    body = {"poset": p.to_json(), "excluded_unknown": len(p.excluded_unknown)}
+    return _report(args, config, body, EXIT_OK)
+
+
+def _cmd_forcing_dense(args, config):
+    p = _poset(args, config)
+    if args.atom:
+        d = forcing.dense_decision_set(p, syntax.parse(args.atom, p.sig))
+    else:
+        phi = p.phi
+        if not isinstance(phi, syntax.Or):
+            raise UsageError("--atom is required unless the target is a disjunction")
+        d = forcing.dense_commitment_set(p, phi)
+    verdict = forcing.is_dense(d, p, strict=args.strict)
+    body = {
+        "dense": verdict.ok,
+        "set": sorted(sorted(syntax.render(f) for f in s) for s in d),
+    }
+    return _report(args, config, body, EXIT_OK if verdict.ok else EXIT_REFUTED)
+
+
+def _cmd_forcing_generic(args, config):
+    g = _generic(args, config)
+    body = {
+        "members": sorted(sorted(syntax.render(f) for f in s) for s in g.members),
+        "maximal": g.maximal,
+    }
+    return _report(args, config, body, EXIT_OK)
+
+
+def _cmd_forcing_model(args, config):
+    g = _generic(args, config)
+    body = {
+        "model": bvmodel.model_to_json(forcing.term_model(g)),
+        "sigma": sorted(syntax.render(f) for f in g.sigma()),
+    }
+    return _report(args, config, body, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -525,133 +531,111 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(subparsers, name, handler):
+        p = subparsers.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("parse")
+    p = add(sub, "parse", _cmd_parse)
     p.add_argument("--sig", required=True)
     p.add_argument("--formula", required=True)
 
-    p = add("eval")
+    p = add(sub, "eval", _cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--sig")
     p.add_argument("--assignment")
 
-    p = add("validate-model")
+    p = add(sub, "validate-model", _cmd_validate_model)
     p.add_argument("--model", required=True)
 
-    p = add("quotient")
+    p = add(sub, "quotient", _cmd_quotient)
     p.add_argument("--model", required=True)
     p.add_argument("--filter-generator")
     p.add_argument("--ultrafilter", type=int, default=0)
     p.add_argument("--dump-algebra", action="store_true")
 
-    p = add("mixing")
+    p = add(sub, "mixing", _cmd_mixing)
     p.add_argument("--model", required=True)
     p.add_argument("--lam", type=int)
     p.add_argument("--complete", action="store_true")
 
-    p = add("fullness")
+    p = add(sub, "fullness", _cmd_fullness)
     p.add_argument("--model", required=True)
     p.add_argument("--sig")
 
-    p = add("nnf")
+    p = add(sub, "nnf", _cmd_nnf)
     p.add_argument("--sig", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--step", action="store_true")
 
-    p = add("qe")
+    p = add(sub, "qe", _cmd_qe)
     p.add_argument("--sig", required=True)
     p.add_argument("--formula")
     p.add_argument("--axiom", action="store_true")
 
-    p = add("proof-check")
+    p = add(sub, "proof-check", _cmd_proof_check)
     p.add_argument("--sig", required=True)
     p.add_argument("--proof", required=True)
     p.add_argument("--probe-trials", type=int, default=0)
 
-    p = add("consprop-verify")
+    p = add(sub, "consprop-verify", _cmd_consprop_verify)
     p.add_argument("--consprop", required=True)
 
-    p = add("consprop-model")
+    p = add(sub, "consprop-model", _cmd_consprop_model)
     p.add_argument("--consprop", required=True)
     p.add_argument("--mixing", action="store_true")
     p.add_argument("--dump-algebra", action="store_true")
 
-    p = add("oracle")
+    p = add(sub, "oracle", _cmd_oracle)
     p.add_argument("--theory", required=True)
     p.add_argument("--sig")
     p.add_argument("--require-qe", action="store_true")
 
-    p = add("conservative")
+    p = add(sub, "conservative", _cmd_conservative)
     p.add_argument("--sig", required=True)
     p.add_argument("--psi1", required=True)
     p.add_argument("--psi0", required=True)
 
-    p = add("fincons")
+    p = add(sub, "fincons", _cmd_fincons)
     p.add_argument("--family", required=True)
     p.add_argument("--sig")
 
-    p = add("compact")
+    p = add(sub, "compact", _cmd_compact)
     p.add_argument("--family", required=True)
     p.add_argument("--sig")
     p.add_argument("--dump-algebra", action="store_true")
 
-    p = add("star")
+    p = add(sub, "star", _cmd_star)
     p.add_argument("--theory", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--sig")
 
-    p = add("focompact")
+    p = add(sub, "focompact", _cmd_focompact)
     p.add_argument("--theory", required=True)
     p.add_argument("--sig")
 
-    p = add("faicom")
+    p = add(sub, "faicom", _cmd_faicom)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--fresh", type=int, default=2, help="size of the fresh-constant pool")
 
     p = sub.add_parser("forcing")
     fsub = p.add_subparsers(dest="forcing_command", required=True)
-    fb = fsub.add_parser("build", parents=[common])
+    fb = add(fsub, "build", _cmd_forcing_build)
     fb.add_argument("--sig", required=True)
     fb.add_argument("--formula", required=True)
     fb.add_argument("--size-bound", type=int, default=3)
-    fd = fsub.add_parser("dense", parents=[common])
+    fd = add(fsub, "dense", _cmd_forcing_dense)
     fd.add_argument("--poset", required=True)
     fd.add_argument("--atom")
     fd.add_argument("--strict", action="store_true")
-    fg = fsub.add_parser("generic", parents=[common])
+    fg = add(fsub, "generic", _cmd_forcing_generic)
     fg.add_argument("--poset", required=True)
     fg.add_argument("--dense")
-    fm = fsub.add_parser("model", parents=[common])
+    fm = add(fsub, "model", _cmd_forcing_model)
     fm.add_argument("--poset", required=True)
     fm.add_argument("--dense")
     return parser
-
-
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "eval": _cmd_eval,
-    "validate-model": _cmd_validate_model,
-    "quotient": _cmd_quotient,
-    "mixing": _cmd_mixing,
-    "fullness": _cmd_fullness,
-    "nnf": _cmd_nnf,
-    "qe": _cmd_qe,
-    "proof-check": _cmd_proof_check,
-    "consprop-verify": _cmd_consprop_verify,
-    "consprop-model": _cmd_consprop_model,
-    "oracle": _cmd_oracle,
-    "conservative": _cmd_conservative,
-    "fincons": _cmd_fincons,
-    "compact": _cmd_compact,
-    "star": _cmd_star,
-    "focompact": _cmd_focompact,
-    "faicom": _cmd_faicom,
-    "forcing": _cmd_forcing,
-}
 
 
 def _budget(args) -> compact.Budget:
@@ -670,7 +654,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = RunConfig(seed=args.seed, budget=_budget(args), out=args.out)
-        return _HANDLERS[args.command](args, config)
+        return args.handler(args, config)
     except (UsageError, ParseError, SignatureError, ValueError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_USAGE

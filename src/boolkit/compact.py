@@ -180,7 +180,7 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     closure = _PathClosure(constants)
     rep, diseq = closure.rep, closure.diseq
     rel_true = rel_false = None
-    values, firsts = {}, {}  # shared node -> its value, its first undecided atom
+    values = {}  # shared node -> its value on the path
     nodes = 0
 
     def value(node):
@@ -232,12 +232,7 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         kind, x, y = node
         if kind == "eq" or kind == "rel":
             return y if value(node) is node else None
-        if y is not None and y in firsts:
-            return firsts[y]
-        found = next(filter(None, map(first, x)), None)
-        if y is not None:
-            firsts[y] = found
-        return found
+        return next(filter(None, map(first, x)), None)
 
     def search(pending, leaf):
         nonlocal nodes, rel_true, rel_false
@@ -248,7 +243,6 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
             return None, leaf
         rel_true, rel_false = closure.rel_true, closure.rel_false
         values.clear()
-        firsts.clear()
         undecided = []
         unit = None
         for i, f in pending:
@@ -692,7 +686,7 @@ def conjunction_closure(generators: Iterable[Formula]) -> list:
     seen = set()
     for g in generators:
         g = syntax.canon(g)
-        key = syntax.conjunction_key(g)
+        key = syntax.conjuncts(g)
         if key not in seen:
             seen.add(key)
             gens.append(g)
@@ -700,7 +694,7 @@ def conjunction_closure(generators: Iterable[Formula]) -> list:
     for size in range(2, len(gens) + 1):
         for combo in itertools.combinations(gens, size):
             rep = syntax.canonical(And, combo)
-            key = syntax.conjunction_key(rep)
+            key = syntax.conjuncts(rep)
             if key not in seen:
                 seen.add(key)
                 members.append(rep)
@@ -719,7 +713,7 @@ def is_finitely_conservative(
     members = [syntax.canon(f) for f in family]
     if not members:
         return FiniteConservativityVerdict(False, "empty family")
-    keys = {syntax.conjunction_key(f): f for f in members}
+    keys = {syntax.conjuncts(f): f for f in members}
     session = _session(budget, session)
 
     for f in members:
@@ -733,7 +727,7 @@ def is_finitely_conservative(
 
     # pairwise closure suffices: conjunct-set keys are unions
     for f, g in itertools.combinations(members, 2):
-        key = syntax.conjunction_key(f) | syntax.conjunction_key(g)
+        key = syntax.conjuncts(f) | syntax.conjuncts(g)
         if key not in keys:
             return FiniteConservativityVerdict(
                 False, "not closed under finite conjunctions", member=f, base=g
@@ -741,11 +735,11 @@ def is_finitely_conservative(
 
     bounded = False
     for g in members:
-        gkey = syntax.conjunction_key(g)
+        gkey = syntax.conjuncts(g)
         for psi in members:
             if psi is g and len(members) > 1:
                 continue
-            if syntax.conjunction_key(psi) <= gkey:
+            if syntax.conjuncts(psi) <= gkey:
                 report = is_conservative_strengthening(g, psi, sig, session=session)
                 bounded = bounded or report.bounded
                 if report.unknown:
@@ -776,9 +770,9 @@ def base_generators(family) -> list:
     the union of strictly smaller members' conjunct sets."""
     members = [syntax.canon(f) for f in family]
     base = []
-    for m in sorted(members, key=lambda f: (len(syntax.conjunction_key(f)), syntax.render(f))):
-        mkey = syntax.conjunction_key(m)
-        covered = set().union(*(k for k in map(syntax.conjunction_key, base) if k <= mkey))
+    for m in sorted(members, key=lambda f: (len(syntax.conjuncts(f)), syntax.render(f))):
+        mkey = syntax.conjuncts(m)
+        covered = set().union(*(k for k in map(syntax.conjuncts, base) if k <= mkey))
         if covered != mkey:
             base.append(m)
     return base
@@ -811,8 +805,8 @@ def materialize_compactness_property(
     members = [syntax.canon(f) for f in family]
     gens = base_generators(members)
     psi = syntax.canonical(And, gens)
-    drop_keys = {syntax.conjunction_key(m) for m in members}
-    drop_keys -= {syntax.conjunction_key(g) for g in gens}
+    drop_keys = {syntax.conjuncts(m) for m in members}
+    drop_keys -= {syntax.conjuncts(g) for g in gens}
     work_sig = star_signature(sig)
     session = _session(budget, session)
     budget = session.budget
@@ -847,7 +841,7 @@ def materialize_compactness_property(
             syntax.subsentences(anchor, work_sig), obligations, budget.max_members, overflow
         )
         universe = sorted(
-            (f for f in reachable if syntax.conjunction_key(f) not in drop_keys),
+            (f for f in reachable if syntax.conjuncts(f) not in drop_keys),
             key=syntax.render,
         )
         if not consistent([anchor]):

@@ -533,17 +533,22 @@ def mixing_model_from_consprop(
     budget: compact.Budget = compact.DEFAULT_BUDGET,
 ) -> tuple:
     """Model existence strengthened by the mixing completion; re-checks that
-    every member keeps a nonzero conjunction value."""
+    every member keeps a nonzero conjunction value.  Each distinct sentence
+    is evaluated once on the completion (``eval_steps`` caps each sentence),
+    a member's value is the meet of its sentences' values, and the first
+    member, in ``MemberIndex`` order, whose value is 0 is named."""
     model, diagnostics = model_from_consprop(prop, budget)
     completed = bvmodel.mixing_completion(model)
-    for s in prop.members:
-        value = bvmodel.eval_formula(
-            completed, syntax.canonical(And, s), max_steps=budget.eval_steps
-        )
-        if value == 0 and s:
+    index = prop.index
+    values = [
+        bvmodel.eval_formula(completed, phi, max_steps=budget.eval_steps)
+        for phi in index.sentences
+    ]
+    for k, ids in enumerate(index.ids):
+        if ids and not functools.reduce(int.__and__, map(values.__getitem__, ids)):
             raise ConstructionFailure(
                 "member lost its nonzero value under mixing completion",
-                counterexample=sorted(map(syntax.render, s)),
+                counterexample=sorted(map(syntax.render, index.member(k))),
             )
     diagnostics = dict(diagnostics)
     diagnostics["mixing_domain"] = len(completed.domain)

@@ -288,24 +288,20 @@ class SoundnessReport:
 
 
 def _collect_symbols(p: ProofTree):
-    relations = {}
-    constants = set()
+    """The relations of every formula in the tree, and the constants of its
+    sequents."""
+    relations, constants = {}, set()
     stack = [p]
     while stack:
         node = stack.pop()
         stack.extend(node.premises)
-        for f in node.conclusion.left | node.conclusion.right:
+        sequent = node.conclusion.left | node.conclusion.right
+        constants = constants.union(*map(syntax.constants_of, sequent))
+        data = [v for v in node.data.values() if isinstance(v, Formula)]
+        for f in [*sequent, *data]:
             for g in syntax.subformulas(f):
                 if isinstance(g, Atom):
                     relations[g.rel] = len(g.args)
-                    constants |= {t for t in g.args if not syntax.is_var(t)}
-                elif isinstance(g, Eq):
-                    constants |= {t for t in (g.left, g.right) if not syntax.is_var(t)}
-        for value in node.data.values():
-            if isinstance(value, Formula):
-                for g in syntax.subformulas(value):
-                    if isinstance(g, Atom):
-                        relations[g.rel] = len(g.args)
     return relations, constants
 
 

@@ -554,11 +554,6 @@ def conjuncts(f: Formula) -> frozenset:
     return frozenset({canon(f)})
 
 
-def conjunction_key(f: Formula) -> frozenset:
-    """Identity of a conjunction up to flattening, order, and repetition."""
-    return frozenset(render(c) for c in conjuncts(f))
-
-
 # ---------------------------------------------------------------------------
 # subsentences
 

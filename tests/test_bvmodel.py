@@ -165,6 +165,18 @@ class TestValidation:
         assert astuple(validate_model(mutant, 3)) == reference_validate_model(mutant, 3) == expected
 
 
+    def test_a_constant_outside_the_domain_is_reported(self):
+        m = two_valued_identity_model(SIG)
+        consts = {"c0": "x", "c1": "z", "e0": "w"}
+        mutant = BValuedModel(m.algebra, m.domain, m.eq, m.rel, consts, check=False)
+        assert astuple(validate_model(mutant, max_violations=5)) == (
+            False, (("constant", "c1", "z"), ("constant", "e0", "w"))
+        )
+        assert astuple(validate_model(mutant)) == (False, (("constant", "c1", "z"),))
+        with pytest.raises(BoolkitError, match="constant"):
+            BValuedModel(m.algebra, m.domain, m.eq, m.rel, consts)
+
+
 class TestEval:
     def test_empty_conjunction_is_one(self):
         rng = random.Random(1)
@@ -401,6 +413,14 @@ class TestMixingCompletion:
         for name, table in m.rel.items():
             for combo, value in table.items():
                 assert mc.rel[name][tuple(embed[x] for x in combo)] == value
+
+    def test_the_size_cap_is_checked_before_the_maps_are_built(self):
+        # 2 ** 64 maps could never be listed; the cap must refuse first
+        b = FiniteBooleanAlgebra(64)
+        dom = ("x", "y")
+        eq = {(a, c): (b.one if a == c else 0) for a in dom for c in dom}
+        with pytest.raises(ResourceBudgetError, match="size cap"):
+            mixing_completion(BValuedModel(b, dom, eq, {}, {}))
 
     def test_idempotent_on_atomic_diagram(self):
         rng = random.Random(13)

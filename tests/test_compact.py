@@ -657,9 +657,7 @@ class TestFiniteConservativity:
         assert verdict.reason == "conjunction is not conservative over a conjunct"
         disj = syntax.canon(Or((Eq("c2", "c0"), Eq("c2", "c1"))))
         assert verdict.base == disj
-        assert syntax.conjunction_key(verdict.member) >= {
-            syntax.render(disj)
-        }
+        assert syntax.conjuncts(verdict.member) >= {disj}
         assert verdict.report.violating_subset is not None
 
     def test_closure_violation_detected(self):
@@ -668,6 +666,17 @@ class TestFiniteConservativity:
         verdict = is_finitely_conservative(family, SIG)
         assert not verdict.ok
         assert verdict.reason == "not closed under finite conjunctions"
+
+    def test_empty_family_rejected(self):
+        verdict = is_finitely_conservative([], SIG)
+        assert (verdict.ok, verdict.reason, verdict.unknown) == (False, "empty family", False)
+
+    def test_family_without_a_consistent_member_rejected(self):
+        clash = And((Atom("R", ("a",)), Not(Atom("R", ("a",)))))
+        verdict = is_finitely_conservative([clash, Not(Eq("a", "a"))], SIG)
+        assert (verdict.ok, verdict.reason, verdict.unknown) == (
+            False, "no Boolean consistent member", False
+        )
 
     def test_passing_family_is_finitely_consistent(self):
         gens = [Atom("R", ("a",)), Not(Eq("a", "b"                                                                 ))]
@@ -724,10 +733,10 @@ class TestStarTheory:
         ).witness
         phi = Or((Eq("a", "b"), Atom("R", ("a",))))
         (star,) = star_theory(witness, [phi], SIG)
-        key = syntax.conjunction_key(star)
-        assert syntax.render(syntax.canon(phi)) in key
-        assert syntax.render(syntax.canon(Not(Eq("a", "b")))) in key
-        assert syntax.render(Atom("R", ("a",))) in key
+        key = syntax.conjuncts(star)
+        assert syntax.canon(phi) in key
+        assert syntax.canon(Not(Eq("a", "b"))) in key
+        assert Atom("R", ("a",)) in key
 
     def test_false_generator_rejected(self):
         witness = consistency_oracle([Not(Atom("R", ("a",)))], SIG).witness

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -428,6 +432,42 @@ class TestModelExistence:
         model, diagnostics = mixing_model_from_consprop(prop)
         assert bvmodel.check_mixing(model, model.algebra.atom_count).ok
         assert "mixing_domain" in diagnostics
+
+    def test_mixing_names_the_first_member_losing_its_value_under_every_hash_seed(self):
+        # the patched evaluator gives the target sentence 0 on the completion
+        # only; every member holding it loses its value, and the one named is
+        # the first in MemberIndex order, whatever the hash seed
+        script = (
+            "from boolkit import bvmodel, consprop, syntax\n"
+            "sig = syntax.Signature(relations={'P': 1}, fresh_constants={'c0', 'c1'})\n"
+            "theory = syntax.Theory([syntax.parse('(or (P c0) (P c1))', sig)])\n"
+            "prop = consprop.saturate_theory(theory, sig)\n"
+            "target, evaluate = syntax.parse('(P c1)', sig), bvmodel.eval_formula\n"
+            "def patched(m, f, *args, **kwargs):\n"
+            "    if isinstance(m.domain[0], tuple) and f == target:  # completion maps\n"
+            "        return 0\n"
+            "    return evaluate(m, f, *args, **kwargs)\n"
+            "bvmodel.eval_formula = patched\n"
+            "try:\n"
+            "    consprop.mixing_model_from_consprop(prop)\n"
+            "except consprop.ConstructionFailure as exc:\n"
+            "    print(exc.counterexample)\n"
+        )
+        src = str(Path(consprop.__file__).resolve().parents[1])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            )
+            for seed in "012"
+        ]
+        outputs = {run.communicate(timeout=60)[0] for run in runs}
+        theory = Theory([Or((Atom("P", ("c0",)), Atom("P", ("c1",))))])
+        index = saturate_theory(theory, SIG_P).index
+        i = index.position[Atom("P", ("c1",))]
+        assert bin(index.holders[i]).count("1") > 1
+        k = next(k for k, ids in enumerate(index.ids) if i in ids)
+        assert outputs == {f"{sorted(map(syntax.render, index.member(k)))}\n"}
 
     def test_cross_oracle_agreement(self):
         prop = saturate_theory(Theory([Not(Eq("c", "d"))]), SIG_CD)

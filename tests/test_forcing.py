@@ -270,6 +270,15 @@ class TestGenericFilter:
         for s, t in itertools.combinations(list(g.members)[:12], 2):
             assert any(u >= s | t for u in g.members)
 
+    def test_membership_canonicalizes_the_set(self):
+        sig = Signature(relations={"P": 1}, base_constants={"a", "b", "c"})
+        phi = syntax.canon(syntax.parse("(or (P a) (not (= b c)))", sig))
+        g = generic_filter(SPhiPoset(phi, sig, frozenset({frozenset(), frozenset({phi})})))
+        raw = syntax.parse("(or (not (= b c)) (P a))", sig)  # phi, children unsorted
+        assert syntax.canon(raw) is not raw and frozenset({raw}) not in g.members
+        assert frozenset({raw}) in g and [raw] in g
+        assert frozenset({Atom("P", ("a",))}) not in g
+
     @settings(max_examples=300, deadline=None)
     @given(families())
     def test_matches_the_restarting_saturation(self, family):
