@@ -54,27 +54,34 @@ class ValidationReport:
 
 def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport:
     """Exhaustively check the equality axioms and the relation congruence
-    condition; failures report the violating tuple.
+    condition; failures report the violating tuple, at most
+    ``max_violations`` of them.
 
     Congruence is checked by position, R(xs) meet eq(xs[i], y) <= R(xs[i:=y]):
     chained over the positions, by monotonicity of meet alone, this gives it
     for every pair (xs, ys), whose scan runs only to name the violations.
     """
+    bad = tuple(itertools.islice(_violations(m), max_violations))
+    return ValidationReport(not bad, bad)
+
+
+def _violations(m: BValuedModel):
+    """The violations of ``m`` in report order; a bad table entry ends the
+    scan, as the scans after it read the whole table."""
     one, domain, eq = m.algebra.one, m.domain, m.eq
-    bad = []
+    broken = False
     for a, c in itertools.product(domain, repeat=2):
         if not m.algebra.is_element(eq.get((a, c))):
-            bad.append(("eq-table", a, c))
-            if len(bad) >= max_violations:
-                return ValidationReport(False, tuple(bad))
-    if bad:  # the scans below read the whole table
-        return ValidationReport(False, tuple(bad))
-    bad = [("reflexivity", a) for a in domain if eq[(a, a)] != one]
+            broken = True
+            yield ("eq-table", a, c)
+    if broken:
+        return
+    for a in domain:
+        if eq[(a, a)] != one:
+            yield ("reflexivity", a)
     for a, c in itertools.product(domain, repeat=2):
         if eq[(a, c)] != eq[(c, a)]:
-            bad.append(("symmetry", a, c))
-            if len(bad) >= max_violations:
-                return ValidationReport(False, tuple(bad))
+            yield ("symmetry", a, c)
     # with equality the identity, transitivity holds, as eq(a, c) meet eq(c, d) is 0
     # unless a = c = d; so does congruence, as a guard is 0 unless xs = ys
     identity = all(eq[(a, c)] == (one if a == c else 0) for a in domain for c in domain)
@@ -83,29 +90,22 @@ def validate_model(m: BValuedModel, max_violations: int = 1) -> ValidationReport
             ac = eq[(a, c)]
             for d in domain:
                 if ac & eq[(c, d)] & ~eq[(a, d)]:
-                    bad.append(("transitivity", a, c, d))
-                    if len(bad) >= max_violations:
-                        return ValidationReport(False, tuple(bad))
+                    yield ("transitivity", a, c, d)
     for name, table in m.rel.items():
         arity = len(next(iter(table))) if table else 0
         tuples = list(itertools.product(domain, repeat=arity))
         for xs in tuples:
             if not m.algebra.is_element(table.get(xs)):
-                bad.append(("rel-table", name, xs))
-                return ValidationReport(False, tuple(bad))
+                yield ("rel-table", name, xs)
+                return
         if identity or _congruent_by_position(domain, eq, table, tuples):
             continue
         for xs, ys in itertools.product(tuples, repeat=2):
             if m.algebra.meet_all(eq[(x, y)] for x, y in zip(xs, ys)) & table[xs] & ~table[ys]:
-                bad.append(("congruence", name, xs, ys))
-                if len(bad) >= max_violations:
-                    return ValidationReport(False, tuple(bad))
+                yield ("congruence", name, xs, ys)
     for name, elem in m.consts.items():
         if elem not in domain:
-            bad.append(("constant", name, elem))
-            if len(bad) >= max_violations:
-                return ValidationReport(False, tuple(bad))
-    return ValidationReport(not bad, tuple(bad))
+            yield ("constant", name, elem)
 
 
 def _congruent_by_position(domain, eq, table, tuples) -> bool:

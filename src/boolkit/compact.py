@@ -31,7 +31,7 @@ class Budget:
     oracle_nodes: int = 200_000
     max_subset: Optional[int] = None
     max_members: int = 20_000
-    eval_steps: int = 10**6
+    eval_steps: int = bvmodel.DEFAULT_EVAL_CAP
 
     def __post_init__(self):
         if self.oracle_nodes <= 0 or self.max_members <= 0 or self.eval_steps <= 0:

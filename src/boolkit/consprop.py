@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import bvmodel, compact, syntax
 from .balg import Poset, bit_positions, holder_masks, ro_completion
@@ -28,36 +28,73 @@ def _canonical_sentence(f: Formula) -> Optional[Formula]:
     return f
 
 
-def canon_set(sentences: Iterable[Formula]) -> frozenset:
-    """Canonical member set: canonical formulas, reflexive equalities dropped."""
-    return frozenset(f for f in map(_canonical_sentence, sentences) if f is not None)
-
-
 class ConsistencyProperty:
-    """A signature and a family of members.  ``index``, the members as
-    bitmasks, is built with the property and shared by clause verification
-    and model existence; ``members``, the canonical frozensets, is built
-    from it on request."""
+    """A signature and a family of members, kept as bitmasks over the
+    family's distinct sentences.
+
+    Each distinct sentence gets one bit, in render order, so a member's
+    sorted positions compare as its sorted renderings do, and ``position``
+    maps each sentence to its bit.  Members are numbered by size, then by
+    those positions; ``ids`` and ``masks`` give each one's sorted positions
+    and bitmask, ``number`` maps each mask to its member's number, and
+    ``holders[i]`` is the mask of the member numbers that hold sentence i.
+    ``member(k)`` is member k as a frozenset of sentences, and ``members``
+    lists them all in number order, built on request.
+
+    ``ConsistencyProperty(sig, members)`` canonicalizes its members and
+    drops reflexive equalities.  ``from_rows(sig, sentences, rows)`` takes
+    each member as a row of numbers into ``sentences``, which must be
+    canonical and free of reflexive equalities, in render order of their
+    sentences; the sentences some member holds are renumbered in render
+    order, which keeps each row sorted.
+    """
 
     def __init__(self, sig: Signature, members):
-        self.sig = sig
-        self.index = MemberIndex({canon_set(s) for s in members})
-
-    def __len__(self):
-        return len(self.index.masks)
+        members = {
+            frozenset(f for f in map(_canonical_sentence, s) if f is not None) for s in members
+        }
+        sentences = sorted(set().union(*members), key=syntax.render)
+        position = {f: i for i, f in enumerate(sentences)}
+        self._build(sig, sentences, [sorted(map(position.__getitem__, s)) for s in members])
 
     @classmethod
     def from_rows(cls, sig: Signature, sentences, rows) -> "ConsistencyProperty":
-        """The property whose members are ``rows`` over ``sentences`` (see
-        ``MemberIndex.of_rows``), which must be canonical and free of
-        reflexive equalities: nothing is canonicalized again."""
         prop = cls.__new__(cls)
-        prop.sig, prop.index = sig, MemberIndex.of_rows(sentences, rows)
+        prop._build(sig, sentences, rows)
         return prop
 
+    def _build(self, sig, sentences, rows):
+        self.sig = sig
+        order = sorted(set().union(*rows), key=lambda i: syntax.render(sentences[i]))
+        self.sentences = [sentences[i] for i in order]
+        self.position = {f: i for i, f in enumerate(self.sentences)}
+        rank = dict(zip(order, range(len(order))))
+        self.ids = sorted(
+            (tuple(map(rank.__getitem__, row)) for row in rows), key=lambda ids: (len(ids), ids)
+        )
+        self.masks = [sum(1 << i for i in ids) for ids in self.ids]
+        self.number = {mask: k for k, mask in enumerate(self.masks)}
+        self.holders = holder_masks(self.ids, len(self.sentences))
+
+    def __len__(self):
+        return len(self.masks)
+
+    def member(self, k: int) -> frozenset:
+        return frozenset(map(self.sentences.__getitem__, self.ids[k]))
+
     @functools.cached_property
-    def members(self) -> frozenset:
-        return frozenset(self.index.members)
+    def members(self) -> tuple:
+        return tuple(map(self.member, range(len(self.ids))))
+
+    def bits(self, options) -> tuple:
+        """Canonical options as bits, 0 for ``None`` (the member itself); an
+        option in no member is dropped."""
+        position = self.position
+        return tuple(
+            0 if option is None else 1 << position[option]
+            for option in options
+            if option is None or option in position
+        )
 
     def to_json(self) -> dict:
         return {
@@ -78,65 +115,6 @@ class ConsistencyProperty:
 
 # ---------------------------------------------------------------------------
 # clause obligations and verification
-
-
-class MemberIndex:
-    """A family's members as bitmasks over its distinct sentences.
-
-    Each distinct sentence gets one bit, in render order, so a member's
-    sorted positions compare as its sorted renderings do.  Members are
-    numbered by size, then by those positions; ``ids`` and ``masks`` give
-    each one's sorted positions and bitmask, ``number`` maps each mask to
-    its member's number, and ``holders[i]`` is the mask of the member
-    numbers that hold sentence i.  ``member(k)`` is member k as a frozenset
-    of sentences, and ``members`` lists them all, built on request.
-
-    ``of_rows(sentences, rows)`` is the one builder: it takes each member
-    as a row of numbers into ``sentences``, in render order of their
-    sentences, and renumbers the sentences some member holds in render
-    order, which keeps each row sorted.  ``MemberIndex(members)`` numbers
-    the members' sentences in render order and hands their rows to it.
-    """
-
-    def __init__(self, members):
-        sentences = sorted(set().union(*members), key=syntax.render)
-        position = {f: i for i, f in enumerate(sentences)}
-        self._build(sentences, [sorted(map(position.__getitem__, s)) for s in members])
-
-    @classmethod
-    def of_rows(cls, sentences, rows) -> "MemberIndex":
-        index = cls.__new__(cls)
-        index._build(sentences, rows)
-        return index
-
-    def _build(self, sentences, rows):
-        order = sorted(set().union(*rows), key=lambda i: syntax.render(sentences[i]))
-        self.sentences = [sentences[i] for i in order]
-        self.position = {f: i for i, f in enumerate(self.sentences)}
-        rank = dict(zip(order, range(len(order))))
-        self.ids = sorted(
-            (tuple(map(rank.__getitem__, row)) for row in rows), key=lambda ids: (len(ids), ids)
-        )
-        self.masks = [sum(1 << i for i in ids) for ids in self.ids]
-        self.number = {mask: k for k, mask in enumerate(self.masks)}
-        self.holders = holder_masks(self.ids, len(self.sentences))
-
-    def member(self, k: int) -> frozenset:
-        return frozenset(map(self.sentences.__getitem__, self.ids[k]))
-
-    @functools.cached_property
-    def members(self) -> list:
-        return [self.member(k) for k in range(len(self.ids))]
-
-    def bits(self, options) -> tuple:
-        """Canonical options as bits, 0 for ``None`` (the member itself); an
-        option outside the index is in no member and is dropped."""
-        position = self.position
-        return tuple(
-            0 if option is None else 1 << position[option]
-            for option in options
-            if option is None or option in position
-        )
 
 
 class ClauseObligations:
@@ -255,26 +233,23 @@ class ClauseVerdict:
 
 def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     """Check the contradiction clause and all closure clauses on every member;
-    reports the first violation, visiting members in ``MemberIndex``
-    order and each member's obligations in ``ClauseObligations.compiled``
-    order.
+    reports the first violation, visiting members in number order and each
+    member's obligations in ``ClauseObligations.compiled`` order.
 
     Each check runs once per distinct sentence, for every member at once,
-    on masks of member positions in the property's ``MemberIndex``.  A
-    member m meets an option b when it holds b or m ∪ {b} is a member, so
-    the members meeting b are b's holders and those holders without b.  An
-    obligation fails on the members it applies to that meet none of its
-    options: a sentence's own obligations apply to its holders, Str.2 to
-    the holders of an equality and another sentence, and Str.3, whose
-    options do not depend on the member, to all.  Con fails on the holders
+    on masks of member numbers.  A member m meets an option b when it holds
+    b or m ∪ {b} is a member, so the members meeting b are b's holders and
+    those holders without b.  An obligation fails on the members it applies
+    to that meet none of its options: a sentence's own obligations apply to
+    its holders, Str.2 to the holders of an equality and another sentence,
+    and Str.3, whose options do not depend on the member, to all.  Con fails on the holders
     of a negation and of its body.  Only the first failing member is
     walked, obligation by obligation, to name the clause and the detail.
     """
-    index = prop.index
-    sentences, masks, number, holders = index.sentences, index.masks, index.number, index.holders
+    sentences, masks, number, holders = prop.sentences, prop.masks, prop.number, prop.holders
     everyone = (1 << len(masks)) - 1
     negated = [
-        index.position.get(f.body) if isinstance(f, Not) else None for f in sentences
+        prop.position.get(f.body) if isinstance(f, Not) else None for f in sentences
     ]
     con = 0
     for i, j in enumerate(negated):
@@ -282,9 +257,9 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
             con |= holders[i] & holders[j]
     if con:
         k = next(bit_positions(con))
-        body = next(j for j in map(negated.__getitem__, index.ids[k])
+        body = next(j for j in map(negated.__getitem__, prop.ids[k])
                     if j is not None and masks[k] >> j & 1)
-        return ClauseVerdict(False, "Con", index.member(k), syntax.render(sentences[body]))
+        return ClauseVerdict(False, "Con", prop.member(k), syntax.render(sentences[body]))
 
     @functools.cache
     def meets(bit: int) -> int:
@@ -301,7 +276,7 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
         out = 0
         for _clause, _need, options in raw:
             met = 0
-            for bit in index.bits(options):
+            for bit in prop.bits(options):
                 met |= meets(bit)
             out |= subject & ~met
         return out
@@ -321,10 +296,10 @@ def verify_consistency_property(prop: ConsistencyProperty) -> ClauseVerdict:
     mask = masks[k]
     clause, need = next(
         (clause, need)
-        for clause, need, options in obligations.compiled(sentences, index.bits)(index.ids[k])
+        for clause, need, options in obligations.compiled(sentences, prop.bits)(prop.ids[k])
         if not any(mask | bit in number for bit in options)
     )
-    return ClauseVerdict(False, clause, index.member(k), need)
+    return ClauseVerdict(False, clause, prop.member(k), need)
 
 
 # ---------------------------------------------------------------------------
@@ -438,45 +413,43 @@ def model_from_consprop(
     """Build a model realizing every member of a consistency property.
 
     The members ordered by reverse inclusion form a poset, built from the
-    property's ``MemberIndex`` masks and holders, whose positions are the
-    member numbers; its regular-open completion is the algebra and the
-    domain is the constant pool.  An atomic value is the regularization of
-    the atom's holders.  (A member to which the atom can be added without
-    leaving the family has that extension below it, so the members
-    compatible with the atom regularize to the same value.)  As each
-    algebra atom is the cone of a maximal member, which lies in the
-    regularization of a set just when it lies in the set, the value is the
-    set of atoms whose maximal member holds the atom.  The property is
-    verified clause by clause first, and a failing clause raises.  The
-    construction is then validated: the congruence conditions must hold
-    and every member's cone must sit below the value of each of its
-    sentences.  Each distinct sentence is evaluated once, and fails on its
-    holders inside the maximal member of an atom outside its value; only
-    the first failing member is walked, its sentences in render order, to
-    name the failure, which raises with the counterexample: the member,
-    the sentence, the member's cone and the sentence's value.  Member sets
-    are built only to name a failure.
+    property's masks and holders, whose positions are the member numbers;
+    its regular-open completion is the algebra and the domain is the
+    constant pool.  An atomic value is the regularization of the atom's
+    holders.  (A member to which the atom can be added without leaving the
+    family has that extension below it, so the members compatible with the
+    atom regularize to the same value.)  As each algebra atom is the cone of
+    a maximal member, which lies in the regularization of a set just when it
+    lies in the set, the value is the set of atoms whose maximal member
+    holds the atom.  The property is verified clause by clause first, and a
+    failing clause raises.  The construction is then validated: the
+    congruence conditions must hold and every member's cone must sit below
+    the value of each of its sentences.  Each distinct sentence is evaluated
+    once, and fails on its holders inside the maximal member of an atom
+    outside its value; only the first failing member is walked, its
+    sentences in render order, to name the failure, which raises with the
+    counterexample: the member, the sentence, the member's cone and the
+    sentence's value.  Member sets are built only to name a failure.
     """
     verdict = verify_consistency_property(prop)
     if not verdict.ok:
         raise BoolkitError(
             f"not a consistency property: clause {verdict.clause} fails ({verdict.detail})"
         )
-    index = prop.index
-    if not index.masks:
+    if not prop.masks:
         raise BoolkitError("empty consistency property has no model")
     sig = prop.sig
     consts = sorted(sig.constants)
     if not consts:
         raise BoolkitError("model construction needs at least one constant")
 
-    holders = index.holders
-    poset = Poset(index.masks, holders)  # stronger means larger
+    holders = prop.holders
+    poset = Poset(prop.masks, holders)  # stronger means larger
     ro = ro_completion(poset)
     algebra = ro.algebra
 
     def value_of(atom: Formula) -> int:
-        i = index.position.get(atom)  # an atom in no member holds in none
+        i = prop.position.get(atom)  # an atom in no member holds in none
         mask = 0 if i is None else holders[i]
         return sum(1 << j for j, r in enumerate(ro.minimal) if mask >> r & 1)
 
@@ -504,7 +477,7 @@ def model_from_consprop(
 
     ups = [poset.above(r) for r in ro.minimal]
     values, failed = [], []
-    for i, phi in enumerate(index.sentences):
+    for i, phi in enumerate(prop.sentences):
         value = bvmodel.eval_formula(model, phi, max_steps=budget.eval_steps)
         outside = 0
         for j in bit_positions(algebra.one & ~value):
@@ -514,18 +487,18 @@ def model_from_consprop(
     bad = functools.reduce(int.__or__, failed, 0)
     if bad:
         k = next(bit_positions(bad))
-        i = next(i for i in index.ids[k] if failed[i] >> k & 1)
+        i = next(i for i in prop.ids[k] if failed[i] >> k & 1)
         raise ConstructionFailure(
             "cone is not below the value of a member sentence",
             counterexample={
-                "member": sorted(map(syntax.render, index.member(k))),
-                "sentence": syntax.render(index.sentences[i]),
+                "member": sorted(map(syntax.render, prop.member(k))),
+                "sentence": syntax.render(prop.sentences[i]),
                 "cone": ro.cone[k],
                 "value": values[i],
             },
         )
-    checked = sum(map(len, index.ids))
-    return model, {"members": len(index.masks), "atoms": algebra.atom_count, "checked": checked}
+    checked = sum(map(len, prop.ids))
+    return model, {"members": len(prop.masks), "atoms": algebra.atom_count, "checked": checked}
 
 
 def mixing_model_from_consprop(
@@ -536,19 +509,18 @@ def mixing_model_from_consprop(
     every member keeps a nonzero conjunction value.  Each distinct sentence
     is evaluated once on the completion (``eval_steps`` caps each sentence),
     a member's value is the meet of its sentences' values, and the first
-    member, in ``MemberIndex`` order, whose value is 0 is named."""
+    member, in number order, whose value is 0 is named."""
     model, diagnostics = model_from_consprop(prop, budget)
     completed = bvmodel.mixing_completion(model)
-    index = prop.index
     values = [
         bvmodel.eval_formula(completed, phi, max_steps=budget.eval_steps)
-        for phi in index.sentences
+        for phi in prop.sentences
     ]
-    for k, ids in enumerate(index.ids):
+    for k, ids in enumerate(prop.ids):
         if ids and not functools.reduce(int.__and__, map(values.__getitem__, ids)):
             raise ConstructionFailure(
                 "member lost its nonzero value under mixing completion",
-                counterexample=sorted(map(syntax.render, index.member(k))),
+                counterexample=sorted(map(syntax.render, prop.member(k))),
             )
     diagnostics = dict(diagnostics)
     diagnostics["mixing_domain"] = len(completed.domain)

@@ -10,7 +10,6 @@ false one).
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -77,10 +76,6 @@ class Signature:
             base_constants=data.get("base_constants", ()),
             fresh_constants=data.get("fresh_constants", ()),
         )
-
-    @classmethod
-    def loads(cls, text: str) -> "Signature":
-        return cls.from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +168,6 @@ class Exists(Formula):
     def __init__(self, vars, body):
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "body", body)
-
-
-TRUE = And(())
-FALSE = Or(())
 
 
 @dataclass(frozen=True)

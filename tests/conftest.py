@@ -416,6 +416,8 @@ def reference_validate_model(m, max_violations=1):
     for a in m.domain:
         if m.eq[(a, a)] != b.one:
             bad.append(("reflexivity", a))
+            if len(bad) >= max_violations:
+                return report()
     for a, c in itertools.product(m.domain, repeat=2):
         if m.eq[(a, c)] != m.eq[(c, a)]:
             bad.append(("symmetry", a, c))
@@ -669,7 +671,7 @@ def reference_model_json(prop):
     atom's value: the regularization of the members compatible with the
     atom, those that hold it and those to which it can be added without
     leaving the family."""
-    members = prop.index.members
+    members = prop.members
     family = set(members)
     poset = poset_of_sets(members)
     ro = ro_completion(poset)

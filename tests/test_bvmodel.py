@@ -156,6 +156,15 @@ class TestValidation:
         for k in (1, 3, 1000):
             assert astuple(validate_model(mutant, k)) == reference_validate_model(mutant, k) == expected
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reflexivity_failures_stop_at_the_cap(self, k):
+        # an all-zero equality table fails reflexivity at every element
+        dom = ("x", "y", "z")
+        eq = {(a, c): 0 for a in dom for c in dom}
+        mutant = BValuedModel(FiniteBooleanAlgebra(1), dom, eq, {}, {}, check=False)
+        expected = (False, tuple(("reflexivity", a) for a in dom[:k]))
+        assert astuple(validate_model(mutant, k)) == reference_validate_model(mutant, k) == expected
+
     def test_a_missing_eq_entry_is_reported_past_one_violation(self):
         m = counterexample_model()
         eq = dict(m.eq)

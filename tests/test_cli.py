@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from boolkit import bvmodel, cli, consprop, syntax
+from boolkit import bvmodel, cli, compact, consprop, syntax
 from boolkit.syntax import Signature, Theory
 
 
@@ -59,6 +59,13 @@ class TestBasicCommands:
         assert code == 0
         assert doc["formula"] == "(forall (?x) (or (= ?x e0)))"
 
+    def test_qe_formula(self, workdir):
+        code, doc = run_json(
+            ["qe", "--sig", workdir / "sig.json", "--formula", "(exists (?x) (R ?x))"], workdir
+        )
+        assert code == 0
+        assert doc["formula"] == "(or (R e0))"
+
 
 class TestOraclePipelines:
     def test_faicom_oracle_exit_one(self, workdir):
@@ -107,6 +114,42 @@ class TestOraclePipelines:
         assert code == 0
         assert "model" in doc
         assert all(v["conservative"] for v in doc["reports"].values())
+
+    @pytest.mark.parametrize("command", ["conservative", "fincons"])
+    def test_refutation_names_the_violating_subset(self, workdir, monkeypatch, command):
+        # psi1 is psi0 and (not (R b)), so {(R b)} is consistent with psi0 and
+        # not with psi1; the ordered scan first meets (R a), which refutes
+        # psi0 and so, as psi1 entails psi0, psi1 without a query
+        psi0 = "(and (not (R a)) (or (R b) (R e0)))"
+        psi1 = "(and (not (R a)) (not (R b)) (or (R b) (R e0)))"
+        queries = []
+        status = compact.OracleSession.status
+
+        def recorded(session, sentences, sig, **kwargs):
+            queries.append([syntax.render(f) for f in sentences])
+            return status(session, sentences, sig, **kwargs)
+
+        monkeypatch.setattr(compact.OracleSession, "status", recorded)
+        if command == "conservative":
+            args = ["conservative", "--sig", workdir / "sig.json", "--psi1", psi1, "--psi0", psi0]
+            body = {"conservative": False, "entailment_ok": True, "checked_subsets": 3,
+                    "bounded": False}
+        else:  # the family {psi0, psi1} is closed, and fails on psi1 over psi0
+            family = {
+                "signature": json.loads((workdir / "sig.json").read_text()),
+                "sentences": [psi0, psi1],
+            }
+            (workdir / "fam.json").write_text(json.dumps(family))
+            args = ["fincons", "--family", workdir / "fam.json"]
+            body = {"ok": False, "reason": "conjunction is not conservative over a conjunct",
+                    "bounded": False, "member": psi1, "base": psi0}
+        code, doc = run_json(args, workdir)
+        assert code == cli.EXIT_REFUTED
+        assert {k: v for k, v in doc.items() if k not in ("command", "config", "version")} == dict(
+            body, violating_subset=["(R b)"]
+        )
+        assert [psi0, "(R a)"] in queries and [psi1, "(R a)"] not in queries
+        assert [psi1, "(R b)"] in queries
 
     def test_star_family_through_compact(self, workdir):
         # produce a witness model, star a theory against it, feed the star
@@ -217,6 +260,44 @@ class TestModelCommands:
         assert doc["ok"] is False
         assert doc["violations"] == [["rel-table", "R", "('a',)"]]
 
+    def test_validate_reports_at_most_five_violations(self, workdir):
+        # an all-zero equality table fails reflexivity at each of 7 elements
+        domain = [f"x{i}" for i in range(7)]
+        model = {"algebra": {"atoms": ["a0"]}, "domain": domain, "eq": [["0"] * 7] * 7}
+        (workdir / "bad.json").write_text(json.dumps(model))
+        code, doc = run_json(["validate-model", "--model", workdir / "bad.json"], workdir)
+        assert code == cli.EXIT_REFUTED
+        assert doc["violations"] == [["reflexivity", x] for x in domain[:5]]
+
+    # R holds of x on one atom and of y on the other: no element mixes x and
+    # y, and none witnesses (exists (?x) (R ?x)), whose value is 1
+    UNMIXED = {
+        "algebra": {"atoms": ["a0", "a1"]},
+        "domain": ["x", "y"],
+        "eq": [["11", "00"], ["00", "11"]],
+        "rel": {"R": {"x": "10", "y": "01"}},
+        "consts": {"a": "x", "b": "y"},
+    }
+
+    @pytest.mark.parametrize(
+        "args, code, body",
+        [
+            (["mixing", "--complete"], cli.EXIT_OK, {"model": bvmodel.model_to_json(
+                bvmodel.mixing_completion(bvmodel.model_from_json(UNMIXED)))}),
+            (["mixing"], cli.EXIT_REFUTED,
+             {"ok": False, "lam": 2, "antichain": ["10", "01"], "family": ["x", "y"]}),
+            (["fullness"], cli.EXIT_REFUTED,
+             {"ok": False, "catalog_size": 7, "formula": "(exists (?x) (R ?x))",
+              "parameters": []}),
+        ],
+        ids=["mixing --complete", "mixing", "fullness"],
+    )
+    def test_a_model_without_mixtures(self, workdir, args, code, body):
+        (workdir / "m.json").write_text(json.dumps(self.UNMIXED))
+        got, doc = run_json([*args, "--model", workdir / "m.json"], workdir)
+        assert got == code
+        assert {k: v for k, v in doc.items() if k not in ("command", "config", "version")} == body
+
     def test_eval(self, workdir, model_file):
         code, doc = run_json(
             ["eval", "--model", model_file, "--formula", "(and)"], workdir
@@ -240,6 +321,11 @@ class TestModelCommands:
         code, doc = run_json(["consprop-model", "--consprop", workdir / "prop.json"], workdir)
         assert code == 0
         assert "model" in doc
+        code, doc = run_json(
+            ["consprop-model", "--consprop", workdir / "prop.json", "--mixing"], workdir
+        )
+        assert code == 0
+        assert set(doc["diagnostics"]) == {"members", "atoms", "checked", "mixing_domain"}
 
     def test_consprop_model_refutations(self, workdir, capsys, monkeypatch):
         # a failed cone check and an empty family each exit 1 with one JSON
@@ -427,6 +513,9 @@ class TestUsageBoundary:
             # a model that is not two-valued, and one in which (R b) is false
             ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "two-atoms.json"],
             ["star", "--theory", "rb.json", "--sig", "sig.json", "--model", "rb-false.json"],
+            ["qe", "--sig", "sig.json"],
+            # a target that is not a disjunction needs an atom to decide
+            ["forcing", "dense", "--poset", "poset.json"],
         ],
         ids=lambda args: " ".join(map(str, args)),
     )
@@ -448,11 +537,13 @@ class TestUsageBoundary:
         )
         refl = {"rule": "eq-axiom-1", "conclusion": {"left": [], "right": ["(= a a)"]}}
         (workdir / "refl.json").write_text(json.dumps(refl))
+        poset = {"signature": {"base_constants": ["a"]}, "phi": "(= a a)", "conditions": [[]]}
+        (workdir / "poset.json").write_text(json.dumps(poset))
         (workdir / "a-directory").mkdir()
         files = {"sig.json", "invalid.json", "binary.json", "unary.json", "rb.json", "a-directory",
-                 "rb-false.json", "two-atoms.json", "refl.json"}
+                 "rb-false.json", "two-atoms.json", "refl.json", "poset.json"}
         args = [workdir / a if a in files else a for a in args]
-        if args[0] not in ("faicom", "forcing", "proof-check") and "--model" not in args:
+        if args[0] not in ("faicom", "forcing", "proof-check", "qe") and "--model" not in args:
             args = args + ["--model", workdir / "m.json"]
         self._usage_error(capsys, args)
 
@@ -525,8 +616,10 @@ class TestUsageBoundary:
             {"signature": {"base_constants": ["a"]}, "conditions": []},
             {"signature": {"base_constants": ["a"]}, "phi": "(= a a)"},
             {"signature": {"base_constants": ["a"]}, "phi": "(= a a)", "conditions": [3]},
+            {"signature": {"relations": {"R": 1}, "base_constants": ["a"]}, "phi": "(R a)",
+             "conditions": [[], ["(not (R a))"]]},
         ],
-        ids=["empty", "no-phi", "no-conditions", "bad-condition"],
+        ids=["empty", "no-phi", "no-conditions", "bad-condition", "inconsistent-condition"],
     )
     def test_malformed_poset(self, workdir, capsys, command, poset):
         (workdir / "poset.json").write_text(json.dumps(poset))
@@ -583,6 +676,18 @@ class TestProofCheck:
         assert (doc["ok"], doc["path"], doc["reason"]) == (
             False, [], "substitution captures variable ?y"
         )
+
+    def test_a_checked_proof_is_probed(self, workdir):
+        refl = {"rule": "eq-axiom-1", "conclusion": {"left": [], "right": ["(= a a)"]}}
+        (workdir / "refl.json").write_text(json.dumps(refl))
+        code, doc = run_json(
+            ["proof-check", "--sig", workdir / "sig.json", "--proof", workdir / "refl.json",
+             "--probe-trials", 3],
+            workdir,
+        )
+        assert code == 0
+        assert (doc["ok"], doc["path"], doc["reason"]) == (True, [], "")
+        assert doc["probe"] == {"ok": True, "trials": 3}
 
 
 def _hash_seed_env(seed):

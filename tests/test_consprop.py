@@ -100,7 +100,7 @@ class TestVerify:
 
         for sig, theory in _model_existence_instances():
             prop = saturate_theory(theory, sig)
-            members = prop.index.members
+            members = prop.members
             memo = {}
             for i in range(len(members)):
                 smaller = ConsistencyProperty(sig, members[:i] + members[i + 1 :])
@@ -128,7 +128,7 @@ class TestVerify:
         rng = random.Random(19)
         clauses = set()
         for prop in props:
-            members = prop.index.members
+            members = prop.members
             memo = {}
             for i in sorted(rng.sample(range(len(members)), min(60, len(members)))):
                 smaller = ConsistencyProperty(prop.sig, members[:i] + members[i + 1 :])
@@ -163,10 +163,10 @@ class TestVerify:
         assert got == naive_verify(prop)
         assert verdict.clause == clause
         if clause in ("Str.2", "Ind.5"):
-            assert syntax.canon(Atom("P", ("c0",))) not in prop.index.position
+            assert syntax.canon(Atom("P", ("c0",))) not in prop.position
 
 
-class TestMemberIndex:
+class TestMemberNumbering:
     FIELDS = ("sentences", "ids", "masks", "members", "number", "holders")
 
     @staticmethod
@@ -189,8 +189,8 @@ class TestMemberIndex:
         return made
 
     def test_the_row_builder_matches_the_member_builder(self, monkeypatch):
-        # saturation and materialization hand their rows to ``of_rows``;
-        # ``MemberIndex(members)`` indexes the members themselves
+        # saturation and materialization hand their rows to ``from_rows``;
+        # ``ConsistencyProperty(sig, members)`` numbers the members themselves
         from test_acceptance import (
             _compactness_families,
             _model_existence_instances,
@@ -208,26 +208,26 @@ class TestMemberIndex:
         props += [prop for _, prop in demos]
         assert max(map(len, props)) == 2656
         for prop in props:
-            assert "index" in vars(prop)  # built from rows with the property
-            fresh = consprop.MemberIndex(prop.members)
+            assert "masks" in vars(prop)  # built from rows with the property
+            fresh = ConsistencyProperty(prop.sig, prop.members)
             for name in self.FIELDS:
-                assert getattr(prop.index, name) == getattr(fresh, name), name
+                assert getattr(prop, name) == getattr(fresh, name), name
 
     def test_rows_may_number_sentences_in_any_order(self):
         # the sentences may come in any order, some in no member; each row
         # lists its numbers in render order of their sentences
         prop = saturate_theory(Theory([Atom("P", ("c0",))]), SIG_P)
-        sentences = [*prop.index.sentences, Atom("P", ("c9",)), Eq("c0", "c9")]
+        sentences = [*prop.sentences, Atom("P", ("c9",)), Eq("c0", "c9")]
         random.Random(3).shuffle(sentences)
         position = {f: i for i, f in enumerate(sentences)}
         rows = [
             sorted((position[f] for f in s), key=lambda i: syntax.render(sentences[i]))
             for s in prop.members
         ]
-        index = consprop.MemberIndex.of_rows(sentences, rows)
-        fresh = consprop.MemberIndex(prop.members)
+        built = ConsistencyProperty.from_rows(prop.sig, sentences, rows)
+        fresh = ConsistencyProperty(prop.sig, prop.members)
         for name in self.FIELDS:
-            assert getattr(index, name) == getattr(fresh, name), name
+            assert getattr(built, name) == getattr(fresh, name), name
 
     def test_passing_runs_build_no_member_sets(self):
         # verification and model existence stay on member numbers; the
@@ -242,14 +242,14 @@ class TestMemberIndex:
             props.append(saturate_theory(theory, sig))
             model_from_consprop(props[-1])
         for prop in props:
-            assert "members" not in vars(prop) and "members" not in vars(prop.index)
+            assert "members" not in vars(prop)
             doc = prop.to_json()
             assert doc["members"] == sorted(sorted(map(syntax.render, s)) for s in prop.members)
             assert len(prop.members) == len(prop) > 0
             assert ConsistencyProperty.from_json(doc).members == prop.members
-            fresh = consprop.MemberIndex(prop.members)
+            fresh = ConsistencyProperty(prop.sig, prop.members)
             for name in self.FIELDS:
-                assert getattr(prop.index, name) == getattr(fresh, name), name
+                assert getattr(prop, name) == getattr(fresh, name), name
 
 
 class TestSaturate:
@@ -331,7 +331,7 @@ class TestModelExistence:
 
     def test_cone_check_names_the_first_member_holding_a_failed_sentence(self, monkeypatch):
         prop = saturate_theory(Theory([Atom("P", ("c0",)), Not(Eq("c0", "c1"))]), SIG_P)
-        members = prop.index.members
+        members = prop.members
         ro = ro_completion(ReferencePoset(members, leq=lambda a, b: b <= a))
         real = bvmodel.eval_formula
 
@@ -359,11 +359,11 @@ class TestModelExistence:
         sig = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0"})
         gens = [Atom("R", ("a",)), Atom("R", ("b",))]
         prop = compact.materialize_compactness_property(compact.conjunction_closure(gens), sig)
-        members = prop.index.members
-        first = {f: next(k for k, s in enumerate(members) if f in s) for f in prop.index.sentences}
+        members = prop.members
+        first = {f: next(k for k, s in enumerate(members) if f in s) for f in prop.sentences}
         x, y = next(
             (x, y)
-            for x, y in itertools.combinations(prop.index.sentences, 2)
+            for x, y in itertools.combinations(prop.sentences, 2)
             if first[y] < first[x] and x not in members[first[y]]
         )
         real = bvmodel.eval_formula
@@ -436,7 +436,7 @@ class TestModelExistence:
     def test_mixing_names_the_first_member_losing_its_value_under_every_hash_seed(self):
         # the patched evaluator gives the target sentence 0 on the completion
         # only; every member holding it loses its value, and the one named is
-        # the first in MemberIndex order, whatever the hash seed
+        # the first in member number order, whatever the hash seed
         script = (
             "from boolkit import bvmodel, consprop, syntax\n"
             "sig = syntax.Signature(relations={'P': 1}, fresh_constants={'c0', 'c1'})\n"
@@ -463,11 +463,11 @@ class TestModelExistence:
         ]
         outputs = {run.communicate(timeout=60)[0] for run in runs}
         theory = Theory([Or((Atom("P", ("c0",)), Atom("P", ("c1",))))])
-        index = saturate_theory(theory, SIG_P).index
-        i = index.position[Atom("P", ("c1",))]
-        assert bin(index.holders[i]).count("1") > 1
-        k = next(k for k, ids in enumerate(index.ids) if i in ids)
-        assert outputs == {f"{sorted(map(syntax.render, index.member(k)))}\n"}
+        prop = saturate_theory(theory, SIG_P)
+        i = prop.position[Atom("P", ("c1",))]
+        assert bin(prop.holders[i]).count("1") > 1
+        k = next(k for k, ids in enumerate(prop.ids) if i in ids)
+        assert outputs == {f"{sorted(map(syntax.render, prop.member(k)))}\n"}
 
     def test_cross_oracle_agreement(self):
         prop = saturate_theory(Theory([Not(Eq("c", "d"))]), SIG_CD)
