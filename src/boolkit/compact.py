@@ -317,43 +317,47 @@ class _Ground:
         self.witnesses = {}  # set mask -> two-valued model of the set
         self.holds = {}  # (id of a kept witness, number) -> the sentence holds there
         self.roots = {}  # number -> compiled sentence
-        self.nodes = ({}, {})  # per polarity: id of an and/or object -> its node
-        self.shared = 0  # compiled nodes reached twice so far
+        self.nodes = ({}, {})  # per polarity: id of a formula object -> its node
+        self.shared = 0  # inner nodes reached twice so far
 
     def compiled(self, n: int):
         """The numbered ground sentence in negation normal form, compiled once
-        per session: a leaf is a tuple ("eq" or "rel", sign, path key), an
-        inner node a list ["and" or "or", children in order, shared], one per
-        (and/or object, polarity); ``shared`` numbers a node reached twice."""
+        per session, one node per (formula object, polarity), a ``not``
+        flipping the polarity of its body: a leaf is a tuple ("eq" or "rel",
+        sign, path key), read only, an inner node a list ["and" or "or",
+        children in order, shared], where ``shared`` numbers an inner node
+        reached twice.  A leaf is never marked shared: the search reads its
+        value off the path closure in constant time."""
         root = self.roots.get(n)
         if root is None:
             root = self.roots[n] = self._compile((self.sentences[n],), True)[0]
         return root
 
     def _compile(self, formulas, sign: bool) -> list:
-        out = []
+        out, memo = [], self.nodes
         for f in formulas:
             polarity = sign
             while type(f) is Not:
                 f, polarity = f.body, not polarity
-            kind = type(f)
-            if kind is Eq:
-                a, b = f.left, f.right
-                out.append(("eq", polarity, ("eq", a, b) if a <= b else ("eq", b, a)))
-            elif kind is Atom:
-                out.append(("rel", polarity, ("rel", f.rel, f.args)))
-            elif kind is And or kind is Or:
-                nodes = self.nodes[polarity]
-                node = nodes.get(id(f))
-                if node is None:
+            nodes, key = memo[polarity], id(f)
+            node = nodes.get(key)
+            if node is None:
+                kind = type(f)
+                if kind is Eq:
+                    a, b = f.left, f.right
+                    node = ("eq", polarity, ("eq", a, b) if a <= b else ("eq", b, a))
+                elif kind is Atom:
+                    node = ("rel", polarity, ("rel", f.rel, f.args))
+                elif kind is And or kind is Or:
                     kind = "and" if (kind is And) == polarity else "or"
-                    node = nodes[id(f)] = [kind, self._compile(f.children, polarity), None]
-                elif node[2] is None:
-                    node[2] = self.shared
-                    self.shared += 1
-                out.append(node)
-            else:
-                raise BoolkitError(f"non-ground sentence reached the ground solver: {f!r}")
+                    node = [kind, self._compile(f.children, polarity), None]
+                else:
+                    raise BoolkitError(f"non-ground sentence reached the ground solver: {f!r}")
+                nodes[key] = node
+            elif type(node) is list and node[2] is None:
+                node[2] = self.shared
+                self.shared += 1
+            out.append(node)
         return out
 
     def number(self, f: Formula) -> int:

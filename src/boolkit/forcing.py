@@ -38,10 +38,19 @@ def _condition(s) -> frozenset:
     return frozenset(map(syntax.canon, s))
 
 
-def _conditions(d, p: SPhiPoset) -> list:
-    """A dense set's entries, canonical: an entry that is one of the
-    poset's conditions as it is, any other through ``_condition``."""
-    return [s if type(s) is frozenset and s in p.conditions else _condition(s) for s in d]
+def _entries(d, p: SPhiPoset) -> list:
+    """A dense set's entries as the masks of the poset's conditions: an
+    entry that is one of them is looked up as it is, any other through
+    ``_condition``."""
+    masks, out = p.masks, []
+    for s in d:
+        m = masks.get(s) if type(s) is frozenset else None
+        if m is None:
+            m = masks.get(_condition(s))
+            if m is None:
+                raise BoolkitError("dense-set entry is not a condition")
+        out.append(m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,20 +64,29 @@ class SPhiPoset:
         return _condition(s) in self.conditions
 
     @cached_property
+    def bits(self) -> dict:
+        """Each sentence of the conditions and its bit, in rendering order."""
+        universe = sorted(set().union(*self.conditions), key=syntax.render)
+        return {f: 1 << i for i, f in enumerate(universe)}
+
+    @cached_property
+    def masks(self) -> dict:
+        """Each condition and its mask, the OR of its sentences' bits, in
+        ``_condition_order``."""
+        bits = self.bits
+        masks = {s: sum(map(bits.__getitem__, s)) for s in self.conditions}
+        return dict(sorted(masks.items(), key=lambda item: _condition_order(item[1])))
+
+    @cached_property
     def maximal(self) -> frozenset:
         """The conditions with no proper extension in the poset."""
         # a condition with a proper extension lies below a maximal one, which
         # is larger and so already found
-        found = []
-        for s in sorted(self.conditions, key=len, reverse=True):
-            if not any(s < t for t in found):
-                found.append(s)
-        return frozenset(found)
-
-    @cached_property
-    def ordered(self) -> tuple:
-        """The conditions in ``_condition_order``."""
-        return tuple(sorted(self.conditions, key=_condition_order))
+        found = {}
+        for s, m in reversed(self.masks.items()):
+            if not any(m | t == t for t in found):
+                found[m] = s
+        return frozenset(found.values())
 
     def to_json(self) -> dict:
         return {
@@ -113,9 +131,12 @@ class DensityVerdict:
         return self.ok
 
 
-def _condition_order(s: frozenset) -> tuple:
-    """Conditions by size, then by their sorted renderings."""
-    return len(s), sorted(map(syntax.render, s))
+def _condition_order(m: int) -> tuple:
+    """Condition masks by size, then by their bit positions: the order of
+    the conditions' sorted renderings, as the bits are numbered in
+    rendering order and two distinct canonical sentences never render the
+    same."""
+    return m.bit_count(), [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> DensityVerdict:
@@ -123,23 +144,20 @@ def is_dense(d: Iterable[frozenset], p: SPhiPoset, strict: bool = False) -> Dens
     the reverse-inclusion order says every condition has an extension there.
     The strict flag demands a proper superset.  A set that is not dense is
     witnessed by its least uncovered condition in ``_condition_order``."""
-    return _density(_conditions(d, p), p, strict)
+    return _density(_entries(d, p), p, strict)
 
 
 def _density(dset: list, p: SPhiPoset, strict: bool = False) -> DensityVerdict:
+    """Density of a list of condition masks (see ``is_dense``)."""
     # every condition lies below a maximal one, and a maximal condition is
     # covered only by itself, never strictly: a set is dense exactly when it
     # holds every maximal condition, and strictly dense only in an empty poset
-    for s in dset:
-        if s not in p.conditions:
-            raise BoolkitError("dense-set entry is not a condition")
-    if (not p.conditions) if strict else p.maximal <= set(dset):
+    masks, dset = p.masks, set(dset)
+    if (not masks) if strict else all(masks[s] in dset for s in p.maximal):
         return DensityVerdict(True)
-
-    def uncovered(s):
-        return not any((s < t) if strict else (s <= t) for t in dset)
-
-    return DensityVerdict(False, witness=next(filter(uncovered, p.ordered)))
+    for s, m in masks.items():
+        if not any(m | t == t and not (strict and m == t) for t in dset):
+            return DensityVerdict(False, witness=s)
 
 
 @dataclass(frozen=True)
@@ -162,23 +180,25 @@ class GenericFilter:
 def generic_filter(p: SPhiPoset, dense: Iterable = ()) -> GenericFilter:
     """Build a descending chain entering each supplied dense set in turn,
     upward close it, and extend to a maximal filter by greedy saturation."""
-    dense = [_conditions(d, p) for d in dense]
+    masks = p.masks
+    chain = []
     for i, d in enumerate(dense):
+        d = _entries(d, p)
         if not _density(d, p):
             raise BoolkitError(f"supplied set {i} is not dense")
-    current = frozenset()
-    for d in dense:
-        candidates = [t for t in d if current <= t]
-        if not candidates:
+        chain.append(set(d))
+    current = 0
+    for d in chain:
+        current = next((t for t in masks.values() if t in d and current | t == t), None)
+        if current is None:
             raise BoolkitError("density violated during chain construction")
-        current = min(candidates, key=_condition_order)
     # greedy saturation to a maximal condition: a condition that does not
     # extend the chain when it is passed does not extend its end either
-    for t in p.ordered:
-        if current < t:
+    for t in masks.values():
+        if current | t == t:
             current = t
-    members = frozenset(s for s in p.conditions if s <= current)
-    maximal = not any(current < t for t in p.conditions)
+    members = frozenset(s for s, m in masks.items() if current | m == current)
+    maximal = not any(t != current and current | t == t for t in masks.values())
     return GenericFilter(p, members, maximal)
 
 
@@ -195,20 +215,13 @@ def term_model(g: GenericFilter) -> bvmodel.BValuedModel:
     return bvmodel.two_valued_model(sorted(sig.constants), sig.relations, g.sigma())
 
 
-def _meets(dset, conjunctions: dict) -> Formula:
-    """The disjunction over the canonical conditions of their conjunctions,
-    one object per condition in ``conjunctions``, which it fills."""
-    for s in set(dset) - conjunctions.keys():
-        conjunctions[s] = syntax.canonical(And, s)
-    return syntax.canonical(Or, map(conjunctions.__getitem__, dset))
-
-
 def meets_equivalence(g: GenericFilter, d: Iterable[frozenset]) -> bool:
     """The dense-set membership test: the filter meets the set exactly when
     the term model satisfies the disjunction of its conditions' conjunctions."""
     dset = list(map(_condition, d))
     meets = any(s in g.members for s in dset)
-    return meets == bvmodel.holds(term_model(g), _meets(dset, {}))
+    disjunction = syntax.canonical(Or, [syntax.canonical(And, s) for s in dset])
+    return meets == bvmodel.holds(term_model(g), disjunction)
 
 
 def genericity_sentence(
@@ -220,12 +233,14 @@ def genericity_sentence(
     disjunction over its conditions of their conjunctions.  A condition in
     several dense sets has one conjunction object, shared by their blocks."""
     phi = syntax.canon(phi)
-    blocks, conjunctions = [], {}
+    blocks, conjunctions = [], {}  # condition mask -> its conjunction
     for i, d in enumerate(dense):
-        dset = _conditions(d, p)
+        dset = _entries(d, p)
         if not _density(dset, p):
             raise BoolkitError(f"supplied set {i} is not dense")
-        blocks.append(_meets(dset, conjunctions))
+        for m in set(dset) - conjunctions.keys():
+            conjunctions[m] = syntax.canonical(And, [f for f, b in p.bits.items() if m & b])
+        blocks.append(syntax.canonical(Or, map(conjunctions.__getitem__, dset)))
     if not blocks:
         return phi
     return syntax.canonical(And, [phi] + blocks)
@@ -234,14 +249,21 @@ def genericity_sentence(
 # canonical dense families
 
 
+def _holding(p: SPhiPoset, sentences) -> list:
+    """The conditions holding one of the sentences, in condition order."""
+    bits = 0
+    for f in sentences:
+        bits |= p.bits.get(f, 0)
+    return [s for s, m in p.masks.items() if m & bits]
+
+
 def dense_decision_set(p: SPhiPoset, atom: Formula) -> list:
-    """Conditions that decide the given atomic sentence."""
+    """Conditions that decide the given atomic sentence, in condition order."""
     atom = syntax.canon(atom)
-    neg = Not(atom)
-    return [s for s in p.conditions if atom in s or neg in s]
+    return _holding(p, (atom, Not(atom)))
 
 
 def dense_commitment_set(p: SPhiPoset, disjunction: Or) -> list:
-    """Conditions committed to one disjunct of the given disjunction."""
-    children = {syntax.canon(c) for c in disjunction.children}
-    return [s for s in p.conditions if s & children]
+    """Conditions committed to one disjunct of the given disjunction, in
+    condition order."""
+    return _holding(p, map(syntax.canon, disjunction.children))

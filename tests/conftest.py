@@ -1016,6 +1016,74 @@ def reference_generic_filter(p, dense=()):
     return members, not any(current < t for t in p.conditions)
 
 
+# the forcing layer on frozensets, before its conditions became masks: the
+# maximal conditions, the condition order, density through the maximal
+# conditions, the canonical dense sets and the one-pass generic filter
+
+
+def reference_maximal(p):
+    """The conditions with no proper extension, found largest first."""
+    found = []
+    for s in sorted(p.conditions, key=len, reverse=True):
+        if not any(s < t for t in found):
+            found.append(s)
+    return frozenset(found)
+
+
+def reference_ordered(p):
+    """The conditions by size, then by their sorted renderings."""
+    return tuple(sorted(p.conditions, key=_condition_order))
+
+
+def reference_density(d, p, strict=False):
+    """Density of a list of canonical conditions: every maximal condition in
+    the list, or for the strict flag an empty poset; returns (ok, the least
+    uncovered condition or None)."""
+    for s in d:
+        if s not in p.conditions:
+            raise BoolkitError("dense-set entry is not a condition")
+    if (not p.conditions) if strict else reference_maximal(p) <= set(d):
+        return True, None
+
+    def uncovered(s):
+        return not any((s < t) if strict else (s <= t) for t in d)
+
+    return False, next(filter(uncovered, reference_ordered(p)))
+
+
+def reference_decision_set(p, atom):
+    """The conditions deciding the atom, in frozenset order."""
+    atom = syntax.canon(atom)
+    return [s for s in p.conditions if atom in s or Not(atom) in s]
+
+
+def reference_commitment_set(p, disjunction):
+    """The conditions holding a disjunct, in frozenset order."""
+    children = {syntax.canon(c) for c in disjunction.children}
+    return [s for s in p.conditions if s & children]
+
+
+def reference_one_pass_filter(p, dense=()):
+    """The chain through the dense sets of canonical conditions, each step
+    the least candidate in condition order, then one saturation pass in that
+    order; returns (members, maximal), or raises ``BoolkitError`` where a
+    set is not dense or the chain breaks."""
+    for i, d in enumerate(dense):
+        if not reference_density(d, p)[0]:
+            raise BoolkitError(f"supplied set {i} is not dense")
+    current = frozenset()
+    for d in dense:
+        candidates = [t for t in d if current <= t]
+        if not candidates:
+            raise BoolkitError("density violated during chain construction")
+        current = min(candidates, key=_condition_order)
+    for t in reference_ordered(p):
+        if current < t:
+            current = t
+    members = frozenset(s for s in p.conditions if s <= current)
+    return members, not any(current < t for t in p.conditions)
+
+
 def reference_conservativity(psi1, psi0, sig, budget=compact.DEFAULT_BUDGET):
     """The conservativity walk with a fresh search for both sentences of
     every subset; returns the report's fields as a tuple."""

@@ -46,6 +46,8 @@ from conftest import (
     reference_witness,
 )
 from test_acceptance import _genericity_dense_sets, _genericity_instances, _ground_theories
+from test_forcing import TARGETS, _full_poset, _target, _target_poset
+from test_forcing import _dense_sets as _forcing_dense_sets
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
 SIG_ABC = Signature(relations={"R": 1}, base_constants={"a", "b", "c"})
@@ -269,6 +271,69 @@ class TestSearchTree:
         # g is reached twice at its plain polarity, once negated
         assert plain[2] is not None and negated[2] is None and first[2] is None
         assert ground.compiled(numbers[0]) is first
+
+    def test_compiles_one_leaf_per_literal_object_and_polarity(self):
+        phi, sig = _target(*TARGETS[0])  # the 4-constant disjunction
+        p = _target_poset(0)
+        sentence = genericity_sentence(phi, _forcing_dense_sets(p), p)
+        ground = compact._Ground(sig)
+        numbers, _ = ground.prepare([sentence, Not(phi)], False)
+        literals, stack, seen = set(), [(sentence, True), (Not(phi), True)], set()
+        while stack:
+            f, sign = stack.pop()
+            while isinstance(f, Not):
+                f, sign = f.body, not sign
+            if not isinstance(f, (And, Or)):
+                literals.add((id(f), sign))
+            elif (id(f), sign) not in seen:
+                seen.add((id(f), sign))
+                stack.extend((c, sign) for c in f.children)
+        leaves, reached, stack, seen = {}, 0, [ground.compiled(n) for n in numbers], set()
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:
+                leaves[id(node)] = node
+                reached += 1
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node[1])
+        # 6,693 leaves reached (6,690 in the sentence), 21 leaf tuples, 12 distinct literals
+        assert reached > 6000 and len(set(leaves.values())) == 12
+        assert len(leaves) <= len(literals) < 40
+
+    @pytest.mark.parametrize("target", range(len(TARGETS)), ids=[t[0] for t in TARGETS])
+    def test_genericity_sentences_match_the_rebuild_per_node_search(self, target):
+        # the sentence alone, as its consistency is checked, and with the
+        # target negated, as conservativity asks first; one session compiles both
+        phi, sig = _target(*TARGETS[target])
+        p = _target_poset(target)
+        sentence = genericity_sentence(phi, _forcing_dense_sets(p), p)
+        session, constants = OracleSession(), sorted(sig.constants)
+        from boolkit import certify  # here: report_digests.py imports this file on old checkouts
+
+        for sentences in ([sentence], [sentence, Not(phi)]):
+            verdict = session.verdict(sentences, sig)
+            ground, _ = certify.prepare_ground(sentences, sig)
+            status, nodes, assignment, certificate = reference_search(
+                ground, constants, Budget().oracle_nodes
+            )
+            assert (verdict.status, verdict.budget_used) == (status, nodes)
+            assert json.dumps(verdict.certificate) == json.dumps(certificate)
+            if status == CONSISTENT:
+                expected = reference_witness(assignment, constants, sig)
+                assert bvmodel.model_to_json(verdict.witness) == bvmodel.model_to_json(expected)
+            else:
+                assert replay_certificate(verdict.certificate, sentences, sig)
+        assert verdict.status == INCONSISTENT  # the sentence entails the target
+
+    def test_a_quantifier_reaching_the_compiler_raises(self):
+        ground = compact._Ground(SIG)
+        for quantified in (Exists(("?x",), R_A), Not(Forall(("?x",), R_A))):
+            n = ground.number(And((R_A, Or((Not(R_A), quantified)))))
+            with pytest.raises(BoolkitError) as exc:
+                ground.compiled(n)
+            body = quantified.body if isinstance(quantified, Not) else quantified
+            assert str(exc.value) == f"non-ground sentence reached the ground solver: {body!r}"
 
     @pytest.mark.parametrize("instance", range(5))
     def test_a_shared_genericity_sentence_answers_as_its_unshared_copy(self, instance):
@@ -1099,7 +1164,6 @@ class TestKeptSubsets:
     def _runs(name):
         """Zero-argument calls, each giving one run's result as JSON."""
         from test_acceptance import _compactness_families, _model_existence_instances
-        from test_forcing import TARGETS, _full_poset, _target
 
         from boolkit import consprop
 

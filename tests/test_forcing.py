@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolkit import bvmodel, compact, forcing, syntax
@@ -27,7 +28,17 @@ from boolkit.forcing import (
 )
 from boolkit.syntax import And, Atom, Eq, Not, Or, Signature
 
-from conftest import reference_conservativity, reference_generic_filter, reference_is_dense
+from conftest import (
+    reference_commitment_set,
+    reference_conservativity,
+    reference_decision_set,
+    reference_density,
+    reference_generic_filter,
+    reference_is_dense,
+    reference_maximal,
+    reference_one_pass_filter,
+    reference_ordered,
+)
 
 SIG = Signature(relations={}, base_constants={"cw", "c0", "c1"}, fresh_constants=set())
 PHI = Or((Eq("cw", "c0"), Eq("cw", "c1")))
@@ -54,17 +65,31 @@ def _full_poset(phi, sig):
     return build_sphi(phi, sig, size_bound=len(condition_universe(phi, sig)))
 
 
-def _dense_sets(p):
-    """The decision set of every atom and, for a disjunction, the commitment
-    set, kept when dense."""
-    consts = sorted(p.sig.constants)
+@functools.lru_cache(maxsize=None)
+def _target_poset(i):
+    return _full_poset(*_target(*TARGETS[i]))
+
+
+def _atoms(sig):
+    """The ground atoms over the signature, reflexive equalities excluded."""
+    consts = sorted(sig.constants)
     atoms = [Eq(x, y) for x, y in itertools.combinations(consts, 2)]
-    for name, arity in sorted(p.sig.relations.items()):
+    for name, arity in sorted(sig.relations.items()):
         atoms += [Atom(name, combo) for combo in itertools.product(consts, repeat=arity)]
-    candidates = [dense_decision_set(p, atom) for atom in atoms]
+    return atoms
+
+
+def _candidates(p):
+    """The decision set of every atom and, for a disjunction, the commitment set."""
+    candidates = [dense_decision_set(p, atom) for atom in _atoms(p.sig)]
     if isinstance(p.phi, Or):
         candidates.append(dense_commitment_set(p, p.phi))
-    return [d for d in candidates if is_dense(d, p).ok]
+    return candidates
+
+
+def _dense_sets(p):
+    """The candidate dense sets that are dense."""
+    return [d for d in _candidates(p) if is_dense(d, p).ok]
 
 
 # a small universe for posets that need not be downward closed, as a loaded
@@ -91,13 +116,72 @@ def families(draw):
         conditions = {frozenset(c) for s in conditions for n in range(len(s) + 1)
                       for c in itertools.combinations(s, n)}
     p = SPhiPoset(Eq("a", "a"), SMALL_SIG, frozenset(conditions))
+    return (p, *_lists(draw, conditions))
+
+
+def _lists(draw, conditions):
+    """The maximal conditions and up to three lists of the conditions."""
     ordered = sorted(conditions, key=lambda s: sorted(map(syntax.render, s)))
     maximal = [s for s in ordered if not any(s < t for t in ordered)]
     lists = []
     for _ in range(draw(st.integers(0, 3))):
         chosen = [s for s in ordered if draw(st.booleans())]
         lists.append(chosen + maximal if draw(st.booleans()) else chosen)
-    return p, maximal, lists
+    return maximal, lists
+
+
+@st.composite
+def sub_posets(draw):
+    """Up to 40 conditions of a target's poset, not downward closed in
+    general, and up to three lists of them as ``families`` draws them."""
+    p = _target_poset(draw(st.integers(0, len(TARGETS) - 1)))
+    ordered = reference_ordered(p)
+    picks = draw(st.lists(st.integers(0, len(ordered) - 1), max_size=40))
+    conditions = frozenset(ordered[i] for i in picks)
+    return SPhiPoset(p.phi, p.sig, conditions), _lists(draw, conditions)[1]
+
+
+def _assert_matches_the_frozenset_versions(p, lists):
+    """The mask poset against the frozenset versions in ``conftest``: the
+    maximal conditions, the condition order, the canonical dense sets (now
+    in condition order), density with its witness, and the generic filter."""
+    ordered = reference_ordered(p)
+    assert p.maximal == reference_maximal(p)
+    assert tuple(p.masks) == ordered
+    rank = {s: i for i, s in enumerate(ordered)}
+    candidates = _candidates(p)
+    expected = [reference_decision_set(p, atom) for atom in _atoms(p.sig)]
+    if isinstance(p.phi, Or):
+        expected.append(reference_commitment_set(p, p.phi))
+    assert candidates == [sorted(d, key=rank.__getitem__) for d in expected]
+    lists = candidates + lists
+    for d in lists:
+        for strict in (False, True):
+            verdict = is_dense(d, p, strict=strict)
+            assert (verdict.ok, verdict.witness) == reference_density(d, p, strict)
+    for dense in ([], [d for d in lists if reference_density(d, p)[0]], lists):
+        try:
+            reference = reference_one_pass_filter(p, dense)
+        except BoolkitError as exc:
+            with pytest.raises(BoolkitError) as got:
+                generic_filter(p, dense)
+            assert str(got.value) == str(exc)
+            continue
+        g = generic_filter(p, dense)
+        assert (g.members, g.maximal) == reference
+
+
+def _outputs_under_hash_seeds(script, seeds):
+    """The set of what the script prints, run once under each hash seed."""
+    src = str(Path(syntax.__file__).resolve().parents[1])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        )
+        for seed in seeds
+    ]
+    return {run.communicate(timeout=60)[0] for run in runs}
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +255,21 @@ class TestDense:
         for raw in (frozenset({f}), [syntax.canon(f)], {f}):
             assert forcing._condition(raw) == canonical and forcing._condition(raw) is not raw
 
-    def test_a_dense_set_entry_that_is_a_condition_is_taken_as_it_is(self, poset):
+    def test_a_dense_set_entry_that_is_a_condition_is_taken_as_it_is(self, poset, monkeypatch):
         f = Or((Eq("c1", "cw"), Eq("c0", "cw")))  # children out of rendering order
-        conditions = sorted(poset.conditions, key=forcing._condition_order)[:3]
-        out = forcing._conditions(conditions + [{f}, [syntax.canon(f)]], poset)
-        assert all(a is b for a, b in zip(out, conditions))
-        assert out[3:] == [frozenset({syntax.canon(f)})] * 2
+        poset = SPhiPoset(PHI, SIG, poset.conditions | {frozenset({syntax.canon(f)})})
+        conditions = list(poset.masks)[:3]
+        canonicalized = []
+        condition = forcing._condition
+        monkeypatch.setattr(
+            forcing, "_condition", lambda s: canonicalized.append(s) or condition(s)
+        )
+        raw = [{f}, [syntax.canon(f)]]
+        out = forcing._entries(conditions + raw, poset)
+        # the conditions are looked up as they are, the other entries canonicalized
+        assert canonicalized == raw
+        assert out[:3] == [poset.masks[s] for s in conditions]
+        assert out[3:] == [poset.masks[frozenset({syntax.canon(f)})]] * 2
 
     def test_empty_not_dense(self, poset):
         assert not is_dense([], poset).ok
@@ -212,15 +305,7 @@ class TestDense:
             "verdict = forcing.is_dense([s for s in p.conditions if len(s) == 2], p)\n"
             "print(verdict.ok, sorted(map(syntax.render, verdict.witness)))\n"
         )
-        src = str(Path(syntax.__file__).resolve().parents[1])
-        runs = [
-            subprocess.Popen(
-                [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
-            )
-            for seed in "01"
-        ]
-        outputs = {run.communicate(timeout=60)[0] for run in runs}
+        outputs = _outputs_under_hash_seeds(script, "01")
         # only the size-3 conditions are uncovered; the witness is the least of them
         sig = Signature(relations={"P": 1}, base_constants={"a", "b", "c"})
         p = build_sphi(syntax.parse("(or (P a) (not (= b c)))", sig), sig, 3)
@@ -229,6 +314,29 @@ class TestDense:
         assert uncovered and all(len(s) == 3 for s in uncovered)
         least = min(sorted(map(syntax.render, s)) for s in uncovered)
         assert outputs == {f"False {least}\n"}
+
+    def test_dense_sets_list_their_conditions_in_condition_order_under_every_hash_seed(self):
+        # a formula's hash is a string hash, so frozenset order follows the seed
+        script = (
+            "from boolkit import forcing, syntax\n"
+            "sig = syntax.Signature(relations={'P': 1}, base_constants={'a', 'b', 'c'})\n"
+            "phi = syntax.parse('(or (P a) (not (= b c)))', sig)\n"
+            "p = forcing.build_sphi(phi, sig, 3)\n"
+            "for d in (forcing.dense_decision_set(p, syntax.parse('(P b)', sig)),\n"
+            "          forcing.dense_commitment_set(p, phi)):\n"
+            "    print([sorted(map(syntax.render, s)) for s in d])\n"
+        )
+        outputs = _outputs_under_hash_seeds(script, "012")
+        sig = Signature(relations={"P": 1}, base_constants={"a", "b", "c"})
+        phi = syntax.parse("(or (P a) (not (= b c)))", sig)
+        p = build_sphi(phi, sig, 3)
+        ordered = reference_ordered(p)
+        expected = [
+            [s for s in ordered if Atom("P", ("b",)) in s or Not(Atom("P", ("b",))) in s],
+            [s for s in ordered if s & set(syntax.canon(phi).children)],
+        ]
+        assert all(len(d) > 1 for d in expected)
+        assert outputs == {"".join(f"{[sorted(map(syntax.render, s)) for s in d]}\n" for d in expected)}
 
     def test_non_condition_rejected(self, poset):
         with pytest.raises(BoolkitError):
@@ -291,6 +399,25 @@ class TestGenericFilter:
             return
         g = generic_filter(p, dense)
         assert (g.members, g.maximal) == expected
+
+
+class TestMaskPoset:
+    @pytest.mark.parametrize("target", range(len(TARGETS)), ids=[t[0] for t in TARGETS])
+    def test_matches_the_frozenset_versions_on_the_targets(self, target):
+        _assert_matches_the_frozenset_versions(_target_poset(target), [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(sub_posets())
+    @example((SPhiPoset(PHI, SIG, frozenset()), [[]]))
+    @example((SPhiPoset(PHI, SIG, frozenset({frozenset()})), [[], [frozenset()]]))
+    def test_matches_the_frozenset_versions_on_sub_posets(self, case):
+        _assert_matches_the_frozenset_versions(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(families())
+    def test_matches_the_frozenset_versions_on_small_posets(self, family):
+        p, _, lists = family
+        _assert_matches_the_frozenset_versions(p, lists)
 
 
 class TestTermModel:
