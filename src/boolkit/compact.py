@@ -84,15 +84,18 @@ class _PathClosure:
     undecided atom at a time and undone on backtrack.
 
     Every constant maps straight to its class representative, the class
-    minimum, and each representative to the representatives it is distinct
-    from.  A relation literal is one table entry.  A positive equality moves
-    the class with the larger minimum, and its disequalities, to the other
-    and relabels the relation tables; the only conflict a merge can cause is
-    a relation clash, named by the least one.  ``assignment`` is the path.
+    minimum, each representative to the list of its class's constants and
+    to the representatives it is distinct from.  A relation literal is one
+    table entry.  A positive equality moves the member list of the class
+    with the larger minimum, and its disequalities, to the other, and
+    relabels the relation tables when they hold an entry; the only conflict
+    a merge can cause is a relation clash, named by the least one.  Undo
+    truncates the member list again.  ``assignment`` is the path.
     """
 
     def __init__(self, constants):
         self.rep = {c: c for c in constants}
+        self.members = {c: [c] for c in constants}
         self.diseq = {c: set() for c in constants}
         self.assignment = {}
         self.rel_true = set()
@@ -121,9 +124,11 @@ class _PathClosure:
             return None
         # a positive equality is assigned only while it is undecided, so no
         # disequality separates a and b, and none ever falls inside a class
-        moved = [c for c, r in rep.items() if r == b]
+        moved, kept = self.members[b], self.members[a]
         for c in moved:
             rep[c] = a
+        size = len(kept)
+        kept += moved
         partners = diseq[b]  # kept as it is for the undo
         added = partners - diseq[a]
         for p in partners:
@@ -132,7 +137,9 @@ class _PathClosure:
             diseq[p].add(a)
         diseq[a] |= added
         rel_true, rel_false = self.rel_true, self.rel_false
-        self._undo.append((a, b, moved, added, rel_true, rel_false))
+        self._undo.append((a, b, size, added, rel_true, rel_false))
+        if not (rel_true or rel_false):
+            return None
         self.rel_true = {(r, tuple(map(rep.__getitem__, args))) for r, args in rel_true}
         self.rel_false = {(r, tuple(map(rep.__getitem__, args))) for r, args in rel_false}
         clash = self.rel_true & self.rel_false
@@ -146,15 +153,16 @@ class _PathClosure:
             for table, item in entry:
                 table.discard(item)
             return
-        a, b, moved, added, self.rel_true, self.rel_false = entry
-        diseq = self.diseq
+        a, b, size, added, self.rel_true, self.rel_false = entry
+        diseq, rep = self.diseq, self.rep
         for p in added:
             diseq[p].discard(a)
         diseq[a] -= added
         for p in diseq[b]:
             diseq[p].add(b)
-        for c in moved:
-            self.rep[c] = b
+        del self.members[a][size:]
+        for c in self.members[b]:
+            rep[c] = b
 
 
 class _BudgetExhausted(Exception):
@@ -165,23 +173,28 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     """Depth-first search over atom assignments on one path closure, from
     the (index, ``_Ground.compiled`` sentence) pairs ``pending``: the
     satisfying path or None, the certificate or None, and the node count;
-    ``_BudgetExhausted`` at node ``node_cap + 1``.
+    ``_BudgetExhausted`` at node ``node_cap + 1`` (``node_cap`` ≥ 1), nodes
+    counted in depth-first order.
 
     A node branches on the literal forced by the first undecided sentence
     that forces one (an undecided leaf forces itself, an ``and`` what its
     first undecided child that forces one forces, an ``or`` with one child
     not false what that child forces), forced value first.  The other side
     falsifies that sentence, so it is one ``sentence`` leaf, a node with no
-    search, unless the path clashes there.  With no forced literal, a node
-    branches on the first undecided atom of the first undecided sentence,
-    True first.  A node evaluates only the sentences its parent left
-    undecided (a strong-Kleene value holds on every extension of the path),
-    each shared compiled node once, in one pass that also finds the units."""
+    search, closed without touching the path closure, unless it merges two
+    classes while the relation tables hold entries: that side is assigned,
+    and closed by the clash if the path clashes there.  With no forced
+    literal, a node branches on the first undecided atom of the first
+    undecided sentence, True first.  A side whose assignment clashes is a
+    leaf closed by the clash.  A node evaluates only the sentences its
+    parent left undecided (a strong-Kleene value holds on every extension
+    of the path), each shared compiled node once, in one pass that also
+    finds the units."""
     closure = _PathClosure(constants)
     rep, diseq = closure.rep, closure.diseq
     rel_true = rel_false = None
     values = {}  # shared node -> its value on the path
-    nodes = 0
+    nodes = 1  # the root
 
     def value(node):
         """Strong Kleene value on the path: True, False, or when undecided
@@ -234,50 +247,82 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
             return y if value(node) is node else None
         return next(filter(None, map(first, x)), None)
 
-    def search(pending, leaf):
-        nonlocal nodes, rel_true, rel_false
-        nodes += 1
-        if nodes > node_cap:
-            raise _BudgetExhausted
-        if leaf is not None:
-            return None, leaf
+    def expand(pending):
+        """Evaluate a node's sentences: the leaf of the first false one, True
+        when none is undecided, or else None, the node pushed on ``path``."""
+        nonlocal rel_true, rel_false
         rel_true, rel_false = closure.rel_true, closure.rel_false
         values.clear()
         undecided = []
-        unit = None
+        unit = forcing = None
         for i, f in pending:
-            v = value(f)
+            kind, x, y = f
+            if kind == "eq":
+                a, b = rep[y[1]], rep[y[2]]
+                v = x if a == b else (not x) if b in diseq[a] else f
+            else:
+                v = value(f)
             if v is False:
-                return None, {"conflict": {"kind": "sentence", "index": i}}
+                return {"conflict": {"kind": "sentence", "index": i}}
             if v is not True:
                 undecided.append((i, f))
                 if unit is None and v is not None:
                     unit, forcing = v, i
         if not undecided:
-            return dict(closure.assignment), None
+            return True
         if unit is None:
-            atom, sides = first(undecided[0][1]), (True, False)
+            atom, sides, refuted = first(undecided[0][1]), [False, True], None
         else:
-            atom, sides = unit[2], (unit[1], not unit[1])
-        cert = {"atom": list(atom)}
-        for truth in sides:
-            conflict, leaf = closure.assign(atom, truth), None
-            if conflict is not None:
-                leaf = {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
-            elif unit is not None and truth != unit[1]:
-                # the forcing sentence is false on this side
-                leaf = {"conflict": {"kind": "sentence", "index": forcing}}
-            model, sub = search(undecided, leaf)
-            closure.undo()
-            if model is not None:
-                return model, None
-            cert["true" if truth else "false"] = sub
-        return None, cert
+            atom, sides, refuted = unit[2], [not unit[1], unit[1]], not unit[1]
+        path.append(({"atom": list(atom)}, undecided, atom, sides, refuted, forcing))
+        return None
 
+    # the open nodes, root first: (certificate, undecided sentences, atom,
+    # sides still to take, last first, refuted side, forcing sentence).  A
+    # loop over them, not recursion, keeps the interpreter's frame stack as
+    # deep as the caller's: a recursive search that hovers at the edge of a
+    # frame-stack chunk frees and reallocates it on every call (CPython 3.11)
+    path = []
     try:
-        return (*search(pending, None), nodes)
+        sub = expand(pending)
+        if sub is not None:
+            return (dict(closure.assignment), None, nodes) if sub is True else (None, sub, nodes)
+        root = path[0][0]
+        while path:
+            cert, undecided, atom, sides, refuted, forcing = path[-1]
+            if not sides:
+                path.pop()
+                if path:
+                    closure.undo()  # the side that opened the node
+                continue
+            truth = sides.pop()
+            nodes += 1
+            if nodes > node_cap:
+                raise _BudgetExhausted
+            branch = "true" if truth else "false"
+            # a refuted side can clash only as a merge while both relation tables hold entries
+            if truth is refuted and not (
+                truth and atom[0] == "eq" and closure.rel_true and closure.rel_false
+            ):
+                cert[branch] = {"conflict": {"kind": "sentence", "index": forcing}}
+                continue
+            conflict = closure.assign(atom, truth)
+            if conflict is not None:
+                sub = {"conflict": {"kind": conflict[0], "detail": repr(conflict[1])}}
+            elif truth is refuted:
+                sub = {"conflict": {"kind": "sentence", "index": forcing}}
+            else:
+                sub = expand(undecided)
+                if sub is True:
+                    return dict(closure.assignment), None, nodes
+                if sub is None:  # the node opened below this side
+                    cert[branch] = path[-1][0]
+                    continue
+            cert[branch] = sub
+            closure.undo()
+        return None, root, nodes
     finally:
-        value = first = search = None  # break the closures' cycles, freeing the path now
+        value = first = None  # break the closures' cycles, freeing the path now
 
 
 def _atom(key) -> Formula:

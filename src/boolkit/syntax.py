@@ -242,21 +242,26 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    """No quantifier in the tree; a shared and/or object is walked once, and
-    the answer is cached in the instance."""
+    """No quantifier in the tree; a shared and/or object is walked once, a
+    ``not`` is stepped through and a literal never pushed, and the answer is
+    cached in the instance."""
     cached = f.__dict__.get("_qf")
     if cached is not None:
         return cached
     stack, seen, cached = [f], set(), True
     while stack and cached:
         g = stack.pop()
+        while type(g) is Not:
+            g = g.body
         if isinstance(g, (Forall, Exists)):
             cached = False
-        elif isinstance(g, Not):
-            stack.append(g.body)
         elif isinstance(g, (And, Or)) and id(g) not in seen:
             seen.add(id(g))
-            stack.extend(g.children)
+            for c in g.children:
+                while type(c) is Not:
+                    c = c.body
+                if type(c) is not Eq and type(c) is not Atom:
+                    stack.append(c)
     object.__setattr__(f, "_qf", cached)
     return cached
 

@@ -350,6 +350,39 @@ class TestSearchTree:
         for m in [witness] + [bvmodel.random_model(sig, rng) for _ in range(8)]:
             assert bvmodel.eval_formula(m, sentence) == bvmodel.eval_formula(m, copy)
 
+    @pytest.mark.parametrize(
+        "n, caps", [(3, range(1, 44)), (4, [*range(1, 148, 7), 148, 149])], ids=["php3", "php4"]
+    )
+    def test_every_cap_stops_where_the_rebuild_per_node_search_stops(self, n, caps):
+        # every cap on PHP(3), so one lands on each refuted side closed inline
+        sentences, sig = pigeonhole(n)
+        from boolkit import certify  # here: report_digests.py imports this file on old checkouts
+
+        ground, _ = certify.prepare_ground(sentences, sig)
+        constants = sorted(sig.constants)
+        for cap in caps:
+            verdict = consistency_oracle(sentences, sig, Budget(oracle_nodes=cap))
+            status, nodes, _, certificate = reference_search(ground, constants, cap)
+            assert (verdict.status, verdict.budget_used) == (status, nodes), cap
+            assert verdict.certificate == certificate
+
+    def test_a_refuted_side_is_closed_without_assigning_its_atom(self, monkeypatch):
+        # every node but the root was one assignment before (42/148/680/3954);
+        # a unit's refuted side on an equality-only theory is now none
+        assigned = []
+        assign = compact._PathClosure.assign
+
+        def spy(closure, key, value):
+            assigned.append(key)
+            return assign(closure, key, value)
+
+        monkeypatch.setattr(compact._PathClosure, "assign", spy)
+        for n, expected in [(3, 26), (4, 97), (5, 459), (6, 2696)]:
+            sentences, sig = pigeonhole(n)
+            assigned.clear()
+            assert consistency_oracle(sentences, sig).status == INCONSISTENT
+            assert len(assigned) == expected
+
     @pytest.mark.parametrize("n, nodes", [(3, 43), (4, 149), (5, 681), (6, 3955)])
     def test_pigeonhole_ladder_node_counts(self, n, nodes):
         sentences, sig = pigeonhole(n)

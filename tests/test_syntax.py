@@ -300,6 +300,23 @@ class TestQe:
             assert syntax.is_quantifier_free(f) is expected
             assert f.__dict__["_qf"] is expected and syntax.is_quantifier_free(f) is expected
 
+    def test_quantifier_free_finds_a_quantifier_wherever_it_hides(self):
+        r, e = Atom("R", ("c0", "c1")), Eq("c0", "cw")
+        q = Exists(("?x",), Atom("R", ("?x", "c0")))
+        shared = Or((r, Not(q)))
+        wide = tuple(Eq("c0", c) for c in ("c0", "c1", "cw") * 10)
+        hidden = {
+            "under a not in a conjunction": And((e, Not(Not(q)), r)),
+            "in a shared or reached twice": And((Or((e, shared)), Not(shared))),
+            "last in a wide disjunction": Or(wide + (Not(r), q)),
+        }
+        for name, f in hidden.items():
+            assert syntax.is_quantifier_free(f) is False, name
+            assert f.__dict__["_qf"] is False and syntax.is_quantifier_free(f) is False
+        free = Or((r, Not(e)))
+        for f in (And((e, Not(Not(r)), r)), And((Or((e, free)), Not(free))), Or(wide)):
+            assert syntax.is_quantifier_free(f) is True
+
     def test_output_quantifier_free(self):
         rng = random.Random(3)
         for _ in range(30):
