@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, syntax
-from .balg import bit_positions, ultrafilters
+from .balg import FiniteBooleanAlgebra, bit_positions, ultrafilters
 from .certify import replay_certificate  # noqa: F401 (re-exported)
 from .errors import BoolkitError, ConstructionFailure, ResourceBudgetError, SignatureError
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
@@ -90,14 +90,14 @@ class _PathClosure:
     with the larger minimum, and its disequalities, to the other, and
     relabels the relation tables when they hold an entry; the only conflict
     a merge can cause is a relation clash, named by the least one.  Undo
-    truncates the member list again.  ``assignment`` is the path.
+    truncates the member list again.  On a satisfying path ``rep`` and
+    ``rel_true`` are its model.
     """
 
     def __init__(self, constants):
         self.rep = {c: c for c in constants}
         self.members = {c: [c] for c in constants}
         self.diseq = {c: set() for c in constants}
-        self.assignment = {}
         self.rel_true = set()
         self.rel_false = set()
         self._undo = []
@@ -105,7 +105,6 @@ class _PathClosure:
     def assign(self, key, value):
         """Extend the path by an atom the closure leaves undecided; return
         the conflict it causes, or None."""
-        self.assignment[key] = value
         rep, diseq = self.rep, self.diseq
         if key[0] == "rel":
             # an undecided atom's entry is new, so it clashes with nothing
@@ -145,9 +144,13 @@ class _PathClosure:
         clash = self.rel_true & self.rel_false
         return ("rel-congruence", min(clash)) if clash else None
 
+    def model(self) -> tuple:
+        """The path's model: each constant's representative, in the order
+        the constants were given, and the frozenset of true relation entries."""
+        return tuple(self.rep.values()), frozenset(self.rel_true)
+
     def undo(self):
         """Take the last assigned atom off the path."""
-        self.assignment.popitem()
         entry = self._undo.pop()
         if len(entry) < 6:  # a literal: the (set, item) pairs it added
             for table, item in entry:
@@ -171,8 +174,9 @@ class _BudgetExhausted(Exception):
 
 def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     """Depth-first search over atom assignments on one path closure, from
-    the (index, ``_Ground.compiled`` sentence) pairs ``pending``: the
-    satisfying path or None, the certificate or None, and the node count;
+    the (index, ``_Ground.compiled`` sentence) pairs ``pending``: the model
+    of the satisfying path (``_PathClosure.model``) or None, the certificate
+    or None, and the node count;
     ``_BudgetExhausted`` at node ``node_cap + 1`` (``node_cap`` ≥ 1), nodes
     counted in depth-first order.
 
@@ -286,7 +290,7 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     try:
         sub = expand(pending)
         if sub is not None:
-            return (dict(closure.assignment), None, nodes) if sub is True else (None, sub, nodes)
+            return (closure.model(), None, nodes) if sub is True else (None, sub, nodes)
         root = path[0][0]
         while path:
             cert, undecided, atom, sides, refuted, forcing = path[-1]
@@ -314,7 +318,7 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
             else:
                 sub = expand(undecided)
                 if sub is True:
-                    return dict(closure.assignment), None, nodes
+                    return closure.model(), None, nodes
                 if sub is None:  # the node opened below this side
                     cert[branch] = path[-1][0]
                     continue
@@ -323,10 +327,6 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
         return None, root, nodes
     finally:
         value = first = None  # break the closures' cycles, freeing the path now
-
-
-def _atom(key) -> Formula:
-    return Eq(key[1], key[2]) if key[0] == "eq" else Atom(key[1], key[2])
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +343,26 @@ def _sig_key(sig: Signature):
 
 class _Ground:
     """The oracle's view of one signature: the search's constants, each
-    sentence's prepared forms, and the session caches of sentence sets.
+    sentence's prepared forms, the session caches of sentence sets, and one
+    witness per model a search ended in.
 
     Each distinct prepared ground sentence gets a number, first seen first,
-    and a sentence set is keyed by its mask, the OR of ``1 << number``."""
+    and a sentence set is keyed by its mask, the OR of the bits ``1 <<
+    number`` that ``prepare`` keeps with each sentence."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.constants = sorted(sig.constants) or ["_unit"]
-        # id(sentence) -> [sentence, canonical number, quantifier free, ground
-        # number or None]; keyed by identity, as a run passes the same
-        # objects again and again
+        # id(sentence) -> [sentence, canonical number, its bit, quantifier
+        # free, ground number or None, its bit]; keyed by identity, as a run
+        # passes the same objects again and again
         self.prepared = {}
         self.sentences = []  # number -> prepared sentence
         self.numbers = {}  # prepared sentence -> its number
-        self.naming = None
+        self.naming = self.naming_mask = None  # the naming constraints' numbers, their mask
         self.statuses = {}  # set mask -> status
         self.witnesses = {}  # set mask -> two-valued model of the set
+        self.models = {}  # _PathClosure.model -> its witness
         self.holds = {}  # (id of a kept witness, number) -> the sentence holds there
         self.roots = {}  # number -> compiled sentence
         self.nodes = ({}, {})  # per polarity: id of a formula object -> its node
@@ -413,45 +416,79 @@ class _Ground:
         return n
 
     def prepare(self, theory, require_qe: bool) -> tuple:
-        """The numbers of the theory's ground sentences as a tuple, and
-        whether the fresh-constant reduction applied (see
-        ``certify.prepare_ground``, which this reduction must match)."""
-        sig = self.sig
-        entries = []
+        """The numbers of the theory's ground sentences as a tuple, whether
+        the fresh-constant reduction applied (see ``certify.prepare_ground``,
+        which this reduction must match), and the set's mask."""
+        sig, prepared = self.sig, self.prepared
+        entries, key, quantified = [], 0, False
         for f in theory:
-            entry = self.prepared.get(id(f))
+            entry = prepared.get(id(f))
             if entry is None or entry[0] is not f:
                 c = syntax.canon(f)
-                entry = [f, self.number(c), syntax.is_quantifier_free(c), None]
-                self.prepared[id(f)] = entry
+                n = self.number(c)
+                entry = prepared[id(f)] = [f, n, 1 << n, syntax.is_quantifier_free(c), None, 0]
             entries.append(entry)
-        quantified = not all(entry[2] for entry in entries)
+            key |= entry[2]
+            if not entry[3]:
+                quantified = True
         if not quantified and not require_qe:
-            return tuple(entry[1] for entry in entries), False
+            return tuple([entry[1] for entry in entries]), False, key
         if quantified and not sig.fresh_constants:
             raise SignatureError("quantified input needs a nonempty fresh-constant pool")
+        key = 0
         for entry in entries:
-            if entry[3] is None:
+            if entry[4] is None:
                 ground = syntax.qe_transform(self.sentences[entry[1]], sig)
-                entry[3] = self.number(syntax.canon(ground))
+                entry[4] = self.number(syntax.canon(ground))
+                entry[5] = 1 << entry[4]
+            key |= entry[5]
         if self.naming is None:
             self.naming = tuple(map(self.number, syntax.naming_constraints(sig)))
-        return tuple(entry[3] for entry in entries) + self.naming, True
+            self.naming_mask = sum(1 << n for n in set(self.naming))
+        return tuple([entry[4] for entry in entries]) + self.naming, True, key | self.naming_mask
 
+    def witness(self, model) -> bvmodel.BValuedModel:
+        """The two-valued witness of a path model, built and validated once
+        per model: one element per class, named by its representative, and
+        each relation true exactly on the model's true entries."""
+        witness = self.models.get(model)
+        if witness is None:
+            reps, true = model
+            b = FiniteBooleanAlgebra(1)
+            domain = sorted(set(reps))
+            eq = {(x, y): b.one if x == y else 0 for x in domain for y in domain}
+            rel = {
+                r: dict.fromkeys(itertools.product(domain, repeat=k), 0)
+                for r, k in self.sig.relations.items()
+            }
+            for r, xs in true:
+                rel[r][xs] = b.one
+            consts = dict(zip(self.constants, reps))
+            witness = self.models[model] = bvmodel.BValuedModel(b, domain, eq, rel, consts)
+        return witness
 
-def _mask(numbers) -> int:
-    mask = 0
-    for n in numbers:
-        mask |= 1 << n
-    return mask
+    def held(self, witness, n: int) -> bool:
+        """Whether the numbered sentence holds in a kept witness, memoized in
+        ``holds``."""
+        memo = (id(witness), n)
+        value = self.holds.get(memo)
+        if value is None:
+            value = self.holds[memo] = bvmodel.holds(witness, self.sentences[n])
+        return value
+
+    def record(self, key: int, verdict: OracleVerdict) -> None:
+        """Keep a searched set's status, and its witness, under its mask."""
+        self.statuses.setdefault(key, verdict.status)
+        if verdict.witness is not None:
+            self.witnesses.setdefault(key, verdict.witness)
 
 
 class OracleSession:
     """The oracle queries of one top-level run, under one budget.
 
     A run asks about many overlapping sentence sets, mostly for their status
-    alone.  The session memoizes each sentence's prepared forms and number
-    per signature and answers two queries:
+    alone.  The session memoizes each sentence's prepared forms, number and
+    bit per signature, and answers two queries:
 
     - ``verdict`` always searches and returns the search's full
       OracleVerdict, so a certificate indexes its own input;
@@ -463,17 +500,19 @@ class OracleSession:
       and sentence), the witness is a Tarski model of the whole set (model
       rotation).
 
-    Every searched Consistent result is built into a two-valued witness,
-    validated, and checked against each sentence; it then serves later
-    status queries.  Both checks evaluate the sentence's Formula objects
-    with ``bvmodel``, which stops a conjunction at its first false conjunct
-    and a disjunction at its first true one, so a check of a large sentence
-    (a genericity sentence) walks only the part that decides it.  Every
-    Inconsistent status goes back to a certified search on a subset.  So a
-    witness or a refuted subset can decide a set that a search under the
-    session's node cap would leave Unknown: a ``verdict`` is a function of
-    (theory, signature, budget), but a ``status`` also depends on what the
-    session was asked before.
+    A searched Consistent result ends in a model read off the path closure:
+    the class representatives and the true relation entries.  Its ground
+    builds one validated two-valued witness per distinct model, and every
+    search checks each of its sentences there through the same memo; the
+    witness then serves later status queries.  The checks evaluate the
+    sentence's Formula objects with ``bvmodel``, which stops a conjunction
+    at its first false conjunct and a disjunction at its first true one, so
+    a check of a large sentence (a genericity sentence) walks only the part
+    that decides it.  Every Inconsistent status goes back to a certified
+    search on a subset.  So a witness or a refuted subset can decide a set
+    that a search under the session's node cap would leave Unknown: a
+    ``verdict`` is a function of (theory, signature, budget), but a
+    ``status`` also depends on what the session was asked before.
 
     The counters are plain integers: ``calls``, ``status_hits``,
     ``refuted_hits``, ``hint_hits`` (witnesses), ``searches`` and the
@@ -505,14 +544,16 @@ class OracleSession:
         """The full verdict of a search on the theory, sentences in order."""
         self.calls += 1
         ground = self._ground(sig)
-        return self._search(ground, ground.prepare(theory, require_qe)[0])
+        numbers, _, key = ground.prepare(theory, require_qe)
+        verdict = self._search(ground, numbers)
+        ground.record(key, verdict)
+        return verdict
 
     def status(self, theory, sig: Signature, require_qe: bool = False) -> str:
         """The status of the theory's sentence set."""
         self.calls += 1
         ground = self._ground(sig)
-        numbers, qe_applied = ground.prepare(theory, require_qe)
-        key = _mask(numbers)
+        numbers, qe_applied, key = ground.prepare(theory, require_qe)
         status = ground.statuses.get(key)
         if status is not None:
             self.status_hits += 1
@@ -528,50 +569,38 @@ class OracleSession:
                 ground.statuses[key] = INCONSISTENT
                 return INCONSISTENT
             witness = ground.witnesses.get(subset)
-            if witness is None:
-                continue
-            memo = (id(witness), n)
-            if memo not in ground.holds:
-                ground.holds[memo] = bvmodel.holds(witness, ground.sentences[n])
-            if ground.holds[memo]:
+            if witness is not None and ground.held(witness, n):
                 self.hint_hits += 1
                 ground.statuses[key] = CONSISTENT
                 ground.witnesses[key] = witness
                 return CONSISTENT
-        return self._search(ground, numbers).status
+        verdict = self._search(ground, numbers)
+        ground.record(key, verdict)
+        return verdict.status
 
     def _search(self, ground: _Ground, numbers: tuple) -> OracleVerdict:
-        """Search on the numbered sentences, in order, and record the set's
-        status and witness under its mask."""
-        sentences = [ground.sentences[n] for n in numbers]
+        """Search on the numbered sentences, in order; a satisfying path's
+        witness is its ground's one for the path's model."""
         self.searches += 1
         cap = self.budget.oracle_nodes
         pending = [(i, ground.compiled(n)) for i, n in enumerate(numbers)]
         try:
-            assignment, certificate, nodes = _ground_search(ground.constants, cap, pending)
+            model, certificate, nodes = _ground_search(ground.constants, cap, pending)
         except _BudgetExhausted:
             verdict = OracleVerdict(UNKNOWN, budget_used=cap + 1)
         else:
-            if assignment is not None:
-                # the model is read off the true atoms; the path has no
-                # conflict, so its false atoms are false there, and every
-                # sentence is checked below
-                witness = bvmodel.two_valued_model(
-                    ground.constants,
-                    ground.sig.relations,
-                    [_atom(atom) for atom, value in assignment.items() if value],
-                )
-                for f in sentences:
-                    if not bvmodel.holds(witness, f):
-                        raise BoolkitError(f"oracle witness fails sentence {syntax.render(f)}")
+            if model is not None:
+                # the path has no conflict, so every sentence holds in its
+                # model; each is checked all the same, a reused witness too
+                witness = ground.witness(model)
+                for n in numbers:
+                    if not ground.held(witness, n):
+                        f = syntax.render(ground.sentences[n])
+                        raise BoolkitError(f"oracle witness fails sentence {f}")
                 verdict = OracleVerdict(CONSISTENT, witness=witness, budget_used=nodes)
             else:
                 verdict = OracleVerdict(INCONSISTENT, certificate=certificate, budget_used=nodes)
         self.nodes += verdict.budget_used
-        key = _mask(numbers)
-        ground.statuses.setdefault(key, verdict.status)
-        if verdict.witness is not None:
-            ground.witnesses.setdefault(key, verdict.witness)
         return verdict
 
 

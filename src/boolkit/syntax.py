@@ -242,9 +242,9 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    """No quantifier in the tree; a shared and/or object is walked once, a
-    ``not`` is stepped through and a literal never pushed, and the answer is
-    cached in the instance."""
+    """No quantifier in the tree; a shared child is pushed once, when first
+    met, a ``not`` is stepped through and a literal never pushed, and the
+    answer is cached in the instance."""
     cached = f.__dict__.get("_qf")
     if cached is not None:
         return cached
@@ -255,12 +255,12 @@ def is_quantifier_free(f: Formula) -> bool:
             g = g.body
         if isinstance(g, (Forall, Exists)):
             cached = False
-        elif isinstance(g, (And, Or)) and id(g) not in seen:
-            seen.add(id(g))
+        elif isinstance(g, (And, Or)):
             for c in g.children:
                 while type(c) is Not:
                     c = c.body
-                if type(c) is not Eq and type(c) is not Atom:
+                if type(c) is not Eq and type(c) is not Atom and id(c) not in seen:
+                    seen.add(id(c))
                     stack.append(c)
     object.__setattr__(f, "_qf", cached)
     return cached

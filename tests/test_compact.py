@@ -262,7 +262,7 @@ class TestSearchTree:
     def test_compiles_one_node_per_object_and_polarity(self):
         g = Or((Eq("b", "a"), Atom("R", ("a",))))
         ground = compact._Ground(SIG)
-        numbers, _ = ground.prepare([And((g, Not(g))), Or((g, Atom("R", ("b",))))], False)
+        numbers = ground.prepare([And((g, Not(g))), Or((g, Atom("R", ("b",))))], False)[0]
         first, second = (ground.compiled(n) for n in numbers)
         negated, plain = first[1]  # "(not ..." renders before "(or ..."
         assert second[1][1] is plain and plain[0] == "or" and negated[0] == "and"
@@ -277,7 +277,7 @@ class TestSearchTree:
         p = _target_poset(0)
         sentence = genericity_sentence(phi, _forcing_dense_sets(p), p)
         ground = compact._Ground(sig)
-        numbers, _ = ground.prepare([sentence, Not(phi)], False)
+        numbers = ground.prepare([sentence, Not(phi)], False)[0]
         literals, stack, seen = set(), [(sentence, True), (Not(phi), True)], set()
         while stack:
             f, sign = stack.pop()
@@ -574,7 +574,7 @@ class TestReplay:
         for require_qe in (False, True):
             for theory, sig in cases:
                 ground = session._ground(sig)
-                numbers, qe_applied = ground.prepare(theory, require_qe)
+                numbers, qe_applied, _ = ground.prepare(theory, require_qe)
                 sentences, applied = certify.prepare_ground(theory, sig, require_qe)
                 quantified = not all(map(syntax.is_quantifier_free, theory))
                 assert applied == qe_applied == (require_qe or quantified)
@@ -1060,6 +1060,46 @@ class TestOracleSession:
         assert (session.refuted_hits, session.searches) == (1, 1)
         # a verdict always carries its own search
         assert session.verdict([cd, ab, not_ab], sig).status == UNKNOWN
+
+    # R(a) alone, and with a != b, end in one model; a = b or b = c in another
+    Q1, Q2, Q3 = [R_A], [And((R_A, Not(Eq("a", "b"))))], [Or((Eq("a", "b"), Eq("b", "c")))]
+
+    def test_sets_ending_in_one_model_share_one_witness(self):
+        session = OracleSession()
+        queries = (self.Q1, self.Q2, self.Q3, self.Q1 + self.Q2, self.Q2 + self.Q3)
+        assert [session.status(q, SIG_ABC) for q in queries] == [CONSISTENT] * 5
+        ground = session._ground(SIG_ABC)
+        w1, w2, w3, w12, w23 = (ground.witnesses[ground.prepare(q, False)[2]] for q in queries)
+        assert w1 is w2 is w12
+        assert w3 is not w1 and w23 not in (w1, w3)
+        assert list(ground.models.values()) == [w1, w3, w23]
+        # the same counters as when each search built its own witness
+        assert session.counters() == {
+            "calls": 5,
+            "status_hits": 0,
+            "refuted_hits": 0,
+            "hint_hits": 1,
+            "searches": 4,
+            "nodes": 11,
+        }
+
+    def test_a_new_witness_is_checked_against_each_sentence(self, monkeypatch):
+        false_r = bvmodel.two_valued_model(["a", "b", "c"], {"R": 1}, [])
+        monkeypatch.setattr(compact._Ground, "witness", lambda ground, model: false_r)
+        with pytest.raises(BoolkitError, match=re.escape(syntax.render(R_A))):
+            OracleSession().status(self.Q1, SIG_ABC)
+
+    def test_a_reused_witness_is_checked_against_each_new_sentence(self):
+        session = OracleSession()
+        assert session.status(self.Q1, SIG_ABC) == CONSISTENT
+        ground = session._ground(SIG_ABC)
+        (model,) = ground.models
+        # R(a) holds here, but Q2's a != b does not
+        merged = bvmodel.two_valued_model(["a", "b", "c"], {"R": 1}, [R_A, Eq("a", "b")])
+        ground.models[model] = merged
+        with pytest.raises(BoolkitError, match=re.escape(syntax.render(self.Q2[0]))):
+            session.status(self.Q2, SIG_ABC)
+        assert ground.holds[(id(merged), ground.prepare(self.Q2, False)[0][0])] is False
 
     def test_counters_are_deterministic_and_witnesses_save_searches(self, monkeypatch):
         sessions = []

@@ -317,6 +317,17 @@ class TestQe:
         for f in (And((e, Not(Not(r)), r)), And((Or((e, free)), Not(free))), Or(wide)):
             assert syntax.is_quantifier_free(f) is True
 
+    def test_quantifier_free_finds_a_quantified_child_of_many_parents(self):
+        r, e = Atom("R", ("c0", "c1")), Eq("c0", "cw")
+        q = Exists(("?x",), Atom("R", ("?x", "c0")))
+        for last, expected in ((q, False), (r, True)):
+            shared = And((r, Or((e, last))))
+            parents = [
+                Or((Eq("c0", c), shared if i % 2 else Not(shared)))
+                for i, c in enumerate(("c0", "c1", "cw") * 4)
+            ]
+            assert syntax.is_quantifier_free(And(tuple(parents))) is expected
+
     def test_output_quantifier_free(self):
         rng = random.Random(3)
         for _ in range(30):
