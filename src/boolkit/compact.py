@@ -58,23 +58,6 @@ class OracleVerdict:
         return self.status == CONSISTENT
 
 
-def kept_subsets(universe, keep, max_size: Optional[int] = None):
-    """The downward-closed walk: yield the empty tuple, and depth first each
-    kept subset, as a tuple in universe order.  After yielding a subset of
-    fewer than ``max_size`` elements, ``keep`` is asked about its extensions
-    by each later element in universe order."""
-    stack = [((), 0)]
-    while stack:
-        subset, start = stack.pop()
-        yield subset
-        if max_size is not None and len(subset) >= max_size:
-            continue
-        for i in range(start, len(universe)):
-            ext = subset + (universe[i],)
-            if keep(ext):
-                stack.append((ext, i + 1))
-
-
 # ---------------------------------------------------------------------------
 # backtracking search with congruence closure
 
@@ -341,6 +324,13 @@ def _sig_key(sig: Signature):
     )
 
 
+class _Query(list):
+    """A theory that ``OracleSession.kept_subsets`` asks about: its sentences
+    in order, with the ground that prepared it and ``prepare``'s answer."""
+
+    __slots__ = ("ground", "prepared")
+
+
 class _Ground:
     """The oracle's view of one signature: the search's constants, each
     sentence's prepared forms, the session caches of sentence sets, and one
@@ -418,15 +408,20 @@ class _Ground:
     def prepare(self, theory, require_qe: bool) -> tuple:
         """The numbers of the theory's ground sentences as a tuple, whether
         the fresh-constant reduction applied (see ``certify.prepare_ground``,
-        which this reduction must match), and the set's mask."""
+        which this reduction must match), and the set's mask.  A walk's
+        ``_Query`` on this ground carries them already."""
+        if type(theory) is _Query and theory.ground is self:
+            return theory.prepared
         sig, prepared = self.sig, self.prepared
         entries, key, quantified = [], 0, False
         for f in theory:
             entry = prepared.get(id(f))
             if entry is None or entry[0] is not f:
+                # a quantifier-free sentence is its own ground sentence, as
+                # ``qe_transform`` of it is a structurally equal copy
                 c = syntax.canon(f)
-                n = self.number(c)
-                entry = prepared[id(f)] = [f, n, 1 << n, syntax.is_quantifier_free(c), None, 0]
+                n, qf = self.number(c), syntax.is_quantifier_free(c)
+                entry = prepared[id(f)] = [f, n, 1 << n, qf, n if qf else None, 1 << n if qf else 0]
             entries.append(entry)
             key |= entry[2]
             if not entry[3]:
@@ -578,6 +573,42 @@ class OracleSession:
         ground.record(key, verdict)
         return verdict.status
 
+    def kept_subsets(self, universe, sig, head=(), tail=(), max_size=None, require_qe=False):
+        """Walk the universe's subsets downward closed, each asked about as
+        [*head, *subset, *tail], once the caller found the empty one
+        Consistent: yield ((), Consistent), then depth first each subset whose
+        status is Consistent, as a tuple in universe order, with its status.
+        While a subset has fewer than ``max_size`` elements, ``status`` is
+        asked about its extensions by each later element in universe order,
+        and an Unknown one is yielded there.  Each query is a ``_Query``
+        prepared from its kept parent's numbers and mask with one OR and a
+        tuple concatenation."""
+        ground = self._ground(sig)
+        ground.prepare(universe, False)  # numbers the universe, reducing its quantified sentences
+        items = [ground.prepared[id(f)] for f in universe]
+        numbers, reduced, mask = ground.prepare([*head, *tail], require_qe)
+        # a reduced query ends in the naming constraints, as a reduced frame does
+        naming, _, naming_mask = ground.prepare((), not reduced)
+        tails = (numbers[len(head) :], 0), (numbers[len(head) :] + naming, naming_mask)
+        stack = [((), 0, numbers[: len(head)], mask, reduced)]
+        while stack:
+            subset, start, numbers, mask, reduced = stack.pop()
+            yield subset, CONSISTENT
+            if max_size is not None and len(subset) >= max_size:
+                continue
+            for i in range(start, len(items)):
+                f, _, _, qf, n, bit = items[i]
+                qe = reduced or not qf
+                ext, ext_numbers, ext_mask = subset + (f,), numbers + (n,), mask | bit
+                rest, extra = tails[qe]
+                query = _Query((*head, *ext, *tail))
+                query.ground, query.prepared = ground, (ext_numbers + rest, qe, ext_mask | extra)
+                status = self.status(query, sig, require_qe=require_qe)
+                if status == CONSISTENT:
+                    stack.append((ext, i + 1, ext_numbers, ext_mask, qe))
+                elif status == UNKNOWN:
+                    yield ext, UNKNOWN
+
     def _search(self, ground: _Ground, numbers: tuple) -> OracleVerdict:
         """Search on the numbered sentences, in order; a satisfying path's
         witness is its ground's one for the path's model."""
@@ -723,18 +754,15 @@ def _maximal_sets_agree(psi1, psi0, subs, max_size, sig, session) -> bool:
     """Whether psi1 is consistent with each maximal psi0-consistent set of
     at most ``max_size`` of the ``subs``, every status decided; or psi0 is
     refuted, so that no set is psi0-consistent."""
-    statuses = [session.status([psi0], sig)]
-
-    def keep(ext):
-        statuses.append(session.status([psi0, *ext], sig))
-        return statuses[-1] == CONSISTENT
-
-    if statuses[0] != CONSISTENT:
-        return statuses[0] == INCONSISTENT
-    walk = list(kept_subsets(subs, keep, max_size))
+    status = session.status([psi0], sig)
+    if status != CONSISTENT:
+        return status == INCONSISTENT
+    walk = dict(session.kept_subsets(subs, sig, head=(psi0,), max_size=max_size))
+    if UNKNOWN in walk.values():
+        return False
     # the walk stops at max_size, so a set of that size is maximal too
     below = {s - {f} for s in map(frozenset, walk) for f in s}
-    return UNKNOWN not in statuses and all(
+    return all(
         session.status([psi1, *m], sig) == CONSISTENT for m in walk if frozenset(m) not in below
     )
 
@@ -889,9 +917,6 @@ def materialize_compactness_property(
     session = _session(budget, session)
     budget = session.budget
 
-    def consistent(sentences) -> bool:
-        return _decided(session.status(sentences, work_sig), "materializing") == CONSISTENT
-
     # each distinct sentence of the family gets a bit, first seen first, and
     # a member is the mask of its sentences
     sentences, renders, numbers = [], [], {}
@@ -922,10 +947,11 @@ def materialize_compactness_property(
             (f for f in reachable if syntax.conjuncts(f) not in drop_keys),
             key=syntax.render,
         )
-        if not consistent([anchor]):
+        if _decided(session.status([anchor], work_sig), "materializing") != CONSISTENT:
             continue
         # the universe is canonical and free of reflexive equalities
-        for subset in kept_subsets(universe, lambda ext: consistent([*ext, anchor])):
+        for subset, status in session.kept_subsets(universe, work_sig, tail=(anchor,)):
+            _decided(status, "materializing")
             family_sets.add(psi_bit | sum(map(bit, subset)))
             if len(family_sets) > budget.max_members:
                 raise ResourceBudgetError("member budget exceeded during materialization")
@@ -957,7 +983,8 @@ def materialize_compactness_property(
                 if chosen is None:
                     row = list(ids)
                     bisect.insort(row, option.bit_length() - 1, key=renders.__getitem__)
-                    if consistent([sentences[i] for i in row]):
+                    status = session.status([sentences[i] for i in row], work_sig)
+                    if _decided(status, "materializing") == CONSISTENT:
                         chosen = ext, row
             if fulfilled:
                 continue

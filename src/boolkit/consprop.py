@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import bvmodel, compact, syntax
 from .balg import Poset, bit_positions, holder_masks, ro_completion
-from .errors import BoolkitError, ConstructionFailure, ResourceBudgetError
+from .errors import BoolkitError, ConstructionFailure
 from .syntax import And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature
 
 
@@ -384,21 +384,17 @@ def saturate_theory(
     """
     base = list(theory)
     session = compact.OracleSession(budget)
-
-    def consistent(subset) -> bool:
-        # the new sentences go last, where the session looks first for the
-        # one a cached witness lacks
-        status = session.status(base + list(subset), sig, require_qe=True)
-        if status == compact.UNKNOWN:
-            raise ResourceBudgetError("oracle unknown while saturating the theory")
-        return status == compact.CONSISTENT
-
-    if not consistent(()):
+    doing = "saturating the theory"
+    if compact._decided(session.status(base, sig, require_qe=True), doing) != compact.CONSISTENT:
         return ConsistencyProperty(sig, [])
     # the universe is canonical and free of reflexive equalities
     universe = closure_universe(theory, sig, bound)
     position = {f: i for i, f in enumerate(universe)}  # render order, so rows come sorted
-    rows = [[position[f] for f in s] for s in compact.kept_subsets(universe, consistent)]
+    rows = []
+    # the new sentences go last, where ``status`` first looks for one a witness lacks
+    for s, status in session.kept_subsets(universe, sig, head=base, require_qe=True):
+        compact._decided(status, doing)
+        rows.append([position[f] for f in s])
     return ConsistencyProperty.from_rows(sig, universe, rows)
 
 

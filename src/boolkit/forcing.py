@@ -110,16 +110,11 @@ def build_sphi(
     session = compact.OracleSession(budget)
     if session.status([phi], sig) != compact.CONSISTENT:
         raise BoolkitError("target sentence must be Boolean consistent")
-    excluded = []
-
-    def consistent(ext) -> bool:
-        status = session.status(list(ext) + [phi], sig)
-        if status == compact.UNKNOWN:
-            excluded.append(frozenset(ext))
-        return status == compact.CONSISTENT
-
-    walk = compact.kept_subsets(condition_universe(phi, sig), consistent, size_bound)
-    return SPhiPoset(phi, sig, frozenset(map(frozenset, walk)), tuple(excluded))
+    conditions, excluded = [], []
+    walk = session.kept_subsets(condition_universe(phi, sig), sig, tail=(phi,), max_size=size_bound)
+    for s, status in walk:
+        (conditions if status == compact.CONSISTENT else excluded).append(frozenset(s))
+    return SPhiPoset(phi, sig, frozenset(conditions), tuple(excluded))
 
 
 @dataclass(frozen=True)

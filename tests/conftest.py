@@ -55,7 +55,11 @@ def replayed_refutations():
     def audited(self, theory, sig, require_qe=False):
         answer = status(self, theory, sig, require_qe)
         ground = self._ground(sig)
-        numbers = ground.prepare(theory, require_qe)[0]
+        # re-prepared from the formulas, so that no number or mask a kept-subset
+        # walk carried is taken on trust
+        fresh = ground.prepare(list(theory), require_qe)
+        assert ground.prepare(theory, require_qe) == fresh, [syntax.render(f) for f in theory]
+        numbers = fresh[0]
         sentences = [ground.sentences[n] for n in numbers]
         rendered = [syntax.render(f) for f in sentences]
         if answer == compact.CONSISTENT:
@@ -1082,6 +1086,46 @@ def reference_one_pass_filter(p, dense=()):
             current = t
     members = frozenset(s for s in p.conditions if s <= current)
     return members, not any(current < t for t in p.conditions)
+
+
+def kept_subsets(universe, keep, max_size=None):
+    """The stateless downward-closed walk that ``OracleSession.kept_subsets``
+    replaced, as it was: yield the empty tuple, and depth first each kept
+    subset, as a tuple in universe order.  After yielding a subset of fewer
+    than ``max_size`` elements, ``keep`` is asked about its extensions by
+    each later element in universe order."""
+    stack = [((), 0)]
+    while stack:
+        subset, start = stack.pop()
+        yield subset
+        if max_size is not None and len(subset) >= max_size:
+            continue
+        for i in range(start, len(universe)):
+            ext = subset + (universe[i],)
+            if keep(ext):
+                stack.append((ext, i + 1))
+
+
+def reference_kept_subsets(
+    session, universe, sig, head=(), tail=(), max_size=None, require_qe=False
+):
+    """``OracleSession.kept_subsets`` by the replaced walk: ``keep`` asks
+    ``status`` about [*head, *ext, *tail] as a plain list, and an Unknown
+    extension is yielded when asked, and not kept."""
+    unknown = []
+
+    def keep(ext):
+        answer = session.status([*head, *ext, *tail], sig, require_qe=require_qe)
+        if answer == compact.UNKNOWN:
+            unknown.append(ext)
+        return answer == compact.CONSISTENT
+
+    for subset in kept_subsets(universe, keep, max_size):
+        while unknown:
+            yield unknown.pop(0), compact.UNKNOWN
+        yield subset, compact.CONSISTENT
+    while unknown:
+        yield unknown.pop(0), compact.UNKNOWN
 
 
 def reference_conservativity(psi1, psi0, sig, budget=compact.DEFAULT_BUDGET):

@@ -41,11 +41,19 @@ from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Th
 from conftest import (
     _ReferenceClosure,
     brute_force_satisfiable,
+    kept_subsets,
+    random_sentence,
     reference_conservativity,
+    reference_kept_subsets,
     reference_search,
     reference_witness,
 )
-from test_acceptance import _genericity_dense_sets, _genericity_instances, _ground_theories
+from test_acceptance import (
+    _compactness_families,
+    _genericity_dense_sets,
+    _genericity_instances,
+    _ground_theories,
+)
 from test_forcing import TARGETS, _full_poset, _target, _target_poset
 from test_forcing import _dense_sets as _forcing_dense_sets
 
@@ -1203,7 +1211,7 @@ class TestKeptSubsets:
             asked.append(ext)
             return sum(ext) <= 6
 
-        got = list(compact.kept_subsets(universe, keep))
+        got = list(kept_subsets(universe, keep))
         expected = [
             c for k in range(7) for c in itertools.combinations(universe, k) if sum(c) <= 6
         ]
@@ -1213,7 +1221,7 @@ class TestKeptSubsets:
         assert sorted(asked) == sorted(
             s + (i,) for s in got for i in universe if not s or i > s[-1]
         )
-        assert list(compact.kept_subsets(universe, lambda ext: True, 1)) == [
+        assert list(kept_subsets(universe, lambda ext: True, 1)) == [
             (), (5,), (4,), (3,), (2,), (1,), (0,)
         ]
 
@@ -1285,3 +1293,71 @@ class TestKeptSubsets:
     @pytest.mark.parametrize("name", sorted(WALK_COUNTERS))
     def test_walk_session_counters(self, name, monkeypatch):
         assert self._walk(name, monkeypatch)[1] == self.WALK_COUNTERS[name]
+
+    class _Recorded(OracleSession):
+        """A session that keeps each status query, rendered, with its answer."""
+
+        def __init__(self, budget=compact.DEFAULT_BUDGET):
+            super().__init__(budget)
+            self.stream = []
+
+        def status(self, theory, sig, require_qe=False):
+            answer = super().status(theory, sig, require_qe)
+            self.stream.append(([syntax.render(f) for f in theory], answer))
+            return answer
+
+    DIFF_SIG = Signature(
+        relations={"P": 1, "R": 2}, base_constants={"a", "b"}, fresh_constants={"e"}
+    )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_session_walk_asks_as_the_replaced_walk(self, seed):
+        rng, sig = random.Random(seed), self.DIFF_SIG
+        seen = {"kept": 0, "unknown": 0, "plain frame": 0, "reduced frame": 0}
+        for _ in range(15):
+            sentences = [random_sentence(sig, rng, 2) for _ in range(9)]
+            quantified = [f for f in sentences if not syntax.is_quantifier_free(f)]
+            plain = [f for f in sentences if syntax.is_quantifier_free(f)]
+            universe = plain[:4] + quantified[:2]
+            rng.shuffle(universe)
+            head, tail = plain[4 : 4 + rng.randint(0, 1)], quantified[2 : 2 + rng.randint(0, 1)]
+            require_qe, max_size = rng.random() < 0.5, rng.choice([None, 1, 2, 3])
+            budget = Budget(oracle_nodes=rng.choice([2, 3, 200_000]))
+            runs = []
+            for walk in (OracleSession.kept_subsets, reference_kept_subsets):
+                session = self._Recorded(budget)
+                root = session.status([*head, *tail], sig, require_qe=require_qe)
+                got = []
+                if root == CONSISTENT:
+                    got = list(walk(session, universe, sig, head, tail, max_size, require_qe))
+                runs.append((got, session.stream, session.counters()))
+            assert runs[0] == runs[1]
+            got = runs[0][0]
+            seen["kept"] += sum(status == CONSISTENT for _, status in got)
+            seen["unknown"] += sum(status == UNKNOWN for _, status in got)
+            # a plain frame's walk turns reduced at its quantified sentences
+            seen["reduced frame" if require_qe or tail else "plain frame"] += bool(got)
+        # each seed walks kept and Unknown sets, from either frame
+        assert min(seen.values()) > 0, seen
+
+    def test_a_quantifier_free_sentence_is_its_own_ground_sentence(self):
+        # the walk carries a quantifier-free sentence's own number into a
+        # reduced query, which ``qe_transform`` of it must not change
+        rng, sig = random.Random(3), self.DIFF_SIG
+        plain = [syntax.canon(random_sentence(sig, rng, 3)) for _ in range(300)]
+        plain = [f for f in plain if syntax.is_quantifier_free(f)]
+        assert len(plain) > 50
+        assert all(syntax.canon(syntax.qe_transform(f, sig)) == f for f in plain)
+
+    def test_materialization_raises_at_the_walk_query_left_unknown(self):
+        # the criterion-8 family {R a, not a = b, R a or R b} under a 3-node
+        # cap: the anchor walk meets an undecided set at the 37th query, as
+        # the stateless walk did
+        sig, gens = _compactness_families()[3]
+        session = self._Recorded(Budget(oracle_nodes=3))
+        with pytest.raises(ResourceBudgetError, match="^oracle unknown while materializing$"):
+            materialize_compactness_property(conjunction_closure(gens), sig, session=session)
+        assert session.stream[-1] == (
+            ["(R a)", "(R b)", "(and (not (= a b)) (or (R a) (R b)))"], UNKNOWN
+        )
+        assert tuple(session.counters().values()) == (37, 6, 0, 17, 14, 38)

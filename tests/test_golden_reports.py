@@ -62,6 +62,7 @@ FORCING = [
 # most conditions are decided by the session's witnesses and refuted subsets,
 # and the rest are excluded as unknown
 FORCING_CAPPED = "103943c67ca55bb1261fedf4fe52d9e50f1b64b058d1becb6dbcdbc6c5e32bce"
+FORCING_CAPPED_EXCLUDED = "373a20af7f1f49721a32f3dcf046b9ad5110abdd17f29830a0988eef4aee988f"
 
 PROOF_CHECK = "d8c13c8064e6aaf06119e8b02bcbdbc501d131e0c9e1e949cf181a874b5b1714"
 
@@ -164,6 +165,19 @@ def test_a_capped_forcing_build_report_is_pinned(tmp_path):
     )
     assert json.loads(text)["excluded_unknown"] > 0
     assert _digest(code, text) == FORCING_CAPPED
+
+
+def test_a_capped_forcing_build_excludes_the_pinned_sets():
+    # the report above counts the sets left Unknown; this pins which, in the
+    # order the walk asked about them, each as its sorted renderings
+    sig = Signature(relations={}, base_constants={"cw", "c0", "c1", "c2"})
+    phi = Or(tuple(Eq("cw", c) for c in ("c0", "c1", "c2")))
+    size_bound = len(forcing.condition_universe(phi, sig))
+    poset = forcing.build_sphi(phi, sig, size_bound, compact.Budget(oracle_nodes=4))
+    excluded = [sorted(syntax.render(f) for f in s) for s in poset.excluded_unknown]
+    assert len(excluded) == 1020
+    assert excluded[0] == ["(not (= c0 cw))", "(not (= c1 cw))", "(not (= c2 cw))"]
+    assert hashlib.sha256(json.dumps(excluded).encode()).hexdigest() == FORCING_CAPPED_EXCLUDED
 
 
 def test_proof_check_reports_are_pinned(tmp_path):
