@@ -17,7 +17,10 @@ the criterion-7 saturated properties and of the properties materialized
 from the criterion-8 families, and ``validate-model`` on seeded random
 B-valued models and on three single-entry mutants of each (an equality
 entry or a relation entry given a random value, a relation entry deleted),
-whose reports name up to five violations.  Last come ``materialize`` lines,
+whose reports name up to five violations.  Then come ``quotient`` lines,
+one per ultrafilter, and ``mixing`` lines, with and without
+``--complete``, on seeded random models over a signature with a nullary,
+a unary and a binary relation.  Last come ``materialize`` lines,
 which run no CLI call: for each criterion-8 family and each family that the
 criterion-10 demonstration materializes, the member count and the sha256
 of the materialized property's JSON.  After them come ``parse`` and ``qe``
@@ -197,6 +200,17 @@ def digests(work: Path):
         del missing["rel"][name][rng.choice(sorted(doc["rel"][name]))]
         for model in (doc, eq_mutant, rel_mutant, missing):
             report("validate-model", model, ["validate-model", "--model", write("model.json", model)])
+
+    rng = random.Random(31)
+    mixing_sig = syntax.Signature(relations={"P": 0, "R": 1, "S": 2}, base_constants={"c0", "c1"})
+    for _ in range(50):
+        doc = bvmodel.model_to_json(bvmodel.random_model(mixing_sig, rng))
+        path = write("model.json", doc)
+        for i in range(len(doc["algebra"]["atoms"])):
+            report("quotient", dict(doc, ultrafilter=i),
+                   ["quotient", "--model", path, "--ultrafilter", str(i)])
+        for flags in ([], ["--complete"]):
+            report("mixing", dict(doc, complete=bool(flags)), ["mixing", "--model", path, *flags])
 
     families = [(sig, compact.conjunction_closure(gens)) for sig, gens in _compactness_families()]
     for sig, family in families + _star_families():
