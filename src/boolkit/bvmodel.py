@@ -45,6 +45,25 @@ class BValuedModel:
         if not report.ok:
             raise BoolkitError(f"invalid B-valued model: {report.violations[0]}")
 
+    @classmethod
+    def tabulate(cls, algebra, domain, relations, eq_value, rel_value, consts) -> "BValuedModel":
+        """The validated model whose ``eq`` holds ``eq_value(x, y)`` for every
+        ordered domain pair and whose table of each relation (``relations``
+        maps a name to its arity) holds ``rel_value(name, xs)`` for every
+        domain tuple of its arity: the one layout of a model's tables."""
+        domain = tuple(domain)
+        eq = {(x, y): eq_value(x, y) for x in domain for y in domain}
+        rel = {
+            name: {xs: rel_value(name, xs) for xs in itertools.product(domain, repeat=arity)}
+            for name, arity in relations.items()
+        }
+        return cls(algebra, domain, eq, rel, consts)
+
+    @property
+    def relations(self) -> dict:
+        """Each relation's name and arity, read off its table's keys."""
+        return {name: len(next(iter(table))) if table else 0 for name, table in self.rel.items()}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -91,8 +110,8 @@ def _violations(m: BValuedModel):
             for d in domain:
                 if ac & eq[(c, d)] & ~eq[(a, d)]:
                     yield ("transitivity", a, c, d)
-    for name, table in m.rel.items():
-        arity = len(next(iter(table))) if table else 0
+    for name, arity in m.relations.items():
+        table = m.rel[name]
         tuples = list(itertools.product(domain, repeat=arity))
         for xs in tuples:
             if not m.algebra.is_element(table.get(xs)):
@@ -142,20 +161,11 @@ def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValu
             ra, rb = find(f.left), find(f.right)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-    b = FiniteBooleanAlgebra(1)
-    domain = tuple(sorted({find(c) for c in constants}))
-    eq = {(x, y): (b.one if x == y else 0) for x in domain for y in domain}
-    rel = {
-        name: dict.fromkeys(itertools.product(domain, repeat=arity), 0)
-        for name, arity in relations.items()
-    }
-    for f in literals:
-        if isinstance(f, Atom):
-            rel[f.rel][tuple(map(find, f.args))] = b.one
+    true = {(f.rel, tuple(map(find, f.args))) for f in literals if isinstance(f, Atom)}
 
     def made_true(g):
         if isinstance(g, Atom):
-            return rel[g.rel][tuple(map(find, g.args))] == b.one
+            return (g.rel, tuple(map(find, g.args))) in true
         return isinstance(g, Eq) and find(g.left) == find(g.right)
 
     false = [f for f in literals if isinstance(f, Not) and made_true(f.body)]
@@ -164,7 +174,17 @@ def two_valued_model(constants, relations: Mapping[str, int], literals) -> BValu
         if isinstance(f.body, Atom):
             raise BoolkitError(f"relations ill-defined on classes: {syntax.render(f)}")
         raise BoolkitError(f"equality classes contradict {syntax.render(f)}")
-    return BValuedModel(b, domain, eq, rel, {c: find(c) for c in constants})
+    return tarski_model({c: find(c) for c in constants}, relations, true)
+
+
+def tarski_model(consts: Mapping, relations: Mapping[str, int], true) -> BValuedModel:
+    """The two-valued structure on the sorted values of ``consts`` (constant
+    -> element), each relation holding exactly on the (name, tuple) pairs in
+    ``true``."""
+    return BValuedModel.tabulate(
+        FiniteBooleanAlgebra(1), sorted(set(consts.values())), relations,
+        lambda x, y: 1 if x == y else 0, lambda name, xs: 1 if (name, xs) in true else 0, consts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +302,13 @@ def quotient_model(m: BValuedModel, f: Filter) -> BValuedModel:
         else:
             reps.append(x)
             cls[x] = x
-    new_domain = tuple(f"[{r}]" for r in reps)
-    label = {r: f"[{r}]" for r in reps}
-    eq = {}
-    for a in reps:
-        for c in reps:
-            eq[(label[a], label[c])] = project(m.eq[(a, c)])
-    rel = {}
-    for name, table in m.rel.items():
-        arity = len(next(iter(table))) if table else 0
-        new_table = {}
-        for xs in itertools.product(reps, repeat=arity):
-            new_table[tuple(label[x] for x in xs)] = project(table[xs])
-        rel[name] = new_table
-    consts = {name: label[cls[elem]] for name, elem in m.consts.items()}
-    return BValuedModel(quotient, new_domain, eq, rel, consts)
+    rep = {f"[{r}]": r for r in reps}
+    return BValuedModel.tabulate(
+        quotient, rep, m.relations,
+        lambda a, c: project(m.eq[(rep[a], rep[c])]),
+        lambda name, xs: project(m.rel[name][tuple(map(rep.__getitem__, xs))]),
+        {name: f"[{cls[elem]}]" for name, elem in m.consts.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,28 +399,19 @@ def mixing_completion(m: BValuedModel) -> BValuedModel:
     atoms = b.atoms()
     if (len(m.domain) ** len(atoms)) ** 2 > 4 * 10**6:
         raise ResourceBudgetError("mixing completion would exceed the size cap")
-    maps = [tuple(combo) for combo in itertools.product(m.domain, repeat=len(atoms))]
-    new_domain = tuple(maps)
-    eq = {}
-    for s in maps:
-        for t in maps:
-            value = 0
-            for i, a in enumerate(atoms):
-                value |= a & m.eq[(s[i], t[i])]
-            eq[(s, t)] = value
-    rel = {}
-    for name, table in m.rel.items():
-        arity = len(next(iter(table))) if table else 0
-        new_table = {}
-        for ss in itertools.product(maps, repeat=arity):
-            value = 0
-            for i, a in enumerate(atoms):
-                value |= a & table[tuple(s[i] for s in ss)]
-            new_table[ss] = value
-        rel[name] = new_table
-    embed = {x: tuple(x for _ in atoms) for x in m.domain}
-    consts = {name: embed[elem] for name, elem in m.consts.items()}
-    return BValuedModel(b, new_domain, eq, rel, consts)
+    # the atoms are disjoint, so a sum of their parts is their join; a
+    # nullary relation's one entry is read at every atom
+    nullary = [()] * len(atoms)
+
+    def lift(table, columns):
+        return sum(map(int.__and__, atoms, map(table.__getitem__, columns)))
+
+    return BValuedModel.tabulate(
+        b, itertools.product(m.domain, repeat=len(atoms)), m.relations,
+        lambda s, t: lift(m.eq, zip(s, t)),
+        lambda name, ss: lift(m.rel[name], zip(*ss) if ss else nullary),
+        {name: (elem,) * len(atoms) for name, elem in m.consts.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +490,8 @@ def model_to_json(m: BValuedModel) -> dict:
         [bits_to_string(m.eq[(a, b)], k) for b in m.domain] for a in m.domain
     ]
     rel = {}
-    for name in sorted(m.rel):
+    for name, arity in sorted(m.relations.items()):
         table = m.rel[name]
-        arity = len(next(iter(table))) if table else 0
         entries = {}
         for combo in itertools.product(m.domain, repeat=arity):
             entries[" ".join(str(x) for x in combo)] = bits_to_string(table[combo], k)

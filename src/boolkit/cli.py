@@ -200,10 +200,7 @@ def _cmd_eval(args, config):
 
 
 def _model_signature(m: bvmodel.BValuedModel) -> Signature:
-    relations = {}
-    for name, table in m.rel.items():
-        relations[name] = len(next(iter(table))) if table else 0
-    return Signature(relations=relations, base_constants=set(m.consts))
+    return Signature(relations=m.relations, base_constants=set(m.consts))
 
 
 def _cmd_validate_model(args, config):

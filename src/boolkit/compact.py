@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bvmodel, syntax
-from .balg import FiniteBooleanAlgebra, bit_positions, ultrafilters
+from .balg import bit_positions, ultrafilters
 from .certify import replay_certificate  # noqa: F401 (re-exported)
 from .errors import BoolkitError, ConstructionFailure, ResourceBudgetError, SignatureError
 from .syntax import And, Atom, Eq, Formula, Not, Or, Signature, Theory
@@ -343,9 +343,10 @@ class _Ground:
     def __init__(self, sig: Signature):
         self.sig = sig
         self.constants = sorted(sig.constants) or ["_unit"]
-        # id(sentence) -> [sentence, canonical number, its bit, quantifier
-        # free, ground number or None, its bit]; keyed by identity, as a run
-        # passes the same objects again and again
+        self.declared = sig.constants  # the constants a sentence may name
+        # id(sentence) -> (sentence, ground number, its bit, quantifier
+        # free); keyed by identity, as a run passes the same objects again
+        # and again
         self.prepared = {}
         self.sentences = []  # number -> prepared sentence
         self.numbers = {}  # prepared sentence -> its number
@@ -372,7 +373,7 @@ class _Ground:
         return root
 
     def _compile(self, formulas, sign: bool) -> list:
-        out, memo = [], self.nodes
+        out, memo, declared = [], self.nodes, self.declared
         for f in formulas:
             polarity = sign
             while type(f) is Not:
@@ -383,8 +384,12 @@ class _Ground:
                 kind = type(f)
                 if kind is Eq:
                     a, b = f.left, f.right
+                    if a not in declared or b not in declared:
+                        raise SignatureError(f"undeclared term in {syntax.render(f)}")
                     node = ("eq", polarity, ("eq", a, b) if a <= b else ("eq", b, a))
                 elif kind is Atom:
+                    if not declared.issuperset(f.args):
+                        raise SignatureError(f"undeclared term in {syntax.render(f)}")
                     node = ("rel", polarity, ("rel", f.rel, f.args))
                 elif kind is And or kind is Or:
                     kind = "and" if (kind is And) == polarity else "or"
@@ -408,39 +413,35 @@ class _Ground:
     def prepare(self, theory, require_qe: bool) -> tuple:
         """The numbers of the theory's ground sentences as a tuple, whether
         the fresh-constant reduction applied (see ``certify.prepare_ground``,
-        which this reduction must match), and the set's mask.  A walk's
+        which this reduction must match), and the set's mask; a quantified
+        sentence is reduced once, when its entry is made.  A walk's
         ``_Query`` on this ground carries them already."""
         if type(theory) is _Query and theory.ground is self:
             return theory.prepared
         sig, prepared = self.sig, self.prepared
-        entries, key, quantified = [], 0, False
+        numbers, key, reduced = [], 0, require_qe
         for f in theory:
             entry = prepared.get(id(f))
             if entry is None or entry[0] is not f:
                 # a quantifier-free sentence is its own ground sentence, as
                 # ``qe_transform`` of it is a structurally equal copy
                 c = syntax.canon(f)
-                n, qf = self.number(c), syntax.is_quantifier_free(c)
-                entry = prepared[id(f)] = [f, n, 1 << n, qf, n if qf else None, 1 << n if qf else 0]
-            entries.append(entry)
+                qf = syntax.is_quantifier_free(c)
+                if not qf and not sig.fresh_constants:
+                    raise SignatureError("quantified input needs a nonempty fresh-constant pool")
+                if not qf:
+                    c = syntax.canon(syntax.qe_transform(c, sig))
+                n = self.number(c)
+                entry = prepared[id(f)] = (f, n, 1 << n, qf)
+            numbers.append(entry[1])
             key |= entry[2]
-            if not entry[3]:
-                quantified = True
-        if not quantified and not require_qe:
-            return tuple([entry[1] for entry in entries]), False, key
-        if quantified and not sig.fresh_constants:
-            raise SignatureError("quantified input needs a nonempty fresh-constant pool")
-        key = 0
-        for entry in entries:
-            if entry[4] is None:
-                ground = syntax.qe_transform(self.sentences[entry[1]], sig)
-                entry[4] = self.number(syntax.canon(ground))
-                entry[5] = 1 << entry[4]
-            key |= entry[5]
+            reduced = reduced or not entry[3]
+        if not reduced:
+            return tuple(numbers), False, key
         if self.naming is None:
             self.naming = tuple(map(self.number, syntax.naming_constraints(sig)))
             self.naming_mask = sum(1 << n for n in set(self.naming))
-        return tuple([entry[4] for entry in entries]) + self.naming, True, key | self.naming_mask
+        return tuple(numbers) + self.naming, True, key | self.naming_mask
 
     def witness(self, model) -> bvmodel.BValuedModel:
         """The two-valued witness of a path model, built and validated once
@@ -449,17 +450,8 @@ class _Ground:
         witness = self.models.get(model)
         if witness is None:
             reps, true = model
-            b = FiniteBooleanAlgebra(1)
-            domain = sorted(set(reps))
-            eq = {(x, y): b.one if x == y else 0 for x in domain for y in domain}
-            rel = {
-                r: dict.fromkeys(itertools.product(domain, repeat=k), 0)
-                for r, k in self.sig.relations.items()
-            }
-            for r, xs in true:
-                rel[r][xs] = b.one
             consts = dict(zip(self.constants, reps))
-            witness = self.models[model] = bvmodel.BValuedModel(b, domain, eq, rel, consts)
+            witness = self.models[model] = bvmodel.tarski_model(consts, self.sig.relations, true)
         return witness
 
     def held(self, witness, n: int) -> bool:
@@ -597,7 +589,7 @@ class OracleSession:
             if max_size is not None and len(subset) >= max_size:
                 continue
             for i in range(start, len(items)):
-                f, _, _, qf, n, bit = items[i]
+                f, n, bit, qf = items[i]
                 qe = reduced or not qf
                 ext, ext_numbers, ext_mask = subset + (f,), numbers + (n,), mask | bit
                 rest, extra = tails[qe]
@@ -867,10 +859,6 @@ def is_finitely_conservative(
 # the compactness pipeline
 
 
-def big_conjunction(family: Iterable[Formula]) -> Formula:
-    return syntax.canonical(And, {syntax.canon(f) for f in family})
-
-
 def base_generators(family) -> list:
     """Recover a minimal generating set: members whose conjunct set is not
     the union of strictly smaller members' conjunct sets."""
@@ -1034,7 +1022,7 @@ def compactness_run(
         raise BoolkitError(f"family is not finitely conservative: {fincons.reason}")
     prop = materialize_compactness_property(members, sig, session=session)
     model, diagnostics = consprop.model_from_consprop(prop, budget=budget)
-    psi = big_conjunction(members)
+    psi = syntax.canonical(And, set(members))
     value = bvmodel.eval_formula(model, psi, max_steps=budget.eval_steps)
     if value != model.algebra.one:
         raise ConstructionFailure(
@@ -1121,7 +1109,7 @@ def first_order_compactness_demo(
     _decided(verdict.status, "checking the completion")
     # a theory and its single conjunction are interchangeable for Boolean
     # consistency; the singleton generator keeps the materialized family small
-    stars = star_theory(verdict.witness, [big_conjunction(sentences)], sig)
+    stars = star_theory(verdict.witness, [syntax.canonical(And, set(sentences))], sig)
     family = conjunction_closure(stars)
     result = compactness_run(family, sig, session=session)
     model = result.model

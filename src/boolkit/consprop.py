@@ -449,25 +449,13 @@ def model_from_consprop(
         mask = 0 if i is None else holders[i]
         return sum(1 << j for j, r in enumerate(ro.minimal) if mask >> r & 1)
 
-    domain = tuple(consts)
-    eq = {}
-    for a in consts:
-        for b in consts:
-            if a == b:
-                eq[(a, b)] = algebra.one
-            else:
-                key = (a, b) if a <= b else (b, a)
-                eq[(a, b)] = value_of(Eq(*key))
-    rel = {}
-    for name, arity in sig.relations.items():
-        table = {}
-        for combo in itertools.product(consts, repeat=arity):
-            table[combo] = value_of(Atom(name, combo))
-        rel[name] = table
-    consts_map = {c: c for c in consts}
-
     try:
-        model = bvmodel.BValuedModel(algebra, domain, eq, rel, consts_map)
+        model = bvmodel.BValuedModel.tabulate(
+            algebra, consts, sig.relations,
+            lambda a, b: algebra.one if a == b else value_of(Eq(*sorted((a, b)))),
+            lambda name, xs: value_of(Atom(name, xs)),
+            {c: c for c in consts},
+        )
     except BoolkitError as exc:
         raise ConstructionFailure(f"congruence validation failed: {exc}") from exc
 

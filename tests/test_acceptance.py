@@ -18,7 +18,6 @@ from boolkit.bvmodel import (
 from boolkit.compact import (
     CONSISTENT,
     INCONSISTENT,
-    big_conjunction,
     compactness_run,
     conjunction_closure,
     consistency_oracle,
@@ -388,7 +387,7 @@ def _star_families():
     for sig, theory in _ground_theories():
         sentences = [syntax.canon(f) for f in theory]
         witness = consistency_oracle(lindenbaum_complete(sentences, sig), sig).witness
-        stars = star_theory(witness, [big_conjunction(sentences)], sig)
+        stars = star_theory(witness, [syntax.canonical(And, set(sentences))], sig)
         out.append((sig, conjunction_closure(stars)))
     return out
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolkit import bvmodel, syntax
+from boolkit import bvmodel, compact, syntax
 from boolkit.balg import FiniteBooleanAlgebra, Filter, ultrafilters
 from boolkit.bvmodel import (
     BValuedModel,
@@ -514,3 +514,54 @@ class TestTwoValuedModel:
         ]
         outputs = {run.communicate(timeout=60)[0] for run in runs}
         assert outputs == {"relations ill-defined on classes: (not (P b))\n"}
+
+
+class TestTabulate:
+    RELATIONS = {"P": 0, "R": 1, "S": 2, "T": 3}
+
+    def test_every_table_covers_every_domain_tuple(self):
+        seen = []
+        m = BValuedModel.tabulate(
+            FiniteBooleanAlgebra(1), ("x", "y", "z"), self.RELATIONS,
+            lambda a, c: int(a == c), lambda name, xs: seen.append((name, xs)) or 0, {"c": "y"},
+        )
+        assert set(m.eq) == set(itertools.product(m.domain, repeat=2))
+        for name, arity in self.RELATIONS.items():
+            assert list(m.rel[name]) == list(itertools.product(m.domain, repeat=arity))
+        assert m.rel["P"] == {(): 0}
+        assert seen == [(name, xs) for name in m.rel for xs in m.rel[name]]
+        assert m.relations == self.RELATIONS
+
+    def test_quotients_and_completions_cover_every_tuple(self):
+        sig = Signature(relations={"P": 0, "R": 1, "S": 2}, base_constants={"c0", "c1"})
+        rng = random.Random(11)
+        for _ in range(40):
+            m = random_model(sig, rng)
+            models = [mixing_completion(m)] + [quotient_model(m, u) for u in ultrafilters(m.algebra)]
+            for out in models:
+                assert set(out.eq) == set(itertools.product(out.domain, repeat=2))
+                for name, arity in sig.relations.items():
+                    assert set(out.rel[name]) == set(itertools.product(out.domain, repeat=arity))
+            # the completion keeps the nullary value; a quotient projects it
+            assert models[0].rel["P"][()] == m.rel["P"][()]
+
+    def test_the_oracle_witness_is_the_two_valued_model_of_its_classes(self):
+        sig = Signature(relations=self.RELATIONS, base_constants={"a", "b", "c", "d"})
+        constants = sorted(sig.constants)
+        rng = random.Random(3)
+        for _ in range(30):
+            reps = {}
+            for i, c in enumerate(constants):  # join an earlier class, or start one
+                j = rng.randrange(i + 1)
+                reps[c] = reps[constants[j]] if j < i else c
+            domain = sorted(set(reps.values()))
+            true = frozenset(
+                (name, xs)
+                for name, arity in sig.relations.items()
+                for xs in itertools.product(domain, repeat=arity)
+                if rng.random() < 0.3
+            )
+            witness = compact._Ground(sig).witness((tuple(reps.values()), true))
+            literals = [Eq(c, r) for c, r in reps.items()] + [Atom(name, xs) for name, xs in true]
+            expected = bvmodel.two_valued_model(constants, sig.relations, literals)
+            assert model_to_json(witness) == model_to_json(expected)

@@ -34,7 +34,7 @@ from boolkit.compact import (
     replay_certificate,
     star_theory,
 )
-from boolkit.errors import BoolkitError, ResourceBudgetError
+from boolkit.errors import BoolkitError, ResourceBudgetError, SignatureError
 from boolkit.forcing import build_sphi, genericity_sentence
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature, Theory
 
@@ -201,6 +201,14 @@ class TestOracle:
         sig = Signature(relations={"R": 1}, base_constants={"d"})
         with pytest.raises(BoolkitError):
             consistency_oracle([Exists(("?x",), Atom("R", ("?x",)))], sig)
+
+    @pytest.mark.parametrize("require_qe", [False, True])
+    def test_a_term_that_is_no_declared_constant_raises(self, require_qe):
+        for f in (Eq("?x", "a"), Atom("R", ("d",)), And((Atom("R", ("a",)), Eq("a", "?y")))):
+            with pytest.raises(SignatureError, match="undeclared term"):
+                consistency_oracle([f], SIG, require_qe=require_qe)
+            with pytest.raises(SignatureError, match="undeclared term"):
+                OracleSession().status([Atom("R", ("a",)), f], SIG, require_qe=require_qe)
 
 
 class TestSearchTree:
