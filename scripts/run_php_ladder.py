@@ -3,13 +3,17 @@
 PHP(n) says that n+1 pairwise distinct pigeons each equal one of n holes,
 which is inconsistent for every n.  For each n this prints one JSON line:
 the status, ``budget_used``, the certificate's node count (null when there
-is no certificate) and whether ``replay_certificate`` accepts it.
+is no certificate), whether ``replay_certificate`` accepts it, and the
+wall-clock ``seconds`` of the ``consistency_oracle`` call alone (the replay
+is not timed) with the ``nodes_per_s`` (``budget_used`` / ``seconds``) they
+give.  The two timings vary from run to run; the other fields do not.
 
     PYTHONPATH=src python3 scripts/run_php_ladder.py [--min-n 3] [--max-n 8]
 """
 import argparse
 import itertools
 import json
+import time
 
 from boolkit.compact import DEFAULT_BUDGET, consistency_oracle, replay_certificate
 from boolkit.syntax import Eq, Not, Or, Signature
@@ -42,7 +46,9 @@ def main():
 
     for n in range(args.min_n, args.max_n + 1):
         sentences, sig = pigeonhole(n)
+        start = time.perf_counter()
         verdict = consistency_oracle(sentences, sig)
+        seconds = time.perf_counter() - start
         certificate = verdict.certificate
         print(json.dumps({
             "n": n,
@@ -51,6 +57,8 @@ def main():
             "node_cap": DEFAULT_BUDGET.oracle_nodes,
             "certificate_nodes": None if certificate is None else certificate_nodes(certificate),
             "replayed": None if certificate is None else replay_certificate(certificate, sentences, sig),
+            "seconds": round(seconds, 4),
+            "nodes_per_s": round(verdict.budget_used / seconds),
         }), flush=True)
 
 

@@ -176,7 +176,10 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
     leaf closed by the clash.  A node evaluates only the sentences its
     parent left undecided (a strong-Kleene value holds on every extension
     of the path), each shared compiled node once, in one pass that also
-    finds the units."""
+    finds the units.  An undecided ``or`` sentence passes to the nodes
+    below only its residual ``["or", children, None]``, less the leaves
+    false on the path: an inner child stays, false or not, as ``first`` may
+    pick an undecided leaf inside it, so the residual branches alike."""
     closure = _PathClosure(constants)
     rep, diseq = closure.rep, closure.diseq
     rel_true = rel_false = None
@@ -247,8 +250,32 @@ def _ground_search(constants, node_cap: int, pending: list) -> tuple:
             if kind == "eq":
                 a, b = rep[y[1]], rep[y[2]]
                 v = x if a == b else (not x) if b in diseq[a] else f
-            else:
+            elif kind != "or" or y in values:
                 v = value(f)
+            else:  # value's ``or`` loop, which also drops the false leaves
+                v, live = False, None  # live: the residual's children, once one is dropped
+                for child in x:
+                    k, cx, cy = child
+                    if k == "eq":
+                        a, b = rep[cy[1]], rep[cy[2]]
+                        w = cx if a == b else (not cx) if b in diseq[a] else child
+                    else:
+                        w = value(child)
+                    if w is True:
+                        v = True
+                        break
+                    if w is False and type(child) is tuple:
+                        if live is None:  # x.index finds it: an equal leaf before it is false too
+                            live = x[: x.index(child)]
+                        continue
+                    if live is not None:
+                        live.append(child)
+                    if w is not False:
+                        v = w if v is False else None
+                if y is not None:
+                    values[y] = v
+                if live is not None:
+                    f = ["or", live, None]
             if v is False:
                 return {"conflict": {"kind": "sentence", "index": i}}
             if v is not True:
@@ -460,7 +487,11 @@ class _Ground:
         memo = (id(witness), n)
         value = self.holds.get(memo)
         if value is None:
-            value = self.holds[memo] = bvmodel.holds(witness, self.sentences[n])
+            try:
+                value = self.holds[memo] = bvmodel.holds(witness, self.sentences[n])
+            except BoolkitError:
+                self.compiled(n)  # an undeclared term raises the search's SignatureError
+                raise
         return value
 
     def record(self, key: int, verdict: OracleVerdict) -> None:
@@ -961,12 +992,10 @@ def materialize_compactness_property(
         for _clause, need, options in of(ids):
             if options and not options[0] & ~s:
                 continue  # met by the member itself
-            fulfilled = False
             chosen = None
             for option in options:
                 ext = s | option
                 if ext in rows:
-                    fulfilled = True
                     break
                 if chosen is None:
                     row = list(ids)
@@ -974,17 +1003,16 @@ def materialize_compactness_property(
                     status = session.status([sentences[i] for i in row], work_sig)
                     if _decided(status, "materializing") == CONSISTENT:
                         chosen = ext, row
-            if fulfilled:
-                continue
-            if chosen is None:
-                raise ConstructionFailure(
-                    f"no consistent extension for obligation: {need}",
-                    counterexample=[renders[i] for i in ids],
-                )
-            rows[chosen[0]] = chosen[1]
-            queue.append(chosen[0])
-            if len(rows) > budget.max_members:
-                raise ResourceBudgetError("member budget exceeded during closure")
+            else:
+                if chosen is None:
+                    raise ConstructionFailure(
+                        f"no consistent extension for obligation: {need}",
+                        counterexample=[renders[i] for i in ids],
+                    )
+                rows[chosen[0]] = chosen[1]
+                queue.append(chosen[0])
+                if len(rows) > budget.max_members:
+                    raise ResourceBudgetError("member budget exceeded during closure")
     return consprop.ConsistencyProperty.from_rows(work_sig, sentences, list(rows.values()))
 
 
@@ -1125,16 +1153,13 @@ def first_order_compactness_demo(
 
 
 def _minimal_inconsistent_subset(sentences, sig, session: OracleSession):
-    core = list(sentences)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(core)):
-            trial = core[:i] + core[i + 1 :]
-            if trial and session.status(trial, sig) == INCONSISTENT:
-                core = trial
-                changed = True
-                break
+    core, i = list(sentences), 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1 :]
+        if trial and session.status(trial, sig) == INCONSISTENT:
+            core, i = trial, 0  # and try again from the first sentence
+        else:
+            i += 1
     return core
 
 

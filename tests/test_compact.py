@@ -59,7 +59,7 @@ from test_forcing import _dense_sets as _forcing_dense_sets
 
 SIG = Signature(relations={"R": 1}, base_constants={"a", "b"}, fresh_constants={"e0", "e1"})
 SIG_ABC = Signature(relations={"R": 1}, base_constants={"a", "b", "c"})
-R_A, R_B = Atom("R", ("a",)), Atom("R", ("b",))
+R_A, R_B, R_C = Atom("R", ("a",)), Atom("R", ("b",)), Atom("R", ("c",))
 G = Or((Eq("a", "b"), And((Atom("R", ("a",)), Not(Eq("a", "c"))))))  # one object, shared
 
 
@@ -209,6 +209,11 @@ class TestOracle:
                 consistency_oracle([f], SIG, require_qe=require_qe)
             with pytest.raises(SignatureError, match="undeclared term"):
                 OracleSession().status([Atom("R", ("a",)), f], SIG, require_qe=require_qe)
+            # the same once a subset's witness lets the hint check read f first
+            warm = OracleSession()
+            assert warm.status([R_A], SIG, require_qe=require_qe) == CONSISTENT
+            with pytest.raises(SignatureError, match="undeclared term"):
+                warm.status([R_A, f], SIG, require_qe=require_qe)
 
 
 class TestSearchTree:
@@ -232,6 +237,18 @@ class TestSearchTree:
             Signature(relations={"R": 1}, base_constants={"a", "b"}),
         ),
         None,
+    )
+    @example(pigeonhole(3), None)  # pigeon disjunctions lose leaves to merges
+    @example(  # merging a and b falsifies both R(b) leaves, equal tuples, by relabelling
+        (
+            [Not(R_A), Not(R_C), Not(Eq("b", "c")), Or((Eq("a", "b"), Eq("a", "c"))),
+             Or((Eq("b", "c"), R_B, Atom("R", ("b",)), R_C))],
+            SIG_ABC,
+        ),
+        None,
+    )
+    @example(  # G is a top-level disjunction and inside the second sentence
+        ([G, Or((And((G, Eq("b", "c"))), Not(R_B))), Not(Eq("a", "b"))], SIG_ABC), None
     )
     def test_matches_the_rebuild_per_node_search(self, case, cap):
         sentences, sig = case
