@@ -10,6 +10,7 @@ down and up masks over element positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import BoolkitError
@@ -26,22 +27,9 @@ class FiniteBooleanAlgebra:
         if self.atom_count < 0:
             raise BoolkitError("atom_count must be non-negative")
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
+    @cached_property
     def one(self) -> int:
         return (1 << self.atom_count) - 1
-
-    def meet(self, x: int, y: int) -> int:
-        return x & y
-
-    def join(self, x: int, y: int) -> int:
-        return x | y
-
-    def complement(self, x: int) -> int:
-        return self.one ^ x
 
     def leq(self, x: int, y: int) -> bool:
         return x & ~y == 0
@@ -105,9 +93,6 @@ class Filter:
 
     def __contains__(self, x: int) -> bool:
         return self.algebra.leq(self.generator, x)
-
-    def members(self) -> frozenset:
-        return frozenset(x for x in self.algebra.elements() if self.generator & ~x == 0)
 
 
 def ultrafilters(b: FiniteBooleanAlgebra) -> list:

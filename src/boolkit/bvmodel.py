@@ -277,8 +277,8 @@ def _eval(m, f, env, counter) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def holds(m: BValuedModel, f: Formula, assignment=None) -> bool:
-    return eval_formula(m, f, assignment) == m.algebra.one
+def holds(m: BValuedModel, f: Formula) -> bool:
+    return eval_formula(m, f) == m.algebra.one
 
 
 # ---------------------------------------------------------------------------
@@ -429,43 +429,26 @@ def random_model(
     which enforces the congruence conditions by construction."""
     k = rng.randint(1, max_atoms)
     n = rng.randint(1, max_domain)
+    partitions = [[rng.randrange(n) for _ in range(n)] for _ in range(k)]
+    chosen = {
+        name: [
+            {combo for combo in itertools.product(sorted(set(labels)), repeat=arity) if rng.random() < 0.5}
+            for labels in partitions
+        ]
+        for name, arity in sig.relations.items()
+    }
     b = FiniteBooleanAlgebra(k)
-    domain = tuple(f"m{i}" for i in range(n))
-    partitions = []
-    for _ in range(k):
-        labels = [rng.randrange(n) for _ in range(n)]
-        partitions.append(labels)
-    eq = {}
-    for i, x in enumerate(domain):
-        for j, y in enumerate(domain):
-            value = 0
-            for bit, labels in enumerate(partitions):
-                if labels[i] == labels[j]:
-                    value |= 1 << bit
-            eq[(x, y)] = value
-    rel = {}
-    index = {x: i for i, x in enumerate(domain)}
-    for name, arity in sig.relations.items():
-        table = {}
-        per_atom_choice = []
-        for labels in partitions:
-            classes = sorted(set(labels))
-            chosen = {
-                combo
-                for combo in itertools.product(classes, repeat=arity)
-                if rng.random() < 0.5
-            }
-            per_atom_choice.append(chosen)
-        for xs in itertools.product(domain, repeat=arity):
-            value = 0
-            for bit, labels in enumerate(partitions):
-                combo = tuple(labels[index[x]] for x in xs)
-                if combo in per_atom_choice[bit]:
-                    value |= 1 << bit
-            table[xs] = value
-        rel[name] = table
-    consts = {c: domain[rng.randrange(n)] for c in sorted(sig.constants)}
-    return BValuedModel(b, domain, eq, rel, consts)
+    atoms, nullary = b.atoms(), [()] * k  # a value is the sum of the atoms where its test holds
+    domain = [f"m{i}" for i in range(n)]
+    classes = dict(zip(domain, zip(*partitions)))  # each element's class under each atom
+    return BValuedModel.tabulate(
+        b, domain, sig.relations,
+        lambda x, y: sum(itertools.compress(atoms, map(int.__eq__, classes[x], classes[y]))),
+        lambda name, xs: sum(itertools.compress(atoms, map(
+            set.__contains__, chosen[name], zip(*map(classes.__getitem__, xs)) if xs else nullary
+        ))),
+        {c: domain[rng.randrange(n)] for c in sorted(sig.constants)},
+    )
 
 
 def bits_to_string(x: int, atom_count: int) -> str:
@@ -485,43 +468,34 @@ def bits_from_string(s: str) -> int:
 def model_to_json(m: BValuedModel) -> dict:
     """Interchange format: atoms listed, tables as bitstring matrices."""
     k = m.algebra.atom_count
-    domain = [str(x) for x in m.domain]
-    eq = [
-        [bits_to_string(m.eq[(a, b)], k) for b in m.domain] for a in m.domain
-    ]
-    rel = {}
-    for name, arity in sorted(m.relations.items()):
-        table = m.rel[name]
-        entries = {}
-        for combo in itertools.product(m.domain, repeat=arity):
-            entries[" ".join(str(x) for x in combo)] = bits_to_string(table[combo], k)
-        rel[name] = entries
     return {
         "algebra": {"atoms": [f"a{i}" for i in range(k)]},
-        "domain": domain,
-        "eq": eq,
-        "rel": rel,
+        "domain": [str(x) for x in m.domain],
+        "eq": [[bits_to_string(m.eq[(a, b)], k) for b in m.domain] for a in m.domain],
+        "rel": {
+            name: {
+                " ".join(map(str, xs)): bits_to_string(m.rel[name][xs], k)
+                for xs in itertools.product(m.domain, repeat=arity)
+            }
+            for name, arity in sorted(m.relations.items())
+        },
         "consts": {name: str(elem) for name, elem in sorted(m.consts.items())},
     }
 
 
 def model_from_json(doc: dict, check: bool = True) -> BValuedModel:
-    k = len(doc["algebra"]["atoms"])
-    algebra = FiniteBooleanAlgebra(k)
+    """The model a payload's tables give, read as they stand: a table's keys
+    are split on whitespace, stray keys and all."""
+    algebra = FiniteBooleanAlgebra(len(doc["algebra"]["atoms"]))
     domain = tuple(doc["domain"])
-    eq = {}
-    for i, a in enumerate(domain):
-        for j, b in enumerate(domain):
-            eq[(a, b)] = bits_from_string(doc["eq"][i][j])
-    rel = {}
-    for name, entries in doc.get("rel", {}).items():
-        table = {}
-        for key, bits in entries.items():
-            combo = tuple(key.split()) if key else ()
-            table[combo] = bits_from_string(bits)
-        rel[name] = table
-    consts = dict(doc.get("consts", {}))
-    return BValuedModel(algebra, domain, eq, rel, consts, check)
+    eq = {
+        (a, b): bits_from_string(doc["eq"][i][j]) for i, a in enumerate(domain) for j, b in enumerate(domain)
+    }
+    rel = {
+        name: {tuple(key.split()): bits_from_string(bits) for key, bits in entries.items()}
+        for name, entries in doc.get("rel", {}).items()
+    }
+    return BValuedModel(algebra, domain, eq, rel, dict(doc.get("consts", {})), check)
 
 
 def existential_catalog(sig: Signature, limit: int = 12) -> list:

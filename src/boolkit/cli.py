@@ -446,7 +446,8 @@ def _poset(args, config) -> forcing.SPhiPoset:
     # replay the consistency filter on load
     session = compact.OracleSession(config.budget)
     for s in conditions:
-        if session.status(list(s) + [phi], sig) != compact.CONSISTENT:
+        status = compact._decided(session.status(list(s) + [phi], sig), "replaying the loaded conditions")
+        if status != compact.CONSISTENT:
             raise UsageError(
                 "loaded condition is not consistent with the target sentence: "
                 + ", ".join(sorted(syntax.render(f) for f in s))
@@ -463,7 +464,12 @@ def _generic(args, config) -> forcing.GenericFilter:
             [_condition(member, p.sig) for member in entry]
             for entry in _load(args.dense, "dense")["dense_sets"]
         ]
-    return forcing.generic_filter(p, dense)
+    # a stray entry or a set that is not dense is malformed input; once every
+    # set is dense, the chain through them cannot break
+    try:
+        return forcing.generic_filter(p, dense)
+    except BoolkitError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_forcing_build(args, config):

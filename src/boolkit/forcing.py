@@ -18,8 +18,9 @@ from .syntax import And, Formula, Not, Or, Signature
 
 
 def condition_universe(phi: Formula, sig: Signature) -> list:
-    """Proper subsentences of the target plus all (negated) atomic sentences
-    over the signature, reflexive equalities and their negations excluded."""
+    """Proper subsentences of the target, reflexive equalities among them
+    kept, plus the signature's ground atoms (``syntax.ground_atoms``, which
+    leaves reflexive equalities out) and their negations."""
     out = set()
     phi = syntax.canon(phi)
     for f in syntax.subsentences(phi, sig):

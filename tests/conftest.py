@@ -137,6 +137,58 @@ def random_sentence(sig, rng, depth):
     return f
 
 
+# The generator ``bvmodel.random_model`` replaced, verbatim, its tables laid
+# out by hand: the reference for its rng draw order and its tables' key orders.
+def reference_random_model(
+    sig: Signature,
+    rng: random.Random,
+    max_atoms: int = 3,
+    max_domain: int = 3,
+) -> BValuedModel:
+    """A pseudo-random valid model: equality is a per-atom partition of the
+    domain and relation values are per-atom unions of partition-class tuples,
+    which enforces the congruence conditions by construction."""
+    k = rng.randint(1, max_atoms)
+    n = rng.randint(1, max_domain)
+    b = FiniteBooleanAlgebra(k)
+    domain = tuple(f"m{i}" for i in range(n))
+    partitions = []
+    for _ in range(k):
+        labels = [rng.randrange(n) for _ in range(n)]
+        partitions.append(labels)
+    eq = {}
+    for i, x in enumerate(domain):
+        for j, y in enumerate(domain):
+            value = 0
+            for bit, labels in enumerate(partitions):
+                if labels[i] == labels[j]:
+                    value |= 1 << bit
+            eq[(x, y)] = value
+    rel = {}
+    index = {x: i for i, x in enumerate(domain)}
+    for name, arity in sig.relations.items():
+        table = {}
+        per_atom_choice = []
+        for labels in partitions:
+            classes = sorted(set(labels))
+            chosen = {
+                combo
+                for combo in itertools.product(classes, repeat=arity)
+                if rng.random() < 0.5
+            }
+            per_atom_choice.append(chosen)
+        for xs in itertools.product(domain, repeat=arity):
+            value = 0
+            for bit, labels in enumerate(partitions):
+                combo = tuple(labels[index[x]] for x in xs)
+                if combo in per_atom_choice[bit]:
+                    value |= 1 << bit
+            table[xs] = value
+        rel[name] = table
+    consts = {c: domain[rng.randrange(n)] for c in sorted(sig.constants)}
+    return BValuedModel(b, domain, eq, rel, consts)
+
+
 def random_model_with_qe(sig, rng, max_atoms=3):
     """Like ``bvmodel.random_model``, but the fresh constants surject onto
     the domain, so the quantifier-elimination axiom gets value 1."""
@@ -384,7 +436,7 @@ def reference_bvalue(m, f, env=None):
     if isinstance(f, Atom):
         return m.rel[f.rel][tuple(term(t) for t in f.args)]
     if isinstance(f, Not):
-        return b.complement(reference_bvalue(m, f.body, env))
+        return b.one ^ reference_bvalue(m, f.body, env)
     if isinstance(f, And):
         return b.meet_all([reference_bvalue(m, c, env) for c in f.children])
     if isinstance(f, Or):
@@ -428,7 +480,7 @@ def reference_validate_model(m, max_violations=1):
             if len(bad) >= max_violations:
                 return report()
     for a, c, d in itertools.product(m.domain, repeat=3):
-        if not b.leq(b.meet(m.eq[(a, c)], m.eq[(c, d)]), m.eq[(a, d)]):
+        if not b.leq(m.eq[(a, c)] & m.eq[(c, d)], m.eq[(a, d)]):
             bad.append(("transitivity", a, c, d))
             if len(bad) >= max_violations:
                 return report()
@@ -441,7 +493,7 @@ def reference_validate_model(m, max_violations=1):
         for xs in itertools.product(m.domain, repeat=arity):
             for ys in itertools.product(m.domain, repeat=arity):
                 guard = b.meet_all(m.eq[(x, y)] for x, y in zip(xs, ys))
-                if not b.leq(b.meet(guard, table[xs]), table[ys]):
+                if not b.leq(guard & table[xs], table[ys]):
                     bad.append(("congruence", name, xs, ys))
                     if len(bad) >= max_violations:
                         return report()

@@ -60,29 +60,36 @@ def _minimal_cones(p):
 
 
 class TestAlgebraLaws:
+    """Elements are ints combined with ``&``, ``|`` and ``^ one``; the
+    algebra gives their order, top element and big meets and joins."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_laws_exhaustive(self, k):
         b = FiniteBooleanAlgebra(k)
         xs = list(b.elements())
+        assert len(xs) == 2**k and all(map(b.is_element, xs))
+        assert not b.is_element(b.one + 1) and not b.is_element(-1)
         for x in xs:
-            assert b.meet(x, b.one) == x
-            assert b.join(x, b.zero) == x
-            assert b.meet(x, b.complement(x)) == b.zero
-            assert b.join(x, b.complement(x)) == b.one
+            assert b.leq(0, x) and b.leq(x, b.one) and b.is_element(b.one ^ x)
         for x, y in itertools.product(xs, repeat=2):
-            assert b.meet(x, y) == b.meet(y, x)
-            assert b.join(x, b.meet(x, y)) == x
-        for x, y, z in itertools.product(xs, repeat=3):
-            assert b.meet(x, b.join(y, z)) == b.join(b.meet(x, y), b.meet(x, z))
+            assert b.leq(x, y) == (x & y == x) == (x | y == y)
+            assert b.meet_all([x, y]) == x & y and b.join_all([x, y]) == x | y
+        assert b.meet_all([]) == b.one and b.join_all([]) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(5, 16), st.integers(0, 2**40), st.integers(0, 2**40), st.integers(0, 2**40))
     def test_laws_randomized(self, k, x, y, z):
         b = FiniteBooleanAlgebra(k)
         x, y, z = x & b.one, y & b.one, z & b.one
-        assert b.meet(x, b.join(y, z)) == b.join(b.meet(x, y), b.meet(x, z))
-        assert b.complement(b.meet(x, y)) == b.join(b.complement(x), b.complement(y))
-        assert b.leq(b.meet(x, y), x)
+        assert b.leq(x & y, x) and b.leq(x, x | y)
+        assert b.leq(x, y) == (x & (b.one ^ y) == 0)
+        assert b.meet_all([x, y, z]) == x & y & z and b.join_all([x, y, z]) == x | y | z
+
+    def test_one_is_cached_and_equality_reads_atom_count(self):
+        b = FiniteBooleanAlgebra(40)
+        assert b.one == 2**40 - 1 and vars(b)["one"] is b.one
+        assert b == FiniteBooleanAlgebra(40) and hash(b) == hash(FiniteBooleanAlgebra(40))
+        assert b != FiniteBooleanAlgebra(39)
 
 
 class TestRegularize:
@@ -186,14 +193,14 @@ def brute_force_ultrafilters(b):
         members = {xs[i] for i in range(len(xs)) if bits >> i & 1}
         if not members or 0 in members:
             continue
-        if any(b.meet(x, y) not in members for x in members for y in members):
+        if any(x & y not in members for x in members for y in members):
             continue
         if any(
             y not in members for x in members for y in xs if b.leq(x, y)
         ):
             continue
         # maximal: for every element, it or its complement belongs
-        if all(x in members or b.complement(x) in members for x in xs):
+        if all(x in members or b.one ^ x in members for x in xs):
             out.append(frozenset(members))
     return out
 
@@ -204,13 +211,13 @@ class TestFilters:
         b = FiniteBooleanAlgebra(k)
         ufs = ultrafilters(b)
         assert len(ufs) == count
-        assert {frozenset(f.members()) for f in ufs} == set(brute_force_ultrafilters(b))
+        assert {frozenset(x for x in b.elements() if x in f) for f in ufs} == set(brute_force_ultrafilters(b))
 
     def test_dichotomy(self):
         b = FiniteBooleanAlgebra(3)
         for f in ultrafilters(b):
             for x in b.elements():
-                assert (x in f) != (b.complement(x) in f)
+                assert (x in f) != (b.one ^ x in f)
 
     def test_rejects_zero(self):
         with pytest.raises(BoolkitError):
@@ -255,7 +262,7 @@ class TestQuotient:
         q, proj = quotient_algebra(b, f)
         for x in b.elements():
             for y in b.elements():
-                iff = b.join(b.meet(x, y), b.meet(b.complement(x), b.complement(y)))
+                iff = b.one ^ x ^ y
                 assert (proj(x) == proj(y)) == (iff in f)
 
 

@@ -34,6 +34,7 @@ from conftest import (
     random_model_with_qe,
     random_sentence,
     reference_bvalue,
+    reference_random_model,
     reference_validate_model,
     sentence_catalog,
 )
@@ -450,7 +451,7 @@ def test_de_morgan_holds_on_arbitrary_models(seed):
     rng = random.Random(seed)
     m = random_model(SIG, rng)
     f = random_sentence(SIG, rng, 2)
-    assert eval_formula(m, Not(f)) == m.algebra.complement(eval_formula(m, f))
+    assert eval_formula(m, Not(f)) == m.algebra.one ^ eval_formula(m, f)
 
 
 @settings(max_examples=80, deadline=None)
@@ -488,6 +489,47 @@ class TestInterchange:
         for a in m.domain:
             for b in m.domain:
                 assert m2.eq[(str(a), str(b))] == m.eq[(a, b)]
+
+    def test_roundtrip_keeps_every_table_and_its_key_order(self):
+        sig = Signature(relations={"P": 0, "R": 1, "T": 3}, base_constants={"c0"})
+        rng = random.Random(16)
+        for _ in range(40):
+            m = random_model(sig, rng, max_domain=rng.randint(1, 3))
+            m2 = model_from_json(json.loads(json.dumps(model_to_json(m))))
+            assert (m2.domain, m2.eq, m2.rel, m2.consts) == (m.domain, m.eq, m.rel, m.consts)
+            assert [list(t) for t in m2.rel.values()] == [list(t) for t in m.rel.values()]
+        assert model_from_json(model_to_json(m)).rel["P"] == {(): m.rel["P"][()]}
+
+
+class TestRandomModel:
+    SIGS = [
+        {},
+        {"P": 0},
+        {"R": 1},
+        {"R": 1, "S": 2},
+        {"P": 0, "R": 1, "T": 3},
+    ]
+
+    def test_matches_the_reference_generator(self):
+        """Tables laid out by ``BValuedModel.tabulate`` hold what the hand
+        layout held, in its key order, after the same rng draws."""
+        draws = 0
+        for seed, (relations, consts, max_atoms, max_domain) in enumerate(
+            itertools.product(self.SIGS, range(4), range(1, 4), range(1, 5))
+        ):
+            sig = Signature(relations=relations, base_constants=[f"c{i}" for i in range(consts)])
+            for rep in range(3):
+                rng, ref_rng = random.Random(seed * 3 + rep), random.Random(seed * 3 + rep)
+                m = random_model(sig, rng, max_atoms=max_atoms, max_domain=max_domain)
+                r = reference_random_model(sig, ref_rng, max_atoms=max_atoms, max_domain=max_domain)
+                assert model_to_json(m) == model_to_json(r)
+                assert (m.algebra, m.domain, m.eq, m.rel) == (r.algebra, r.domain, r.eq, r.rel)
+                assert list(m.eq) == list(r.eq) and list(m.rel) == list(r.rel)
+                assert [list(t) for t in m.rel.values()] == [list(t) for t in r.rel.values()]
+                assert list(m.consts.items()) == list(r.consts.items())
+                assert rng.random() == ref_rng.random()
+                draws += 1
+        assert draws == 720
 
 
 class TestTwoValuedModel:

@@ -230,6 +230,29 @@ class TestBudgetExhaustion:
         )
         assert (code, report["status"]) == (cli.EXIT_UNKNOWN, "Unknown")
 
+    @pytest.mark.parametrize("command", ["dense", "generic", "model"])
+    def test_forcing_replay_out_of_budget_exits_unknown(self, tmp_path, capsys, command):
+        # the loaded empty condition is Unknown to a one-node oracle: budget
+        # exhaustion, not malformed input
+        sig = {"relations": {}, "base_constants": ["cw", "c0", "c1"], "fresh_constants": []}
+        (tmp_path / "sig.json").write_text(json.dumps(sig))
+        code, doc = run_json(
+            ["forcing", "build", "--sig", tmp_path / "sig.json", "--formula", "(or (= cw c0) (= cw c1))",
+             "--size-bound", 2],
+            tmp_path,
+        )
+        assert code == 0 and len(doc["poset"]["conditions"]) == 29
+        (tmp_path / "poset.json").write_text(json.dumps(doc["poset"]))
+        capsys.readouterr()
+        args = ["forcing", command, "--poset", tmp_path / "poset.json"]
+        code, report = run_json(args + ["--budget-oracle-nodes", 1], tmp_path, "capped.json")
+        captured = capsys.readouterr()
+        assert (code, report, captured.out) == (cli.EXIT_UNKNOWN, None, "")
+        error = {"error": "oracle unknown while replaying the loaded conditions"}
+        assert captured.err.splitlines() == [json.dumps(error, sort_keys=True)]
+        code, report = run_json(args, tmp_path)  # the default budget decides every condition
+        assert report is not None and code in (cli.EXIT_OK, cli.EXIT_REFUTED)
+
 
 class TestModelCommands:
     @pytest.fixture
@@ -625,7 +648,10 @@ class TestUsageBoundary:
         (workdir / "poset.json").write_text(json.dumps(poset))
         self._usage_error(capsys, ["forcing", command, "--poset", workdir / "poset.json"])
 
-    @pytest.mark.parametrize("dense", [{}, {"dense_sets": [["(= a a)"]]}])
+    @pytest.mark.parametrize(
+        "dense",
+        [{}, {"dense_sets": [["(= a a)"]]}, {"dense_sets": [[["(= a a)"]]]}, {"dense_sets": [[]]}],
+    )
     def test_malformed_dense_sets(self, workdir, capsys, dense):
         poset = {"signature": {"base_constants": ["a"]}, "phi": "(= a a)", "conditions": [[]]}
         (workdir / "poset.json").write_text(json.dumps(poset))

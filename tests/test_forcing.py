@@ -216,6 +216,16 @@ class TestBuild:
                     expected += 1
         assert len(p.conditions) == expected
 
+    def test_universe_keeps_the_targets_reflexive_equalities(self):
+        # the ground atoms leave reflexive equalities out; the target's
+        # subsentences keep theirs
+        sig = Signature(relations={"P": 1}, base_constants={"a"}, fresh_constants={"e"})
+        phi = syntax.parse("(forall (?x) (or (= ?x ?x) (P ?x)))", sig)
+        universe = set(map(syntax.render, condition_universe(phi, sig)))
+        assert {"(= a a)", "(= e e)", "(or (= a a) (P a))", "(or (= e e) (P e))"} <= universe
+        assert not {"(not (= a a))", "(not (= e e))"} & universe
+        assert "(= a a)" not in set(map(syntax.render, condition_universe(Atom("P", ("a",)), sig)))
+
     def test_refuted_subsets_save_searches(self, monkeypatch):
         # a search-count pin: 3918 searches without the refuted-subset hint
         sessions = []
