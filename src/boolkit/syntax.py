@@ -10,6 +10,7 @@ false one).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -50,7 +51,7 @@ class Signature:
         if len(names) != len(set(names)):
             raise SignatureError("relation and constant names must be pairwise distinct")
         for name in names:
-            if is_var(name) or name in _RESERVED:
+            if is_var(name) or name in _RESERVED or not re.fullmatch(r"[^\s()]+", name):
                 raise SignatureError(f"illegal symbol name {name!r}")
         for rel, arity in self.relations.items():
             if not isinstance(arity, int) or arity < 0:
@@ -85,32 +86,36 @@ class Signature:
 class Formula:
     """Base class; concrete nodes are the frozen dataclasses below.
 
-    Instances are immutable; hashes and renderings are cached per instance
-    because trees are compared and re-rendered constantly in set-heavy code.
+    Instances are immutable.  Two formulas are equal when they are the same
+    tree: the same kind over equal ``_fields`` (leaf fields and parts, in
+    order).  Hashes (of the kind's name and those fields, without rendering)
+    and renderings are cached per instance: trees are compared constantly.
     """
 
     def __repr__(self):
         return render(self)
 
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__annotations__)
+
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        cache = self.__dict__
+        h = cache.get("_hash")
         if h is None:
-            h = hash(render(self))
-            object.__setattr__(self, "_hash", h)
+            for part in _parts(self):  # direct calls: hashing costs one frame a level
+                part.__hash__()
+            h = cache["_hash"] = hash((type(self).__name__, self._fields(self)))
         return h
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return render(self) == render(other)
+        same = type(self) is type(other) and self.__hash__() == other.__hash__()
+        return same and self._fields(self) == other._fields(other)
 
     def __getstate__(self):
         # the cached hash depends on PYTHONHASHSEED, so pickle leaves it out
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -190,51 +195,59 @@ class Theory:
         return len(self.sentences)
 
 
+def _parts(f: Formula) -> tuple:
+    """The subformulas directly below ``f``, in order: the one place, with
+    ``_rebuilt``, that knows which fields of a node hold its subformulas."""
+    kind = type(f)
+    if kind is Atom or kind is Eq:
+        return ()
+    if kind is And or kind is Or:
+        return f.children
+    if kind is Not or kind is Forall or kind is Exists:
+        return (f.body,)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebuilt(f: Formula, parts) -> Formula:
+    """A new node of ``f``'s kind and leaf fields over ``parts``; the parts
+    of an atom or an equality are its terms."""
+    kind = type(f)
+    if kind is And or kind is Or:
+        return kind(parts)
+    if kind is Atom:
+        return Atom(f.rel, parts)
+    if kind is Forall or kind is Exists:
+        return kind(f.vars, *parts)
+    return kind(*parts)
+
+
+def _terms(f: Formula) -> tuple:
+    """An atom's or an equality's terms, in order; other nodes have none."""
+    return f.args if type(f) is Atom else (f.left, f.right) if type(f) is Eq else ()
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All nodes of the tree, root first, each occurrence once."""
     yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or)):
-        for child in f.children:
-            yield from subformulas(child)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
+    for part in _parts(f):
+        yield from subformulas(part)
 
 
 def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset(t for t in f.args if is_var(t))
-    if isinstance(f, Eq):
-        return frozenset(t for t in (f.left, f.right) if is_var(t))
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for child in f.children:
-            out |= free_vars(child)
-        return out
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - frozenset(f.vars)
-    raise TypeError(f"not a formula: {f!r}")
+    parts = _parts(f)
+    out = frozenset() if parts else frozenset(filter(is_var, _terms(f)))
+    for part in parts:
+        out |= free_vars(part)
+    return out - frozenset(f.vars) if isinstance(f, (Forall, Exists)) else out
 
 
 def constants_of(f: Formula) -> frozenset:
     """Constant names occurring anywhere in the tree."""
-    if isinstance(f, Atom):
-        return frozenset(t for t in f.args if not is_var(t))
-    if isinstance(f, Eq):
-        return frozenset(t for t in (f.left, f.right) if not is_var(t))
-    if isinstance(f, Not):
-        return constants_of(f.body)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for child in f.children:
-            out |= constants_of(child)
-        return out
-    if isinstance(f, (Forall, Exists)):
-        return constants_of(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    parts = _parts(f)
+    out = frozenset() if parts else frozenset(itertools.filterfalse(is_var, _terms(f)))
+    for part in parts:
+        out |= constants_of(part)
+    return out
 
 
 def is_sentence(f: Formula) -> bool:
@@ -277,18 +290,12 @@ def validate(f: Formula, sig: Signature) -> None:
                 raise SignatureError(
                     f"relation {g.rel!r} expects {sig.relations[g.rel]} arguments, got {len(g.args)}"
                 )
-            terms = g.args
-        elif isinstance(g, Eq):
-            terms = (g.left, g.right)
         elif isinstance(g, (Forall, Exists)):
             if len(set(g.vars)) != len(g.vars):
                 raise SignatureError(f"duplicate variable in quantifier block {g.vars}")
             if any(not is_var(v) for v in g.vars):
                 raise SignatureError(f"quantifier block {g.vars} must bind variables")
-            terms = ()
-        else:
-            terms = ()
-        for t in terms:
+        for t in _terms(g):
             if not is_var(t) and t not in sig.constants:
                 raise SignatureError(f"undeclared constant {t!r}")
 
@@ -433,29 +440,17 @@ def substitute(f: Formula, binding: Mapping[str, str]) -> Formula:
     """
     if not binding:
         return f
-
-    def sub_term(t):
-        return binding.get(t, t)
-
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(sub_term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.left), sub_term(f.right))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, binding))
-    if isinstance(f, And):
-        return And(tuple(substitute(c, binding) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(c, binding) for c in f.children))
     if isinstance(f, (Forall, Exists)):
-        inner = {v: t for v, t in binding.items() if v not in f.vars}
-        if not inner:
+        binding = {v: t for v, t in binding.items() if v not in f.vars}
+        if not binding:
             return f
-        for v, t in inner.items():
-            if t in f.vars and v in free_vars(f.body):
+        for v, t in binding.items():
+            if t in f.vars and v in free_vars(*_parts(f)):
                 raise BoolkitError(f"substitution captures variable {t}")
-        return type(f)(f.vars, substitute(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+    parts = list(map(binding.get, _terms(f), _terms(f)))  # a leaf's parts are its terms
+    for part in _parts(f):
+        parts.append(substitute(part, binding))
+    return _rebuilt(f, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +482,16 @@ def nnf_step(f: Formula) -> Formula:
 
 def nnf(f: Formula) -> Formula:
     """Full negation normal form: ``not`` ends up applied only to atoms."""
-    if isinstance(f, (Atom, Eq)):
+    kind = type(f)
+    if kind is Atom or kind is Eq:
         return f
-    if isinstance(f, Not):
-        if isinstance(f.body, (Atom, Eq)):
-            return f
-        return nnf(nnf_step(f.body))
-    if isinstance(f, And):
-        return And(tuple(nnf(c) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(nnf(c) for c in f.children))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, nnf(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    if kind is Not:
+        (body,) = _parts(f)
+        return f if type(body) is Atom or type(body) is Eq else nnf(nnf_step(body))
+    parts = []
+    for part in _parts(f):
+        parts.append(nnf(part))
+    return _rebuilt(f, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +505,14 @@ def canon(f: Formula) -> Formula:
     cached = f.__dict__.get("_canon")
     if cached is not None:
         return cached
-    if isinstance(f, (Atom, Eq)):
-        out = f
-    elif isinstance(f, (Not, Forall, Exists)):
-        body = canon(f.body)
-        if body is f.body:
-            out = f
-        elif isinstance(f, Not):
-            out = Not(body)
-        else:
-            out = type(f)(f.vars, body)
-    elif isinstance(f, (And, Or)):
-        out = canonical(type(f), f.children)
+    if isinstance(f, (And, Or)):
+        out = canonical(type(f), _parts(f))
     else:
-        raise TypeError(f"not a formula: {f!r}")
+        out = f
+        for part in _parts(f):  # at most one
+            body = canon(part)
+            if body is not part:
+                out = _rebuilt(f, (body,))
     object.__setattr__(out, "_canon", out)
     object.__setattr__(f, "_canon", out)
     return out
@@ -544,8 +530,8 @@ def conjuncts(f: Formula) -> frozenset:
     """Flatten nested conjunctions into the set of leaf conjuncts."""
     if isinstance(f, And):
         out = set()
-        for c in f.children:
-            out |= conjuncts(c)
+        for part in _parts(f):
+            out |= conjuncts(part)
         return frozenset(out)
     return frozenset({canon(f)})
 
@@ -620,21 +606,19 @@ def qe_transform(psi: Formula, sig: Signature) -> Formula:
 
     def go(f: Formula, env) -> Formula:
         kind = type(f)
-        if kind is Eq:
-            left, right = term(f.left, env), term(f.right, env)
-            return f if left is f.left and right is f.right else Eq(left, right)
-        if kind is Atom:
-            args = tuple([term(t, env) for t in f.args])
-            return f if args == f.args else Atom(f.rel, args)
-        if kind is Not:
-            return Not(go(f.body, env))
-        if kind is And or kind is Or:
-            return kind(tuple([go(c, env) for c in f.children]))
+        if kind is Eq or kind is Atom:
+            terms = _terms(f)
+            new = tuple([term(t, env) for t in terms])
+            return f if new == terms else _rebuilt(f, new)
         if kind is Forall or kind is Exists:
+            (body,) = _parts(f)
             combos = itertools.product(pool, repeat=len(f.vars))
-            instances = [go(f.body, env | dict(zip(f.vars, combo))) for combo in combos]
+            instances = [go(body, env | dict(zip(f.vars, combo))) for combo in combos]
             return (And if kind is Forall else Or)(instances)
-        raise TypeError(f"not a formula: {f!r}")
+        parts = []
+        for part in _parts(f):
+            parts.append(go(part, env))
+        return _rebuilt(f, parts)
 
     return go(psi, {})
 

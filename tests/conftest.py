@@ -22,7 +22,7 @@ from boolkit.balg import (
     ro_completion,
 )
 from boolkit.bvmodel import BValuedModel
-from boolkit.errors import BoolkitError, ParseError
+from boolkit.errors import BoolkitError, ParseError, SignatureError
 from boolkit.syntax import And, Atom, Eq, Exists, Forall, Not, Or, Signature
 
 
@@ -388,6 +388,200 @@ def reference_qe_transform(psi, sig):
         raise TypeError(f"not a formula: {f!r}")
 
     return go(psi)
+
+
+# The eight structural walks of ``syntax`` as they read each kind's fields
+# before ``_parts``, ``_rebuilt`` and ``_terms`` did, verbatim but for the
+# names they call and two shorter docstrings: the reference for their
+# outputs and for the input nodes they return.
+
+
+def reference_subformulas(f):
+    """All nodes of the tree, root first, each occurrence once."""
+    yield f
+    if isinstance(f, Not):
+        yield from reference_subformulas(f.body)
+    elif isinstance(f, (And, Or)):
+        for child in f.children:
+            yield from reference_subformulas(child)
+    elif isinstance(f, (Forall, Exists)):
+        yield from reference_subformulas(f.body)
+
+
+def reference_free_vars(f):
+    if isinstance(f, Atom):
+        return frozenset(t for t in f.args if syntax.is_var(t))
+    if isinstance(f, Eq):
+        return frozenset(t for t in (f.left, f.right) if syntax.is_var(t))
+    if isinstance(f, Not):
+        return reference_free_vars(f.body)
+    if isinstance(f, (And, Or)):
+        out = frozenset()
+        for child in f.children:
+            out |= reference_free_vars(child)
+        return out
+    if isinstance(f, (Forall, Exists)):
+        return reference_free_vars(f.body) - frozenset(f.vars)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_constants_of(f):
+    """Constant names occurring anywhere in the tree."""
+    if isinstance(f, Atom):
+        return frozenset(t for t in f.args if not syntax.is_var(t))
+    if isinstance(f, Eq):
+        return frozenset(t for t in (f.left, f.right) if not syntax.is_var(t))
+    if isinstance(f, Not):
+        return reference_constants_of(f.body)
+    if isinstance(f, (And, Or)):
+        out = frozenset()
+        for child in f.children:
+            out |= reference_constants_of(child)
+        return out
+    if isinstance(f, (Forall, Exists)):
+        return reference_constants_of(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_validate(f, sig):
+    """Raise if an arity is wrong, a constant is undeclared, or a quantifier
+    block repeats a variable."""
+    for g in reference_subformulas(f):
+        if isinstance(g, Atom):
+            if g.rel not in sig.relations:
+                raise SignatureError(f"undeclared relation {g.rel!r}")
+            if len(g.args) != sig.relations[g.rel]:
+                raise SignatureError(
+                    f"relation {g.rel!r} expects {sig.relations[g.rel]} arguments, got {len(g.args)}"
+                )
+            terms = g.args
+        elif isinstance(g, Eq):
+            terms = (g.left, g.right)
+        elif isinstance(g, (Forall, Exists)):
+            if len(set(g.vars)) != len(g.vars):
+                raise SignatureError(f"duplicate variable in quantifier block {g.vars}")
+            if any(not syntax.is_var(v) for v in g.vars):
+                raise SignatureError(f"quantifier block {g.vars} must bind variables")
+            terms = ()
+        else:
+            terms = ()
+        for t in terms:
+            if not syntax.is_var(t) and t not in sig.constants:
+                raise SignatureError(f"undeclared constant {t!r}")
+
+
+def reference_substitute(f, binding):
+    """Replace free occurrences of the bound variables, or every occurrence
+    of the bound constants, by terms, all at once."""
+    if not binding:
+        return f
+
+    def sub_term(t):
+        return binding.get(t, t)
+
+    if isinstance(f, Atom):
+        return Atom(f.rel, tuple(sub_term(t) for t in f.args))
+    if isinstance(f, Eq):
+        return Eq(sub_term(f.left), sub_term(f.right))
+    if isinstance(f, Not):
+        return Not(reference_substitute(f.body, binding))
+    if isinstance(f, And):
+        return And(tuple(reference_substitute(c, binding) for c in f.children))
+    if isinstance(f, Or):
+        return Or(tuple(reference_substitute(c, binding) for c in f.children))
+    if isinstance(f, (Forall, Exists)):
+        inner = {v: t for v, t in binding.items() if v not in f.vars}
+        if not inner:
+            return f
+        for v, t in inner.items():
+            if t in f.vars and v in reference_free_vars(f.body):
+                raise BoolkitError(f"substitution captures variable {t}")
+        return type(f)(f.vars, reference_substitute(f.body, inner))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_nnf(f):
+    """Full negation normal form: ``not`` ends up applied only to atoms."""
+    if isinstance(f, (Atom, Eq)):
+        return f
+    if isinstance(f, Not):
+        if isinstance(f.body, (Atom, Eq)):
+            return f
+        return reference_nnf(syntax.nnf_step(f.body))
+    if isinstance(f, And):
+        return And(tuple(reference_nnf(c) for c in f.children))
+    if isinstance(f, Or):
+        return Or(tuple(reference_nnf(c) for c in f.children))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.vars, reference_nnf(f.body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_canon(f):
+    """Canonical representative: children of ``and``/``or`` sorted by their
+    rendering (duplicates kept, order forgotten), cached in the instance
+    under the attribute ``syntax.canon`` uses."""
+    cached = f.__dict__.get("_canon")
+    if cached is not None:
+        return cached
+    if isinstance(f, (Atom, Eq)):
+        out = f
+    elif isinstance(f, (Not, Forall, Exists)):
+        body = reference_canon(f.body)
+        if body is f.body:
+            out = f
+        elif isinstance(f, Not):
+            out = Not(body)
+        else:
+            out = type(f)(f.vars, body)
+    elif isinstance(f, (And, Or)):
+        out = _reference_canonical(type(f), f.children)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(out, "_canon", out)
+    object.__setattr__(f, "_canon", out)
+    return out
+
+
+def _reference_canonical(kind, children):
+    out = kind(tuple(sorted(map(reference_canon, children), key=syntax.render)))
+    object.__setattr__(out, "_canon", out)
+    return out
+
+
+def reference_qe_walk(psi, sig):
+    """``syntax.qe_transform`` as one top-down walk with an environment."""
+    pool = sorted(sig.fresh_constants)
+    if not pool and not syntax.is_quantifier_free(psi):
+        if reference_free_vars(psi):
+            raise ValueError("qe_transform is defined on sentences only")
+        raise ValueError("qe_transform needs a nonempty fresh-constant pool")
+
+    def term(t, env):
+        t = env.get(t, t)
+        if t.startswith(syntax.VAR_PREFIX):
+            raise ValueError("qe_transform is defined on sentences only")
+        return t
+
+    def go(f, env):
+        kind = type(f)
+        if kind is Eq:
+            left, right = term(f.left, env), term(f.right, env)
+            return f if left is f.left and right is f.right else Eq(left, right)
+        if kind is Atom:
+            args = tuple([term(t, env) for t in f.args])
+            return f if args == f.args else Atom(f.rel, args)
+        if kind is Not:
+            return Not(go(f.body, env))
+        if kind is And or kind is Or:
+            return kind(tuple([go(c, env) for c in f.children]))
+        if kind is Forall or kind is Exists:
+            combos = itertools.product(pool, repeat=len(f.vars))
+            instances = [go(f.body, env | dict(zip(f.vars, combo))) for combo in combos]
+            return (And if kind is Forall else Or)(instances)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(psi, {})
 
 
 # ---------------------------------------------------------------------------

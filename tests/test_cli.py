@@ -482,6 +482,11 @@ class TestUsageBoundary:
             ("base_constants", [1, 2]),
             ("base_constants", "abc"),
             ("fresh_constants", 5),
+            # names that are not one token of the grammar
+            ("base_constants", ["a", "b c"]),
+            ("base_constants", ["a", "(x"]),
+            ("base_constants", ["a", ""]),
+            ("relations", {"R": 1, "R a": 0}),
         ],
     )
     def test_malformed_signature(self, workdir, capsys, key, value):

@@ -16,6 +16,7 @@ from boolkit.syntax import (
     Eq,
     Exists,
     Forall,
+    Formula,
     Not,
     Or,
     Signature,
@@ -34,9 +35,17 @@ from boolkit.syntax import (
 from conftest import (
     random_formula,
     random_sentence,
+    reference_canon,
+    reference_constants_of,
+    reference_free_vars,
+    reference_nnf,
     reference_parse,
     reference_qe_transform,
+    reference_qe_walk,
+    reference_subformulas,
+    reference_substitute,
     reference_tokenize,
+    reference_validate,
 )
 
 SIG = Signature(relations={"R": 2}, base_constants={"c0", "c1", "cw"}, fresh_constants={"e"})
@@ -420,6 +429,18 @@ class TestSignature:
     def test_json_roundtrip(self):
         assert Signature.from_json(SIG.to_json()) == SIG
 
+    @pytest.mark.parametrize("name", ["b c", "(x", "x)", "", "a\tb", "a\u2003b"])
+    def test_a_name_must_be_one_token(self, name):
+        # a text format could not carry such a name back: "(R b c)" reads
+        # as three terms, and a model table key "b c" as two
+        with pytest.raises(SignatureError, match="illegal symbol name"):
+            Signature(relations={"R": 1}, base_constants={"a", name})
+        with pytest.raises(SignatureError, match="illegal symbol name"):
+            Signature(relations={"R": 1}, fresh_constants={name})
+        with pytest.raises(SignatureError, match="illegal symbol name"):
+            Signature(relations={"R": 1, "R " + name: 0}, base_constants={"a"})
+        Signature(relations={"R-1": 1, "S.2": 2}, base_constants={"a'", "b_c"})
+
 
 def test_a_pickled_formula_hashes_as_a_fresh_one_under_another_hash_seed(tmp_path):
     src = str(Path(syntax.__file__).resolve().parents[1])
@@ -440,3 +461,223 @@ def test_a_pickled_formula_hashes_as_a_fresh_one_under_another_hash_seed(tmp_pat
         )
         assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "True"]
+
+
+# ---------------------------------------------------------------------------
+# identity: two formulas are equal when they are the same tree
+
+
+IDENTITY_SIG = Signature(relations={"P": 1, "Z": 0}, base_constants={"a", "b"})
+
+
+class TestIdentity:
+    def test_kind_and_leaf_fields_decide(self):
+        assert Atom("=", ("a", "b")) != Eq("a", "b")
+        assert Atom("R a", ()) != Atom("R", ("a",))
+        assert Forall(("?x",), Eq("?x", "a")) != Exists(("?x",), Eq("?x", "a"))
+        assert And(()) != Or(())
+        assert Not(Eq("a", "b")) != Eq("a", "b")
+        assert Eq("a", "b") != "(= a b)"
+
+    def test_hash_and_equality_render_nothing(self):
+        text = "(and (forall (?x) (or (P ?x) (not (= ?x a)))) (Z) (exists (?y) (P ?y)))"
+        f, g = parse(text, IDENTITY_SIG), parse(text, IDENTITY_SIG)
+        assert hash(f) == hash(g) and f == g and f is not g
+        assert f in {g} and Not(f) in {Not(g)}
+        for node in list(syntax.subformulas(f)) + list(syntax.subformulas(g)):
+            assert "_render" not in node.__dict__
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 4))
+    def test_a_reparsed_copy_is_equal(self, seed, depth):
+        f = random_formula(IDENTITY_SIG, random.Random(seed), depth)
+        copy = parse(render(f), IDENTITY_SIG)
+        assert copy == f and f == copy and hash(copy) == hash(f) and copy is not f
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+    def test_equal_exactly_when_the_renderings_are(self, seed, depth_f, depth_g):
+        rng = random.Random(seed)
+        f = random_formula(IDENTITY_SIG, rng, depth_f)
+        g = random_formula(IDENTITY_SIG, rng, depth_g)
+        same = render(f) == render(g)
+        assert (f == g) is same and (g == f) is same and (f != g) is not same
+        if same:
+            assert hash(f) == hash(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_a_mutant_is_unequal(self, seed, depth):
+        f = random_formula(IDENTITY_SIG, random.Random(seed), depth)
+        for mutant in _mutants(f):
+            assert render(mutant) != render(f)
+            assert mutant != f and f != mutant and not mutant == f
+
+
+def _mutated(g):
+    """Each one-node change of ``g``: a leaf with one term or its relation
+    changed, forall and exists swapped, and and or swapped, the children of
+    an and/or in another order."""
+    if isinstance(g, Eq):
+        return [Eq(g.right, g.left) if g.left != g.right else Eq(g.left, "?m")]
+    if isinstance(g, Atom):
+        return [Atom(g.rel, ("?m",) + g.args[1:]) if g.args else Atom("Y")]
+    if isinstance(g, (Forall, Exists)):
+        return [(Exists if isinstance(g, Forall) else Forall)(g.vars, g.body)]
+    if isinstance(g, (And, Or)):
+        out = [(Or if isinstance(g, And) else And)(g.children)]
+        if len(set(map(render, g.children))) > 1:
+            out.append(type(g)(g.children[1:] + g.children[:1]))
+        return out
+    return []
+
+
+def _mutants(f):
+    """``f`` with one node replaced by each of its mutations, for every node."""
+    yield from _mutated(f)
+    parts = syntax._parts(f)
+    for i, part in enumerate(parts):
+        for m in _mutants(part):
+            yield syntax._rebuilt(f, parts[:i] + (m,) + parts[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# the structural walks against the per-kind walks they replaced
+
+
+WALK_SIG = Signature(relations={"R": 2, "P": 1, "Z": 0}, base_constants={"c0", "c1"},
+                     fresh_constants={"e0", "e1"})
+WALK_TERMS = ("c0", "c1", "e0", "?x", "?y", "?z")
+
+
+def shared_formula(seed, depth):
+    """A random formula over WALK_SIG drawn from ``seed`` alone, so two calls
+    build equal trees of distinct objects with the same sharing.  Quantifier
+    blocks bind one or two of ?x, ?y and ?z (one in twenty repeats a name or
+    binds a constant), ``and``/``or`` have zero to three children, one node
+    in five is a subformula object built earlier, reused, and half the
+    formulas are closed by a block binding all three variables."""
+    rng = random.Random(seed)
+    made = []
+
+    def go(d):
+        if made and rng.random() < 0.2:
+            return rng.choice(made)
+        kind = rng.choice(["eq", "rel", "not", "and", "or", "forall", "exists"] if d else ["eq", "rel"])
+        if kind == "eq":
+            f = Eq(rng.choice(WALK_TERMS), rng.choice(WALK_TERMS))
+        elif kind == "rel":
+            name = rng.choice(sorted(WALK_SIG.relations))
+            f = Atom(name, [rng.choice(WALK_TERMS) for _ in range(WALK_SIG.relations[name])])
+        elif kind == "not":
+            f = Not(go(d - 1))
+        elif kind in ("and", "or"):
+            f = (And if kind == "and" else Or)([go(d - 1) for _ in range(rng.randrange(4))])
+        else:
+            names = rng.sample(("?x", "?y", "?z"), rng.randint(1, 2))
+            if rng.random() < 0.05:
+                names.append(rng.choice(names + ["c0"]))
+            f = (Forall if kind == "forall" else Exists)(names, go(d - 1))
+        made.append(f)
+        return f
+
+    f = go(depth)
+    return Forall(("?x", "?y", "?z"), f) if rng.random() < 0.5 else f
+
+
+def _identities(nodes, given):
+    """For each of ``nodes``: its first position among the nodes of
+    ``given`` if it is one of them, else its first position in ``nodes``,
+    so the labels show which nodes are the input's and which new nodes are
+    shared."""
+    first_given, first_out, labels = {}, {}, []
+    for i, g in enumerate(reference_subformulas(given)):
+        first_given.setdefault(id(g), i)
+    for j, g in enumerate(nodes):
+        first_out.setdefault(id(g), j)
+        labels.append(("given", first_given[id(g)]) if id(g) in first_given else ("new", first_out[id(g)]))
+    return labels
+
+
+def _walk_outcome(walk, f, *args):
+    try:
+        return walk(f, *args)
+    except (BoolkitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+WALKS = {
+    "free_vars": (reference_free_vars, syntax.free_vars),
+    "constants_of": (reference_constants_of, syntax.constants_of),
+    "validate": (reference_validate, syntax.validate),
+    "substitute": (reference_substitute, substitute),
+    "nnf": (reference_nnf, nnf),
+    "canon": (reference_canon, canon),
+    "qe_transform": (reference_qe_walk, qe_transform),
+}
+VALIDATE_SIG = Signature(relations={"R": 2, "P": 2}, base_constants={"c0", "c1"})
+NO_FRESH_SIG = Signature(relations=WALK_SIG.relations, base_constants={"c0", "c1", "e0"})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 4))
+def test_walks_agree_with_the_per_kind_walks(seed, depth):
+    rng = random.Random(seed)
+    binding = {t: rng.choice(WALK_TERMS) for t in rng.sample(WALK_TERMS, rng.randrange(4))}
+    extra = {
+        "validate": [(VALIDATE_SIG,), (WALK_SIG,)],
+        "substitute": [({},), (binding,), ({"?x": "c1", "?y": "c0", "?z": "e0"},)],
+        "qe_transform": [(WALK_SIG,), (NO_FRESH_SIG,)],
+    }
+    # each walk runs on its own pair of fresh copies, so no cached canon is shared
+    ref_in, new_in = shared_formula(seed, depth), shared_formula(seed, depth)
+    want, got = list(reference_subformulas(ref_in)), list(syntax.subformulas(new_in))
+    assert list(map(render, got)) == list(map(render, want))
+    assert _identities(got, new_in) == _identities(want, ref_in)
+    for name, (reference, walk) in WALKS.items():
+        for args in extra.get(name, [()]):
+            ref_in, new_in = shared_formula(seed, depth), shared_formula(seed, depth)
+            want, got = _walk_outcome(reference, ref_in, *args), _walk_outcome(walk, new_in, *args)
+            assert got == want, (name, args, render(new_in))
+            if isinstance(want, Formula):
+                assert render(got) == render(want), (name, args, render(new_in))
+                assert _identities(reference_subformulas(got), new_in) == _identities(
+                    reference_subformulas(want), ref_in), (name, args, render(new_in))
+            else:
+                assert type(got) is type(want)
+
+
+def test_walks_reject_what_is_not_a_formula():
+    for walk in (syntax._parts, syntax.free_vars, syntax.constants_of, nnf,
+                 lambda f: substitute(f, {"?x": "c0"}), lambda f: list(syntax.subformulas(f))):
+        with pytest.raises(TypeError, match="not a formula"):
+            walk("(= c0 c1)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_hashing_deep_chains_builds_no_rendering():
+    # a hash that rendered would build the chain's quadratic renderings; the
+    # peak is the child's own VmHWM, as ru_maxrss would count this process's
+    # memory too when the child is spawned by vfork
+    src = str(Path(syntax.__file__).resolve().parents[1])
+    code = (
+        "import sys, threading\n"
+        "from boolkit.syntax import Signature, parse\n"
+        "sig = Signature(relations={'P': 1}, base_constants={'a'})\n"
+        "text = '(not ' * 10000 + '(P a)' + ')' * 10000\n"
+        "f, g = parse(text, sig), parse(text, sig)\n"
+        "out = []\n"
+        "sys.setrecursionlimit(100000)\n"
+        "threading.stack_size(256 << 20)\n"
+        "worker = threading.Thread(target=lambda: out.append((hash(f) == hash(g), f == g, f is not g)))\n"
+        "worker.start()\n"
+        "worker.join()\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]\n"
+        "print(*out[0], int(peak[0]) // 1024)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    *answers, peak_mb = done.stdout.split()
+    assert answers == ["True", "True", "True"]
+    assert int(peak_mb) < 100
